@@ -370,9 +370,11 @@ int run_faults() {
                 m.failover_displaced, m.failover_replaced, m.fault_evicted,
                 m.fault_closed);
   }
-  if (m.link_down_events != 1 || m.link_up_events != 1) {
+  const std::size_t downs = m.fault_count(FaultKind::kLinkDown);
+  const std::size_t ups = m.fault_count(FaultKind::kLinkUp);
+  if (downs != 1 || ups != 1) {
     std::printf("faults FAIL: expected one outage cycle (downs=%zu ups=%zu)\n",
-                m.link_down_events, m.link_up_events);
+                downs, ups);
     ++failures;
   }
   if (first.report.retries_scheduled == 0) {
@@ -493,13 +495,14 @@ int run_handover() {
   } else {
     std::printf("handover: %zu sessions migrated off the degraded link "
                 "(%zu degrade events)\n",
-                m.migrations_completed, m.link_degrade_events);
+                m.migrations_completed,
+                m.fault_count(FaultKind::kLinkDegrade));
   }
 
   const ClusterMetrics& n = second.cluster.metrics;
   const bool deterministic =
       first.report.faults_applied == second.report.faults_applied &&
-      first.report.link_degrade_events == second.report.link_degrade_events &&
+      m.fault_events == n.fault_events &&
       m.migrations_requested == n.migrations_requested &&
       m.migrations_completed == n.migrations_completed &&
       m.migrations_aborted == n.migrations_aborted &&
@@ -520,7 +523,8 @@ int run_handover() {
       "\"migrations_aborted\":%zu,\"stranded\":%zu,"
       "\"failover_displaced\":%zu,\"fault_evicted\":%zu,"
       "\"books_reconcile\":%s,\"deterministic\":%s,\"failures\":%d}\n",
-      m.link_degrade_events, m.migrations_requested, m.migrations_completed,
+      m.fault_count(FaultKind::kLinkDegrade), m.migrations_requested,
+      m.migrations_completed,
       m.migrations_aborted, stranded, m.failover_displaced, m.fault_evicted,
       books ? "true" : "false", deterministic ? "true" : "false", failures);
 

@@ -270,8 +270,9 @@ int main(int argc, char** argv) {
         "CHAOS_SUMMARY link_downs=%zu link_ups=%zu capacity_scales=%zu "
         "link_degrades=%zu failovers=%zu fault_evicted=%zu "
         "migrations_completed=%zu retries=%zu breaches=%llu recovers=%zu\n",
-        m.link_down_events, m.link_up_events,
-        result.report.capacity_scale_events, m.link_degrade_events,
+        m.fault_count(FaultKind::kLinkDown), m.fault_count(FaultKind::kLinkUp),
+        m.fault_count(FaultKind::kCapacityScale),
+        m.fault_count(FaultKind::kLinkDegrade),
         m.failover_replaced, m.fault_evicted, m.migrations_completed,
         result.report.retries_scheduled,
         static_cast<unsigned long long>(result.report.slo_breaches),
@@ -289,15 +290,16 @@ int main(int argc, char** argv) {
         "%zu completed + %zu aborted\n"
         "             (aborts fell back to the displaced path: %zu displaced "
         "== %zu replaced + %zu evicted + %zu closed)\n",
-        spike_start + 10, m.link_degrade_events, m.migrations_requested,
+        spike_start + 10, m.fault_count(FaultKind::kLinkDegrade),
+        m.migrations_requested,
         m.migrations_completed, m.migrations_aborted, m.failover_displaced,
         m.failover_replaced, m.fault_evicted, m.fault_closed);
     std::printf(
         "HANDOVER_SUMMARY link_degrades=%zu migrations_requested=%zu "
         "migrations_completed=%zu migrations_aborted=%zu stranded=%zu "
         "fault_evicted=%zu breaches=%llu recovers=%zu\n",
-        m.link_degrade_events, m.migrations_requested, m.migrations_completed,
-        m.migrations_aborted, stranded, m.fault_evicted,
+        m.fault_count(FaultKind::kLinkDegrade), m.migrations_requested,
+        m.migrations_completed, m.migrations_aborted, stranded, m.fault_evicted,
         static_cast<unsigned long long>(result.report.slo_breaches), recovers);
   }
 

@@ -60,6 +60,10 @@ inline constexpr std::size_t kFailoverIdBase = std::size_t{1} << 32;
 static_assert(sizeof(std::size_t) >= 8,
               "failover runtime ids need a 64-bit size_t");
 
+// The kMigration flight event packs b = reason·2^20 + from·2^10 + to, so link
+// indices must fit in 10 bits.
+inline constexpr std::size_t kMaxLinks = 1024;
+
 const char* to_string(PlacementPolicy policy) noexcept {
   switch (policy) {
     case PlacementPolicy::kRoundRobin: return "round-robin";
@@ -75,6 +79,11 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
   if (link_mean_capacity_bytes.empty()) {
     throw std::invalid_argument("EdgeCluster: need >= 1 link");
   }
+  if (link_mean_capacity_bytes.size() > kMaxLinks) {
+    throw std::invalid_argument(
+        "EdgeCluster: at most 1024 links (the kMigration flight event packs "
+        "from/to link indices into 10 bits each)");
+  }
   // The links run their phases inline — the cluster's executor is the only
   // fan-out point — so give each manager a serial (no-pool) executor. Each
   // link gets its own telemetry lane: counters under "link<k>/", spans on
@@ -86,11 +95,7 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
     link_config.telemetry.tid = static_cast<std::uint32_t>(links_.size());
     links_.push_back(std::make_unique<SessionManager>(link_config, mean));
   }
-  link_down_.assign(links_.size(), 0);
-  link_scale_.assign(links_.size(), 1.0);
-  link_degrade_scale_.assign(links_.size(), 1.0);
-  link_delay_.assign(links_.size(), 0.0);
-  link_effective_scale_.assign(links_.size(), 1.0);
+  link_state_.assign(links_.size(), LinkState{});
   handover_active_.assign(links_.size(), 0);
   handover_score_.assign(links_.size(), 0.0);
   prev_reserved_.assign(links_.size(), 0.0);
@@ -187,8 +192,10 @@ void EdgeCluster::rank_links(const Entry& entry) {
   // and displaced sessions only consider survivors. Down/up transitions are
   // strict toggles, so the counters differ exactly while >= 1 link is down —
   // the fault-free path never pays for the scan.
-  if (link_down_events_ != link_up_events_) {
-    std::erase_if(rank_, [this](std::size_t k) { return link_down_[k] != 0; });
+  if (books_.fault_count(FaultKind::kLinkDown) !=
+      books_.fault_count(FaultKind::kLinkUp)) {
+    std::erase_if(rank_,
+                  [this](std::size_t k) { return link_state_[k].down; });
   }
 }
 
@@ -271,71 +278,59 @@ std::size_t EdgeCluster::owner_of(std::size_t runtime_id) const {
              : runtime_id;
 }
 
-bool EdgeCluster::set_link_state(std::size_t link, bool down) {
-  if (finished_ || link >= links_.size()) return false;
-  if ((link_down_[link] != 0) == down) return true;  // already there: no-op
-  link_down_[link] = down ? 1 : 0;
+bool EdgeCluster::apply_fault(const FaultEvent& fault) {
+  if (finished_ || fault.link >= links_.size() ||
+      !validate_fault_event(fault).ok()) {
+    return false;
+  }
+  LinkState& state = link_state_[fault.link];
+  const bool is_down = fault.kind == FaultKind::kLinkDown;
+  if (is_down || fault.kind == FaultKind::kLinkUp) {
+    if (state.down == is_down) return true;  // already there: no-op
+    state.down = is_down;
+  } else {
+    // Scales compose multiplicatively; the product is checked before any
+    // state moves, so a refused event leaves the link exactly as it was.
+    const bool degrade = fault.kind == FaultKind::kLinkDegrade;
+    const double effective =
+        degrade ? state.scale * fault.scale : fault.scale * state.degrade;
+    if (effective > kMaxFaultScale) return false;
+    if (degrade) {
+      state.degrade = fault.scale;
+      state.delay = fault.delay;
+    } else {
+      state.scale = fault.scale;
+    }
+    // Recomputed only here, never in the slot loop.
+    state.effective = effective;
+    links_[fault.link]->set_capacity_scale(effective);
+  }
+  ++books_.fault_events[static_cast<std::size_t>(fault.kind)];
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
-                    static_cast<double>(link), down ? 0.0 : 1.0);
+                    static_cast<double>(fault.link),
+                    static_cast<double>(fault.kind));
   }
-  if (!down) {
-    // Recovery: the link simply rejoins the placement rotation (rank_links
-    // stops filtering it). Sessions that failed over do not migrate back.
-    ++link_up_events_;
-    return true;
-  }
-  ++link_down_events_;
-  // Drain: every active session leaves the link's books now (its trace on
-  // that link ends at this slot) and queues for re-placement. The entry
-  // remembers the live spec — an external close may have shortened the
-  // departure since placement.
-  evict_scratch_.clear();
-  links_[link]->evict_all_active(evict_scratch_);
-  for (const EvictedSession& ev : evict_scratch_) {
-    const std::size_t owner = owner_of(ev.id);
-    Entry& e = *entries_[owner];
-    e.spec = ev.spec;
-    e.displaced = true;
-    displaced_.push_back(owner);
-    ++failover_displaced_;
+  if (is_down) {
+    // Drain: every active session leaves the link's books now (its trace on
+    // that link ends at this slot) and queues for re-placement. The entry
+    // remembers the live spec — an external close may have shortened the
+    // departure since placement.
+    evict_scratch_.clear();
+    links_[fault.link]->evict_all_active(evict_scratch_);
+    for (const EvictedSession& ev : evict_scratch_) {
+      Entry& e = *entries_[owner_of(ev.id)];
+      e.spec = ev.spec;
+      displace(e);
+    }
   }
   return true;
 }
 
-bool EdgeCluster::set_link_capacity_scale(std::size_t link, double scale) {
-  if (finished_ || link >= links_.size()) return false;
-  if (!(scale >= 0.0) || scale > 1e6) return false;  // rejects NaN too
-  link_scale_[link] = scale;
-  // ×1.0 degrade is the bitwise multiply identity, so without kLinkDegrade
-  // events the effective scale is exactly the operator scale.
-  link_effective_scale_[link] = scale * link_degrade_scale_[link];
-  links_[link]->set_capacity_scale(link_effective_scale_[link]);
-  if (flight_ != nullptr) {
-    flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
-                    static_cast<double>(link), 2.0);
-  }
-  return true;
-}
-
-bool EdgeCluster::set_link_degrade(std::size_t link, double scale,
-                                   double delay) {
-  if (finished_ || link >= links_.size()) return false;
-  if (!(scale >= 0.0) || scale > 1e6) return false;  // rejects NaN too
-  if (!(delay >= 0.0) || !std::isfinite(delay)) return false;
-  link_degrade_scale_[link] = scale;
-  link_delay_[link] = delay;
-  // Degradation compounds multiplicatively with any operator capacity
-  // scale; the recompute happens only here and in set_link_capacity_scale,
-  // never in the slot loop.
-  link_effective_scale_[link] = link_scale_[link] * scale;
-  links_[link]->set_capacity_scale(link_effective_scale_[link]);
-  ++link_degrade_events_;
-  if (flight_ != nullptr) {
-    flight_->record(FlightEventKind::kFault, slot_, kClusterTid,
-                    static_cast<double>(link), 3.0);
-  }
-  return true;
+void EdgeCluster::displace(Entry& e) {
+  e.displaced = true;
+  displaced_.push_back(e.id);
+  ++books_.failover_displaced;
 }
 
 void EdgeCluster::take_retry_feed(std::vector<RetrySeed>& out) {
@@ -357,7 +352,7 @@ void EdgeCluster::place_displaced() {
       // and nothing to retry.
       e.fault_evicted = true;
       e.departure_actual = slot_;
-      ++fault_evicted_;
+      ++books_.fault_evicted;
       continue;
     }
     rank_links(e);
@@ -372,7 +367,7 @@ void EdgeCluster::place_displaced() {
         e.link = static_cast<int>(k);
         e.runtime_id = rid;
         ++e.failovers;
-        ++failover_replaced_;
+        ++books_.failover_replaced;
         replaced = true;
         if (flight_ != nullptr) {
           flight_->record(FlightEventKind::kFailover, slot_, kClusterTid,
@@ -384,7 +379,7 @@ void EdgeCluster::place_displaced() {
     if (!replaced) {
       e.fault_evicted = true;
       e.departure_actual = slot_;
-      ++fault_evicted_;
+      ++books_.fault_evicted;
       if (flight_ != nullptr) {
         flight_->record(FlightEventKind::kPlacementReject, slot_, kClusterTid,
                         static_cast<double>(e.id),
@@ -405,47 +400,39 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
   Entry& e = *entries_[session_id];
   if (!e.admitted || e.displaced || e.fault_evicted || e.link < 0 ||
       static_cast<std::size_t>(e.link) == target_link ||
-      link_down_[target_link] != 0) {
+      link_state_[target_link].down) {
     return false;  // invalid input: nothing extracted, books never see it
   }
   const std::size_t from = static_cast<std::size_t>(e.link);
-  ++migrations_requested_;
   SessionManager::MigratedSession carried;
   if (!links_[from]->extract_session(e.runtime_id, carried)) {
     // Not in the link's active set (departed or externally closed already):
-    // refund — no session moved, so no request to reconcile.
-    --migrations_requested_;
+    // no session moved, so no request to reconcile.
     return false;
   }
+  ++books_.migrations_requested;
   e.spec = carried.spec;  // live spec: an external close may have shortened it
+  // Abort when the session's window ends this slot, or when the target
+  // refuses the load. The session already left its source link either way,
+  // so it joins the displaced path: re-placement next slot, or eviction or
+  // close under the exact failover books.
   if (e.spec.departure_slot != kNeverDeparts &&
       e.spec.departure_slot <= slot_) {
-    // The session's window ends this slot. Abort onto the displaced path so
-    // the usual eviction/close books end it — nothing is stranded.
-    ++migrations_aborted_;
-    e.displaced = true;
-    displaced_.push_back(session_id);
-    ++failover_displaced_;
+    ++books_.migrations_aborted;
+    displace(e);
     return false;
   }
   const std::size_t rid = mint_runtime_id(session_id);
-  const AdmissionDecision decision =
-      links_[target_link]->place_migrated(carried, rid);
-  if (!decision.admitted) {
-    // Abort: the target refused the load. The session already left its
-    // source link, so it joins the displaced path — re-placement next slot,
-    // or eviction under the exact failover books.
-    ++migrations_aborted_;
-    e.displaced = true;
-    displaced_.push_back(session_id);
-    ++failover_displaced_;
+  if (!links_[target_link]->place_migrated(carried, rid).admitted) {
+    ++books_.migrations_aborted;
+    displace(e);
     return false;
   }
   e.link = static_cast<int>(target_link);
   e.runtime_id = rid;
   ++e.migrations;
   ++e.migrations_in_window;
-  ++migrations_completed_;
+  ++books_.migrations_completed;
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kMigration, slot_, kClusterTid,
                     static_cast<double>(e.id),
@@ -484,14 +471,14 @@ void EdgeCluster::evaluate_handover() {
     mean_util /= static_cast<double>(n);
   }
   for (std::size_t k = 0; k < n; ++k) {
-    double score = (1.0 - link_degrade_scale_[k]) +
-                   hp.delay_weight * link_delay_[k];
+    const LinkState& state = link_state_[k];
+    double score = (1.0 - state.degrade) + hp.delay_weight * state.delay;
     if (hp.imbalance_weight > 0.0) {
       score += hp.imbalance_weight * std::max(0.0, utilization(k) - mean_util);
     }
     // A downed link already drained through the failover path; handover has
     // nothing left to move off it.
-    if (link_down_[k] != 0) score = 0.0;
+    if (state.down) score = 0.0;
     handover_score_[k] = score;
     // Enter/exit hysteresis: a link starts shedding at enter_score and only
     // stops once it recovers to exit_score, so a score hovering at one
@@ -517,7 +504,7 @@ void EdgeCluster::evaluate_handover() {
   const auto pick_target = [&](std::size_t avoid) {
     int best = -1;
     for (std::size_t k = 0; k < n; ++k) {
-      if (k == avoid || link_down_[k] != 0 || handover_active_[k] != 0) {
+      if (k == avoid || link_state_[k].down || handover_active_[k] != 0) {
         continue;
       }
       if (best < 0) {
@@ -580,7 +567,7 @@ void EdgeCluster::evaluate_handover() {
   mean_reserved /= static_cast<double>(n);
   int freed = -1;
   for (std::size_t k = 0; k < n; ++k) {
-    if (link_down_[k] != 0 || handover_active_[k] != 0) continue;
+    if (link_state_[k].down || handover_active_[k] != 0) continue;
     const double now = links_[k]->admission().reserved_load();
     if (now >= prev_reserved_[k]) continue;  // nothing departed here
     if (now >= mean_reserved) continue;      // not underloaded
@@ -594,7 +581,7 @@ void EdgeCluster::evaluate_handover() {
   int donor = -1;
   double donor_load = -1.0;
   for (std::size_t k = 0; k < n; ++k) {
-    if (static_cast<int>(k) == freed || link_down_[k] != 0) continue;
+    if (static_cast<int>(k) == freed || link_state_[k].down) continue;
     if (links_[k]->active_count() == 0) continue;
     const double load = links_[k]->admission().reserved_load();
     if (load > donor_load) {
@@ -688,9 +675,9 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
   //    scaled draw. ×1.0 is the bitwise multiply identity, so with no
   //    faults the totals are bit-for-bit the pre-fault-plane ones.
   for (std::size_t k = 0; k < links_.size(); ++k) {
-    caps_scratch_[k] = link_down_[k] != 0
-                           ? 0.0
-                           : link_capacity_bytes[k] * link_effective_scale_[k];
+    const LinkState& state = link_state_[k];
+    caps_scratch_[k] =
+        state.down ? 0.0 : link_capacity_bytes[k] * state.effective;
   }
   double offered = 0.0, used = 0.0;
   std::size_t active = 0;
@@ -725,7 +712,7 @@ bool EdgeCluster::request_close(std::size_t session_id) {
       // drain) instead of being silently dropped.
       e.displaced = false;
       e.departure_actual = slot_;
-      ++fault_closed_;
+      ++books_.fault_closed;
       return true;
     }
     return links_[static_cast<std::size_t>(e.link)]->request_close(
@@ -787,7 +774,7 @@ ClusterResult EdgeCluster::finish() {
     e.displaced = false;
     e.fault_evicted = true;
     e.departure_actual = slot_;
-    ++fault_evicted_;
+    ++books_.fault_evicted;
   }
   displaced_.clear();
 
@@ -854,20 +841,11 @@ ClusterResult EdgeCluster::finish() {
     result.sessions.push_back(std::move(out));
   }
 
+  static_cast<FaultBooks&>(result.metrics) = books_;
   result.metrics.link_count = links_.size();
   result.metrics.fleet = metrics_.fleet();
   result.metrics.spills = spills_;
   result.metrics.placement_rejects = placement_rejects_;
-  result.metrics.link_down_events = link_down_events_;
-  result.metrics.link_up_events = link_up_events_;
-  result.metrics.failover_displaced = failover_displaced_;
-  result.metrics.failover_replaced = failover_replaced_;
-  result.metrics.fault_evicted = fault_evicted_;
-  result.metrics.fault_closed = fault_closed_;
-  result.metrics.link_degrade_events = link_degrade_events_;
-  result.metrics.migrations_requested = migrations_requested_;
-  result.metrics.migrations_completed = migrations_completed_;
-  result.metrics.migrations_aborted = migrations_aborted_;
   std::vector<double> link_used;
   link_used.reserve(link_results.size());
   for (const ServingResult& lr : link_results) {

@@ -31,6 +31,7 @@
 // K = 1 special case.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -38,6 +39,7 @@
 
 #include "common/status.hpp"
 #include "net/channel.hpp"
+#include "serving/driver/fault.hpp"
 #include "serving/session_manager.hpp"
 
 namespace arvis {
@@ -143,8 +145,62 @@ struct RetrySeed {
   bool fault_evicted = false;
 };
 
-/// Fleet view across all links.
-struct ClusterMetrics {
+/// One link's fault-plane state: everything the FaultEvents applied so far
+/// left behind. Fault-free links stay at the defaults, whose ×1.0 multiplies
+/// are the bitwise identity.
+struct LinkState {
+  bool down = false;
+  /// Operator capacity scale (kCapacityScale: radio fade, brownout).
+  double scale = 1.0;
+  /// Graded degradation scale (kLinkDegrade). Kept apart from `scale`
+  /// because the HandoverPolicy score reads only this one: an operator
+  /// brownout must not push sessions off a link, a degrading radio must.
+  double degrade = 1.0;
+  /// Reported per-slot delay of the last kLinkDegrade (0 nominal).
+  double delay = 0.0;
+  /// scale × degrade, cached at fault edges: the factor both the admission
+  /// budget and the per-slot capacity consume.
+  double effective = 1.0;
+};
+
+/// The cluster's running fault-plane books, readable mid-run
+/// (EdgeCluster::fault_books) and final in ClusterMetrics. Two identities
+/// hold exactly (tested):
+///   failover_displaced == failover_replaced + fault_evicted + fault_closed
+///   migrations_requested == migrations_completed + migrations_aborted
+/// Every displaced session is re-placed, evicted, or externally closed, and
+/// every aborted migration re-enters the failover books through the
+/// displaced path — nothing is stranded.
+struct FaultBooks {
+  /// Fault events applied, by FaultKind ordinal. A link-down on a link that
+  /// is already down (or a link-up on one already up) changes nothing and
+  /// is not counted; every applied scale or degrade event is.
+  std::array<std::size_t, kFaultKindCount> fault_events{};
+  /// Active sessions drained off a link when it went down, plus aborted
+  /// migrations.
+  std::size_t failover_displaced = 0;
+  /// Displaced sessions re-admitted onto a surviving link.
+  std::size_t failover_replaced = 0;
+  /// Displaced sessions no surviving link would take (or with no lifetime
+  /// left) — ended at the eviction slot.
+  std::size_t fault_evicted = 0;
+  /// Displaced sessions externally closed before re-placement.
+  std::size_t fault_closed = 0;
+  /// Mid-stream migrations attempted (policy-driven + explicit).
+  std::size_t migrations_requested = 0;
+  /// Migrations whose target link admitted the carried session.
+  std::size_t migrations_completed = 0;
+  /// Migrations the target refused (or whose window ended) — the session
+  /// fell back to the displaced path.
+  std::size_t migrations_aborted = 0;
+
+  [[nodiscard]] std::size_t fault_count(FaultKind kind) const {
+    return fault_events[static_cast<std::size_t>(kind)];
+  }
+};
+
+/// Fleet view across all links, plus the final fault-plane books.
+struct ClusterMetrics : FaultBooks {
   std::size_t link_count = 0;
   /// Cluster-wide aggregates over every submitted session and the summed
   /// per-slot link capacities (for K = 1 this equals the single-link
@@ -161,36 +217,6 @@ struct ClusterMetrics {
   std::size_t spills = 0;
   /// Sessions refused by every link they were offered to.
   std::size_t placement_rejects = 0;
-  // Fault-plane outcomes. The books balance exactly:
-  //   failover_displaced == failover_replaced + fault_evicted + fault_closed
-  // (every displaced session is re-placed, evicted, or externally closed —
-  // none stranded; tested).
-  /// Link up→down transitions applied.
-  std::size_t link_down_events = 0;
-  /// Link down→up transitions applied.
-  std::size_t link_up_events = 0;
-  /// Active sessions drained off a link when it went down.
-  std::size_t failover_displaced = 0;
-  /// Displaced sessions re-admitted onto a surviving link.
-  std::size_t failover_replaced = 0;
-  /// Displaced sessions no surviving link would take (or with no lifetime
-  /// left) — ended at the eviction slot.
-  std::size_t fault_evicted = 0;
-  /// Displaced sessions externally closed before re-placement.
-  std::size_t fault_closed = 0;
-  /// Graded kLinkDegrade events applied.
-  std::size_t link_degrade_events = 0;
-  // Migration books. These balance exactly:
-  //   migrations_requested == migrations_completed + migrations_aborted
-  // and every aborted migration re-enters the failover books above (the
-  // displaced path), so nothing is ever stranded (tested).
-  /// Mid-stream migrations attempted (policy-driven + explicit).
-  std::size_t migrations_requested = 0;
-  /// Migrations whose target link admitted the carried session.
-  std::size_t migrations_completed = 0;
-  /// Migrations the target refused — the session fell back to the
-  /// displaced path (re-placement, eviction, or close).
-  std::size_t migrations_aborted = 0;
 };
 
 struct ClusterResult {
@@ -210,7 +236,9 @@ class EdgeCluster {
  public:
   /// `link_mean_capacity_bytes[k]` calibrates link k's admission controller
   /// (ChannelModel::mean_capacity_bytes() of the stream that will drive it).
-  /// Throws std::invalid_argument on zero links or a bad serving config.
+  /// Throws std::invalid_argument on zero links, more than 1024 links (the
+  /// kMigration flight event packs link indices into 10 bits), or a bad
+  /// serving config.
   EdgeCluster(const ClusterConfig& config,
               const std::vector<double>& link_mean_capacity_bytes);
   ~EdgeCluster();
@@ -250,56 +278,28 @@ class EdgeCluster {
   [[nodiscard]] std::size_t placement_rejects() const noexcept {
     return placement_rejects_;
   }
-  [[nodiscard]] std::size_t failover_displaced() const noexcept {
-    return failover_displaced_;
-  }
-  [[nodiscard]] std::size_t failover_replaced() const noexcept {
-    return failover_replaced_;
-  }
-  [[nodiscard]] std::size_t fault_evicted_count() const noexcept {
-    return fault_evicted_;
-  }
-  [[nodiscard]] std::size_t fault_closed() const noexcept {
-    return fault_closed_;
-  }
-  [[nodiscard]] std::size_t migrations_requested() const noexcept {
-    return migrations_requested_;
-  }
-  [[nodiscard]] std::size_t migrations_completed() const noexcept {
-    return migrations_completed_;
-  }
-  [[nodiscard]] std::size_t migrations_aborted() const noexcept {
-    return migrations_aborted_;
-  }
-  [[nodiscard]] std::size_t link_degrade_events() const noexcept {
-    return link_degrade_events_;
+  /// Running fault-plane books (final copy in ClusterMetrics).
+  [[nodiscard]] const FaultBooks& fault_books() const noexcept {
+    return books_;
   }
 
   // -- Fault plane -----------------------------------------------------
-  /// Marks link `link` down (drains its active sessions into the failover
-  /// queue; they re-enter placement on the next step) or back up (the link
-  /// rejoins the placement rotation; sessions do NOT migrate back). Returns
-  /// false for an out-of-range link or after finish(); a transition to the
-  /// state the link is already in is a true no-op.
-  bool set_link_state(std::size_t link, bool down);
-
-  /// Scales link `link`'s admissible capacity (radio fade / brownout). The
-  /// caller also scales the capacity it feeds step() for that link — the
-  /// cluster applies the same factor to the admission controller so both
-  /// planes agree. scale = 1 restores nominal. Returns false for an
-  /// out-of-range link, a non-finite or negative scale, or after finish().
-  bool set_link_capacity_scale(std::size_t link, double scale);
-
-  /// Graded degradation (the kLinkDegrade fault verb): link `link` keeps
-  /// `scale` of its capacity — the cluster folds the factor into the
-  /// admission budget and its own effective-capacity computation, composing
-  /// multiplicatively with set_link_capacity_scale — and reports `delay`
-  /// slots of added per-slot latency, which feeds the HandoverPolicy
-  /// degradation score (the capacity plane itself carries no delay, so the
-  /// signal is observability + handover pressure, not throughput). scale = 1
-  /// with delay = 0 restores nominal. Returns false for an out-of-range
-  /// link, a non-finite or negative scale/delay, or after finish().
-  bool set_link_degrade(std::size_t link, double scale, double delay);
+  /// Applies one fault to its link's LinkState, now (the event's slot is
+  /// the scheduler's business):
+  ///   kLinkDown      drains the link's active sessions into the failover
+  ///                  queue; they re-enter placement on the next step;
+  ///   kLinkUp        the link rejoins the placement rotation (sessions do
+  ///                  NOT migrate back);
+  ///   kCapacityScale sets the operator scale;
+  ///   kLinkDegrade   sets the degrade scale and the reported delay, which
+  ///                  feed the HandoverPolicy score.
+  /// Both scales compose multiplicatively into the effective scale that
+  /// shapes the admission budget and the capacity step() offers. Returns
+  /// false, with no state touched, for an out-of-range link, an event
+  /// validate_fault_event refuses, an effective scale above kMaxFaultScale,
+  /// or after finish(). A down/up transition to the state the link is
+  /// already in is a true no-op (returns true, counts nothing).
+  bool apply_fault(const FaultEvent& fault);
 
   /// Mid-stream live migration: moves active session `session_id` onto
   /// `target_link`, carrying its hot SoA state (backlog, served-bytes EWMA,
@@ -312,18 +312,8 @@ class EdgeCluster {
   /// cluster — invalid input does not count as requested).
   bool migrate_session(std::size_t session_id, std::size_t target_link);
 
-  [[nodiscard]] bool link_down(std::size_t link) const {
-    return link_down_.at(link) != 0;
-  }
-  [[nodiscard]] double link_capacity_scale(std::size_t link) const {
-    return link_scale_.at(link);
-  }
-  [[nodiscard]] double link_degrade_scale(std::size_t link) const {
-    return link_degrade_scale_.at(link);
-  }
-  /// Reported per-slot delay of the last kLinkDegrade on `link` (0 nominal).
-  [[nodiscard]] double link_delay(std::size_t link) const {
-    return link_delay_.at(link);
+  [[nodiscard]] const LinkState& link_state(std::size_t link) const {
+    return link_state_.at(link);
   }
   /// True while the HandoverPolicy holds `link` in handover (its sessions
   /// are migrating off).
@@ -384,6 +374,9 @@ class EdgeCluster {
 
   void place_arrivals();
   void place_displaced();
+  /// Queues an admitted session that has left its link's books (drained by
+  /// an outage or an aborted migration) for re-placement next step.
+  void displace(Entry& e);
   void rank_links(const Entry& entry);
   /// The HandoverPolicy slot pass: score links, update hysteresis state,
   /// drain sessions off links in handover, and (when configured) rebalance
@@ -422,10 +415,10 @@ class EdgeCluster {
   // Scratch reused across slots.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> decide_map_;
   std::vector<std::size_t> rank_;
-  // -- Fault plane (all vectors preallocated; idle cost is one branch per
-  // link per slot and a ×1.0 capacity multiply, which is bitwise identity) --
-  std::vector<std::uint8_t> link_down_;  // 1 = down
-  std::vector<double> link_scale_;       // admission/capacity scale, 1 = nominal
+  // -- Fault plane (preallocated; idle cost is one branch per link per slot
+  // and a ×1.0 capacity multiply, which is bitwise identity) --------------
+  std::vector<LinkState> link_state_;
+  FaultBooks books_;
   std::vector<double> caps_scratch_;     // effective per-link capacity this slot
   std::vector<std::size_t> displaced_;   // entry ids awaiting re-placement
   std::vector<EvictedSession> evict_scratch_;
@@ -433,31 +426,13 @@ class EdgeCluster {
   std::vector<std::size_t> failover_owner_;
   bool collect_retry_ = false;
   std::vector<RetrySeed> retry_feed_;
-  std::size_t link_down_events_ = 0;
-  std::size_t link_up_events_ = 0;
-  std::size_t failover_displaced_ = 0;
-  std::size_t failover_replaced_ = 0;
-  std::size_t fault_evicted_ = 0;
-  std::size_t fault_closed_ = 0;
   // -- Handover / live migration (vectors preallocated at construction;
-  // with the policy off the slot loop pays one branch, and the degrade
-  // factor folds into link_effective_scale_ at fault edges, so the
-  // fault-free capacity math is untouched bit for bit) --------------------
-  std::vector<double> link_degrade_scale_;  // kLinkDegrade scale, 1 = nominal
-  std::vector<double> link_delay_;          // reported per-slot delay
-  /// link_scale_ × link_degrade_scale_, the factor both the admission
-  /// budget and the per-slot capacity math consume (recomputed only at
-  /// fault edges).
-  std::vector<double> link_effective_scale_;
+  // with the policy off the slot loop pays one branch) --------------------
   std::vector<std::uint8_t> handover_active_;  // hysteresis state, 1 = in
   std::vector<double> handover_score_;         // scratch: per-link score
   std::vector<double> prev_reserved_;  // reserved load before begin_slot
   /// Scratch: (backlog, runtime id) candidates of the link being drained.
   std::vector<std::pair<double, std::size_t>> migrate_scratch_;
-  std::size_t migrations_requested_ = 0;
-  std::size_t migrations_completed_ = 0;
-  std::size_t migrations_aborted_ = 0;
-  std::size_t link_degrade_events_ = 0;
   // Telemetry (see session_manager.hpp for the null-pointer cost model).
   // Links carry their own per-link instruments (tid = link index); these are
   // the cluster-level ones: placement outcomes under "cluster/", spans on

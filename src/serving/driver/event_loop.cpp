@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -62,6 +63,18 @@ std::size_t ServingBackend::step_slots(std::size_t max_slots) {
   return done;
 }
 
+bool ServingBackend::apply_fault(const FaultEvent& fault) {
+  switch (fault.kind) {
+    case FaultKind::kLinkDown: return apply_link_state(fault.link, true);
+    case FaultKind::kLinkUp: return apply_link_state(fault.link, false);
+    case FaultKind::kCapacityScale:
+      return apply_capacity_scale(fault.link, fault.scale);
+    case FaultKind::kLinkDegrade:
+      return apply_link_degrade(fault.link, fault.scale, fault.delay);
+  }
+  return false;
+}
+
 void SessionManagerBackend::sample(MetricsSnapshot& out,
                                    std::vector<double>& per_link_used) const {
   out.active_sessions = manager_->active_count();
@@ -92,6 +105,14 @@ void ClusterBackend::step_slot() {
     caps_[k] = channels_[k]->next_capacity_bytes();
   }
   cluster_->step(caps_);
+}
+
+bool ClusterBackend::apply(FaultKind kind, std::size_t link, double scale,
+                           double delay) {
+  return link <= std::numeric_limits<std::uint32_t>::max() &&
+         cluster_->apply_fault({cluster_->slot(), kind,
+                                static_cast<std::uint32_t>(link), scale,
+                                delay});
 }
 
 void ClusterBackend::sample(MetricsSnapshot& out,
@@ -182,50 +203,11 @@ void EventLoop::schedule_stop(std::size_t slot) {
   push(slot, EventKind::kStop, 0);
 }
 
-void EventLoop::schedule_link_down(std::size_t slot, std::size_t link) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkDown,
-                               static_cast<std::uint32_t>(link), 1.0});
-  push(slot, EventKind::kLinkDown, faults_.size() - 1);
-}
-
-void EventLoop::schedule_link_up(std::size_t slot, std::size_t link) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkUp,
-                               static_cast<std::uint32_t>(link), 1.0});
-  push(slot, EventKind::kLinkUp, faults_.size() - 1);
-}
-
-void EventLoop::schedule_capacity_scale(std::size_t slot, std::size_t link,
-                                        double scale) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kCapacityScale,
-                               static_cast<std::uint32_t>(link), scale});
-  push(slot, EventKind::kCapacityScale, faults_.size() - 1);
-}
-
-void EventLoop::schedule_link_degrade(std::size_t slot, std::size_t link,
-                                      double scale, double delay) {
-  faults_.push_back(FaultEvent{slot, FaultKind::kLinkDegrade,
-                               static_cast<std::uint32_t>(link), scale,
-                               delay});
-  push(slot, EventKind::kLinkDegrade, faults_.size() - 1);
-}
-
 void EventLoop::schedule_fault_plan(const FaultPlan& plan) {
   faults_.reserve(faults_.size() + plan.events.size());
-  for (const FaultEvent& f : plan.events) {
-    switch (f.kind) {
-      case FaultKind::kLinkDown:
-        schedule_link_down(f.slot, f.link);
-        break;
-      case FaultKind::kLinkUp:
-        schedule_link_up(f.slot, f.link);
-        break;
-      case FaultKind::kCapacityScale:
-        schedule_capacity_scale(f.slot, f.link, f.scale);
-        break;
-      case FaultKind::kLinkDegrade:
-        schedule_link_degrade(f.slot, f.link, f.scale, f.delay);
-        break;
-    }
+  for (const FaultEvent& fault : plan.events) {
+    faults_.push_back(fault);
+    push(fault.slot, EventKind::kFault, faults_.size() - 1);
   }
 }
 
@@ -520,51 +502,17 @@ DriverReport EventLoop::run() {
             --stop_events_;
             stopped = true;
             break;
-          case EventKind::kLinkDown:
-          case EventKind::kLinkUp: {
+          case EventKind::kFault: {
             const FaultEvent& fault = faults_[event.payload];
-            const bool down =
-                static_cast<EventKind>(event.kind) == EventKind::kLinkDown;
-            if (backend_->apply_link_state(fault.link, down)) {
+            if (backend_->apply_fault(fault)) {
               ++report.faults_applied;
-              if (down) {
-                ++report.link_down_events;
-              } else {
-                ++report.link_up_events;
-              }
             } else {
               // A backend without a fault plane (or a bad link index in a
               // hand-written plan) is counted, not fatal — same contract as
               // close events.
               ++report.faults_ignored;
-              log_info("driver: ", down ? "link-down" : "link-up",
-                       " event at slot ", event.slot, " ignored (link ",
-                       fault.link, ")");
-            }
-            break;
-          }
-          case EventKind::kCapacityScale: {
-            const FaultEvent& fault = faults_[event.payload];
-            if (backend_->apply_capacity_scale(fault.link, fault.scale)) {
-              ++report.faults_applied;
-              ++report.capacity_scale_events;
-            } else {
-              ++report.faults_ignored;
-              log_info("driver: capacity-scale event at slot ", event.slot,
-                       " ignored (link ", fault.link, ")");
-            }
-            break;
-          }
-          case EventKind::kLinkDegrade: {
-            const FaultEvent& fault = faults_[event.payload];
-            if (backend_->apply_link_degrade(fault.link, fault.scale,
-                                             fault.delay)) {
-              ++report.faults_applied;
-              ++report.link_degrade_events;
-            } else {
-              ++report.faults_ignored;
-              log_info("driver: link-degrade event at slot ", event.slot,
-                       " ignored (link ", fault.link, ")");
+              log_info("driver: ", to_string(fault.kind), " event at slot ",
+                       event.slot, " ignored (link ", fault.link, ")");
             }
             break;
           }
@@ -645,16 +593,6 @@ DriverReport EventLoop::run() {
     retry_scratch_.clear();
     backend_->take_retry_feed(retry_scratch_);
     report.retries_abandoned += retry_scratch_.size();
-  }
-
-  // Migration books into the report (zeros for a backend without a fault
-  // plane; the degrade-event count rode in at event application like the
-  // other fault kinds).
-  {
-    const FaultPlaneSample sample = backend_->sample_fault_plane();
-    report.migrations_requested = sample.migrations_requested;
-    report.migrations_completed = sample.migrations_completed;
-    report.migrations_aborted = sample.migrations_aborted;
   }
 
   // SLO bookkeeping into the report (self-contained: specs ride along).

@@ -15,6 +15,7 @@
 //   close      external-close control: cancel one session mid-stream (a
 //              trace can express abandonment — the session departs at the
 //              event's slot instead of its declared departure)
+//   fault      one FaultEvent of a FaultPlan, handed to the backend whole
 //   control    stop the run before a given slot (the fixed-horizon mode)
 //
 // The calendar is a bucketed calendar queue keyed by slot (see
@@ -165,19 +166,10 @@ struct DriverReport {
   /// True when DriverConfig::max_slots ended the run.
   bool hit_slot_cap = false;
   /// Fault events the backend accepted / refused (a single-link backend has
-  /// no fault verbs, so every fault on it counts as ignored).
+  /// no fault plane, so every fault on it counts as ignored). The per-kind
+  /// mix and the failover/migration books live in ClusterMetrics.
   std::size_t faults_applied = 0;
   std::size_t faults_ignored = 0;
-  /// Applied fault mix, by kind.
-  std::size_t link_down_events = 0;
-  std::size_t link_up_events = 0;
-  std::size_t capacity_scale_events = 0;
-  std::size_t link_degrade_events = 0;
-  /// End-of-run migration books from the backend's fault plane (all zero
-  /// for a backend without one). requested == completed + aborted, exactly.
-  std::size_t migrations_requested = 0;
-  std::size_t migrations_completed = 0;
-  std::size_t migrations_aborted = 0;
   /// Retry arrivals scheduled from the backend's feed, and seeds dropped
   /// because the lineage ran out of attempts or lifetime (including seeds
   /// still pending when the run ended).
@@ -205,17 +197,10 @@ struct DriverReport {
   [[nodiscard]] CsvTable snapshot_table() const;
 };
 
-/// Cumulative fault-plane counters a backend can surface mid-run (all zero
-/// for a backend without one). Sampled for live stats at every snapshot and
-/// folded into the DriverReport at end of run, so watchers see handover
-/// traffic next to the failover books it extends.
-struct FaultPlaneSample {
-  std::size_t failover_displaced = 0;
-  std::size_t failover_replaced = 0;
-  std::size_t migrations_requested = 0;
-  std::size_t migrations_completed = 0;
-  std::size_t migrations_aborted = 0;
-};
+/// Cumulative fault-plane books a backend can surface mid-run (all zero for
+/// a backend without one), sampled for live stats at every snapshot so
+/// watchers see handover traffic next to the failover books it extends.
+using FaultPlaneSample = FaultBooks;
 
 /// The slice of a serving runtime the EventLoop needs. Implementations own
 /// nothing — they adapt a caller-owned runtime + channel stream(s).
@@ -253,27 +238,21 @@ class ServingBackend {
   /// Non-const: the delay percentile uses the runtime's reusable scratch.
   virtual void sample_slo(SloObservation& observation) = 0;
 
-  // -- Fault plane (optional; defaults describe a backend without one, so
-  // existing backends and tests are untouched) ---------------------------
-  /// Applies a link up/down transition. False = unsupported or bad link.
-  virtual bool apply_link_state(std::size_t link, bool down) {
-    (void)link;
-    (void)down;
+  // -- Fault plane (optional; defaults describe a backend without one) --
+  /// Applies one fault event now: the loop's single entry point, which
+  /// routes the event's kind to the per-kind hook below. False =
+  /// unsupported or bad input.
+  bool apply_fault(const FaultEvent& fault);
+  /// Per-kind hooks behind apply_fault (decorators override these to see
+  /// every fault). False = unsupported or bad input.
+  virtual bool apply_link_state(std::size_t /*link*/, bool /*down*/) {
     return false;
   }
-  /// Applies a capacity scale factor. False = unsupported or bad input.
-  virtual bool apply_capacity_scale(std::size_t link, double scale) {
-    (void)link;
-    (void)scale;
+  virtual bool apply_capacity_scale(std::size_t /*link*/, double /*scale*/) {
     return false;
   }
-  /// Applies a graded degradation (fractional capacity + reported per-slot
-  /// delay). False = unsupported or bad input.
-  virtual bool apply_link_degrade(std::size_t link, double scale,
-                                  double delay) {
-    (void)link;
-    (void)scale;
-    (void)delay;
+  virtual bool apply_link_degrade(std::size_t /*link*/, double /*scale*/,
+                                  double /*delay*/) {
     return false;
   }
   /// Samples the backend's cumulative fault-plane counters (failover +
@@ -378,23 +357,17 @@ class ClusterBackend final : public ServingBackend {
     cluster_->accumulate_slo(observation);
   }
   bool apply_link_state(std::size_t link, bool down) override {
-    return cluster_->set_link_state(link, down);
+    return apply(down ? FaultKind::kLinkDown : FaultKind::kLinkUp, link);
   }
   bool apply_capacity_scale(std::size_t link, double scale) override {
-    return cluster_->set_link_capacity_scale(link, scale);
+    return apply(FaultKind::kCapacityScale, link, scale);
   }
   bool apply_link_degrade(std::size_t link, double scale,
                           double delay) override {
-    return cluster_->set_link_degrade(link, scale, delay);
+    return apply(FaultKind::kLinkDegrade, link, scale, delay);
   }
   [[nodiscard]] FaultPlaneSample sample_fault_plane() const override {
-    FaultPlaneSample sample;
-    sample.failover_displaced = cluster_->failover_displaced();
-    sample.failover_replaced = cluster_->failover_replaced();
-    sample.migrations_requested = cluster_->migrations_requested();
-    sample.migrations_completed = cluster_->migrations_completed();
-    sample.migrations_aborted = cluster_->migrations_aborted();
-    return sample;
+    return cluster_->fault_books();
   }
   void enable_retry_feed() override { cluster_->enable_retry_feed(); }
   [[nodiscard]] bool retry_feed_pending() const override {
@@ -405,6 +378,11 @@ class ClusterBackend final : public ServingBackend {
   }
 
  private:
+  /// Rebuilds the event for EdgeCluster::apply_fault (links past the
+  /// event's 32-bit field are out of range for any cluster).
+  bool apply(FaultKind kind, std::size_t link, double scale = 1.0,
+             double delay = 0.0);
+
   EdgeCluster* cluster_;
   std::vector<ChannelModel*> channels_;
   std::vector<double> caps_;  // scratch reused across slots
@@ -446,24 +424,11 @@ class EventLoop {
   /// skipped). The earliest scheduled stop wins.
   void schedule_stop(std::size_t slot);
 
-  /// Schedules a link outage start / recovery at `slot` (fires before the
-  /// slot executes, like close events). Whether the backend honours it lands
-  /// in the report's faults_applied / faults_ignored.
-  void schedule_link_down(std::size_t slot, std::size_t link);
-  void schedule_link_up(std::size_t slot, std::size_t link);
-
-  /// Schedules a capacity scale change (radio fade / brownout) at `slot`.
-  void schedule_capacity_scale(std::size_t slot, std::size_t link,
-                               double scale);
-
-  /// Schedules a graded degradation (kLinkDegrade) at `slot`: the link
-  /// keeps `scale` of its capacity and reports `delay` slots of added
-  /// per-slot latency (the handover-pressure signal).
-  void schedule_link_degrade(std::size_t slot, std::size_t link, double scale,
-                             double delay);
-
-  /// Schedules every event of a fault plan. The plan composes freely with
-  /// scheduled arrivals, an arrival source, and other plans.
+  /// Schedules every event of a fault plan, each at its own slot (it fires
+  /// before the slot executes, like close events; same-slot events fire in
+  /// plan order). The plan composes freely with scheduled arrivals, an
+  /// arrival source, and other plans. Whether the backend honours each
+  /// event lands in the report's faults_applied / faults_ignored.
   void schedule_fault_plan(const FaultPlan& plan);
 
   /// Attaches an incremental arrival feed (must outlive run()). At most one
@@ -482,10 +447,7 @@ class EventLoop {
     kSnapshot,
     kClose,
     kStop,
-    kLinkDown,
-    kLinkUp,
-    kCapacityScale,
-    kLinkDegrade,
+    kFault,
   };
 
   void push(std::size_t slot, EventKind kind, std::size_t payload);
@@ -509,7 +471,7 @@ class EventLoop {
   /// to specs_. A CalendarEvent carries one size_t payload, so the attempt
   /// rides here rather than in the event.
   std::vector<std::uint32_t> spec_attempt_;
-  /// Fault payloads; kLinkDown/kLinkUp/kCapacityScale events index here.
+  /// Fault payloads; kFault events index here.
   std::vector<FaultEvent> faults_;
   /// Runtime id -> retry generation, populated only for retried arrivals
   /// (attempt >= 1), so fault-free runs never touch it. Lets a seed for a

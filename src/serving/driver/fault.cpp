@@ -186,6 +186,28 @@ FaultPlan& FaultPlan::merge(const FaultPlan& other) {
   return *this;
 }
 
+bool fault_carries_scale(FaultKind kind) noexcept {
+  return kind == FaultKind::kCapacityScale || kind == FaultKind::kLinkDegrade;
+}
+
+Status validate_fault_event(const FaultEvent& event) {
+  if (!std::isfinite(event.scale) || event.scale < 0.0 ||
+      event.scale > kMaxFaultScale) {
+    return Status::InvalidArgument("scale must be finite and in [0, 1e6]");
+  }
+  if (!fault_carries_scale(event.kind) && event.scale != 1.0) {
+    return Status::InvalidArgument("scale != 1 on a kind that carries none");
+  }
+  if (!std::isfinite(event.delay) || event.delay < 0.0) {
+    return Status::InvalidArgument("delay must be finite and >= 0");
+  }
+  if (event.kind != FaultKind::kLinkDegrade && event.delay != 0.0) {
+    return Status::InvalidArgument(
+        "delay != 0 on a kind other than link-degrade");
+  }
+  return Status::Ok();
+}
+
 Status validate_fault_plan(const FaultPlan& plan, std::size_t link_count) {
   std::size_t prev_slot = 0;
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
@@ -200,25 +222,9 @@ Status validate_fault_plan(const FaultPlan& plan, std::size_t link_count) {
                                 " targets link " + std::to_string(event.link) +
                                 " of " + std::to_string(link_count));
     }
-    if (!std::isfinite(event.scale) || event.scale < 0.0) {
+    if (const Status status = validate_fault_event(event); !status.ok()) {
       return Status::InvalidArgument("fault event " + std::to_string(i) +
-                                     " has non-finite or negative scale");
-    }
-    const bool carries_scale = event.kind == FaultKind::kCapacityScale ||
-                               event.kind == FaultKind::kLinkDegrade;
-    if (!carries_scale && event.scale != 1.0) {
-      return Status::InvalidArgument(
-          "fault event " + std::to_string(i) +
-          " is not capacity-scale but carries scale != 1");
-    }
-    if (!std::isfinite(event.delay) || event.delay < 0.0) {
-      return Status::InvalidArgument("fault event " + std::to_string(i) +
-                                     " has non-finite or negative delay");
-    }
-    if (event.kind != FaultKind::kLinkDegrade && event.delay != 0.0) {
-      return Status::InvalidArgument(
-          "fault event " + std::to_string(i) +
-          " is not link-degrade but carries delay != 0");
+                                     ": " + status.message());
     }
   }
   return Status::Ok();

@@ -8,9 +8,9 @@
 // chaos: replaying a scenario with the same workload seed and the same fault
 // plan is bit-for-bit reproducible.
 //
-// The plan layer knows nothing about EdgeCluster internals; the driver maps
-// each event onto the backend's fault verbs (ServingBackend::apply_link_state
-// / apply_capacity_scale).
+// The plan layer knows nothing about EdgeCluster internals: the driver hands
+// each event to the backend whole (ServingBackend::apply_fault), and the
+// cluster applies it to one per-link LinkState (EdgeCluster::apply_fault).
 #pragma once
 
 #include <cstddef>
@@ -34,6 +34,18 @@ enum class FaultKind : std::uint8_t {
                    ///< radio fade beyond a scalar scale; scale == 1.0 with
                    ///< delay == 0.0 restores the link to nominal.
 };
+
+/// Number of FaultKind values (per-kind counters index by the ordinal).
+inline constexpr std::size_t kFaultKindCount =
+    static_cast<std::size_t>(FaultKind::kLinkDegrade) + 1;
+
+/// Largest scale a fault may carry, and the largest effective (operator x
+/// degrade) scale a link may reach.
+inline constexpr double kMaxFaultScale = 1e6;
+
+/// True for the kinds that carry a capacity scale (kCapacityScale,
+/// kLinkDegrade); the others hold exactly scale == 1.0.
+[[nodiscard]] bool fault_carries_scale(FaultKind kind) noexcept;
 
 /// Stable lowercase name, e.g. "link-down". Used by the trace CSV format.
 const char* to_string(FaultKind kind) noexcept;
@@ -111,10 +123,15 @@ struct FaultPlan {
   FaultPlan& merge(const FaultPlan& other);
 };
 
+/// Validates one event on its own: scale finite, in [0, kMaxFaultScale] and
+/// exactly 1.0 on kinds that carry none; delay finite, non-negative and
+/// exactly 0.0 on kinds other than kLinkDegrade. The slot and link are the
+/// plan's and the backend's to check.
+[[nodiscard]] Status validate_fault_event(const FaultEvent& event);
+
 /// Validates a plan against a backend with `link_count` links (0 skips the
-/// link bound check): events sorted by slot, links in range, scales finite
-/// and non-negative, non-scale-carrying events holding scale == 1.0,
-/// delays finite and non-negative, non-degrade events holding delay == 0.0.
+/// link bound check): events sorted by slot, links in range, and every event
+/// valid per validate_fault_event.
 [[nodiscard]] Status validate_fault_plan(const FaultPlan& plan,
                                          std::size_t link_count);
 

@@ -26,12 +26,6 @@ std::vector<std::string> trace_header(bool with_close, bool with_fault,
   return header;
 }
 
-/// Scale-carrying fault kinds serialize their f_scale cell; the others leave
-/// it empty (they carry exactly 1.0 in memory, validated).
-bool fault_carries_scale(FaultKind kind) noexcept {
-  return kind == FaultKind::kCapacityScale || kind == FaultKind::kLinkDegrade;
-}
-
 /// A non-negative integer cell. The CSV parser types numeric-looking fields
 /// for us, but a hand-edited file may carry an integral double ("12.0").
 bool cell_to_size(const CsvCell& cell, std::size_t& out) {

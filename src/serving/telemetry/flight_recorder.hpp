@@ -61,7 +61,7 @@ enum class FlightEventKind : std::uint8_t {
   kSloBreach,
   /// A breached SLO recovered. a = spec index, b = fast-window value.
   kSloRecover,
-  /// A fault-plane control event fired. a = link, b = FaultKind code
+  /// A fault-plane control event fired. a = link, b = FaultKind ordinal
   /// (0 = link-down, 1 = link-up, 2 = capacity-scale, 3 = link-degrade).
   kFault,
   /// A displaced session was re-placed on a surviving link. a = session id,
@@ -79,7 +79,8 @@ enum class FlightEventKind : std::uint8_t {
   /// An active session migrated between links mid-stream. a = session id,
   /// b = reason * 1048576 + from_link * 1024 + to_link (reason codes:
   /// 0 = degraded-link handover, 1 = rebalance-on-departure, 2 = explicit
-  /// migrate_session call).
+  /// migrate_session call). The 10-bit link fields are why EdgeCluster
+  /// refuses more than 1024 links.
   kMigration,
 };
 

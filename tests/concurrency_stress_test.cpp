@@ -169,11 +169,11 @@ ClusterResult run_flapping_cluster(std::size_t threads) {
   // Two links flap on different cadences, so re-placement waves land while
   // earlier waves' sessions are still streaming on their fallback links.
   for (std::size_t t = 0; t < config.serving.steps; ++t) {
-    if (t == 40) cluster.set_link_state(1, true);
-    if (t == 60) cluster.set_link_state(2, true);
-    if (t == 80) cluster.set_link_state(1, false);
-    if (t == 100) cluster.set_link_state(2, false);
-    if (t == 120) cluster.set_link_state(3, true);
+    if (t == 40) cluster.apply_fault({t, FaultKind::kLinkDown, 1});
+    if (t == 60) cluster.apply_fault({t, FaultKind::kLinkDown, 2});
+    if (t == 80) cluster.apply_fault({t, FaultKind::kLinkUp, 1});
+    if (t == 100) cluster.apply_fault({t, FaultKind::kLinkUp, 2});
+    if (t == 120) cluster.apply_fault({t, FaultKind::kLinkDown, 3});
     cluster.step(means);
   }
   return cluster.finish();
@@ -251,13 +251,14 @@ ClusterResult run_migrating_cluster(std::size_t threads) {
   // live: the hot-state extract/inject path must not race the executor and
   // must not perturb determinism.
   for (std::size_t t = 0; t < config.serving.steps; ++t) {
-    if (t == 30) cluster.set_link_degrade(0, 0.2, 3.0);
-    if (t == 60) cluster.set_link_degrade(0, 1.0, 0.0);
-    if (t == 60) cluster.set_link_degrade(2, 0.15, 4.0);
-    if (t == 80) cluster.set_link_state(1, true);
-    if (t == 100) cluster.set_link_state(1, false);
-    if (t == 110) cluster.set_link_degrade(2, 1.0, 0.0);
-    if (t == 120) cluster.set_link_degrade(3, 0.25, 2.0);
+    constexpr FaultKind kDegrade = FaultKind::kLinkDegrade;
+    if (t == 30) cluster.apply_fault({t, kDegrade, 0, 0.2, 3.0});
+    if (t == 60) cluster.apply_fault({t, kDegrade, 0, 1.0, 0.0});
+    if (t == 60) cluster.apply_fault({t, kDegrade, 2, 0.15, 4.0});
+    if (t == 80) cluster.apply_fault({t, FaultKind::kLinkDown, 1});
+    if (t == 100) cluster.apply_fault({t, FaultKind::kLinkUp, 1});
+    if (t == 110) cluster.apply_fault({t, kDegrade, 2, 1.0, 0.0});
+    if (t == 120) cluster.apply_fault({t, kDegrade, 3, 0.25, 2.0});
     cluster.step(means);
   }
   return cluster.finish();

@@ -226,6 +226,14 @@ TEST(FaultPlanTest, ValidationCatchesMalformedPlans) {
   bad_scale.events = {{10, FaultKind::kCapacityScale, 0, -0.5}};
   EXPECT_FALSE(validate_fault_plan(bad_scale, 2).ok());
 
+  // The scale bound is the validator's, for plans and single events alike.
+  const FaultEvent huge{10, FaultKind::kLinkDegrade, 0, 2.0 * kMaxFaultScale};
+  EXPECT_FALSE(validate_fault_event(huge).ok());
+  EXPECT_FALSE(validate_fault_plan(FaultPlan{{huge}}, 2).ok());
+  EXPECT_TRUE(validate_fault_event(
+                  {10, FaultKind::kCapacityScale, 0, kMaxFaultScale})
+                  .ok());
+
   FaultPlanConfig zero_links;
   zero_links.link_count = 0;
   EXPECT_THROW(make_fault_plan(zero_links), std::invalid_argument);
@@ -481,8 +489,8 @@ TEST(FaultReplayTest, SingleLinkOutageLeavesNoStrandedSessions) {
   const ClusterMetrics& m = result.cluster.metrics;
 
   // The outage cycle applied and displaced someone.
-  EXPECT_EQ(m.link_down_events, 1U);
-  EXPECT_EQ(m.link_up_events, 1U);
+  EXPECT_EQ(m.fault_count(FaultKind::kLinkDown), 1U);
+  EXPECT_EQ(m.fault_count(FaultKind::kLinkUp), 1U);
   ASSERT_GT(m.failover_displaced, 0U);
 
   // The books balance exactly: every displaced session was re-placed,
@@ -527,10 +535,10 @@ TEST(ClusterFaultTest, UtilizationExcludesDownedLinkCapacity) {
   const std::vector<double> caps{cap, cap};
   for (std::size_t t = 0; t < 40; ++t) {
     if (t == 10) {
-      ASSERT_TRUE(cluster.set_link_state(1, true));
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkDown, 1}));
     }
     if (t == 20) {
-      ASSERT_TRUE(cluster.set_link_state(1, false));
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkUp, 1}));
     }
     cluster.step(caps);
   }
@@ -553,7 +561,7 @@ TEST(ClusterFaultTest, CapacityScaleShrinksAdmissionHeadroom) {
   // session is refused — admission and the capacity plane agree on scale.
   for (const double scale : {1.0, 0.05}) {
     EdgeCluster cluster(config, means);
-    ASSERT_TRUE(cluster.set_link_capacity_scale(0, scale));
+    ASSERT_TRUE(cluster.apply_fault({0, FaultKind::kCapacityScale, 0, scale}));
     const std::size_t id = cluster.submit(session_spec(0, 20));
     cluster.step({means[0] * scale});
     const ClusterResult result = cluster.finish();
@@ -561,9 +569,10 @@ TEST(ClusterFaultTest, CapacityScaleShrinksAdmissionHeadroom) {
   }
 
   EdgeCluster cluster(config, means);
-  EXPECT_FALSE(cluster.set_link_capacity_scale(0, -1.0));
-  EXPECT_FALSE(cluster.set_link_capacity_scale(1, 0.5));  // out of range
-  EXPECT_FALSE(cluster.set_link_state(1, true));
+  EXPECT_FALSE(cluster.apply_fault({0, FaultKind::kCapacityScale, 0, -1.0}));
+  // out of range
+  EXPECT_FALSE(cluster.apply_fault({0, FaultKind::kCapacityScale, 1, 0.5}));
+  EXPECT_FALSE(cluster.apply_fault({0, FaultKind::kLinkDown, 1}));
 }
 
 TEST(ClusterFaultTest, CloseDuringOutageRoutesToEvictionPathAndCounts) {
@@ -585,7 +594,7 @@ TEST(ClusterFaultTest, CloseDuringOutageRoutesToEvictionPathAndCounts) {
   loop.schedule_arrival(0, session_spec(0, 60));
   // Same slot, scheduled after the outage: calendar order is (slot, seq),
   // so the close sees the *displaced* session.
-  loop.schedule_link_down(10, 0);
+  loop.schedule_fault_plan(FaultPlan{}.outage(/*link=*/0, /*at=*/10, 0));
   loop.schedule_close(10, 0);
   const DriverReport report = loop.run();
 
@@ -602,6 +611,83 @@ TEST(ClusterFaultTest, CloseDuringOutageRoutesToEvictionPathAndCounts) {
   EXPECT_TRUE(result.sessions[0].session.admitted);
   EXPECT_EQ(result.sessions[0].session.departure_slot, 10U);
   EXPECT_FALSE(result.sessions[0].fault_evicted);
+}
+
+TEST(ClusterFaultTest, OverlappingOutagesCountOneTransition) {
+  // Two links, four long sessions, round-robin: two stream on each link.
+  // Link 1 goes down at slot 10 and again at slot 15 (overlapping outages),
+  // then recovers at 30. The second link-down is a no-op transition: the
+  // backend accepts it, but it changes nothing and counts nothing.
+  ClusterConfig config;
+  config.serving = base_serving();
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> means{8.0 * load, 8.0 * load};
+
+  EdgeCluster cluster(config, means);
+  ConstantChannel a(means[0]), b(means[1]);
+  ClusterBackend backend(cluster, {&a, &b});
+  EventLoop loop(DriverConfig{}, backend);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    loop.schedule_arrival(0, session_spec(0, 100, i));
+  }
+  FaultPlan plan;
+  plan.outage(/*link=*/1, /*at=*/10, /*duration=*/20)
+      .outage(/*link=*/1, /*at=*/15, /*duration=*/0);
+  loop.schedule_fault_plan(plan);
+  const DriverReport report = loop.run();
+
+  EXPECT_EQ(report.faults_applied, 3U);
+  EXPECT_EQ(report.faults_ignored, 0U);
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  EXPECT_EQ(m.fault_count(FaultKind::kLinkDown), 1U);
+  EXPECT_EQ(m.fault_count(FaultKind::kLinkUp), 1U);
+  // Only the first outage drained link 1; both sessions re-placed on link 0.
+  EXPECT_EQ(m.failover_displaced, 2U);
+  EXPECT_EQ(m.failover_replaced, 2U);
+  EXPECT_EQ(m.fault_evicted, 0U);
+  EXPECT_EQ(m.fault_closed, 0U);
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    EXPECT_EQ(s.link, 0);
+  }
+}
+
+TEST(ClusterFaultTest, CompoundingScalesPastTheBoundAreIgnored) {
+  // Each factor passes validation on its own (1000 and 2000 <= 1e6), but
+  // their product would push the link's effective scale past the bound. The
+  // second event is refused with the link untouched, and the driver counts
+  // it as ignored instead of throwing mid-run.
+  WorkloadTrace trace;
+  trace.events = {{0, 40, 0, 1.0, QosClass::kStandard},
+                  {2, 40, 0, 1.0, QosClass::kStandard}};
+  trace.faults = {{5, FaultKind::kCapacityScale, 0, 1000.0},
+                  {10, FaultKind::kLinkDegrade, 0, 2000.0, 1.0}};
+  ASSERT_TRUE(validate_workload_trace(trace, 1).ok());
+
+  ReplayConfig config;
+  config.cluster.serving = base_serving();
+  const double load = cheapest_load(config.cluster.serving.candidates);
+  ConstantChannel a(4.0 * load), b(4.0 * load);
+  const std::vector<const FrameStatsCache*> profiles{&fault_cache()};
+  ReplayResult result;
+  ASSERT_NO_THROW(result = replay_trace(config, trace, profiles, {&a, &b}));
+  EXPECT_EQ(result.report.faults_applied, 1U);
+  EXPECT_EQ(result.report.faults_ignored, 1U);
+  const ClusterMetrics& m = result.cluster.metrics;
+  EXPECT_EQ(m.fault_count(FaultKind::kCapacityScale), 1U);
+  EXPECT_EQ(m.fault_count(FaultKind::kLinkDegrade), 0U);
+
+  // The refused event leaves every field of the link's state as it was.
+  EdgeCluster cluster(config.cluster, {4.0 * load});
+  ASSERT_TRUE(cluster.apply_fault(trace.faults[0]));
+  EXPECT_FALSE(cluster.apply_fault(trace.faults[1]));
+  const LinkState& state = cluster.link_state(0);
+  EXPECT_FALSE(state.down);
+  EXPECT_EQ(state.scale, 1000.0);
+  EXPECT_EQ(state.degrade, 1.0);
+  EXPECT_EQ(state.delay, 0.0);
+  EXPECT_EQ(state.effective, 1000.0);
+  EXPECT_EQ(cluster.link(0).admission().capacity_scale(), 1000.0);
 }
 
 // -------------------------------------------------------- retry/backoff ----

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "datasets/catalog.hpp"
@@ -36,6 +37,12 @@ const FrameStatsCache& migration_cache() {
 double cheapest_load(const std::vector<int>& candidates) {
   return AdmissionController::cheapest_depth_load(migration_cache(),
                                                   candidates);
+}
+
+/// A kLinkDegrade event for EdgeCluster::apply_fault or a FaultPlan.
+FaultEvent degrade(std::uint32_t link, double scale, double delay,
+                   std::size_t slot = 0) {
+  return {slot, FaultKind::kLinkDegrade, link, scale, delay};
 }
 
 ServingConfig base_serving() {
@@ -129,14 +136,14 @@ TEST(MigrationTest, ExplicitMigrationRecordsFlightEventAndRejectsBadInput) {
   EXPECT_FALSE(cluster.migrate_session(id, 0));   // already there
   EXPECT_FALSE(cluster.migrate_session(id, 7));   // no such link
   EXPECT_FALSE(cluster.migrate_session(99, 1));   // no such session
-  ASSERT_TRUE(cluster.set_link_state(1, true));
+  ASSERT_TRUE(cluster.apply_fault({10, FaultKind::kLinkDown, 1}));
   EXPECT_FALSE(cluster.migrate_session(id, 1));   // target down
-  ASSERT_TRUE(cluster.set_link_state(1, false));
-  EXPECT_EQ(cluster.migrations_requested(), 0U);
+  ASSERT_TRUE(cluster.apply_fault({10, FaultKind::kLinkUp, 1}));
+  EXPECT_EQ(cluster.fault_books().migrations_requested, 0U);
 
   ASSERT_TRUE(cluster.migrate_session(id, 1));
-  EXPECT_EQ(cluster.migrations_requested(), 1U);
-  EXPECT_EQ(cluster.migrations_completed(), 1U);
+  EXPECT_EQ(cluster.fault_books().migrations_requested, 1U);
+  EXPECT_EQ(cluster.fault_books().migrations_completed, 1U);
 
   // The flight ring carries the migration: a = session id, b encodes
   // reason 2 (explicit), from link 0, to link 1.
@@ -173,9 +180,9 @@ TEST(MigrationTest, AbortedMigrationFallsBackToDisplacedPath) {
   ASSERT_EQ(cluster.link(0).active_count(), 1U);
 
   EXPECT_FALSE(cluster.migrate_session(id, 1));
-  EXPECT_EQ(cluster.migrations_requested(), 1U);
-  EXPECT_EQ(cluster.migrations_completed(), 0U);
-  EXPECT_EQ(cluster.migrations_aborted(), 1U);
+  EXPECT_EQ(cluster.fault_books().migrations_requested, 1U);
+  EXPECT_EQ(cluster.fault_books().migrations_completed, 0U);
+  EXPECT_EQ(cluster.fault_books().migrations_aborted, 1U);
 
   for (std::size_t t = 0; t < 10; ++t) cluster.step(caps);
   const ClusterResult result = cluster.finish();
@@ -202,31 +209,31 @@ TEST(DegradeTest, DegradeShrinksAdmissionAndComposesWithCapacityScale) {
   // A deep degrade refuses the same session nominal capacity admits.
   for (const double scale : {1.0, 0.05}) {
     EdgeCluster cluster(config, means);
-    ASSERT_TRUE(cluster.set_link_degrade(0, scale, 2.0));
+    ASSERT_TRUE(cluster.apply_fault(degrade(0, scale, 2.0)));
     const std::size_t id = cluster.submit(session_spec(0, 20));
     cluster.step({means[0] * scale});
     const ClusterResult result = cluster.finish();
     EXPECT_EQ(result.sessions[id].session.admitted, scale == 1.0) << scale;
-    EXPECT_EQ(result.metrics.link_degrade_events, 1U);
+    EXPECT_EQ(result.metrics.fault_count(FaultKind::kLinkDegrade), 1U);
   }
 
   // Degrade composes multiplicatively with the operator capacity scale on
   // the offered-capacity plane: 0.5 x 0.5 = 0.25 of the feed, exactly.
   EdgeCluster cluster(config, means);
   const double cap = 1.0e5;
-  ASSERT_TRUE(cluster.set_link_capacity_scale(0, 0.5));
-  ASSERT_TRUE(cluster.set_link_degrade(0, 0.5, 1.0));
-  EXPECT_EQ(cluster.link_degrade_scale(0), 0.5);
-  EXPECT_EQ(cluster.link_delay(0), 1.0);
+  ASSERT_TRUE(cluster.apply_fault({0, FaultKind::kCapacityScale, 0, 0.5}));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.5, 1.0)));
+  EXPECT_EQ(cluster.link_state(0).degrade, 0.5);
+  EXPECT_EQ(cluster.link_state(0).delay, 1.0);
   for (std::size_t t = 0; t < 10; ++t) cluster.step({cap});
   const ClusterResult result = cluster.finish();
   EXPECT_EQ(result.metrics.fleet.capacity_offered, cap * 0.25 * 10.0);
 
   // Bad inputs refuse.
   EdgeCluster fresh(config, means);
-  EXPECT_FALSE(fresh.set_link_degrade(0, -0.5, 0.0));
-  EXPECT_FALSE(fresh.set_link_degrade(0, 0.5, -1.0));
-  EXPECT_FALSE(fresh.set_link_degrade(1, 0.5, 0.0));  // out of range
+  EXPECT_FALSE(fresh.apply_fault(degrade(0, -0.5, 0.0)));
+  EXPECT_FALSE(fresh.apply_fault(degrade(0, 0.5, -1.0)));
+  EXPECT_FALSE(fresh.apply_fault(degrade(1, 0.5, 0.0)));  // out of range
 }
 
 TEST(DegradeTest, DriverAppliesLinkDegradeEventsAndCounts) {
@@ -247,11 +254,11 @@ TEST(DegradeTest, DriverAppliesLinkDegradeEventsAndCounts) {
   const DriverReport report = loop.run();
 
   EXPECT_EQ(report.faults_applied, 3U);  // 2 ramp stages + recovery
-  EXPECT_EQ(report.link_degrade_events, 3U);
+  EXPECT_EQ(cluster.fault_books().fault_count(FaultKind::kLinkDegrade), 3U);
   EXPECT_EQ(report.faults_ignored, 0U);
-  EXPECT_EQ(cluster.link_degrade_scale(1), 1.0);  // recovered by the end
+  EXPECT_EQ(cluster.link_state(1).degrade, 1.0);  // recovered by the end
   const ClusterResult result = cluster.finish();
-  EXPECT_EQ(result.metrics.link_degrade_events, 3U);
+  EXPECT_EQ(result.metrics.fault_count(FaultKind::kLinkDegrade), 3U);
 }
 
 // ------------------------------------------------------ HandoverPolicy ----
@@ -269,19 +276,19 @@ TEST(HandoverPolicyTest, HysteresisEntersAndExitsWithABand) {
 
   EdgeCluster cluster(config, means);
   // Mid-band score (0.3 + 0.05 = 0.35 < enter): never enters.
-  ASSERT_TRUE(cluster.set_link_degrade(0, 0.7, 0.5));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.7, 0.5)));
   cluster.step(caps);
   EXPECT_FALSE(cluster.handover_active(0));
   // Deep degrade (0.7 + 0.1 = 0.8 >= enter): enters.
-  ASSERT_TRUE(cluster.set_link_degrade(0, 0.3, 1.0));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.3, 1.0)));
   cluster.step(caps);
   EXPECT_TRUE(cluster.handover_active(0));
   // Back to mid-band: above exit, stays in — the hysteresis band.
-  ASSERT_TRUE(cluster.set_link_degrade(0, 0.7, 0.5));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.7, 0.5)));
   cluster.step(caps);
   EXPECT_TRUE(cluster.handover_active(0));
   // Full recovery: exits.
-  ASSERT_TRUE(cluster.set_link_degrade(0, 1.0, 0.0));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 1.0, 0.0)));
   cluster.step(caps);
   EXPECT_FALSE(cluster.handover_active(0));
   cluster.finish();
@@ -291,6 +298,43 @@ TEST(HandoverPolicyTest, HysteresisEntersAndExitsWithABand) {
   bad.handover.enter_score = 0.2;
   bad.handover.exit_score = 0.5;
   EXPECT_THROW(EdgeCluster(bad, means), std::invalid_argument);
+}
+
+TEST(HandoverPolicyTest, OnlyTheDegradeScaleFeedsTheHandoverScore) {
+  // Why LinkState keeps two scales: an operator capacity-scale of 0.2 (a
+  // brownout) must not put a link into handover, a link-degrade of 0.2 (a
+  // failing radio) must. Both shrink the effective capacity alike.
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.handover.enabled = true;  // enter_score 0.5
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> means{4.0 * load, 4.0 * load};
+
+  EdgeCluster cluster(config, means);
+  ASSERT_TRUE(cluster.apply_fault({0, FaultKind::kCapacityScale, 0, 0.2}));
+  cluster.step(means);
+  EXPECT_FALSE(cluster.handover_active(0));
+  EXPECT_EQ(cluster.link_state(0).effective, 0.2);
+
+  ASSERT_TRUE(cluster.apply_fault({0, FaultKind::kCapacityScale, 0, 1.0}));
+  ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.2, 0.0)));
+  cluster.step(means);
+  EXPECT_TRUE(cluster.handover_active(0));
+  EXPECT_EQ(cluster.link_state(0).effective, 0.2);
+}
+
+TEST(MigrationTest, ClusterRejectsLinkCountsPastTheFlightEncoding) {
+  // kMigration packs from/to link indices into 10 bits each of its b field,
+  // so a cluster past 1024 links would alias them.
+  ClusterConfig config;
+  config.serving = base_serving();
+  try {
+    EdgeCluster cluster(config, std::vector<double>(1025, 1.0e5));
+    FAIL() << "1025 links accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kMigration"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HandoverPolicyTest, DegradedLinkHandsSessionsOverAndBooksBalance) {
@@ -313,13 +357,16 @@ TEST(HandoverPolicyTest, DegradedLinkHandsSessionsOverAndBooksBalance) {
   for (std::size_t i = 0; i < 3; ++i) {
     loop.schedule_arrival(0, session_spec(0, 120, i));
   }
-  loop.schedule_link_degrade(40, 0, 0.2, 3.0);   // score 1.1: enter
-  loop.schedule_link_degrade(80, 0, 1.0, 0.0);   // recover: exit
-  const DriverReport report = loop.run();
+  FaultPlan plan;
+  plan.events = {degrade(0, 0.2, 3.0, /*slot=*/40),   // score 1.1: enter
+                 degrade(0, 1.0, 0.0, /*slot=*/80)};  // recover: exit
+  loop.schedule_fault_plan(plan);
+  loop.run();
 
-  EXPECT_GT(report.migrations_completed, 0U);
-  EXPECT_EQ(report.migrations_requested,
-            report.migrations_completed + report.migrations_aborted);
+  const FaultBooks& books = cluster.fault_books();
+  EXPECT_GT(books.migrations_completed, 0U);
+  EXPECT_EQ(books.migrations_requested,
+            books.migrations_completed + books.migrations_aborted);
 
   const ClusterResult result = cluster.finish();
   const ClusterMetrics& m = result.metrics;
@@ -367,8 +414,8 @@ TEST(HandoverPolicyTest, SessionBudgetSuppressesPingPong) {
     for (std::size_t round = 0; round < 4; ++round) {
       const std::size_t link = round % 2;
       const std::size_t at = 40 + round * 80;
-      loop.schedule_link_degrade(at, link, 0.2, 3.0);
-      loop.schedule_link_degrade(at + 40, link, 1.0, 0.0);
+      loop.schedule_fault_plan(FaultPlan{{degrade(link, 0.2, 3.0, at)}});
+      loop.schedule_fault_plan(FaultPlan{{degrade(link, 1.0, 0.0, at + 40)}});
     }
     loop.run();
     return cluster.finish();
@@ -514,7 +561,7 @@ TEST(MigrationChurnTest, BooksReconcileUnderChurnAndFlappingDegradation) {
 
   const ReplayResult result = run();
   const ClusterMetrics& m = result.cluster.metrics;
-  EXPECT_GT(m.link_degrade_events, 0U);
+  EXPECT_GT(m.fault_count(FaultKind::kLinkDegrade), 0U);
   EXPECT_GT(m.migrations_completed, 0U);
   EXPECT_EQ(m.migrations_requested,
             m.migrations_completed + m.migrations_aborted);
@@ -525,11 +572,9 @@ TEST(MigrationChurnTest, BooksReconcileUnderChurnAndFlappingDegradation) {
     migration_sum += s.migrations;
   }
   EXPECT_EQ(migration_sum, m.migrations_completed);
-  // The report mirrors the cluster's books.
-  EXPECT_EQ(result.report.migrations_requested, m.migrations_requested);
-  EXPECT_EQ(result.report.migrations_completed, m.migrations_completed);
-  EXPECT_EQ(result.report.migrations_aborted, m.migrations_aborted);
-  EXPECT_EQ(result.report.link_degrade_events, m.link_degrade_events);
+  // Every walk event was applied, and each one counts once, in the books.
+  EXPECT_EQ(result.report.faults_applied,
+            m.fault_count(FaultKind::kLinkDegrade));
 
   // Same seed, same walk, same books — bit for bit.
   const ReplayResult again = run();
