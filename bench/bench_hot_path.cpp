@@ -284,7 +284,7 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
       std::printf("oracle MISMATCH [%s]: session %zu trace shape\n", label, i);
       return false;
     }
-    const Trace& got = got_session->trace;
+    const Trace got = got_session->trace.to_trace();
     for (std::size_t t = 0; t < want.size(); ++t) {
       const StepRecord& a = got.at(t);
       const StepRecord& b = want[t];
@@ -477,8 +477,8 @@ bool parallel_matches_serial() {
   const ServingResult parallel = run(2);
   if (serial.sessions.size() != parallel.sessions.size()) return false;
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace& a = serial.sessions[i].trace;
-    const Trace& b = parallel.sessions[i].trace;
+    const Trace a = serial.sessions[i].trace.to_trace();
+    const Trace b = parallel.sessions[i].trace.to_trace();
     if (a.size() != b.size()) return false;
     for (std::size_t t = 0; t < a.size(); ++t) {
       if (a.at(t).depth != b.at(t).depth ||

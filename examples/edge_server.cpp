@@ -87,12 +87,14 @@ int main() {
 
   // The full-horizon traces feed the same report tooling the benches use
   // (summary_table wants equal-length runs, so churned sessions sit out).
+  std::vector<Trace> traces;
+  traces.reserve(result.sessions.size());  // labeled points into it
   std::vector<LabeledTrace> labeled;
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     if (result.sessions[i].admitted &&
         result.sessions[i].trace.size() == config.steps) {
-      labeled.push_back({"session-" + std::to_string(i),
-                         &result.sessions[i].trace});
+      traces.push_back(result.sessions[i].trace.to_trace());
+      labeled.push_back({"session-" + std::to_string(i), &traces.back()});
     }
   }
   std::printf("trace summaries (analysis/report):\n\n%s\n",

@@ -36,24 +36,25 @@ EdgeResult run_edge_scenario(const EdgeConfig& config,
     specs.push_back(spec);
   }
 
-  ServingResult served = run_serving_scenario(serving, specs, shared_channel);
+  const ServingResult served =
+      run_serving_scenario(serving, specs, shared_channel);
 
   EdgeResult result;
   result.device_traces.reserve(served.sessions.size());
   std::vector<double> per_device_quality;
   per_device_quality.reserve(served.sessions.size());
   double total_backlog = 0.0;
-  for (SessionOutcome& session : served.sessions) {
+  for (const SessionOutcome& session : served.sessions) {
+    Trace trace = session.trace.to_trace();
     // The serving runtime degrades to partial summaries for short sessions;
     // this scenario's contract (inherited from the seed) is to fail loudly
     // instead, so re-summarize then (std::logic_error when steps < 8).
     const TraceSummary summary =
-        session.has_summary && !session.summary.partial
-            ? session.summary
-            : session.trace.summarize();
+        session.has_summary && !session.summary.partial ? session.summary
+                                                        : trace.summarize();
     per_device_quality.push_back(summary.time_average_quality);
     total_backlog += summary.time_average_backlog;
-    result.device_traces.push_back(std::move(session.trace));
+    result.device_traces.push_back(std::move(trace));
   }
   result.quality_fairness = jain_fairness_index(per_device_quality);
   result.total_time_average_backlog = total_backlog;

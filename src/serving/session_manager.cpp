@@ -428,7 +428,7 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
   {
     const PhaseSpan span(tracer_, Phase::kDrain, slot_, tid_);
     for (std::size_t i = 0; i < n; ++i) {
-      used += store_.drain(i, slot_, shares_[i], alpha);
+      used += store_.drain(i, shares_[i], alpha);
     }
   }
   // Telemetry flush: a handful of counter bumps per *slot* boundary, never
@@ -499,7 +499,7 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
     slo_scratch_[kSloTiers].push_back(delay);
     local[t].active += 1;
     if (!s.trace.empty()) {
-      const double quality = s.trace.at(s.trace.size() - 1).quality;
+      const double quality = s.trace.last_quality();
       if (!local[t].has_quality || quality < local[t].min_quality) {
         local[t].min_quality = quality;
         local[t].has_quality = true;

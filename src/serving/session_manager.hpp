@@ -15,7 +15,8 @@
 //      (fanned out across the executor — sessions are independent, so the
 //      result is bit-identical for any thread count);
 //   3. schedule: the EdgeScheduler divides the slot's capacity;
-//   4. drain: queues advance, per-session traces and fleet metrics record.
+//   4. drain: queues advance, per-session traces (16 bytes per slot, decoded
+//      on read — see session_trace.hpp) and fleet metrics record.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -40,6 +41,7 @@
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session_store.hpp"
+#include "serving/session_trace.hpp"
 #include "serving/telemetry/flight_recorder.hpp"
 #include "serving/telemetry/registry.hpp"
 #include "serving/telemetry/slo.hpp"
@@ -124,8 +126,9 @@ struct SessionOutcome {
   /// are valid but whose stability verdict is reported as "too-short".
   bool has_summary = false;
   TraceSummary summary;
-  /// Per-slot record over the active window (empty when rejected).
-  Trace trace;
+  /// Per-slot record over the active window (empty when rejected), packed;
+  /// decode with steps() or to_trace().
+  SessionTrace trace;
 };
 
 struct ServingResult {

@@ -1,7 +1,6 @@
 #include "serving/session_store.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -9,16 +8,6 @@
 namespace arvis {
 
 namespace {
-
-/// Clamped depth-table lookup, exactly the arithmetic of
-/// quality_model/workload's view classes (empty table reads 0, indices
-/// clamp to [0, size)). Keeping this identical is what makes the flattened
-/// tables a pure layout change.
-double clamped(const std::vector<double>& table, int depth) {
-  if (table.empty()) return 0.0;
-  const int last = static_cast<int>(table.size()) - 1;
-  return table[static_cast<std::size_t>(std::clamp(depth, 0, last))];
-}
 
 /// Mixes a decide key (interned row key, backlog bits, candidate ceiling)
 /// into a table hash (splitmix64-style finalizer; the low bits index the
@@ -34,25 +23,6 @@ std::uint64_t mix_key(std::uint64_t row_key, std::uint64_t backlog_bits,
 }
 
 }  // namespace
-
-FlatDecideTable::FlatDecideTable(const FrameStatsCache& cache,
-                                 std::span<const int> candidates)
-    : frames_(cache.frame_count()) {
-  const std::size_t width = candidates.size();
-  data_.resize(frames_ * 2 * width);
-  for (std::size_t f = 0; f < frames_; ++f) {
-    const FrameWorkload& frame = cache.workload(f);
-    double* u = data_.data() + f * 2 * width;
-    double* a = u + width;
-    for (std::size_t c = 0; c < width; ++c) {
-      // LogPointQualityView::quality, verbatim.
-      const double points = clamped(frame.points_at_depth, candidates[c]);
-      u[c] = points >= 1.0 ? std::log10(points) : 0.0;
-      // ByteWorkloadView::arrivals, verbatim.
-      a[c] = clamped(frame.bytes_at_depth, candidates[c]);
-    }
-  }
-}
 
 SessionStore::SessionStore(std::vector<int> candidates, double v)
     : candidates_(std::move(candidates)), v_(v), width_(candidates_.size()) {
@@ -87,7 +57,7 @@ std::size_t SessionStore::intern(const FrameStatsCache& cache) {
     if (tables_[t].first == &cache) return t;
   }
   tables_.emplace_back(&cache,
-                       std::make_unique<FlatDecideTable>(cache, candidates_));
+                       std::make_shared<FlatDecideTable>(cache, candidates_));
   return tables_.size() - 1;
 }
 
@@ -101,7 +71,7 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
 #endif
   const std::size_t table_id = intern(*s.spec.cache);
   const FlatDecideTable& table = *tables_[table_id].second;
-  (void)slot;  // session-local frame time starts at row 0 regardless
+  s.trace.start(tables_[table_id].second, slot);
   active_.push_back(&s);
   backlog_.push_back(0.0);  // sessions start with an empty queue
   weight_.push_back(s.spec.weight);
@@ -109,14 +79,13 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
   table_.push_back(table.data());
   table_id_.push_back(static_cast<std::uint32_t>(table_id));
   frames_.push_back(table.frames());
-  row_off_.push_back(0);
+  row_off_.push_back(0);  // session-local frame time starts at row 0
   departure_.push_back(s.spec.departure_slot);
   ARVIS_DCHECK_LT(s.spec.qos, tier_limit_.size());
   qos_.push_back(s.spec.qos);
   limit_.push_back(tier_limit_[s.spec.qos]);
-  depth_.push_back(0);
+  choice_.push_back(0);
   dec_arrivals_.push_back(0.0);
-  dec_quality_.push_back(0.0);
   histo_add(std::bit_cast<std::uint64_t>(s.spec.weight));
   ++generation_;
 }
@@ -180,9 +149,8 @@ void SessionStore::resize_active(std::size_t n) {
   departure_.resize(n);
   qos_.resize(n);
   limit_.resize(n);
-  depth_.resize(n);
+  choice_.resize(n);
   dec_arrivals_.resize(n);
-  dec_quality_.resize(n);
 }
 
 void SessionStore::histo_add(std::uint64_t weight_bits) {
@@ -216,8 +184,8 @@ Status SessionStore::validate() const {
   if (backlog_.size() != n || weight_.size() != n || ewma_.size() != n ||
       table_.size() != n || table_id_.size() != n || frames_.size() != n ||
       row_off_.size() != n || departure_.size() != n || qos_.size() != n ||
-      limit_.size() != n || depth_.size() != n ||
-      dec_arrivals_.size() != n || dec_quality_.size() != n) {
+      limit_.size() != n || choice_.size() != n ||
+      dec_arrivals_.size() != n) {
     return Status::FailedPrecondition(
         "SessionStore::validate: SoA mirrors not index-parallel with the "
         "active list");
@@ -387,9 +355,8 @@ void SessionStore::rebuild_groups() {
 
 void SessionStore::run_blocked_kernel() {
   const std::size_t g_count = group_rep_.size();
-  group_depth_.resize(g_count);
+  group_choice_.resize(g_count);
   group_arrivals_.resize(g_count);
-  group_quality_.resize(g_count);
 
   std::size_t g = 0;
   // Blocked lanes: kDecideLanes independent argmaxes advanced candidate by
@@ -421,9 +388,8 @@ void SessionStore::run_blocked_kernel() {
       }
     }
     for (std::size_t l = 0; l < kDecideLanes; ++l) {
-      group_depth_[g + l] = candidates_[best[l]];
+      group_choice_[g + l] = static_cast<std::uint32_t>(best[l]);
       group_arrivals_[g + l] = rows[l][width_ + best[l]];
-      group_quality_[g + l] = rows[l][best[l]];
     }
   }
   for (; g < g_count; ++g) {  // scalar tail
@@ -439,9 +405,8 @@ void SessionStore::run_blocked_kernel() {
         best_objective = objective;
       }
     }
-    group_depth_[g] = candidates_[best];
+    group_choice_[g] = static_cast<std::uint32_t>(best);
     group_arrivals_[g] = row[width_ + best];
-    group_quality_[g] = row[best];
   }
 }
 
@@ -480,20 +445,18 @@ void SessionStore::decide_all() {
 
   // Fan the group decisions out to members. When every key was distinct the
   // group arrays are index-parallel with the active list (groups are minted
-  // in scan order), so the copy is three straight streams.
+  // in scan order), so the copy is two straight streams.
   const std::size_t g_count = group_rep_.size();
   if (g_count == n) {
     for (std::size_t i = 0; i < n; ++i) {
-      depth_[i] = group_depth_[i];
+      choice_[i] = group_choice_[i];
       dec_arrivals_[i] = group_arrivals_[i];
-      dec_quality_[i] = group_quality_[i];
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t g = group_of_[i];
-      depth_[i] = group_depth_[g];
+      choice_[i] = group_choice_[g];
       dec_arrivals_[i] = group_arrivals_[g];
-      dec_quality_[i] = group_quality_[g];
     }
   }
 }

@@ -2,8 +2,8 @@
 // layout, and the incremental decide engine.
 //
 // The slot loop's cost has two components. PR 4 attacked *memory traffic*:
-// the store separates a session's cold slab record (spec, queue statistics,
-// trace, RNG stream) from dense struct-of-arrays mirrors of exactly the
+// the store separates a session's cold slab record (spec, trace, RNG
+// stream) from dense struct-of-arrays mirrors of exactly the
 // fields the decide/schedule/drain phases read every slot, so each phase is
 // a linear walk over contiguous doubles. This PR attacks *redundant
 // arithmetic*: in a dense fleet thousands of sessions share one flattened
@@ -36,6 +36,13 @@
 // per-session `(slot - arrival) % frames` integer division of the PR 4
 // kernel — the single most expensive instruction the old decide executed.
 //
+// The trace is the slot loop's largest memory stream: every active session
+// appends to its own record every slot. Decide therefore outputs the index
+// of the chosen candidate (plus its arrivals, which the scheduler reads),
+// and drain appends 16 bytes — the share and that index — to the session's
+// SessionTrace, which decodes full StepRecords on read from the session's
+// table rows and the Lindley recurrence (see session_trace.hpp).
+//
 // The store also maintains exact O(changed) aggregates for the scheduler:
 // a membership generation (bumped on any activation/retirement) and a
 // weight histogram keyed by weight bit patterns (per-tier session counts),
@@ -61,8 +68,8 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "serving/session_trace.hpp"
 #include "sim/frame_stats_cache.hpp"
-#include "sim/trace.hpp"
 
 namespace arvis {
 
@@ -137,7 +144,8 @@ struct ServingSession {
 
   std::size_t id;
   SessionSpec spec;
-  Trace trace;
+  /// Packed per-slot record (see session_trace.hpp), started at activation.
+  SessionTrace trace;
   /// Private stream derived from the spec seed; reserved for stochastic
   /// controllers/arrival jitter so adding them later cannot perturb any
   /// other session's stream.
@@ -156,23 +164,6 @@ struct ServingSession {
   /// counts from here.
   std::size_t arrival_actual = 0;
   std::size_t departure_actual = 0;
-};
-
-/// Per-cache flattened decide tables: for every cached frame, the
-/// per-candidate (utility, arrivals) pairs laid out as one contiguous row
-/// [u_0 .. u_{w-1} | a_0 .. a_{w-1}]. Values reproduce LogPointQualityView /
-/// ByteWorkloadView bit for bit (same clamping, same log10 inputs).
-class FlatDecideTable {
- public:
-  FlatDecideTable(const FrameStatsCache& cache,
-                  std::span<const int> candidates);
-
-  [[nodiscard]] const double* data() const noexcept { return data_.data(); }
-  [[nodiscard]] std::size_t frames() const noexcept { return frames_; }
-
- private:
-  std::size_t frames_;
-  std::vector<double> data_;  // frames_ rows of 2·|candidates| doubles
 };
 
 /// The arena + hot-mirror container. The SessionManager owns one and drives
@@ -203,7 +194,8 @@ class SessionStore {
   // --- active list + hot mirrors ------------------------------------------
 
   /// Marks `s` active at `slot` and mirrors its hot fields into the SoA
-  /// arrays (interning its cache's FlatDecideTable on first sight).
+  /// arrays (interning its cache's FlatDecideTable on first sight), and
+  /// starts its trace on that table at `slot`.
   void activate(ServingSession& s, std::size_t slot);
 
   /// Compacts the active list, retiring every session `should_close`
@@ -291,7 +283,8 @@ class SessionStore {
   /// migrated state — activate() then inject_hot_state() is the migration
   /// injection sequence. The membership generation was already bumped by
   /// the activation; this only marks backlogs dirty so the decide memoizer
-  /// regroups on the carried backlog instead of the fresh zero. The row
+  /// regroups on the carried backlog instead of the fresh zero, and starts
+  /// the segment's trace at the carried backlog and frame row. The row
   /// cursor must be aligned to the session's table stride and in range
   /// (checked), which holds whenever source and target share the serving
   /// config and content caches.
@@ -304,6 +297,7 @@ class SessionStore {
     backlog_[i] = state.backlog;
     ewma_[i] = state.ewma;
     row_off_[i] = state.row_off;
+    active_[i]->trace.resume_at(state.backlog, state.row_off);
     backlog_dirty_ = true;
   }
 
@@ -435,9 +429,8 @@ class SessionStore {
         best_objective = objective;
       }
     }
-    depth_[i] = candidates_[best];
+    choice_[i] = static_cast<std::uint32_t>(best);
     dec_arrivals_[i] = a[best];
-    dec_quality_[i] = u[best];
   }
 
   /// The incremental decide engine: one call decides every active session
@@ -473,39 +466,31 @@ class SessionStore {
   }
 
   /// Drain bookkeeping for active session i after the scheduler granted
-  /// `share`: Lindley queue step, trace append, hot-mirror refresh, EWMA
-  /// update (alpha > 0 only), frame-row cursor advance, backlog dirty
+  /// `share`: Lindley queue step, 16-byte trace append, hot-mirror refresh,
+  /// EWMA update (alpha > 0 only), frame-row cursor advance, backlog dirty
   /// tracking for the memoizer. Returns the bytes actually served.
   ///
-  /// The Lindley step runs inline on the hot mirror — DiscreteQueue::step's
-  /// arithmetic verbatim (clamp negatives, serve min(Q, b) before same-slot
-  /// arrivals enter) — because the serving runtime observes a queue only
-  /// through the trace records and the served-bytes return: the cold queue
-  /// object's running statistics were per-session·slot work nobody read.
-  double drain(std::size_t i, std::size_t slot, double share, double alpha) {
+  /// The Lindley step runs inline on the hot mirror (lindley_next, the
+  /// arithmetic SessionTrace's decoder replays), because the serving runtime
+  /// observes a queue only through the trace and the served-bytes return.
+  /// The trace keeps just the share and the chosen candidate index: depth,
+  /// arrivals, quality and both backlogs are decoded on read from the
+  /// session's table row and the same recurrence.
+  double drain(std::size_t i, double share, double alpha) {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(active_[i] != nullptr, "drain on poisoned slot");
     ARVIS_DCHECK_MSG(
         std::bit_cast<std::uint64_t>(backlog_[i]) != kPoisonedSlotBits,
         "drain on poisoned (released) slot");
-    ServingSession& s = *active_[i];
-    StepRecord record;
-    record.t = slot;
-    record.depth = depth_[i];
-    record.arrivals = dec_arrivals_[i];
-    record.service = share;
-    record.backlog_begin = backlog_[i];
-    record.quality = dec_quality_[i];
-    const double arrivals = std::max(0.0, record.arrivals);
-    const double service = std::max(0.0, share);
-    const double served = std::min(backlog_[i], service);
-    record.backlog_end = backlog_[i] - served + arrivals;
-    if (std::bit_cast<std::uint64_t>(backlog_[i]) !=
-        std::bit_cast<std::uint64_t>(record.backlog_end)) {
+    const double backlog = backlog_[i];
+    const double served = served_bytes(backlog, share);
+    const double backlog_end = lindley_next(backlog, share, dec_arrivals_[i]);
+    if (std::bit_cast<std::uint64_t>(backlog) !=
+        std::bit_cast<std::uint64_t>(backlog_end)) {
       backlog_dirty_ = true;
     }
-    backlog_[i] = record.backlog_end;
-    s.trace.add(record);
+    backlog_[i] = backlog_end;
+    active_[i]->trace.append(share, choice_[i]);
     const std::size_t next = row_off_[i] + 2 * width_;
     row_off_[i] = next == frames_[i] * 2 * width_ ? 0 : next;
     if (alpha > 0.0) ewma_[i] = (1.0 - alpha) * ewma_[i] + alpha * served;
@@ -601,14 +586,16 @@ class SessionStore {
   std::vector<std::uint8_t> qos_;          // spec QoS tier (ceiling lookup)
   std::vector<std::uint32_t> limit_;       // candidate ceiling (<= width_)
 
-  // Per-slot decide outputs (written by decide, read by schedule/drain).
-  std::vector<int> depth_;
+  // Per-slot decide outputs (written by decide, read by schedule/drain):
+  // the chosen candidate index and its arrivals.
+  std::vector<std::uint32_t> choice_;
   std::vector<double> dec_arrivals_;
-  std::vector<double> dec_quality_;
 
   // Interned flattened tables, keyed by cache identity (few distinct caches
-  // per run; linear scan at activation only).
-  std::vector<std::pair<const FrameStatsCache*, std::unique_ptr<FlatDecideTable>>>
+  // per run; linear scan at activation only). Shared with every trace
+  // started on them, so finished outcomes stay decodable after the store.
+  std::vector<
+      std::pair<const FrameStatsCache*, std::shared_ptr<const FlatDecideTable>>>
       tables_;
 
   // --- incremental decide engine state ------------------------------------
@@ -623,9 +610,8 @@ class SessionStore {
   std::vector<std::uint32_t> group_rep_;  // group id -> representative index
   std::vector<const double*> group_row_;  // group id -> this slot's row
   std::vector<std::uint32_t> group_limit_;  // group id -> candidate ceiling
-  std::vector<int> group_depth_;          // group outputs
+  std::vector<std::uint32_t> group_choice_;  // group outputs
   std::vector<double> group_arrivals_;
-  std::vector<double> group_quality_;
   std::vector<MemoSlot> memo_;            // power-of-two scratch hash
   std::uint64_t memo_epoch_ = 0;
 

@@ -2,7 +2,9 @@
 // every figure in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -36,6 +38,60 @@ struct TraceSummary {
   bool partial = false;
   StabilityReport stability;
 };
+
+/// The one summary definition, over any sized forward range of StepRecord
+/// values: the summation order and the stability thresholds behind
+/// Trace::summarize_partial, shared by record types that decode into
+/// StepRecords (the serving runtime's packed SessionTrace) so their summaries
+/// stay bit-identical. Throws std::logic_error on an empty range.
+template <class Steps>
+TraceSummary summarize_steps(const Steps& steps) {
+  const std::size_t count = steps.size();
+  if (count == 0) {
+    throw std::logic_error("summarize_partial: empty trace");
+  }
+  const bool analyzed = count >= 8;
+  TraceSummary summary;
+  double q_sum = 0.0, b_sum = 0.0, d_sum = 0.0, a_sum = 0.0, s_sum = 0.0;
+  std::vector<double> backlog;  // Q(t) series for the stability fit
+  if (analyzed) backlog.reserve(count);
+  for (const StepRecord& s : steps) {
+    q_sum += s.quality;
+    b_sum += s.backlog_begin;
+    d_sum += s.depth;
+    a_sum += s.arrivals;
+    s_sum += s.service;
+    summary.peak_backlog = std::max(summary.peak_backlog, s.backlog_begin);
+    summary.final_backlog = s.backlog_end;
+    if (analyzed) backlog.push_back(s.backlog_begin);
+  }
+  const auto n = static_cast<double>(count);
+  summary.time_average_quality = q_sum / n;
+  summary.time_average_backlog = b_sum / n;
+  summary.mean_depth = d_sum / n;
+  summary.mean_arrivals = a_sum / n;
+  summary.mean_service = s_sum / n;
+  if (!analyzed) {
+    // Too short for the regression-based stability classifier: report the
+    // observables we do have and flag the summary partial so consumers show
+    // "too-short" instead of a fabricated verdict.
+    summary.partial = true;
+    summary.stability.peak = summary.peak_backlog;
+    summary.stability.time_average = summary.time_average_backlog;
+    summary.stability.tail_mean = summary.time_average_backlog;
+    return summary;
+  }
+  // Scale-relative thresholds: a stable queue still holds up to one slot of
+  // arrivals at the observation instant (Lindley order: serve, then admit),
+  // so "converged to zero" means "at most ~a couple of slots of arrivals";
+  // genuine divergence grows by a macroscopic fraction of the arrival rate
+  // every slot.
+  const double zero_threshold = std::max(1.0, 2.0 * summary.mean_arrivals);
+  const double divergence_slope = std::max(1.0, 0.02 * summary.mean_arrivals);
+  summary.stability = analyze_stability(backlog, 1.0 / 3.0, divergence_slope,
+                                        zero_threshold);
+  return summary;
+}
 
 /// An append-only run record.
 class Trace {

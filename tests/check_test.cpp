@@ -141,7 +141,7 @@ TEST(CheckDeathTest, RetiredSlotIsPoisonedNotReadable) {
   // Index 1's slot still exists in vector capacity but was poisoned on
   // release: the kernels must refuse it rather than read the stale mirror.
   EXPECT_DEATH(store.decide(1), "ARVIS_DCHECK failed");
-  EXPECT_DEATH(store.drain(1, 1, 0.0, 0.0), "ARVIS_DCHECK failed");
+  EXPECT_DEATH(store.drain(1, 0.0, 0.0), "ARVIS_DCHECK failed");
 }
 
 #endif  // ARVIS_DCHECK_IS_ON

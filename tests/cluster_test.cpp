@@ -135,7 +135,7 @@ TEST(EdgeClusterTest, K1RoundRobinReproducesSingleLinkBitForBit) {
                 ss.summary.time_average_backlog);
       EXPECT_EQ(cs.summary.mean_depth, ss.summary.mean_depth);
     }
-    expect_traces_bit_identical(cs.trace, ss.trace);
+    expect_traces_bit_identical(cs.trace.to_trace(), ss.trace.to_trace());
     if (cs.admitted) {
       EXPECT_EQ(cluster.sessions[i].link, 0);
     }
@@ -260,8 +260,8 @@ TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
     EXPECT_EQ(serial.sessions[i].link, parallel.sessions[i].link);
     EXPECT_EQ(serial.sessions[i].spilled, parallel.sessions[i].spilled);
-    expect_traces_bit_identical(serial.sessions[i].session.trace,
-                                parallel.sessions[i].session.trace);
+    expect_traces_bit_identical(serial.sessions[i].session.trace.to_trace(),
+                                parallel.sessions[i].session.trace.to_trace());
   }
   EXPECT_EQ(serial.metrics.fleet.quality_fairness,
             parallel.metrics.fleet.quality_fairness);

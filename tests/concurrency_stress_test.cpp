@@ -84,9 +84,11 @@ TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
       const SessionOutcome& b = parallel.sessions[i];
       ASSERT_EQ(a.trace.size(), b.trace.size())
           << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.trace.size(); ++t) {
-        const StepRecord& x = a.trace.at(t);
-        const StepRecord& y = b.trace.at(t);
+      const Trace ta = a.trace.to_trace();
+      const Trace tb = b.trace.to_trace();
+      for (std::size_t t = 0; t < ta.size(); ++t) {
+        const StepRecord& x = ta.at(t);
+        const StepRecord& y = tb.at(t);
         ASSERT_EQ(x.depth, y.depth)
             << "threads=" << threads << " session=" << i << " slot=" << t;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),
@@ -211,9 +213,11 @@ TEST(ConcurrencyStressTest, FailoverUnderParallelDecideMatchesSerial) {
           << "threads=" << threads << " session=" << i;
       ASSERT_EQ(a.session.trace.size(), b.session.trace.size())
           << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.session.trace.size(); ++t) {
-        const StepRecord& x = a.session.trace.at(t);
-        const StepRecord& y = b.session.trace.at(t);
+      const Trace ta = a.session.trace.to_trace();
+      const Trace tb = b.session.trace.to_trace();
+      for (std::size_t t = 0; t < ta.size(); ++t) {
+        const StepRecord& x = ta.at(t);
+        const StepRecord& y = tb.at(t);
         ASSERT_EQ(x.depth, y.depth)
             << "threads=" << threads << " session=" << i << " slot=" << t;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),
@@ -297,9 +301,11 @@ TEST(ConcurrencyStressTest, MigrationUnderParallelDecideMatchesSerial) {
           << "threads=" << threads << " session=" << i;
       ASSERT_EQ(a.session.trace.size(), b.session.trace.size())
           << "threads=" << threads << " session=" << i;
-      for (std::size_t t = 0; t < a.session.trace.size(); ++t) {
-        const StepRecord& x = a.session.trace.at(t);
-        const StepRecord& y = b.session.trace.at(t);
+      const Trace ta = a.session.trace.to_trace();
+      const Trace tb = b.session.trace.to_trace();
+      for (std::size_t t = 0; t < ta.size(); ++t) {
+        const StepRecord& x = ta.at(t);
+        const StepRecord& y = tb.at(t);
         ASSERT_EQ(x.depth, y.depth)
             << "threads=" << threads << " session=" << i << " slot=" << t;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(x.backlog_end),

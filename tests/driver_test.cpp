@@ -492,8 +492,8 @@ TEST(EventLoopTest, SkipIdleMatchesDenseExecutionOnConstantChannels) {
   // The session's run is bit-identical either way.
   ASSERT_EQ(skipped.cluster.sessions.size(), 1U);
   ASSERT_EQ(dense.cluster.sessions.size(), 1U);
-  const Trace& a = skipped.cluster.sessions[0].session.trace;
-  const Trace& b = dense.cluster.sessions[0].session.trace;
+  const Trace a = skipped.cluster.sessions[0].session.trace.to_trace();
+  const Trace b = dense.cluster.sessions[0].session.trace.to_trace();
   ASSERT_EQ(a.size(), 20U);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t t = 0; t < a.size(); ++t) {
@@ -934,9 +934,11 @@ TEST(EventLoopTest, DecideMemoCountersMatchTraceOracle) {
   loop.run();
   const ServingResult result = manager.finish();
   ASSERT_EQ(result.sessions.size(), n);
+  std::vector<Trace> traces;
   for (const auto& s : result.sessions) {
     ASSERT_TRUE(s.admitted);
     ASSERT_EQ(s.trace.size(), config.steps);
+    traces.push_back(s.trace.to_trace());
   }
 
   // Replay the memo rule from the traces alone (membership is constant, so
@@ -953,8 +955,8 @@ TEST(EventLoopTest, DecideMemoCountersMatchTraceOracle) {
       have_groups = true;
       dirty = false;
     }
-    for (const auto& s : result.sessions) {
-      const StepRecord& rec = s.trace.at(t);
+    for (const Trace& trace : traces) {
+      const StepRecord& rec = trace.at(t);
       if (std::bit_cast<std::uint64_t>(rec.backlog_begin) !=
           std::bit_cast<std::uint64_t>(rec.backlog_end)) {
         dirty = true;
@@ -1016,13 +1018,13 @@ void expect_replays_bit_identical(const ReplayResult& a,
     EXPECT_EQ(ca.spilled, cb.spilled);
     EXPECT_EQ(ca.arrived, cb.arrived);
     EXPECT_EQ(ca.session.admitted, cb.session.admitted);
-    ASSERT_EQ(ca.session.trace.size(), cb.session.trace.size());
-    for (std::size_t t = 0; t < ca.session.trace.size(); ++t) {
-      EXPECT_EQ(ca.session.trace.at(t).depth, cb.session.trace.at(t).depth);
-      EXPECT_EQ(ca.session.trace.at(t).service,
-                cb.session.trace.at(t).service);
-      EXPECT_EQ(ca.session.trace.at(t).backlog_end,
-                cb.session.trace.at(t).backlog_end);
+    const Trace ta = ca.session.trace.to_trace();
+    const Trace tb = cb.session.trace.to_trace();
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t t = 0; t < ta.size(); ++t) {
+      EXPECT_EQ(ta.at(t).depth, tb.at(t).depth);
+      EXPECT_EQ(ta.at(t).service, tb.at(t).service);
+      EXPECT_EQ(ta.at(t).backlog_end, tb.at(t).backlog_end);
     }
   }
 }

@@ -28,6 +28,7 @@
 #include "serving/session_manager.hpp"
 #include "serving/telemetry/flight_recorder.hpp"
 #include "serving/telemetry/registry.hpp"
+#include "support/decode_oracle.hpp"
 
 namespace arvis {
 namespace {
@@ -805,9 +806,12 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   SessionManager manager(config, 16.0 * load);
   SessionSpec best_effort = session_spec(0, kNeverDeparts, 7);
   best_effort.qos = 0;
+  SessionSpec standard = session_spec(0, kNeverDeparts, 7);
+  standard.qos = 1;
   SessionSpec premium = session_spec(0, kNeverDeparts, 7);
   premium.qos = 2;
   const std::size_t be_id = manager.submit(best_effort);
+  const std::size_t standard_id = manager.submit(standard);
   const std::size_t pr_id = manager.submit(premium);
   for (std::size_t t = 0; t < config.steps; ++t) {
     manager.begin_slot();
@@ -819,14 +823,36 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   // The best-effort session never left the floor candidate; the premium
   // session (identical spec otherwise) climbed above it.
   int be_peak = 0, pr_peak = 0;
-  for (std::size_t t = 0; t < result.sessions[be_id].trace.size(); ++t) {
-    be_peak = std::max(be_peak, result.sessions[be_id].trace.at(t).depth);
+  const Trace be = result.sessions[be_id].trace.to_trace();
+  const Trace pr = result.sessions[pr_id].trace.to_trace();
+  for (std::size_t t = 0; t < be.size(); ++t) {
+    be_peak = std::max(be_peak, be.at(t).depth);
   }
-  for (std::size_t t = 0; t < result.sessions[pr_id].trace.size(); ++t) {
-    pr_peak = std::max(pr_peak, result.sessions[pr_id].trace.at(t).depth);
+  for (std::size_t t = 0; t < pr.size(); ++t) {
+    pr_peak = std::max(pr_peak, pr.at(t).depth);
   }
   EXPECT_EQ(be_peak, config.candidates.front());
   EXPECT_GT(pr_peak, be_peak);
+
+  // Each tier's record decodes from the profile under its own ceiling:
+  // best-effort 1 candidate, standard width - 2, premium all of them.
+  const std::size_t width = config.candidates.size();
+  const Trace standard_trace = result.sessions[standard_id].trace.to_trace();
+  EXPECT_TRUE(arvis_test::decodes_from_profile(
+      be, fault_cache(), config.candidates, config.v, 0, 0.0, 1));
+  EXPECT_TRUE(arvis_test::decodes_from_profile(
+      standard_trace, fault_cache(), config.candidates, config.v, 0, 0.0,
+      width - 2));
+  EXPECT_TRUE(arvis_test::decodes_from_profile(
+      pr, fault_cache(), config.candidates, config.v, 0, 0.0, width));
+  // The standard session is limited but not pinned: it uses more than one
+  // of its candidates and never one past its ceiling.
+  int standard_peak = 0;
+  for (std::size_t t = 0; t < standard_trace.size(); ++t) {
+    standard_peak = std::max(standard_peak, standard_trace.at(t).depth);
+  }
+  EXPECT_GT(standard_peak, config.candidates.front());
+  EXPECT_LE(standard_peak, config.candidates[width - 3]);
 }
 
 // ------------------------------------------------- observability spine ----

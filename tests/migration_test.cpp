@@ -25,6 +25,7 @@
 #include "serving/driver/scenario.hpp"
 #include "serving/session_manager.hpp"
 #include "serving/telemetry/flight_recorder.hpp"
+#include "support/decode_oracle.hpp"
 
 namespace arvis {
 namespace {
@@ -99,8 +100,8 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
 
   // The reported outcome is the target-link segment: starts at the
   // migration slot, runs to the departure.
-  const Trace& seg = moved.sessions[id].session.trace;
-  const Trace& full = stayed.sessions[twin].session.trace;
+  const Trace seg = moved.sessions[id].session.trace.to_trace();
+  const Trace full = stayed.sessions[twin].session.trace.to_trace();
   ASSERT_EQ(full.size(), 60U);
   ASSERT_EQ(seg.size(), 40U);
   ASSERT_EQ(seg.at(0).t, 20U);
@@ -118,6 +119,20 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
     EXPECT_EQ(a.backlog_end, b.backlog_end) << i;
     EXPECT_EQ(a.quality, b.quality) << i;
   }
+
+  // Both decode from the profile alone. The segment starts mid-table with
+  // the carried (non-zero) backlog and wraps past the last frame.
+  const std::size_t frames = migration_cache().frame_count();
+  ASSERT_NE(20 % frames, 0U);
+  ASSERT_GT(seg.size(), frames);
+  ASSERT_GT(full.at(20).backlog_begin, 0.0);
+  const std::vector<int>& candidates = config.serving.candidates;
+  EXPECT_TRUE(arvis_test::decodes_from_profile(
+      full, migration_cache(), candidates, config.serving.v, 0, 0.0,
+      candidates.size()));
+  EXPECT_TRUE(arvis_test::decodes_from_profile(
+      seg, migration_cache(), candidates, config.serving.v, 20,
+      full.at(20).backlog_begin, candidates.size()));
 }
 
 TEST(MigrationTest, ExplicitMigrationRecordsFlightEventAndRejectsBadInput) {

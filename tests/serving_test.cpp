@@ -23,6 +23,7 @@
 #include "serving/scheduler.hpp"
 #include "serving/session_manager.hpp"
 #include "sim/replication.hpp"
+#include "support/decode_oracle.hpp"
 
 namespace arvis {
 namespace {
@@ -847,6 +848,21 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)), "-");
   EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)),
             "too-short");
+
+  // The packed records decode from the profile, and summarizing them
+  // directly is bit-identical to summarizing the decoded Trace — for the
+  // partial 3-slot summary and the full 30-slot one alike.
+  ASSERT_EQ(result.sessions[1].trace.size(), 30U);
+  for (const SessionOutcome& s : result.sessions) {
+    const Trace decoded = s.trace.to_trace();
+    EXPECT_TRUE(arvis_test::decodes_from_profile(
+        decoded, shared_cache(), config.candidates, config.v, 0, 0.0,
+        config.candidates.size()));
+    const TraceSummary want = decoded.summarize_partial();
+    EXPECT_TRUE(
+        arvis_test::summaries_bit_equal(s.trace.summarize_partial(), want));
+    EXPECT_TRUE(arvis_test::summaries_bit_equal(s.summary, want));
+  }
 }
 
 TEST(SessionManagerTest, OutOfOrderSubmissionsAdmitInArrivalOrder) {
@@ -909,8 +925,8 @@ TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
 
   ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace& a = serial.sessions[i].trace;
-    const Trace& b = parallel.sessions[i].trace;
+    const Trace a = serial.sessions[i].trace.to_trace();
+    const Trace b = parallel.sessions[i].trace.to_trace();
     ASSERT_EQ(a.size(), b.size()) << "session " << i;
     for (std::size_t t = 0; t < a.size(); ++t) {
       // Bit-exact equality, not approximate: the decide phase touches only
@@ -983,8 +999,8 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
   ASSERT_EQ(legacy.sessions.size(), true_pf.sessions.size());
   bool any_service_differs = false;
   for (std::size_t i = 0; i < legacy.sessions.size(); ++i) {
-    const Trace& a = legacy.sessions[i].trace;
-    const Trace& b = true_pf.sessions[i].trace;
+    const Trace a = legacy.sessions[i].trace.to_trace();
+    const Trace b = true_pf.sessions[i].trace.to_trace();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t t = 0; t < a.size(); ++t) {
       if (a.at(t).service != b.at(t).service) any_service_differs = true;
@@ -1029,14 +1045,16 @@ TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
     EXPECT_EQ(a.admitted, b.admitted);
     EXPECT_EQ(a.arrival_slot, b.arrival_slot);
     EXPECT_EQ(a.departure_slot, b.departure_slot);
-    ASSERT_EQ(a.trace.size(), b.trace.size()) << "session " << i;
-    for (std::size_t t = 0; t < a.trace.size(); ++t) {
-      EXPECT_EQ(a.trace.at(t).depth, b.trace.at(t).depth);
-      EXPECT_EQ(a.trace.at(t).arrivals, b.trace.at(t).arrivals);
-      EXPECT_EQ(a.trace.at(t).service, b.trace.at(t).service);
-      EXPECT_EQ(a.trace.at(t).backlog_begin, b.trace.at(t).backlog_begin);
-      EXPECT_EQ(a.trace.at(t).backlog_end, b.trace.at(t).backlog_end);
-      EXPECT_EQ(a.trace.at(t).quality, b.trace.at(t).quality);
+    const Trace ta = a.trace.to_trace();
+    const Trace tb = b.trace.to_trace();
+    ASSERT_EQ(ta.size(), tb.size()) << "session " << i;
+    for (std::size_t t = 0; t < ta.size(); ++t) {
+      EXPECT_EQ(ta.at(t).depth, tb.at(t).depth);
+      EXPECT_EQ(ta.at(t).arrivals, tb.at(t).arrivals);
+      EXPECT_EQ(ta.at(t).service, tb.at(t).service);
+      EXPECT_EQ(ta.at(t).backlog_begin, tb.at(t).backlog_begin);
+      EXPECT_EQ(ta.at(t).backlog_end, tb.at(t).backlog_end);
+      EXPECT_EQ(ta.at(t).quality, tb.at(t).quality);
     }
   }
   EXPECT_EQ(hand.admission.attempts, looped.admission.attempts);
@@ -1081,7 +1099,7 @@ TEST(SessionStoreTest, ValidatePassesThroughLifecycle) {
     });
     store.decide_all();
     for (std::size_t i = 0; i < store.active_count(); ++i) {
-      store.drain(i, t, 500.0, 0.25);
+      store.drain(i, 500.0, 0.25);
     }
     const Status ok = store.validate();
     EXPECT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
@@ -1154,8 +1172,8 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
     ASSERT_EQ(store.active_count(), oracle.active_count());
     for (std::size_t i = 0; i < store.active_count(); ++i) {
       // Identical per-session share so backlogs stay bit-identical too.
-      store.drain(i, t, 700.0, 0.0);
-      oracle.drain(i, t, 700.0, 0.0);
+      store.drain(i, 700.0, 0.0);
+      oracle.drain(i, 700.0, 0.0);
     }
     const Status ok = store.validate();
     ASSERT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
@@ -1173,8 +1191,8 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   // Bit-for-bit comparison of every surviving session's full trace.
   ASSERT_EQ(store.session_count(), oracle.session_count());
   for (std::size_t pos = 0; pos < store.session_count(); ++pos) {
-    const Trace& got = store.session(pos).trace;
-    const Trace& want = oracle.session(pos).trace;
+    const Trace got = store.session(pos).trace.to_trace();
+    const Trace want = oracle.session(pos).trace.to_trace();
     ASSERT_EQ(got.size(), want.size()) << "session " << pos;
     for (std::size_t t = 0; t < got.size(); ++t) {
       const StepRecord& g = got.at(t);
