@@ -1,13 +1,15 @@
 // Hot-path microbench: steady-state slot-loop cost of the serving runtime,
 // in ns per session·slot, at fleet sizes 1k / 10k / 100k — the perf
-// trajectory anchor for the SoA session-store refactor.
+// trajectory anchor for the SoA session-store refactor. The runtime under
+// the clock is a one-link server: a K = 1 EdgeCluster, stepped directly.
 //
 // Two regimes per fleet size:
 //   dense  every session arrives at slot 0 and never departs: the measured
 //          window is pure decide/schedule/drain, no lifecycle work;
 //   churn  arrivals staggered across the window with finite lifetimes, so
 //          every slot admits and retires sessions: begin_slot, the pending
-//          list, admission and active-list compaction are all on the clock.
+//          list, placement, admission and active-list compaction are all on
+//          the clock.
 //
 // Build & run:  ./build/bench/bench_hot_path [--smoke] [--json [--quick]]
 //                                            [--telemetry] [--flight]
@@ -27,12 +29,13 @@
 //      original view-based controller path (ByteWorkloadView /
 //      LogPointQualityView / LyapunovDepthController + the demand-struct
 //      scheduler interface + a per-session DiscreteQueue), matches the
-//      SessionManager's traces bit for bit. Covered regimes: dense (the
-//      memoizer collapses the fleet to a handful of groups), churn (arrivals
-//      and departures mutate the groups every few slots), and a K>1 cluster
-//      (each link's incremental engine + the cluster placement path) — the
-//      incremental decide engine, the blocked kernel and the scheduler fast
-//      paths are exact memoization, zero behaviour;
+//      runtime's traces bit for bit. Covered regimes: a one-link server (a
+//      K = 1 cluster) dense (the memoizer collapses the fleet to a handful
+//      of groups) and churned (arrivals and departures mutate the groups
+//      every few slots), and a K>1 cluster (each link's incremental engine +
+//      the cluster placement path) — the incremental decide engine, the
+//      blocked kernel and the scheduler fast paths are exact memoization,
+//      zero behaviour;
 //   2. executor determinism: threads=2 decide fan-out (the scalar kernel)
 //      is bit-identical to the serial memoized engine;
 //   3. perf budget: dense@10k may not regress more than 25% against the
@@ -99,6 +102,13 @@ ServingConfig base_config(std::size_t steps) {
   return config;
 }
 
+/// A one-link server (K = 1 cluster) over base_config(steps).
+ClusterConfig one_link_config(std::size_t steps) {
+  ClusterConfig config;
+  config.serving = base_config(steps);
+  return config;
+}
+
 struct Measurement {
   double ns_per_session_slot = 0.0;
   double session_slots = 0.0;
@@ -109,25 +119,26 @@ struct Measurement {
 /// reservations and scratch growth).
 Measurement run_dense(std::size_t n, std::size_t warm, std::size_t measure,
                       const TelemetryConfig* telemetry = nullptr) {
-  ServingConfig config = base_config(warm + measure);
-  if (telemetry != nullptr) config.telemetry = *telemetry;
-  const double load =
-      AdmissionController::cheapest_depth_load(hot_cache(), config.candidates);
+  ClusterConfig config = one_link_config(warm + measure);
+  if (telemetry != nullptr) config.serving.telemetry = *telemetry;
+  const double load = AdmissionController::cheapest_depth_load(
+      hot_cache(), config.serving.candidates);
   const double capacity = static_cast<double>(n) * load * 1.2;
-  SessionManager manager(config, capacity);
+  EdgeCluster server(config, {capacity});
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
     spec.cache = &hot_cache();
     spec.seed = i;
-    manager.submit(spec);
+    server.submit(spec);
   }
-  for (std::size_t t = 0; t < warm; ++t) manager.step(capacity);
+  const std::vector<double> caps{capacity};
+  for (std::size_t t = 0; t < warm; ++t) server.step(caps);
 
   bench::WallTimer timer;
-  for (std::size_t t = 0; t < measure; ++t) manager.step(capacity);
+  for (std::size_t t = 0; t < measure; ++t) server.step(caps);
   const double ns = timer.elapsed_ns();
-  const ServingResult result = manager.finish();
-  if (result.admission.accepted != n) {
+  const ClusterResult result = server.finish();
+  if (result.metrics.per_link_admission[0].accepted != n) {
     std::fprintf(stderr, "bench_hot_path: dense admission shortfall\n");
     std::abort();
   }
@@ -143,28 +154,30 @@ Measurement run_dense(std::size_t n, std::size_t warm, std::size_t measure,
 Measurement run_churn(std::size_t n, std::size_t warm, std::size_t measure) {
   const std::size_t span = warm + measure;  // arrival window
   const std::size_t life = std::max<std::size_t>(span / 2, 8);
-  ServingConfig config = base_config(span);
-  const double load =
-      AdmissionController::cheapest_depth_load(hot_cache(), config.candidates);
+  ClusterConfig config = one_link_config(span);
+  const double load = AdmissionController::cheapest_depth_load(
+      hot_cache(), config.serving.candidates);
   const double capacity = static_cast<double>(n) * load * 1.2;
-  SessionManager manager(config, capacity);
+  EdgeCluster server(config, {capacity});
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
     spec.cache = &hot_cache();
     spec.seed = i;
     spec.arrival_slot = i * span / n;  // non-decreasing: O(1) pending insert
     spec.departure_slot = spec.arrival_slot + life;
-    manager.submit(spec);
+    server.submit(spec);
   }
-  for (std::size_t t = 0; t < warm; ++t) manager.step(capacity);
+  const std::vector<double> caps{capacity};
+  for (std::size_t t = 0; t < warm; ++t) server.step(caps);
 
   bench::WallTimer timer;
-  for (std::size_t t = 0; t < measure; ++t) manager.step(capacity);
+  for (std::size_t t = 0; t < measure; ++t) server.step(caps);
   const double ns = timer.elapsed_ns();
-  const ServingResult result = manager.finish();
+  const ClusterResult result = server.finish();
 
   double slots = 0.0;  // session·slots inside the measured window
-  for (const SessionOutcome& s : result.sessions) {
+  for (const ClusterSessionOutcome& placed : result.sessions) {
+    const SessionOutcome& s = placed.session;
     if (!s.admitted) continue;
     const std::size_t lo = std::max(s.arrival_slot, warm);
     const std::size_t hi = std::min(s.departure_slot, span);
@@ -300,20 +313,21 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
   return true;
 }
 
-/// Single-link oracle. `churn` staggers arrivals across the first half of
-/// the window with finite lifetimes, so groups mutate every few slots;
-/// without it every session arrives at 0 and stays (dense steady state, the
-/// memoizer's best case).
+/// Single-link oracle over a one-link server (K = 1 cluster). `churn`
+/// staggers arrivals across the first half of the window with finite
+/// lifetimes, so groups mutate every few slots; without it every session
+/// arrives at 0 and stays (dense steady state, the memoizer's best case).
 bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
                     std::size_t steps, bool churn, const char* label) {
-  ServingConfig config = base_config(steps);
+  ClusterConfig cluster = one_link_config(steps);
+  ServingConfig& config = cluster.serving;
   config.policy = policy;
   config.pf_ewma_window = pf_window;
   const double load =
       AdmissionController::cheapest_depth_load(hot_cache(), config.candidates);
   const double capacity = static_cast<double>(n) * load * 2.0;
 
-  SessionManager manager(config, capacity);
+  EdgeCluster server(cluster, {capacity});
   std::vector<OracleSpec> specs(n);
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
@@ -326,15 +340,16 @@ bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
     }
     specs[i] = {spec.arrival_slot,
                 churn ? spec.departure_slot : kNeverDeparts, spec.weight};
-    manager.submit(spec);
+    server.submit(spec);
   }
+  const std::vector<double> caps{capacity};
   for (std::size_t t = 0; t < steps; ++t) {
-    manager.step(capacity);
+    server.step(caps);
     // Lifetime-checker cross-check: SoA mirrors must match the cold slab at
     // every checkpoint (cheap relative to the oracle replay; cadence chosen
     // to hit dense and churn regimes alike).
     if ((t & 15) == 0) {
-      const Status store_ok = manager.validate_store();
+      const Status store_ok = server.validate_stores();
       if (!store_ok.ok()) {
         std::printf("oracle MISMATCH [%s]: %s\n", label,
                     store_ok.to_string().c_str());
@@ -342,10 +357,10 @@ bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
       }
     }
   }
-  const ServingResult result = manager.finish();
+  const ClusterResult result = server.finish();
 
   std::vector<const SessionOutcome*> sessions(n);
-  for (std::size_t i = 0; i < n; ++i) sessions[i] = &result.sessions[i];
+  for (std::size_t i = 0; i < n; ++i) sessions[i] = &result.sessions[i].session;
   // A session retired by the run's end keeps its full declared window; one
   // still live at `steps` was cut there — mirror that in the oracle.
   for (OracleSpec& s : specs) s.departure = std::min(s.departure, steps);
@@ -459,10 +474,10 @@ bool budget_ok(double* measured_out, double* budget_out) {
 /// threads=2 decide fan-out must be bit-identical to serial.
 bool parallel_matches_serial() {
   const auto run = [&](std::size_t threads) {
-    ServingConfig config = base_config(120);
-    config.threads = threads;
+    ClusterConfig config = one_link_config(120);
+    config.serving.threads = threads;
     const double load = AdmissionController::cheapest_depth_load(
-        hot_cache(), config.candidates);
+        hot_cache(), config.serving.candidates);
     const double capacity = 64.0 * load * 1.5;
     std::vector<SessionSpec> specs(64);
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -471,14 +486,14 @@ bool parallel_matches_serial() {
       specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
     }
     ConstantChannel channel(capacity);
-    return run_serving_scenario(config, specs, channel);
+    return run_cluster_scenario(config, specs, {&channel});
   };
-  const ServingResult serial = run(1);
-  const ServingResult parallel = run(2);
+  const ClusterResult serial = run(1);
+  const ClusterResult parallel = run(2);
   if (serial.sessions.size() != parallel.sessions.size()) return false;
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace a = serial.sessions[i].trace.to_trace();
-    const Trace b = parallel.sessions[i].trace.to_trace();
+    const Trace a = serial.sessions[i].session.trace.to_trace();
+    const Trace b = parallel.sessions[i].session.trace.to_trace();
     if (a.size() != b.size()) return false;
     for (std::size_t t = 0; t < a.size(); ++t) {
       if (a.at(t).depth != b.at(t).depth ||
@@ -488,8 +503,10 @@ bool parallel_matches_serial() {
       }
     }
   }
-  return serial.fleet.capacity_used == parallel.fleet.capacity_used &&
-         serial.fleet.quality_fairness == parallel.fleet.quality_fairness;
+  return serial.metrics.fleet.capacity_used ==
+             parallel.metrics.fleet.capacity_used &&
+         serial.metrics.fleet.quality_fairness ==
+             parallel.metrics.fleet.quality_fairness;
 }
 
 int run_smoke() {

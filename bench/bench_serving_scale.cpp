@@ -2,7 +2,8 @@
 // shared link whose capacity grows with the fleet so per-session load stays
 // constant. Reports wall time, throughput in session-slots/s, the speedup of
 // each thread count over serial at the same fleet size, and the fleet
-// quality/fairness metrics — the scaling story of the serving runtime.
+// quality/fairness metrics — the scaling story of the serving runtime. The
+// one link is a K = 1 EdgeCluster (run_cluster_scenario with one channel).
 //
 // Build & run:  ./build/bench/bench_serving_scale [--json]
 //
@@ -20,7 +21,7 @@
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
-#include "serving/session_manager.hpp"
+#include "serving/cluster.hpp"
 #include "sim/frame_stats_cache.hpp"
 
 namespace {
@@ -34,11 +35,12 @@ const arvis::FrameStatsCache& serving_cache() {
 }
 
 double run_once(std::size_t sessions, std::size_t threads,
-                arvis::ServingResult& result) {
+                arvis::ClusterResult& result) {
   using namespace arvis;
   const auto& cache = serving_cache();
 
-  ServingConfig config;
+  ClusterConfig cluster;
+  ServingConfig& config = cluster.serving;
   config.steps = kSteps;
   config.candidates = {3, 4, 5, 6, 7};
   config.v = calibrate_streaming_v(cache, config.candidates,
@@ -63,7 +65,7 @@ double run_once(std::size_t sessions, std::size_t threads,
                           cache.workload(0).bytes(5) * 1.2);
 
   const auto start = std::chrono::steady_clock::now();
-  result = run_serving_scenario(config, specs, channel);
+  result = run_cluster_scenario(cluster, specs, {&channel});
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
@@ -84,22 +86,23 @@ int main(int argc, char** argv) {
     double serial_ms = 0.0;
     for (std::size_t threads : {1U, 2U, 4U}) {
       if (threads > sessions) continue;
-      ServingResult result;
+      ClusterResult result;
       const double ms = run_once(sessions, threads, result);
       if (threads == 1) serial_ms = ms;
       double slots = 0.0;
-      for (const SessionOutcome& s : result.sessions) {
-        slots += static_cast<double>(s.trace.size());
+      for (const ClusterSessionOutcome& s : result.sessions) {
+        slots += static_cast<double>(s.session.trace.size());
       }
+      const AdmissionStats& admission = result.metrics.per_link_admission[0];
+      const FleetMetrics& fleet = result.metrics.fleet;
       table.add_row({static_cast<std::int64_t>(sessions),
                      static_cast<std::int64_t>(threads), ms,
                      slots / (ms / 1'000.0),
                      serial_ms > 0.0 ? serial_ms / ms : 1.0,
-                     static_cast<std::int64_t>(result.admission.accepted),
-                     static_cast<std::int64_t>(result.admission.rejected),
-                     result.fleet.quality_fairness,
-                     result.fleet.utilization(),
-                     static_cast<std::int64_t>(result.fleet.divergent_sessions)});
+                     static_cast<std::int64_t>(admission.accepted),
+                     static_cast<std::int64_t>(admission.rejected),
+                     fleet.quality_fairness, fleet.utilization(),
+                     static_cast<std::int64_t>(fleet.divergent_sessions)});
       char params[96];
       std::snprintf(params, sizeof params,
                     "{\"sessions\":%zu,\"threads\":%zu}", sessions, threads);

@@ -6,6 +6,8 @@
 // control because its cheapest-depth load would tip the link past its
 // stability region. Every admitted session runs its own local Lyapunov
 // controller; the link divides capacity with the proportional-fair policy.
+// A one-link server is a K = 1 EdgeCluster: run_cluster_scenario with one
+// channel.
 //
 // Build & run:  ./build/examples/edge_server
 #include <cstdio>
@@ -15,7 +17,7 @@
 #include "analysis/report.hpp"
 #include "datasets/catalog.hpp"
 #include "net/streaming.hpp"
-#include "serving/session_manager.hpp"
+#include "serving/cluster.hpp"
 
 int main() {
   using namespace arvis;
@@ -34,7 +36,8 @@ int main() {
         **source, /*octree_depth=*/9, /*frame_limit=*/8));
   }
 
-  ServingConfig config;
+  ClusterConfig cluster;
+  ServingConfig& config = cluster.serving;
   config.steps = 1'600;
   config.candidates = {5, 6, 7, 8, 9};
   config.policy = SchedulerPolicy::kProportionalFair;
@@ -79,7 +82,7 @@ int main() {
   greedy.seed = 101;
   specs.push_back(greedy);
 
-  const ServingResult result = run_serving_scenario(config, specs, channel);
+  const ClusterResult result = run_cluster_scenario(cluster, specs, {&channel});
 
   std::printf("per-session outcome after %zu slots (%s scheduler):\n\n%s\n",
               config.steps, to_string(config.policy),
@@ -91,24 +94,26 @@ int main() {
   traces.reserve(result.sessions.size());  // labeled points into it
   std::vector<LabeledTrace> labeled;
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
-    if (result.sessions[i].admitted &&
-        result.sessions[i].trace.size() == config.steps) {
-      traces.push_back(result.sessions[i].trace.to_trace());
+    const SessionOutcome& s = result.sessions[i].session;
+    if (s.admitted && s.trace.size() == config.steps) {
+      traces.push_back(s.trace.to_trace());
       labeled.push_back({"session-" + std::to_string(i), &traces.back()});
     }
   }
   std::printf("trace summaries (analysis/report):\n\n%s\n",
               summary_table(labeled).to_pretty_string().c_str());
 
+  const AdmissionStats& admission = result.metrics.per_link_admission[0];
+  const FleetMetrics& fleet = result.metrics.fleet;
   std::printf(
       "admission: %zu attempts, %zu accepted, %zu rejected\n"
       "fleet: fairness %.3f, mean quality %.3f, total avg backlog %.0f B,\n"
       "       peak concurrency %zu, link utilization %.1f%%\n"
       "(every admitted controller used only its own queue — no side "
       "information)\n",
-      result.admission.attempts, result.admission.accepted,
-      result.admission.rejected, result.fleet.quality_fairness,
-      result.fleet.mean_quality, result.fleet.total_time_average_backlog,
-      result.fleet.peak_concurrency, 100.0 * result.fleet.utilization());
+      admission.attempts, admission.accepted, admission.rejected,
+      fleet.quality_fairness, fleet.mean_quality,
+      fleet.total_time_average_backlog, fleet.peak_concurrency,
+      100.0 * fleet.utilization());
   return 0;
 }

@@ -3,14 +3,15 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serving/session_manager.hpp"
+#include "serving/cluster.hpp"
 
 namespace arvis {
 
 // The edge scenario predates the serving runtime and survives as its
-// simplest special case: every device is a session arriving at slot 0 and
-// staying to the end, admission disabled, serial execution. The SharePolicy
-// enum maps onto the pluggable scheduler policies.
+// simplest special case: one link (a K = 1 cluster) where every device is a
+// session arriving at slot 0 and staying to the end, admission disabled,
+// serial execution. The SharePolicy enum maps onto the pluggable scheduler
+// policies.
 EdgeResult run_edge_scenario(const EdgeConfig& config,
                              const std::vector<const FrameStatsCache*>& caches,
                              ChannelModel& shared_channel) {
@@ -18,7 +19,8 @@ EdgeResult run_edge_scenario(const EdgeConfig& config,
     throw std::invalid_argument("run_edge_scenario: need >= 1 device");
   }
 
-  ServingConfig serving;
+  ClusterConfig cluster;
+  ServingConfig& serving = cluster.serving;
   serving.steps = config.steps;
   serving.candidates = config.candidates;
   serving.v = config.v;
@@ -36,15 +38,16 @@ EdgeResult run_edge_scenario(const EdgeConfig& config,
     specs.push_back(spec);
   }
 
-  const ServingResult served =
-      run_serving_scenario(serving, specs, shared_channel);
+  const ClusterResult served =
+      run_cluster_scenario(cluster, specs, {&shared_channel});
 
   EdgeResult result;
   result.device_traces.reserve(served.sessions.size());
   std::vector<double> per_device_quality;
   per_device_quality.reserve(served.sessions.size());
   double total_backlog = 0.0;
-  for (const SessionOutcome& session : served.sessions) {
+  for (const ClusterSessionOutcome& placed : served.sessions) {
+    const SessionOutcome& session = placed.session;
     Trace trace = session.trace.to_trace();
     // The serving runtime degrades to partial summaries for short sessions;
     // this scenario's contract (inherited from the seed) is to fail loudly

@@ -48,10 +48,10 @@ struct EdgeResult {
 /// Controllers are created internally (one LyapunovDepthController per
 /// device with the configured V).
 ///
-/// This is a thin wrapper over the serving runtime (serving/
-/// session_manager.hpp): all devices arrive at slot 0, never depart,
-/// admission is disabled, and SharePolicy maps onto the pluggable
-/// SchedulerPolicy. New code should use run_serving_scenario directly.
+/// This is a thin wrapper over the serving runtime (serving/cluster.hpp), run
+/// as one link: all devices arrive at slot 0, never depart, admission is
+/// disabled, and SharePolicy maps onto the pluggable SchedulerPolicy. New
+/// code should use run_cluster_scenario directly.
 /// jain_fairness_index also lives with the serving metrics now
 /// (serving/metrics.hpp, re-exported by the include above).
 EdgeResult run_edge_scenario(const EdgeConfig& config,

@@ -85,11 +85,9 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
         "from/to link indices into 10 bits each)");
   }
   // The links run their phases inline — the cluster's executor is the only
-  // fan-out point — so give each manager a serial (no-pool) executor. Each
-  // link gets its own telemetry lane: counters under "link<k>/", spans on
-  // Chrome tid k.
+  // fan-out point. Each link gets its own telemetry lane: counters under
+  // "link<k>/", spans on Chrome tid k.
   ServingConfig link_config = config_.serving;
-  link_config.threads = 1;
   links_.reserve(link_mean_capacity_bytes.size());
   for (double mean : link_mean_capacity_bytes) {
     link_config.telemetry.tid = static_cast<std::uint32_t>(links_.size());
@@ -130,9 +128,9 @@ std::size_t EdgeCluster::submit(const SessionSpec& spec) {
   if (finished_) {
     throw std::logic_error("EdgeCluster::submit: already finished");
   }
-  // Same validation as SessionManager::submit, applied once at the cluster
-  // door so a bad spec fails before placement ever sees it. The links step
-  // in lockstep with the cluster, so link 0's slot clock is the cluster's.
+  // The links' spec validation, applied once at the cluster door so a bad
+  // spec fails before placement ever sees it. The links step in lockstep
+  // with the cluster, so link 0's slot clock is the cluster's.
   links_.front()->validate_spec(spec);
 
   entries_.push_back(std::make_unique<Entry>(entries_.size(), spec));
@@ -152,7 +150,7 @@ std::size_t EdgeCluster::submit(const SessionSpec& spec) {
   return e->id;
 }
 
-void EdgeCluster::rank_links(const Entry& entry) {
+std::size_t EdgeCluster::rank_links(const Entry& entry) {
   const std::size_t k = links_.size();
   rank_.resize(k);
   switch (config_.placement) {
@@ -197,6 +195,9 @@ void EdgeCluster::rank_links(const Entry& entry) {
     std::erase_if(rank_,
                   [this](std::size_t k) { return link_state_[k].down; });
   }
+  // spill_limit + 1 would wrap to 0 at SIZE_MAX, so compare before adding.
+  return config_.spill_limit < rank_.size() ? config_.spill_limit + 1
+                                            : rank_.size();
 }
 
 void EdgeCluster::place_arrivals() {
@@ -212,9 +213,7 @@ void EdgeCluster::place_arrivals() {
     if (e.cancelled) continue;
     e.arrived = true;
     e.arrival_actual = slot_;
-    rank_links(e);
-    const std::size_t attempts =
-        std::min(rank_.size(), config_.spill_limit + 1);
+    const std::size_t attempts = rank_links(e);
     int best_depth = std::numeric_limits<int>::min();
     // Each attempt re-runs the link's admission scan (O(cached frames));
     // placement happens once per session lifetime, never in the slot loop,
@@ -355,9 +354,7 @@ void EdgeCluster::place_displaced() {
       ++books_.fault_evicted;
       continue;
     }
-    rank_links(e);
-    const std::size_t attempts =
-        std::min(rank_.size(), config_.spill_limit + 1);
+    const std::size_t attempts = rank_links(e);
     const std::size_t rid = mint_runtime_id(entry_id);
     bool replaced = false;
     for (std::size_t a = 0; a < attempts; ++a) {
@@ -645,6 +642,14 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
   //     lands on the displaced queue and re-enters placement next slot.
   if (config_.handover.enabled) evaluate_handover();
 
+  // 2c. Brownout: every link evaluates its degradation policy on the slot's
+  //     final reservations — after this slot's arrivals, re-placements and
+  //     migrations — so a session placed this slot decides under the
+  //     ceiling it caused. A policy that is off costs this branch.
+  if (config_.serving.degradation.enabled) {
+    for (auto& link : links_) link->evaluate_brownout();
+  }
+
   // 3. Decide. Serial executor: each link runs its incremental memoized
   //    engine inline (group by exact inputs, blocked argmax per distinct
   //    key). Parallel executor: all links' sessions fan out per (link,
@@ -747,14 +752,7 @@ std::size_t EdgeCluster::skip_idle_slots(std::size_t max_slots) {
     const std::size_t due = entries_[pending_[pending_head_]]->due;
     slots = due > slot_ ? std::min(slots, due - slot_) : 0;
   }
-  // The links hold no internal pending arrivals (placement injects sessions
-  // via try_place only), so each accepts the full skip; anything else means
-  // the link clocks desynced from the cluster's.
-  for (auto& link : links_) {
-    if (link->skip_idle_slots(slots) != slots) {
-      throw std::logic_error("EdgeCluster::skip_idle_slots: link desynced");
-    }
-  }
+  for (auto& link : links_) link->skip_idle_slots(slots);
   slot_ += slots;
   return slots;
 }
@@ -815,8 +813,8 @@ ClusterResult EdgeCluster::finish() {
       // The segment carries its per-link runtime id; report the cluster id.
       out.session.id = e.id;
     } else {
-      // Refused everywhere (or never arrived): synthesize the same outcome
-      // shape the single-link runtime reports.
+      // Refused everywhere (or never arrived): no link holds a record, so
+      // synthesize the outcome here.
       out.session.id = e.id;
       out.session.admitted = false;
       out.session.arrival_slot = e.arrival_actual;
@@ -877,7 +875,9 @@ ClusterResult EdgeCluster::finish() {
                            : to_string(o.summary.stability.verdict))});
     } else {
       sessions.add_row({static_cast<std::int64_t>(o.id), link_cell,
-                        std::string(o.admitted ? "yes" : "no"),
+                        std::string(!s.arrived     ? "never-arrived"
+                                    : o.admitted   ? "yes"
+                                                   : "no"),
                         std::string(s.spilled ? "yes" : "no"),
                         static_cast<std::int64_t>(o.arrival_slot),
                         static_cast<std::int64_t>(o.departure_slot), o.weight,

@@ -1,21 +1,23 @@
-// EdgeCluster: the serving runtime sharded across K independent links.
+// EdgeCluster: the serving runtime, over K independent links.
 //
-// The paper's controller is per-session and the single-link SessionManager
-// scales the session count; the next scale axis is the *link*. An EdgeCluster
-// owns K links — each with its own capacity stream, AdmissionController and
-// EdgeScheduler — plus a PlacementPolicy that assigns every arriving session
-// to a link. A session refused by its first-choice link may spill to the
-// next-best link(s) before being refused outright. Once placed, a session
-// lives entirely on its link: the paper's distributed-operation claim is
-// untouched (controllers stay session-local; each link divides only its own
-// capacity; the only new centralized act is the arrival-time placement).
+// The paper's controller is per-session; the serving runtime hosts it on K
+// links. An EdgeCluster owns K per-link engines (SessionManager) — each with
+// its own capacity stream, AdmissionController and EdgeScheduler — plus a
+// PlacementPolicy that assigns every arriving session to a link. A session
+// refused by its first-choice link may spill to the next-best link(s)
+// before being refused outright. Once placed, a session lives entirely on
+// its link: the paper's distributed-operation claim is untouched
+// (controllers stay session-local; each link divides only its own capacity;
+// the only new centralized act is the arrival-time placement).
 //
 // Cluster slot loop (EdgeCluster::step):
 //   1. every link closes its departures (so arrivals see freed reservations
 //      on any link);
 //   2. the cluster places this slot's arrivals: rank links by the placement
 //      policy, try admission in rank order (first choice, then up to
-//      spill_limit spills), refuse when every tried link rejects;
+//      spill_limit spills), refuse when every tried link rejects; then
+//      handover migrates sessions off degraded links, and each link
+//      evaluates brownout on the slot's final reservations;
 //   3. decide: all links' active sessions fan out through ONE deterministic
 //      ParallelExecutor (each session touches only its own state, so any
 //      thread count is bit-identical to serial); each decide is the link's
@@ -26,9 +28,9 @@
 //      demand-struct copy-in) — and per-link ServerMetrics roll up into the
 //      cluster fleet view.
 //
-// With K = 1 and round-robin placement the cluster reproduces
-// run_serving_scenario bit for bit (tested): the single-link runtime is the
-// K = 1 special case.
+// A one-link server is the K = 1 case: run_cluster_scenario with one
+// channel. cluster_test pins its output to golden digests recorded from the
+// standalone single-link runtime this class replaced.
 #pragma once
 
 #include <array>
@@ -37,9 +39,11 @@
 #include <memory>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/status.hpp"
 #include "net/channel.hpp"
 #include "serving/driver/fault.hpp"
+#include "serving/executor.hpp"
 #include "serving/session_manager.hpp"
 
 namespace arvis {
@@ -103,7 +107,8 @@ struct ClusterConfig {
   ServingConfig serving;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   /// Extra links an arrival may try after its first choice rejects it
-  /// (0 = no spill; 1 = the next-best link, the default).
+  /// (0 = no spill; 1 = the next-best link, the default; any value >= K - 1,
+  /// SIZE_MAX included, tries every link).
   std::size_t spill_limit = 1;
   /// Mid-stream session migration (off by default — fault-free runs stay
   /// bit-identical).
@@ -203,8 +208,7 @@ struct FaultBooks {
 struct ClusterMetrics : FaultBooks {
   std::size_t link_count = 0;
   /// Cluster-wide aggregates over every submitted session and the summed
-  /// per-slot link capacities (for K = 1 this equals the single-link
-  /// FleetMetrics bit for bit).
+  /// per-slot link capacities.
   FleetMetrics fleet;
   /// Each link's own fleet view (covers only sessions placed on that link).
   std::vector<FleetMetrics> per_link;
@@ -247,8 +251,8 @@ class EdgeCluster {
   EdgeCluster& operator=(const EdgeCluster&) = delete;
 
   /// Registers a session; placement happens at its arrival slot. Returns the
-  /// cluster-wide session id (submission index). Same spec validation as
-  /// SessionManager::submit.
+  /// cluster-wide session id (submission index). Throws
+  /// std::invalid_argument on a spec SessionManager::validate_spec refuses.
   std::size_t submit(const SessionSpec& spec);
 
   /// Advances one slot. `link_capacity_bytes` holds this slot's capacity for
@@ -360,9 +364,10 @@ class EdgeCluster {
   [[nodiscard]] std::size_t next_pending_arrival_slot() const noexcept;
 
   /// Fast-forwards every link's slot clock across an idle stretch (no active
-  /// sessions on any link). Same contract as
-  /// SessionManager::skip_idle_slots: clamps at the earliest pending
-  /// arrival, skipped slots offer no capacity, returns slots skipped.
+  /// sessions on any link): clamps at the earliest pending arrival (the
+  /// current slot while displaced sessions await re-placement), skipped
+  /// slots offer no capacity, returns slots skipped. Throws
+  /// std::logic_error when sessions are active or the cluster is finished.
   std::size_t skip_idle_slots(std::size_t max_slots);
 
   /// Closes every still-active session at the current slot and returns the
@@ -377,7 +382,10 @@ class EdgeCluster {
   /// Queues an admitted session that has left its link's books (drained by
   /// an outage or an aborted migration) for re-placement next step.
   void displace(Entry& e);
-  void rank_links(const Entry& entry);
+  /// Ranks the links `entry` may be placed on into rank_ and returns how
+  /// many of them placement tries: the first choice plus up to spill_limit
+  /// spills, capped at the ranked (up) links.
+  std::size_t rank_links(const Entry& entry);
   /// The HandoverPolicy slot pass: score links, update hysteresis state,
   /// drain sessions off links in handover, and (when configured) rebalance
   /// one worst-served session onto a link a departure just freed. Runs
@@ -401,8 +409,8 @@ class EdgeCluster {
   std::vector<std::unique_ptr<SessionManager>> links_;
   std::vector<std::unique_ptr<Entry>> entries_;  // submission order
   // Not-yet-arrived entry indices, sorted by (due slot, id); the prefix
-  // before pending_head_ has been consumed (same O(arrivals due) scheme as
-  // SessionManager).
+  // before pending_head_ has been consumed. Keeps the per-slot arrival scan
+  // at O(arrivals due) instead of O(all sessions ever submitted).
   std::vector<std::size_t> pending_;
   std::size_t pending_head_ = 0;
   std::size_t rr_cursor_ = 0;
@@ -446,11 +454,11 @@ class EdgeCluster {
   FlightRecorder* flight_ = nullptr;
 };
 
-/// Convenience one-shot mirroring run_serving_scenario: submits `specs`,
-/// steps `config.serving.steps` slots drawing every link's capacity from its
-/// channel (`channels[k]` drives link k; all non-null), and finishes. Like
-/// run_serving_scenario, a thin wrapper over an EventLoop in fixed-horizon
-/// mode (defined in serving/driver/event_loop.cpp).
+/// The one-shot entry point: submits `specs`, steps `config.serving.steps`
+/// slots drawing every link's capacity from its channel (`channels[k]`
+/// drives link k; all non-null), and finishes. A one-link server passes one
+/// channel. A thin wrapper over an EventLoop in fixed-horizon mode (defined
+/// in serving/driver/event_loop.cpp).
 ClusterResult run_cluster_scenario(const ClusterConfig& config,
                                    const std::vector<SessionSpec>& specs,
                                    const std::vector<ChannelModel*>& channels);

@@ -75,16 +75,6 @@ bool ServingBackend::apply_fault(const FaultEvent& fault) {
   return false;
 }
 
-void SessionManagerBackend::sample(MetricsSnapshot& out,
-                                   std::vector<double>& per_link_used) const {
-  out.active_sessions = manager_->active_count();
-  out.admitted_total = manager_->admission_stats().accepted;
-  out.rejected_total = manager_->admission_stats().rejected;
-  out.capacity_offered_total = manager_->metrics().capacity_offered_total();
-  out.capacity_used_total = manager_->metrics().capacity_used_total();
-  per_link_used.assign(1, out.capacity_used_total);
-}
-
 ClusterBackend::ClusterBackend(EdgeCluster& cluster,
                                std::vector<ChannelModel*> channels)
     : cluster_(&cluster), channels_(std::move(channels)) {
@@ -313,8 +303,8 @@ void EventLoop::write_live_stats(const MetricsSnapshot& snapshot) {
   out += ",\"window_utilization\":" +
          std::to_string(snapshot.window_utilization);
   out += ",\"link_fairness\":" + std::to_string(snapshot.link_load_fairness);
-  // Fault-plane traffic (zeros for a backend without one), so a watcher
-  // sees handover/migration activity next to the failover books live.
+  // Fault-plane traffic, so a watcher sees handover/migration activity next
+  // to the failover books live.
   const FaultPlaneSample fp = backend_->sample_fault_plane();
   out += ",\"failover_displaced\":" + std::to_string(fp.failover_displaced);
   out += ",\"failover_replaced\":" + std::to_string(fp.failover_replaced);
@@ -507,8 +497,8 @@ DriverReport EventLoop::run() {
             if (backend_->apply_fault(fault)) {
               ++report.faults_applied;
             } else {
-              // A backend without a fault plane (or a bad link index in a
-              // hand-written plan) is counted, not fatal — same contract as
+              // A bad link index in a hand-written plan (or a scale the
+              // cluster refuses) is counted, not fatal — same contract as
               // close events.
               ++report.faults_ignored;
               log_info("driver: ", to_string(fault.kind), " event at slot ",
@@ -626,27 +616,11 @@ DriverReport EventLoop::run() {
 }
 
 // --------------------------------------------------------------------------
-// The fixed-horizon one-shots, re-expressed over the event loop. Dense mode
-// (skip_idle off) plus a stop event at `steps` reproduces the pre-driver
-// hand-rolled loops bit for bit: same submit order, one step per slot
+// The fixed-horizon one-shot, re-expressed over the event loop. Dense mode
+// (skip_idle off) plus a stop event at `steps` reproduces a hand-rolled
+// EdgeCluster::step loop bit for bit: same submit order, one step per slot
 // drawing the same capacity sequence, nothing else — asserted in
-// tests/serving_test.cpp and tests/cluster_test.cpp.
-
-ServingResult run_serving_scenario(const ServingConfig& config,
-                                   const std::vector<SessionSpec>& specs,
-                                   ChannelModel& channel) {
-  SessionManager manager(config, channel.mean_capacity_bytes());
-  for (const SessionSpec& spec : specs) manager.submit(spec);
-
-  DriverConfig driver;
-  driver.skip_idle = false;
-  driver.max_slots = kNoSlot;
-  SessionManagerBackend backend(manager, channel);
-  EventLoop loop(driver, backend);
-  loop.schedule_stop(config.steps);
-  loop.run();
-  return manager.finish();
-}
+// tests/cluster_test.cpp.
 
 ClusterResult run_cluster_scenario(const ClusterConfig& config,
                                    const std::vector<SessionSpec>& specs,

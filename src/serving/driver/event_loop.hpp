@@ -37,12 +37,12 @@
 // and the runtime's incremental decide engine sees an uninterrupted run of
 // slots over which its memoized group structure stays valid. With
 // skip_idle off and a stop event armed it degenerates to exactly the old
-// fixed-horizon loop, which is how run_serving_scenario and
-// run_cluster_scenario are now implemented (bit-for-bit, tested): one
-// execution path, two driving styles.
+// fixed-horizon loop, which is how run_cluster_scenario is implemented
+// (bit-for-bit, tested): one execution path, two driving styles.
 //
-// The loop is runtime-agnostic through ServingBackend: the same engine
-// drives a single SessionManager link or a K-link EdgeCluster.
+// The loop reaches the runtime through ServingBackend. The runtime is an
+// EdgeCluster (a one-link server is K = 1), adapted by ClusterBackend;
+// decorators such as perf/'s timing backend wrap that adapter.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +57,6 @@
 #include "serving/cluster.hpp"
 #include "serving/driver/calendar.hpp"
 #include "serving/driver/fault.hpp"
-#include "serving/session_manager.hpp"
 
 namespace arvis {
 
@@ -117,9 +116,7 @@ struct DriverConfig {
   /// Free-form run description echoed into black boxes and live stats
   /// (must be valid JSON when non-empty, e.g. "{\"run\":\"flash-crowd\"}").
   std::string config_echo;
-  /// Retry/backoff loop for refused and fault-evicted sessions. Requires a
-  /// backend with a retry feed (the cluster backend); enabling it against a
-  /// backend without one is a no-op.
+  /// Retry/backoff loop for refused and fault-evicted sessions.
   RetryConfig retry;
 };
 
@@ -165,9 +162,8 @@ struct DriverReport {
   std::size_t closes_ignored = 0;
   /// True when DriverConfig::max_slots ended the run.
   bool hit_slot_cap = false;
-  /// Fault events the backend accepted / refused (a single-link backend has
-  /// no fault plane, so every fault on it counts as ignored). The per-kind
-  /// mix and the failover/migration books live in ClusterMetrics.
+  /// Fault events the backend accepted / refused. The per-kind mix and the
+  /// failover/migration books live in ClusterMetrics.
   std::size_t faults_applied = 0;
   std::size_t faults_ignored = 0;
   /// Retry arrivals scheduled from the backend's feed, and seeds dropped
@@ -197,13 +193,13 @@ struct DriverReport {
   [[nodiscard]] CsvTable snapshot_table() const;
 };
 
-/// Cumulative fault-plane books a backend can surface mid-run (all zero for
-/// a backend without one), sampled for live stats at every snapshot so
-/// watchers see handover traffic next to the failover books it extends.
+/// Cumulative fault-plane books a backend surfaces mid-run, sampled for live
+/// stats at every snapshot so watchers see handover traffic next to the
+/// failover books it extends.
 using FaultPlaneSample = FaultBooks;
 
-/// The slice of a serving runtime the EventLoop needs. Implementations own
-/// nothing — they adapt a caller-owned runtime + channel stream(s).
+/// The slice of the serving runtime the EventLoop needs. Implementations own
+/// nothing — they adapt a caller-owned runtime + channel streams.
 class ServingBackend {
  public:
   virtual ~ServingBackend() = default;
@@ -230,7 +226,7 @@ class ServingBackend {
   virtual void skip_idle_slots(std::size_t slots) = 0;
   /// Samples cumulative counters into `out` (slot/window fields are the
   /// loop's job) and per-link cumulative used bytes into `per_link_used`
-  /// (resized; one entry per link, a single entry for one-link runtimes).
+  /// (resized; one entry per link).
   virtual void sample(MetricsSnapshot& out,
                       std::vector<double>& per_link_used) const = 0;
   /// Folds the runtime's SLO sample into `observation` (additive —
@@ -238,33 +234,24 @@ class ServingBackend {
   /// Non-const: the delay percentile uses the runtime's reusable scratch.
   virtual void sample_slo(SloObservation& observation) = 0;
 
-  // -- Fault plane (optional; defaults describe a backend without one) --
+  // -- Fault plane ---------------------------------------------------------
   /// Applies one fault event now: the loop's single entry point, which
-  /// routes the event's kind to the per-kind hook below. False =
-  /// unsupported or bad input.
+  /// routes the event's kind to the per-kind hook below. False = bad input.
   bool apply_fault(const FaultEvent& fault);
   /// Per-kind hooks behind apply_fault (decorators override these to see
-  /// every fault). False = unsupported or bad input.
-  virtual bool apply_link_state(std::size_t /*link*/, bool /*down*/) {
-    return false;
-  }
-  virtual bool apply_capacity_scale(std::size_t /*link*/, double /*scale*/) {
-    return false;
-  }
-  virtual bool apply_link_degrade(std::size_t /*link*/, double /*scale*/,
-                                  double /*delay*/) {
-    return false;
-  }
-  /// Samples the backend's cumulative fault-plane counters (failover +
-  /// migration books); the default backend has none.
-  [[nodiscard]] virtual FaultPlaneSample sample_fault_plane() const {
-    return {};
-  }
+  /// every fault). False = bad input.
+  virtual bool apply_link_state(std::size_t link, bool down) = 0;
+  virtual bool apply_capacity_scale(std::size_t link, double scale) = 0;
+  virtual bool apply_link_degrade(std::size_t link, double scale,
+                                  double delay) = 0;
+  /// Samples the runtime's cumulative fault-plane counters (failover +
+  /// migration books).
+  [[nodiscard]] virtual FaultPlaneSample sample_fault_plane() const = 0;
   /// Turns on retry-seed collection (refusals/evictions feed the driver).
-  virtual void enable_retry_feed() {}
-  [[nodiscard]] virtual bool retry_feed_pending() const { return false; }
+  virtual void enable_retry_feed() = 0;
+  [[nodiscard]] virtual bool retry_feed_pending() const = 0;
   /// Moves the pending seeds into `out` (appended) and clears the feed.
-  virtual void take_retry_feed(std::vector<RetrySeed>& out) { (void)out; }
+  virtual void take_retry_feed(std::vector<RetrySeed>& out) = 0;
 };
 
 /// Pull-based arrival feed: the incremental alternative to scheduling every
@@ -282,42 +269,6 @@ class ArrivalSource {
   [[nodiscard]] virtual std::size_t next_slot() const = 0;
   /// Appends the batch due at next_slot() to `out` and advances.
   virtual void take(std::vector<SessionSpec>& out) = 0;
-};
-
-/// Adapts a single-link SessionManager + its capacity stream.
-class SessionManagerBackend final : public ServingBackend {
- public:
-  SessionManagerBackend(SessionManager& manager, ChannelModel& channel)
-      : manager_(&manager), channel_(&channel) {}
-
-  [[nodiscard]] std::size_t slot() const override { return manager_->slot(); }
-  [[nodiscard]] std::size_t active_count() const override {
-    return manager_->active_count();
-  }
-  [[nodiscard]] std::size_t next_pending_arrival_slot() const override {
-    return manager_->next_pending_arrival_slot();
-  }
-  std::size_t submit(const SessionSpec& spec) override {
-    return manager_->submit(spec);
-  }
-  void step_slot() override {
-    manager_->step(channel_->next_capacity_bytes());
-  }
-  bool close_session(std::size_t session_id) override {
-    return manager_->request_close(session_id);
-  }
-  void skip_idle_slots(std::size_t slots) override {
-    manager_->skip_idle_slots(slots);
-  }
-  void sample(MetricsSnapshot& out,
-              std::vector<double>& per_link_used) const override;
-  void sample_slo(SloObservation& observation) override {
-    manager_->accumulate_slo(observation);
-  }
-
- private:
-  SessionManager* manager_;
-  ChannelModel* channel_;
 };
 
 /// Per-channel mean capacities (the admission calibration input), after
@@ -389,8 +340,8 @@ class ClusterBackend final : public ServingBackend {
 };
 
 /// The calendar-driven engine. Schedule events, then run() once; harvest
-/// the runtime's results from the backend's underlying object afterwards
-/// (manager.finish() / cluster.finish()). Not thread-safe; one loop per run.
+/// the runtime's results from the backend's underlying cluster afterwards
+/// (cluster.finish()). Not thread-safe; one loop per run.
 class EventLoop {
  public:
   /// The backend must outlive the loop.

@@ -65,32 +65,4 @@ FleetMetrics ServerMetrics::fleet() const {
   return fleet;
 }
 
-CsvTable ServerMetrics::session_table() const {
-  CsvTable table({"session", "admitted", "arrival", "departure", "weight",
-                  "avg_quality", "avg_backlog", "mean_depth", "verdict"});
-  for (const SessionMetrics& s : sessions_) {
-    if (s.admitted && s.has_summary) {
-      table.add_row({static_cast<std::int64_t>(s.session_id),
-                     std::string("yes"),
-                     static_cast<std::int64_t>(s.arrival_slot),
-                     static_cast<std::int64_t>(s.departure_slot), s.weight,
-                     s.summary.time_average_quality,
-                     s.summary.time_average_backlog, s.summary.mean_depth,
-                     std::string(s.summary.partial
-                                     ? "too-short"
-                                     : to_string(s.summary.stability.verdict))});
-    } else {
-      table.add_row({static_cast<std::int64_t>(s.session_id),
-                     std::string(!s.arrived     ? "never-arrived"
-                                 : s.admitted   ? "yes"
-                                                : "no"),
-                     static_cast<std::int64_t>(s.arrival_slot),
-                     static_cast<std::int64_t>(s.departure_slot), s.weight,
-                     std::monostate{}, std::monostate{}, std::monostate{},
-                     std::string("-")});
-    }
-  }
-  return table;
-}
-
 }  // namespace arvis

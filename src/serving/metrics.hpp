@@ -7,11 +7,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
-#include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "sim/trace.hpp"
 
 namespace arvis {
@@ -84,7 +81,7 @@ struct FleetMetrics {
 };
 
 /// Aggregate builder the serving runtime feeds slot by slot and session by
-/// session; turns into FleetMetrics and report tables at the end.
+/// session; turns into FleetMetrics at the end.
 class ServerMetrics {
  public:
   /// Records one slot's link-level outcome.
@@ -120,11 +117,6 @@ class ServerMetrics {
 
   /// Computes the fleet aggregates from everything recorded so far.
   [[nodiscard]] FleetMetrics fleet() const;
-
-  /// Per-session report: one row per session (id, admitted, window, weight,
-  /// quality, backlog, depth, verdict) — the serving-side analogue of
-  /// analysis/report's summary_table.
-  [[nodiscard]] CsvTable session_table() const;
 
  private:
   std::vector<SessionMetrics> sessions_;

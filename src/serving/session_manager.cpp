@@ -13,7 +13,6 @@ SessionManager::SessionManager(const ServingConfig& config,
       mean_capacity_bytes_(mean_capacity_bytes),
       admission_(config.admission, mean_capacity_bytes),
       scheduler_(make_scheduler(config.policy)),
-      executor_(config.threads),
       store_(config.candidates, config.v) {
   if (config_.steps == 0) {
     throw std::invalid_argument("SessionManager: steps must be > 0");
@@ -95,9 +94,9 @@ void SessionManager::validate_spec(const SessionSpec& spec) const {
     throw std::invalid_argument(
         "SessionManager: departure must be after arrival");
   }
-  // A spec submitted between steps may declare an arrival in the past (it
-  // simply arrives now), but a window that has entirely elapsed can never
-  // stream a slot inside its declared lifetime.
+  // A spec placed after its declared arrival simply arrives now, but a
+  // window that has entirely elapsed can never stream a slot inside its
+  // declared lifetime.
   if (spec.departure_slot <= slot_) {
     throw std::invalid_argument(
         "SessionManager: departure slot already elapsed");
@@ -108,29 +107,6 @@ void SessionManager::validate_spec(const SessionSpec& spec) const {
   if (spec.qos >= kSloTiers) {
     throw std::invalid_argument("SessionManager: qos tier out of range");
   }
-}
-
-std::size_t SessionManager::submit(const SessionSpec& spec) {
-  if (finished_) {
-    throw std::logic_error("SessionManager::submit: already finished");
-  }
-  validate_spec(spec);
-  ServingSession& s = store_.create(store_.session_count(), spec);
-  s.due_slot = std::max(spec.arrival_slot, slot_);
-  metrics_.reserve_sessions(store_.session_count());
-  // Keep pending_ sorted by (due, id). Ids grow with submission order, so
-  // the insertion point is found among the not-yet-consumed suffix; same-due
-  // sessions stay in submission order, preserving admission ordering.
-  const auto begin =
-      pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_);
-  const auto pos = std::upper_bound(
-      begin, pending_.end(), &s,
-      [](const ServingSession* a, const ServingSession* b) {
-        if (a->due_slot != b->due_slot) return a->due_slot < b->due_slot;
-        return a->id < b->id;
-      });
-  pending_.insert(pos, &s);
-  return s.id;
 }
 
 void SessionManager::close_departures() {
@@ -162,49 +138,6 @@ void SessionManager::activate(ServingSession& s) {
   store_.activate(s, slot_);
 }
 
-void SessionManager::admit_arrivals() {
-  while (pending_head_ < pending_.size() &&
-         pending_[pending_head_]->due_slot <= slot_) {
-    ServingSession& s = *pending_[pending_head_++];
-    // Cancelled by an external-close event before arrival: admission never
-    // sees it; it stays kPending and reports as never-arrived.
-    if (s.cancelled) continue;
-    const AdmissionDecision decision =
-        admission_.try_admit(*s.spec.cache, config_.candidates);
-    s.admitted = decision.admitted;
-    s.cheapest_load = decision.cheapest_load;
-    s.max_sustainable_depth = decision.max_sustainable_depth;
-    s.arrival_actual = slot_;
-    if (c_adm_accept_ != nullptr) {
-      (decision.admitted ? c_adm_accept_ : c_adm_reject_)->add(1);
-    }
-    ++(decision.admitted ? tier_accepted_ : tier_rejected_)[s.spec.qos];
-    if (decision.admitted) {
-      activate(s);
-      if (flight_ != nullptr) {
-        flight_->record(FlightEventKind::kAdmit, slot_, tid_,
-                        static_cast<double>(s.id),
-                        static_cast<double>(store_.active_count()));
-      }
-    } else {
-      s.phase = SessionPhase::kClosed;
-      s.departure_actual = slot_;
-      if (flight_ != nullptr) {
-        flight_->record(FlightEventKind::kReject, slot_, tid_,
-                        static_cast<double>(s.id),
-                        static_cast<double>(store_.active_count()));
-      }
-    }
-  }
-  // Compact the consumed prefix once it dominates the buffer, keeping the
-  // amortized per-arrival cost O(1) without unbounded growth.
-  if (pending_head_ > 64 && pending_head_ * 2 >= pending_.size()) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
-    pending_head_ = 0;
-  }
-}
-
 AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
                                             std::size_t session_id) {
   if (finished_) {
@@ -227,10 +160,8 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
   }
   ServingSession& s = store_.create(session_id, spec);
   metrics_.reserve_sessions(store_.session_count());
-  s.admitted = true;
   s.cheapest_load = decision.cheapest_load;
   s.max_sustainable_depth = decision.max_sustainable_depth;
-  s.due_slot = slot_;
   s.arrival_actual = slot_;
   activate(s);
   if (flight_ != nullptr) {
@@ -246,22 +177,12 @@ bool SessionManager::request_close(std::size_t session_id) {
     throw std::logic_error("SessionManager::request_close: already finished");
   }
   ServingSession* s = store_.find(session_id);
-  if (s == nullptr) return false;
-  switch (s->phase) {
-    case SessionPhase::kClosed:
-      return false;
-    case SessionPhase::kActive:
-      // Departing "now": close_departures() retires departure_slot <= slot_
-      // at the next begin_slot(), before this slot streams.
-      s->spec.departure_slot = slot_;
-      store_.mirror_departure(*s);
-      return true;
-    case SessionPhase::kPending:
-      if (s->cancelled) return false;
-      s->cancelled = true;
-      return true;
-  }
-  return false;
+  if (s == nullptr || s->phase != SessionPhase::kActive) return false;
+  // Departing "now": close_departures() retires departure_slot <= slot_ at
+  // the next begin_slot(), before this slot streams.
+  s->spec.departure_slot = slot_;
+  store_.mirror_departure(*s);
+  return true;
 }
 
 void SessionManager::begin_slot() {
@@ -269,12 +190,7 @@ void SessionManager::begin_slot() {
     throw std::logic_error("SessionManager::begin_slot: already finished");
   }
   const PhaseSpan span(tracer_, Phase::kBeginSlot, slot_, tid_);
-  // Departures first so a same-slot arrival sees the freed reservation.
   close_departures();
-  admit_arrivals();
-  // Brownout evaluation sees the slot's final reservation level — a policy
-  // that is off costs the slot loop exactly this branch.
-  if (config_.degradation.enabled) evaluate_brownout();
 }
 
 void SessionManager::evaluate_brownout() {
@@ -461,14 +377,6 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
   return SlotReport{capacity_bytes, used, n};
 }
 
-void SessionManager::step(double capacity_bytes) {
-  begin_slot();
-  // Decide phase: the incremental engine when serial, the per-session
-  // executor fan-out when parallel — bit-identical decisions either way.
-  decide_phase();
-  finish_slot(capacity_bytes);
-}
-
 std::size_t SessionManager::active_count() const noexcept {
   return store_.active_count();
 }
@@ -536,12 +444,7 @@ const AdmissionStats& SessionManager::admission_stats() const noexcept {
   return admission_.stats();
 }
 
-std::size_t SessionManager::next_pending_arrival_slot() const noexcept {
-  return pending_head_ < pending_.size() ? pending_[pending_head_]->due_slot
-                                         : kNeverDeparts;
-}
-
-std::size_t SessionManager::skip_idle_slots(std::size_t max_slots) {
+void SessionManager::skip_idle_slots(std::size_t slots) {
   if (finished_) {
     throw std::logic_error("SessionManager::skip_idle_slots: already finished");
   }
@@ -549,13 +452,7 @@ std::size_t SessionManager::skip_idle_slots(std::size_t max_slots) {
     throw std::logic_error(
         "SessionManager::skip_idle_slots: sessions are active");
   }
-  std::size_t slots = max_slots;
-  if (pending_head_ < pending_.size()) {
-    const std::size_t due = pending_[pending_head_]->due_slot;
-    slots = due > slot_ ? std::min(slots, due - slot_) : 0;
-  }
   slot_ += slots;
-  return slots;
 }
 
 ServingResult SessionManager::finish() {
@@ -576,18 +473,15 @@ ServingResult SessionManager::finish() {
   result.sessions.reserve(store_.session_count());
   for (std::size_t pos = 0; pos < store_.session_count(); ++pos) {
     ServingSession& s = store_.session(pos);
-    // A session whose arrival slot was never reached is reported as not
-    // admitted with an empty window (admission never saw it).
-    if (s.phase == SessionPhase::kPending) s.departure_actual = s.arrival_actual;
-
     SessionMetrics metrics;
     metrics.session_id = s.id;
-    metrics.arrived = s.phase != SessionPhase::kPending;
-    metrics.admitted = s.admitted;
+    // Every session on a link was placed on it: arrived and admitted.
+    metrics.arrived = true;
+    metrics.admitted = true;
     metrics.arrival_slot = s.arrival_actual;
     metrics.departure_slot = s.departure_actual;
     metrics.weight = s.spec.weight;
-    if (s.admitted && !s.trace.empty()) {
+    if (!s.trace.empty()) {
       metrics.has_summary = true;
       metrics.summary = s.trace.summarize_partial();
     }
@@ -595,7 +489,7 @@ ServingResult SessionManager::finish() {
 
     SessionOutcome outcome;
     outcome.id = s.id;
-    outcome.admitted = s.admitted;
+    outcome.admitted = true;
     outcome.arrival_slot = s.arrival_actual;
     outcome.departure_slot = s.departure_actual;
     outcome.weight = s.spec.weight;
@@ -606,12 +500,7 @@ ServingResult SessionManager::finish() {
     result.sessions.push_back(std::move(outcome));
   }
   result.fleet = metrics_.fleet();
-  result.session_table = metrics_.session_table();
   return result;
 }
-
-// run_serving_scenario is defined in serving/driver/event_loop.cpp: the
-// fixed-horizon loop is now a thin wrapper over the event-driven driver, so
-// the driver is the single execution path.
 
 }  // namespace arvis

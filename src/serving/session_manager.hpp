@@ -1,22 +1,27 @@
-// The multi-session edge serving runtime.
+// The per-link serving engine.
 //
-// Owns the session lifecycle the seed's per-bench loops could not express:
-// sessions arrive mid-run (through admission control), stream for a window,
-// and depart, while a pluggable scheduler divides each slot's link capacity
-// and every session's depth decisions stay purely local (the paper's
+// A SessionManager is one edge link: its admission controller, its
+// EdgeScheduler and the sessions streaming on it. It does not own a session
+// lifecycle of its own — EdgeCluster, the one serving runtime, places every
+// session onto a link (try_place, or place_migrated for a live migration),
+// routes external closes to it, and drives its slot phases. A one-link
+// server is a K = 1 cluster (run_cluster_scenario with one channel). Every
+// session's depth decisions stay purely local (the paper's
 // distributed-operation claim survives intact — the only centralized pieces
 // are the link dividing its own capacity and the edge refusing sessions that
 // cannot fit its stability region).
 //
-// Slot loop (SessionManager::step):
-//   1. close this slot's departures, then admit its arrivals (so a
-//      same-slot arrival sees the freed link reservation);
+// Slot phases, as EdgeCluster::step calls them:
+//   1. begin_slot(): close this slot's departures (so a same-slot placement
+//      sees the freed link reservation); placements and migrations follow,
+//      then evaluate_brownout() when the degradation policy is on;
 //   2. decide: every active session runs its own controller on local state
-//      (fanned out across the executor — sessions are independent, so the
-//      result is bit-identical for any thread count);
-//   3. schedule: the EdgeScheduler divides the slot's capacity;
-//   4. drain: queues advance, per-session traces (16 bytes per slot, decoded
-//      on read — see session_trace.hpp) and fleet metrics record.
+//      (decide_all_sessions, or decide_session(i) fanned out across the
+//      cluster's executor — sessions are independent, so the result is
+//      bit-identical for any thread count);
+//   3. finish_slot(): the EdgeScheduler divides the slot's capacity, queues
+//      drain, per-session traces (16 bytes per slot, decoded on read — see
+//      session_trace.hpp) and link metrics record.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -35,9 +40,7 @@
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
-#include "net/channel.hpp"
 #include "serving/admission.hpp"
-#include "serving/executor.hpp"
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session_store.hpp"
@@ -51,7 +54,7 @@
 
 namespace arvis {
 
-/// Brownout degradation: under overload or reduced capacity the manager
+/// Brownout degradation: under overload or reduced capacity a link
 /// lowers the per-QoS quality ceiling (restricting each session's decide
 /// candidate set to a prefix) *before* admission starts hard-rejecting —
 /// everyone streams a little worse instead of newcomers streaming not at
@@ -90,7 +93,8 @@ struct ServingConfig {
   /// calibrate with calibrate_streaming_v).
   double v = 0.0;
   AdmissionConfig admission;
-  /// Executor width for the decide phase; 1 = serial, 0 = all cores.
+  /// Width of the cluster's decide executor (EdgeCluster reads it; a link
+  /// runs its own phases inline); 1 = serial, 0 = all cores.
   std::size_t threads = 1;
   /// Averaging window (slots) of the per-session served-bytes EWMA fed to
   /// the proportional-fair scheduler: alpha = 1 / window. 0 (default)
@@ -131,21 +135,19 @@ struct SessionOutcome {
   SessionTrace trace;
 };
 
+/// One link's books at finish(), folded into the cluster's result by
+/// EdgeCluster::finish.
 struct ServingResult {
-  std::vector<SessionOutcome> sessions;  // in submission order
+  std::vector<SessionOutcome> sessions;  // in placement order
   AdmissionStats admission;
   FleetMetrics fleet;
-  /// Per-session report table (ServerMetrics::session_table()).
-  CsvTable session_table = CsvTable({"session"});
 };
 
-/// The serving runtime. Submit sessions up front (or between steps), then
-/// drive it one slot at a time; finish() closes the books. Not thread-safe —
-/// one manager per run; the parallelism is inside step().
+/// One link of an EdgeCluster. Not thread-safe; the cluster drives it.
 class SessionManager {
  public:
   /// `mean_capacity_bytes` calibrates admission (ChannelModel::
-  /// mean_capacity_bytes() of the link the run will use). Throws
+  /// mean_capacity_bytes() of the stream that drives this link). Throws
   /// std::invalid_argument on an empty or non-ascending candidate set,
   /// steps == 0, or a bad admission config.
   SessionManager(const ServingConfig& config, double mean_capacity_bytes);
@@ -154,24 +156,13 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Registers a session; it stays pending until its arrival slot, when
-  /// admission decides. Returns the session id (submission index). Throws
-  /// std::invalid_argument on a null cache, a candidate outside the cache's
-  /// depth range, or departure <= arrival.
-  std::size_t submit(const SessionSpec& spec);
-
-  /// Advances one slot, consuming `capacity_bytes` of link capacity.
-  /// Equivalent to begin_slot() + decide over all active sessions +
-  /// finish_slot(capacity_bytes).
-  void step(double capacity_bytes);
-
   // --- Phase API -----------------------------------------------------------
-  // step() split open so an external driver (EdgeCluster) can interleave the
-  // phases of several links: close/admit everywhere, place cross-link
-  // arrivals, fan the decide work of *all* links through one executor, then
-  // drain each link with its own capacity draw. Call order per slot:
-  // begin_slot() [+ try_place()*] -> decide_session(i) for i in
-  // [0, decide_width()) -> finish_slot(). step() composes exactly these.
+  // EdgeCluster interleaves the phases of its links: close everywhere, place
+  // cross-link arrivals, fan the decide work of *all* links through one
+  // executor, then drain each link with its own capacity draw. Call order
+  // per slot: begin_slot() [+ try_place()* / place_migrated()*]
+  // [+ evaluate_brownout()] -> decide_all_sessions(), or decide_session(i)
+  // for i in [0, decide_width()) -> finish_slot().
 
   /// Link-level outcome of one slot, returned by finish_slot() so external
   /// drivers can aggregate fleet metrics across links.
@@ -182,9 +173,16 @@ class SessionManager {
     std::size_t active_sessions = 0;
   };
 
-  /// Closes this slot's departures, then admits its due internal arrivals
-  /// (so a same-slot arrival sees the freed link reservation).
+  /// Closes this slot's departures, so a same-slot placement sees the freed
+  /// link reservation.
   void begin_slot();
+
+  /// The degradation policy's per-slot pass: enters or exits brownout from
+  /// this slot's reservation level, so call it after the slot's placements
+  /// and migrations and before decide — a same-slot arrival then decides
+  /// under the ceiling it caused. Only for an enabled policy (the one the
+  /// constructor validated); EdgeCluster gates the call on it.
+  void evaluate_brownout();
 
   /// Active sessions this slot (the decide fan-out width).
   [[nodiscard]] std::size_t decide_width() const noexcept {
@@ -198,25 +196,11 @@ class SessionManager {
   /// count. Allocation-free, virtual-dispatch-free, log10-free.
   void decide_session(std::size_t i) { store_.decide(i); }
 
-  /// The whole decide phase for this slot: the incremental memoized engine
-  /// (group by exact inputs, blocked argmax per distinct key, fan out) when
-  /// the manager's executor is serial, the scalar per-session fan-out
-  /// otherwise. Both produce bit-identical decisions (the engine is exact
-  /// memoization, asserted by the bench_hot_path oracle and the
-  /// parallel==serial test).
-  void decide_phase() {
-    if (executor_.threads() > 1) {
-      const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
-      executor_.parallel_for(store_.active_count(),
-                             [this](std::size_t i) { decide_session(i); });
-    } else {
-      decide_all_sessions();
-    }
-  }
-
-  /// The serial incremental decide engine, for external drivers that manage
-  /// their own fan-out (EdgeCluster runs each link's engine inline when its
-  /// executor is serial).
+  /// The serial incremental decide engine (group by exact inputs, blocked
+  /// argmax per distinct key, fan out). EdgeCluster runs it inline on each
+  /// link when its executor is serial; it decides bit-identically to the
+  /// per-session fan-out (the engine is exact memoization, asserted by the
+  /// bench_hot_path oracle and the parallel==serial test).
   void decide_all_sessions() {
     const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
     store_.decide_all();
@@ -234,14 +218,13 @@ class SessionManager {
   /// queues, records metrics, and advances the slot clock.
   SlotReport finish_slot(double capacity_bytes);
 
-  /// External-placement hook (EdgeCluster): runs this link's admission on
-  /// `spec` right now. On accept the session is created *active at the
-  /// current slot* under the caller-assigned `session_id` (which also seeds
-  /// the per-session RNG stream, so placement decisions never perturb
-  /// another session's randomness). On reject nothing is recorded beyond
-  /// admission stats — the caller may spill the session to another link.
-  /// Same validation as submit(). Call between begin_slot() and the decide
-  /// phase.
+  /// The placement hook (EdgeCluster): runs this link's admission on `spec`
+  /// right now. On accept the session is created *active at the current
+  /// slot* under the caller-assigned `session_id` (which also seeds the
+  /// per-session RNG stream, so placement decisions never perturb another
+  /// session's randomness). On reject nothing is recorded beyond admission
+  /// stats — the caller may spill the session to another link. Validates
+  /// with validate_spec(). Call between begin_slot() and the decide phase.
   AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
 
   /// The link's admission state (reserved load / residual capacity), for
@@ -250,27 +233,25 @@ class SessionManager {
     return admission_;
   }
 
-  /// External-close control: ends session `session_id` at the current slot.
-  /// An active session departs before this slot streams (its trace covers
-  /// [arrival, now)); a still-pending session is cancelled and reports as
-  /// never-arrived. Returns false for unknown or already-closed ids, true
-  /// when the close/cancel took effect. Call between slots or before the
-  /// decide phase (the driver fires close events before stepping the slot).
+  /// External-close control: ends active session `session_id` at the
+  /// current slot, before this slot streams (its trace covers
+  /// [arrival, now)). Returns false for unknown or already-closed ids, true
+  /// when the close took effect. Call between slots or before the decide
+  /// phase (the driver fires close events before stepping the slot).
   bool request_close(std::size_t session_id);
 
-  /// The spec checks submit()/try_place() apply (null cache, candidate
-  /// range, window ordering, elapsed departure, negative weight). Public so
-  /// external drivers validate at their own door with the same rules
-  /// instead of re-implementing them. Throws std::invalid_argument.
+  /// The spec checks try_place() applies (null cache, candidate range,
+  /// window ordering, elapsed departure, negative weight, QoS tier). Public
+  /// so EdgeCluster validates at its own door with the same rules instead of
+  /// re-implementing them. Throws std::invalid_argument.
   void validate_spec(const SessionSpec& spec) const;
 
   // --- Fault plane -----------------------------------------------------------
 
   /// Force-closes every active session at the current slot (the link went
   /// down), appending each one's id and live spec to `out` so the caller can
-  /// re-place them elsewhere. Pending internal arrivals stay pending — a
-  /// recovered link admits them normally. Admission reservations are
-  /// released; lifetimes are recorded like ordinary closes. Returns the
+  /// re-place them elsewhere. Admission reservations are released;
+  /// lifetimes are recorded like ordinary closes. Returns the
   /// number evicted. Allocation only when `out` grows — a fault edge, never
   /// steady-state work.
   std::size_t evict_all_active(std::vector<EvictedSession>& out);
@@ -289,7 +270,7 @@ class SessionManager {
   /// spec and hot state into `out`, then retires it from this link exactly
   /// like an eviction (admission reservation released, lifetime recorded,
   /// kClose flight event). Returns false when the id is not active here —
-  /// pending and closed sessions cannot migrate. A handover edge, never
+  /// closed sessions cannot migrate. A handover edge, never
   /// steady-state work.
   bool extract_session(std::size_t session_id, MigratedSession& out);
 
@@ -317,9 +298,6 @@ class SessionManager {
   /// capacity and is the bitwise identity. Throws std::invalid_argument on a
   /// non-finite or negative scale.
   void set_capacity_scale(double scale);
-  [[nodiscard]] double capacity_scale() const noexcept {
-    return admission_.capacity_scale();
-  }
 
   /// True while the degradation policy has the quality ceilings lowered.
   [[nodiscard]] bool brownout_active() const noexcept { return brownout_; }
@@ -328,8 +306,6 @@ class SessionManager {
     return brownout_enters_;
   }
 
-  /// Slots elapsed.
-  [[nodiscard]] std::size_t slot() const noexcept { return slot_; }
   /// Sessions currently streaming.
   [[nodiscard]] std::size_t active_count() const noexcept;
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept;
@@ -355,30 +331,22 @@ class SessionManager {
   /// never part of the slot loop.
   [[nodiscard]] Status validate_store() const { return store_.validate(); }
 
-  /// Due slot of the earliest not-yet-admitted internal arrival, or
-  /// kNeverDeparts when none are pending. Lets an external driver know how
-  /// far it may fast-forward an idle link.
-  [[nodiscard]] std::size_t next_pending_arrival_slot() const noexcept;
-
-  /// Fast-forwards the slot clock across an idle stretch: no sessions are
-  /// active, so the skipped slots would only have drawn and wasted capacity.
-  /// Skipped slots offer no capacity and record no metrics — an event-driven
-  /// server does not burn link time while nobody streams. Clamps at the
-  /// earliest pending internal arrival's due slot and returns the slots
-  /// actually skipped. Throws std::logic_error when sessions are active or
-  /// the manager is finished.
-  std::size_t skip_idle_slots(std::size_t max_slots);
+  /// Fast-forwards the slot clock `slots` slots across an idle stretch: no
+  /// sessions are active, so the skipped slots would only have drawn and
+  /// wasted capacity. Skipped slots offer no capacity and record no metrics
+  /// — an event-driven server does not burn link time while nobody streams.
+  /// Throws std::logic_error when sessions are active or the manager is
+  /// finished.
+  void skip_idle_slots(std::size_t slots);
 
   /// Closes every still-active session at the current slot and returns the
-  /// full result. The manager is spent afterwards (submit/step throw).
+  /// link's books. The manager is spent afterwards (the phase calls throw).
   ServingResult finish();
 
  private:
-  void admit_arrivals();
   void close_departures();
   void activate(ServingSession& s);
   void register_telemetry();
-  void evaluate_brownout();
 
   ServingConfig config_;
   /// Mean link capacity admission calibrated against; the SLO sampler's
@@ -386,14 +354,8 @@ class SessionManager {
   double mean_capacity_bytes_ = 0.0;
   AdmissionController admission_;
   std::unique_ptr<EdgeScheduler> scheduler_;
-  ParallelExecutor executor_;
   /// The session arena: cold slab + hot SoA mirrors (see session_store.hpp).
   SessionStore store_;
-  // Not-yet-arrived sessions, sorted by (due slot, id); the prefix before
-  // pending_head_ has been consumed. Keeps the per-slot arrival scan at
-  // O(arrivals due) instead of O(all sessions ever submitted).
-  std::vector<ServingSession*> pending_;
-  std::size_t pending_head_ = 0;
   ServerMetrics metrics_;
   std::size_t slot_ = 0;
   bool finished_ = false;
@@ -432,8 +394,8 @@ class SessionManager {
   /// fast->generic transition edge is a flight event.
   bool last_slot_generic_ = false;
 
-  // SLO accounting: cumulative per-tier admission outcomes (both internal
-  // arrivals and external placements) and the snapshot-time delay scratch
+  // SLO accounting: cumulative per-tier admission outcomes (placements and
+  // migration injections) and the snapshot-time delay scratch
   // ([tier 0..2] + [all tiers]).
   std::uint64_t tier_accepted_[kSloTiers] = {};
   std::uint64_t tier_rejected_[kSloTiers] = {};
@@ -446,15 +408,5 @@ class SessionManager {
   std::vector<std::uint32_t> tier_limit_scratch_;
   TelemetryCounter* c_brownout_ = nullptr;
 };
-
-/// Convenience one-shot: submits `specs`, steps `config.steps` slots drawing
-/// capacity from `channel`, and finishes. The usual entry point for benches
-/// and the edge wrapper. Since the event-driven driver landed this is a thin
-/// wrapper over an EventLoop in fixed-horizon mode (defined in
-/// serving/driver/event_loop.cpp) — one execution path, bit-for-bit the
-/// results the hand-rolled loop produced (tested).
-ServingResult run_serving_scenario(const ServingConfig& config,
-                                   const std::vector<SessionSpec>& specs,
-                                   ChannelModel& channel);
 
 }  // namespace arvis

@@ -151,15 +151,8 @@ struct ServingSession {
   /// other session's stream.
   Rng rng;
   SessionPhase phase = SessionPhase::kPending;
-  bool admitted = false;
-  /// Cancelled by an external-close control event before it ever arrived;
-  /// admission skips it and it reports as never-arrived.
-  bool cancelled = false;
   int max_sustainable_depth = 0;
   double cheapest_load = 0.0;
-  /// First slot admission may consider this session: the declared arrival,
-  /// or the submission-time slot when the declared arrival already elapsed.
-  std::size_t due_slot = 0;
   /// Slot the session actually became active; session-local frame time
   /// counts from here.
   std::size_t arrival_actual = 0;

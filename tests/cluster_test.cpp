@@ -1,13 +1,14 @@
-// Tests for the multi-link EdgeCluster: the K = 1 / round-robin special case
-// must reproduce the single-link runtime bit for bit, placement policies must
-// differ where they should (least-loaded rescues skewed bursts round-robin
-// strands; best-fit packs tight links first), parallel decide fan-out must be
-// bit-identical to serial, and the steady-state slot loop must be
-// allocation-free (counting global operator new probe).
+// Tests for the EdgeCluster serving runtime: the K = 1 case must reproduce
+// the golden digests of the single-link runtime it replaced, placement
+// policies must differ where they should (least-loaded rescues skewed bursts
+// round-robin strands; best-fit packs tight links first), parallel decide
+// fan-out must be bit-identical to serial, and the steady-state slot loop
+// must be allocation-free (counting global operator new probe).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,9 @@
 #include "serving/admission.hpp"
 #include "serving/cluster.hpp"
 #include "serving/session_manager.hpp"
+#include "serving/telemetry/registry.hpp"
 #include "support/alloc_probe.hpp"
+#include "support/run_digest.hpp"
 
 using arvis_test::g_allocations;
 
@@ -69,77 +72,56 @@ void expect_traces_bit_identical(const Trace& a, const Trace& b) {
   }
 }
 
-// ---------------------------------------------------- K = 1 equivalence ----
+// --------------------------------------------- K = 1 golden digests ----
 
-TEST(EdgeClusterTest, K1RoundRobinReproducesSingleLinkBitForBit) {
-  ServingConfig serving = base_serving_config();
-  serving.steps = 150;
-  serving.policy = SchedulerPolicy::kProportionalFair;
-  const auto specs = churn_specs(9);
-  const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
-
-  // Identically seeded Gilbert-Elliott streams so both runs draw the same
-  // time-varying capacity sequence.
-  GilbertElliottChannel single_channel(capacity, 0.4, 0.1, 0.3, Rng(42));
-  const ServingResult single =
-      run_serving_scenario(serving, specs, single_channel);
-
-  ClusterConfig cluster_config;
-  cluster_config.serving = serving;
-  cluster_config.placement = PlacementPolicy::kRoundRobin;
-  GilbertElliottChannel cluster_channel(capacity, 0.4, 0.1, 0.3, Rng(42));
-  std::vector<ChannelModel*> channels{&cluster_channel};
-  const ClusterResult cluster =
-      run_cluster_scenario(cluster_config, specs, channels);
-
-  // Admission: every attempt the single link saw, the cluster's one link saw.
-  EXPECT_EQ(cluster.metrics.per_link_admission[0].attempts,
-            single.admission.attempts);
-  EXPECT_EQ(cluster.metrics.per_link_admission[0].accepted,
-            single.admission.accepted);
-  EXPECT_EQ(cluster.metrics.per_link_admission[0].rejected,
-            single.admission.rejected);
-  EXPECT_EQ(cluster.metrics.spills, 0U);
-
-  // Fleet summaries: bit-for-bit, not approximate (same sessions, same
-  // order, same arithmetic).
-  const FleetMetrics& a = cluster.metrics.fleet;
-  const FleetMetrics& b = single.fleet;
-  EXPECT_EQ(a.sessions_submitted, b.sessions_submitted);
-  EXPECT_EQ(a.sessions_admitted, b.sessions_admitted);
-  EXPECT_EQ(a.sessions_rejected, b.sessions_rejected);
-  EXPECT_EQ(a.quality_fairness, b.quality_fairness);
-  EXPECT_EQ(a.mean_quality, b.mean_quality);
-  EXPECT_EQ(a.total_time_average_backlog, b.total_time_average_backlog);
-  EXPECT_EQ(a.peak_backlog, b.peak_backlog);
-  EXPECT_EQ(a.divergent_sessions, b.divergent_sessions);
-  EXPECT_EQ(a.partial_summary_sessions, b.partial_summary_sessions);
-  EXPECT_EQ(a.capacity_offered, b.capacity_offered);
-  EXPECT_EQ(a.capacity_used, b.capacity_used);
-  EXPECT_EQ(a.peak_concurrency, b.peak_concurrency);
-
-  // Per-session: same admissions, same windows, same traces, bit for bit.
-  ASSERT_EQ(cluster.sessions.size(), single.sessions.size());
-  for (std::size_t i = 0; i < single.sessions.size(); ++i) {
-    const SessionOutcome& cs = cluster.sessions[i].session;
-    const SessionOutcome& ss = single.sessions[i];
-    EXPECT_EQ(cs.id, ss.id);
-    EXPECT_EQ(cs.admitted, ss.admitted);
-    EXPECT_EQ(cs.arrival_slot, ss.arrival_slot);
-    EXPECT_EQ(cs.departure_slot, ss.departure_slot);
-    EXPECT_EQ(cs.has_summary, ss.has_summary);
-    if (cs.has_summary) {
-      EXPECT_EQ(cs.summary.time_average_quality,
-                ss.summary.time_average_quality);
-      EXPECT_EQ(cs.summary.time_average_backlog,
-                ss.summary.time_average_backlog);
-      EXPECT_EQ(cs.summary.mean_depth, ss.summary.mean_depth);
-    }
-    expect_traces_bit_identical(cs.trace.to_trace(), ss.trace.to_trace());
-    if (cs.admitted) {
-      EXPECT_EQ(cluster.sessions[i].link, 0);
+// A one-link server is a K = 1 cluster. These digests were recorded from the
+// standalone single-link runtime (a SessionManager that queued its own
+// arrivals and stepped itself) before EdgeCluster became the only serving
+// runtime; the K = 1 cluster must reproduce them bit for bit. The brownout
+// run also pins the brownout order: the single-link runtime evaluated
+// brownout after admitting the slot's arrivals, so a cluster that evaluates
+// it before placement misses the pin.
+std::uint64_t k1_golden_digest(bool brownout) {
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.steps = 150;
+  config.serving.policy = SchedulerPolicy::kProportionalFair;
+  auto specs = churn_specs(9);
+  if (brownout) {
+    config.serving.degradation.enabled = true;
+    config.serving.degradation.enter_utilization = 0.5;
+    config.serving.degradation.exit_utilization = 0.3;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      specs[i].qos = static_cast<std::uint8_t>(i % kSloTiers);
     }
   }
+  TelemetryRegistry registry;
+  config.serving.telemetry.mode = TelemetryMode::kCounters;
+  config.serving.telemetry.registry = &registry;
+  const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
+  GilbertElliottChannel channel(capacity, 0.4, 0.1, 0.3, Rng(42));
+  const ClusterResult result = run_cluster_scenario(config, specs, {&channel});
+
+  EXPECT_EQ(result.metrics.spills, 0U);
+  // The brownout run must actually cross its thresholds, or its digest
+  // would pin nothing the baseline does not.
+  EXPECT_EQ(registry.counter("link0/brownout_transitions").value() > 0,
+            brownout);
+  arvis_test::RunDigest digest;
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    if (s.session.admitted) {
+      EXPECT_EQ(s.link, 0);
+    }
+    digest.add(s.session);
+  }
+  digest.add(result.metrics.fleet);
+  digest.add(result.metrics.per_link_admission[0]);
+  return digest.value();
+}
+
+TEST(EdgeClusterTest, K1ReproducesSingleLinkGoldenDigests) {
+  EXPECT_EQ(k1_golden_digest(false), 0x87a49c3a45ec6262ULL);
+  EXPECT_EQ(k1_golden_digest(true), 0x73a10c77d4565083ULL);
 }
 
 // ----------------------------------------------------- placement policy ----
@@ -196,9 +178,6 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
   ServingConfig serving = base_serving_config();
   serving.steps = 40;
   const double load = cheapest_load(serving.candidates);
-  ConstantChannel tight(1.3 * load);
-  ConstantChannel roomy(3.0 * load);
-  std::vector<ChannelModel*> links{&tight, &roomy};
 
   std::vector<SessionSpec> specs(4);
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -209,27 +188,44 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
 
   ClusterConfig config;
   config.serving = serving;
-  config.placement = PlacementPolicy::kBestFit;
-  const ClusterResult best = run_cluster_scenario(config, specs, links);
-  // First session fits both; the tight link is the tighter fit. Every later
-  // session only fits the roomy link, and best-fit never has to spill.
-  EXPECT_EQ(best.sessions[0].link, 0);
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(best.sessions[i].link, 1) << i;
-    EXPECT_FALSE(best.sessions[i].spilled) << i;
+  // Best-fit never needs a spill here, so every spill limit admits all four
+  // — SIZE_MAX included, which must mean "try every link", not wrap to zero
+  // attempts.
+  for (const std::size_t spill_limit :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3},
+        std::numeric_limits<std::size_t>::max()}) {
+    config.placement = PlacementPolicy::kBestFit;
+    config.spill_limit = spill_limit;
+    ConstantChannel tight(1.3 * load);
+    ConstantChannel roomy(3.0 * load);
+    const ClusterResult best =
+        run_cluster_scenario(config, specs, {&tight, &roomy});
+    // First session fits both; the tight link is the tighter fit. Every
+    // later session only fits the roomy link, and best-fit never has to
+    // spill.
+    EXPECT_EQ(best.sessions[0].link, 0) << spill_limit;
+    for (std::size_t i = 1; i < 4; ++i) {
+      EXPECT_EQ(best.sessions[i].link, 1) << i << " " << spill_limit;
+      EXPECT_FALSE(best.sessions[i].spilled) << i << " " << spill_limit;
+    }
+    EXPECT_EQ(best.metrics.spills, 0U) << spill_limit;
+    EXPECT_EQ(best.metrics.placement_rejects, 0U) << spill_limit;
+    EXPECT_EQ(best.metrics.fleet.sessions_admitted, 4U) << spill_limit;
   }
-  EXPECT_EQ(best.metrics.spills, 0U);
-  EXPECT_EQ(best.metrics.fleet.sessions_admitted, 4U);
 
   // Least-loaded walks into the full tight link and needs the spill to
   // recover — same admissions, worse placement work.
-  ConstantChannel tight2(1.3 * load);
-  ConstantChannel roomy2(3.0 * load);
-  std::vector<ChannelModel*> links2{&tight2, &roomy2};
-  config.placement = PlacementPolicy::kLeastLoaded;
-  const ClusterResult least = run_cluster_scenario(config, specs, links2);
-  EXPECT_EQ(least.metrics.fleet.sessions_admitted, 4U);
-  EXPECT_GT(least.metrics.spills, 0U);
+  for (const std::size_t spill_limit :
+       {std::size_t{1}, std::numeric_limits<std::size_t>::max()}) {
+    config.placement = PlacementPolicy::kLeastLoaded;
+    config.spill_limit = spill_limit;
+    ConstantChannel tight(1.3 * load);
+    ConstantChannel roomy(3.0 * load);
+    const ClusterResult least =
+        run_cluster_scenario(config, specs, {&tight, &roomy});
+    EXPECT_EQ(least.metrics.fleet.sessions_admitted, 4U) << spill_limit;
+    EXPECT_GT(least.metrics.spills, 0U) << spill_limit;
+  }
 }
 
 // --------------------------------------------------------- determinism ----
@@ -341,28 +337,30 @@ TEST(EdgeClusterTest, Validation) {
 // ------------------------------------------------- allocation freedom ----
 
 TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
-  ServingConfig config = base_serving_config();
-  config.steps = 120;
-  config.policy = SchedulerPolicy::kWorkConserving;
-  config.threads = 1;
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.steps = 120;
+  config.serving.policy = SchedulerPolicy::kWorkConserving;
+  config.serving.threads = 1;
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
-  SessionManager manager(config, capacity);
+  EdgeCluster cluster(config, {capacity});
   for (std::size_t i = 0; i < 6; ++i) {
     SessionSpec spec;
     spec.cache = &shared_cache();
     spec.seed = i;
-    manager.submit(spec);
+    cluster.submit(spec);
   }
   // Warm-up: admissions, trace reservations, scheduler scratch growth.
-  for (int t = 0; t < 30; ++t) manager.step(capacity);
+  const std::vector<double> caps{capacity};
+  for (int t = 0; t < 30; ++t) cluster.step(caps);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int t = 0; t < 60; ++t) manager.step(capacity);
+  for (int t = 0; t < 60; ++t) cluster.step(caps);
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0U)
       << "steady-state slot loop performed " << (after - before)
       << " heap allocations over 60 slots";
-  static_cast<void>(manager.finish());
+  static_cast<void>(cluster.finish());
 }
 
 TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {

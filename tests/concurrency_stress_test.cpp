@@ -67,21 +67,24 @@ std::vector<SessionSpec> churny_specs(std::size_t n, std::size_t steps) {
   return specs;
 }
 
-ServingResult run_at(std::size_t threads, std::size_t n) {
-  ServingConfig config = stress_config(threads);
+// One link (a K = 1 cluster), so the whole fleet shares one fan-out.
+ClusterResult run_at(std::size_t threads, std::size_t n) {
+  ClusterConfig config;
+  config.serving = stress_config(threads);
   ConstantChannel channel(5.0e5);
-  return run_serving_scenario(config, churny_specs(n, config.steps), channel);
+  return run_cluster_scenario(
+      config, churny_specs(n, config.serving.steps), {&channel});
 }
 
 TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
   const std::size_t n = 96;
-  const ServingResult serial = run_at(1, n);
+  const ClusterResult serial = run_at(1, n);
   for (const std::size_t threads : {2UL, 4UL, 8UL}) {
-    const ServingResult parallel = run_at(threads, n);
+    const ClusterResult parallel = run_at(threads, n);
     ASSERT_EQ(parallel.sessions.size(), serial.sessions.size()) << threads;
     for (std::size_t i = 0; i < n; ++i) {
-      const SessionOutcome& a = serial.sessions[i];
-      const SessionOutcome& b = parallel.sessions[i];
+      const SessionOutcome& a = serial.sessions[i].session;
+      const SessionOutcome& b = parallel.sessions[i].session;
       ASSERT_EQ(a.trace.size(), b.trace.size())
           << "threads=" << threads << " session=" << i;
       const Trace ta = a.trace.to_trace();
@@ -99,7 +102,8 @@ TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
             << "threads=" << threads << " session=" << i << " slot=" << t;
       }
     }
-    EXPECT_EQ(parallel.fleet.capacity_used, serial.fleet.capacity_used);
+    EXPECT_EQ(parallel.metrics.fleet.capacity_used,
+              serial.metrics.fleet.capacity_used);
   }
 }
 

@@ -608,10 +608,9 @@ TEST(EventLoopTest, ReplayValidatesItsInputs) {
 }
 
 TEST(EventLoopTest, PublicSchedulingIsClosedOnceRunStarts) {
-  ServingConfig serving = replay_cluster_config(1).serving;
-  SessionManager manager(serving, 1e6);
+  EdgeCluster cluster(replay_cluster_config(1), {1e6});
   ConstantChannel channel(1e6);
-  SessionManagerBackend backend(manager, channel);
+  ClusterBackend backend(cluster, {&channel});
   EventLoop loop(DriverConfig{}, backend);
   SessionSpec spec;
   spec.cache = &shared_cache();
@@ -808,18 +807,20 @@ TEST(EventLoopTest, ExternalCloseEndsASessionMidStreamAndCancelsPending) {
   config.admission.utilization_target = 1.0;
   const double capacity = 8.0 * cheapest_load(candidates);
   ConstantChannel channel(capacity);
-  SessionManager manager(config, capacity);
+  ClusterConfig one_link;
+  one_link.serving = config;
+  EdgeCluster cluster(one_link, {capacity});
 
   SessionSpec spec;
   spec.cache = &shared_cache();
-  manager.submit(spec);  // id 0: closed mid-stream at slot 30
-  manager.submit(spec);  // id 1: streams to the stop
+  cluster.submit(spec);  // id 0: closed mid-stream at slot 30
+  cluster.submit(spec);  // id 1: streams to the stop
   SessionSpec late = spec;
   late.arrival_slot = 40;
-  manager.submit(late);  // id 2: cancelled (close fires before it arrives)
+  cluster.submit(late);  // id 2: cancelled (close fires before it arrives)
 
   DriverConfig driver;
-  SessionManagerBackend backend(manager, channel);
+  ClusterBackend backend(cluster, {&channel});
   EventLoop loop(driver, backend);
   loop.schedule_close(30, 0);
   loop.schedule_close(20, 2);
@@ -830,19 +831,19 @@ TEST(EventLoopTest, ExternalCloseEndsASessionMidStreamAndCancelsPending) {
   EXPECT_EQ(report.closes_ignored, 1u);
   EXPECT_EQ(report.slots_executed, 60u);
 
-  const ServingResult result = manager.finish();
+  const ClusterResult result = cluster.finish();
   ASSERT_EQ(result.sessions.size(), 3u);
   // Mid-stream close: departed at the close slot, trace covers [0, 30).
-  EXPECT_TRUE(result.sessions[0].admitted);
-  EXPECT_EQ(result.sessions[0].departure_slot, 30u);
-  EXPECT_EQ(result.sessions[0].trace.size(), 30u);
+  EXPECT_TRUE(result.sessions[0].session.admitted);
+  EXPECT_EQ(result.sessions[0].session.departure_slot, 30u);
+  EXPECT_EQ(result.sessions[0].session.trace.size(), 30u);
   // Untouched: streams the whole horizon.
-  EXPECT_TRUE(result.sessions[1].admitted);
-  EXPECT_EQ(result.sessions[1].trace.size(), 60u);
+  EXPECT_TRUE(result.sessions[1].session.admitted);
+  EXPECT_EQ(result.sessions[1].session.trace.size(), 60u);
   // Cancelled before arrival: admission never saw it.
-  EXPECT_FALSE(result.sessions[2].admitted);
-  EXPECT_TRUE(result.sessions[2].trace.empty());
-  EXPECT_EQ(result.admission.attempts, 2u);
+  EXPECT_FALSE(result.sessions[2].session.admitted);
+  EXPECT_TRUE(result.sessions[2].session.trace.empty());
+  EXPECT_EQ(result.metrics.per_link_admission[0].attempts, 2u);
 }
 
 TEST(EventLoopTest, ExternalCloseOnAClusterClosesOnTheOwningLink) {
@@ -919,23 +920,26 @@ TEST(EventLoopTest, DecideMemoCountersMatchTraceOracle) {
       200.0 * static_cast<double>(n) *
       AdmissionController::cheapest_depth_load(mono, candidates);
   ConstantChannel channel(capacity);
-  SessionManager manager(config, capacity);
+  ClusterConfig one_link;
+  one_link.serving = config;
+  EdgeCluster cluster(one_link, {capacity});
   SessionSpec spec;
   spec.cache = &mono;
   for (std::size_t i = 0; i < n; ++i) {
     spec.seed = i;
-    manager.submit(spec);
+    cluster.submit(spec);
   }
 
   DriverConfig driver;
-  SessionManagerBackend backend(manager, channel);
+  ClusterBackend backend(cluster, {&channel});
   EventLoop loop(driver, backend);
   loop.schedule_stop(config.steps);
   loop.run();
-  const ServingResult result = manager.finish();
+  const ClusterResult result = cluster.finish();
   ASSERT_EQ(result.sessions.size(), n);
   std::vector<Trace> traces;
-  for (const auto& s : result.sessions) {
+  for (const auto& placed : result.sessions) {
+    const SessionOutcome& s = placed.session;
     ASSERT_TRUE(s.admitted);
     ASSERT_EQ(s.trace.size(), config.steps);
     traces.push_back(s.trace.to_trace());

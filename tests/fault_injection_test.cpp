@@ -754,28 +754,31 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
   config.telemetry.flight = &recorder;
   const double load = cheapest_load(config.candidates);
 
+  // A bare link, driven the way EdgeCluster drives one: close departures,
+  // place, evaluate brownout, decide, drain.
   SessionManager manager(config, 4.0 * load);
-  for (std::size_t i = 0; i < 2; ++i) {
-    SessionSpec spec = session_spec(0, 60, i);
-    spec.qos = static_cast<std::uint8_t>(i);  // one best-effort, one standard
-    manager.submit(spec);
-  }
-  auto step = [&] {
+  auto step = [&](bool place) {
     manager.begin_slot();
+    for (std::size_t i = 0; place && i < 2; ++i) {
+      SessionSpec spec = session_spec(0, 60, i);
+      spec.qos = static_cast<std::uint8_t>(i);  // one best-effort, one standard
+      ASSERT_TRUE(manager.try_place(spec, i).admitted);
+    }
+    manager.evaluate_brownout();
     manager.decide_all_sessions();
     manager.finish_slot(4.0 * load);
   };
-  step();
+  step(true);
   EXPECT_FALSE(manager.brownout_active());  // ~50% utilization: healthy
 
   // The fade shrinks the denominator: 2 sessions / 2-session capacity.
   manager.set_capacity_scale(0.5);
-  step();
+  step(false);
   EXPECT_TRUE(manager.brownout_active());
   EXPECT_EQ(manager.brownout_enters(), 1U);
 
   manager.set_capacity_scale(1.0);
-  step();
+  step(false);
   EXPECT_FALSE(manager.brownout_active());
   EXPECT_EQ(manager.brownout_enters(), 1U);
 
@@ -810,11 +813,15 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   standard.qos = 1;
   SessionSpec premium = session_spec(0, kNeverDeparts, 7);
   premium.qos = 2;
-  const std::size_t be_id = manager.submit(best_effort);
-  const std::size_t standard_id = manager.submit(standard);
-  const std::size_t pr_id = manager.submit(premium);
+  const std::size_t be_id = 0, standard_id = 1, pr_id = 2;
   for (std::size_t t = 0; t < config.steps; ++t) {
     manager.begin_slot();
+    if (t == 0) {
+      ASSERT_TRUE(manager.try_place(best_effort, be_id).admitted);
+      ASSERT_TRUE(manager.try_place(standard, standard_id).admitted);
+      ASSERT_TRUE(manager.try_place(premium, pr_id).admitted);
+    }
+    manager.evaluate_brownout();
     manager.decide_all_sessions();
     manager.finish_slot(16.0 * load);
   }

@@ -1,7 +1,7 @@
 // Tests for the multi-session edge serving runtime: scheduler policy
-// invariants, admission boundaries, session churn bookkeeping, and the
-// determinism contract of the parallel executor (parallel == serial,
-// bit for bit).
+// invariants, admission boundaries, session churn bookkeeping on a one-link
+// server (a K = 1 EdgeCluster), and the determinism contract of the
+// parallel executor (parallel == serial, bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
 #include "serving/admission.hpp"
+#include "serving/cluster.hpp"
 #include "serving/executor.hpp"
 #include "serving/metrics.hpp"
 #include "serving/scheduler.hpp"
@@ -638,87 +639,101 @@ ServingConfig small_config() {
   return config;
 }
 
+// A one-link server is a K = 1 EdgeCluster.
+ClusterConfig one_link(const ServingConfig& serving) {
+  ClusterConfig config;
+  config.serving = serving;
+  return config;
+}
+
+ClusterResult run_one_link(const ServingConfig& serving,
+                           const std::vector<SessionSpec>& specs,
+                           ChannelModel& channel) {
+  return run_cluster_scenario(one_link(serving), specs, {&channel});
+}
+
 TEST(SessionManagerTest, ChurnBookkeeping) {
   ServingConfig config = small_config();
   const double load = cheapest_load(config.candidates);
   // Fits two cheapest-depth sessions, not three.
   ConstantChannel channel(2.5 * load);
-  SessionManager manager(config, channel.mean_capacity_bytes());
+  EdgeCluster server(one_link(config), {channel.mean_capacity_bytes()});
 
   SessionSpec spec;
   spec.cache = &shared_cache();
   spec.departure_slot = 60;
-  const std::size_t a = manager.submit(spec);  // slots [0, 60)
+  const std::size_t a = server.submit(spec);  // slots [0, 60)
   spec.arrival_slot = 20;
   spec.departure_slot = kNeverDeparts;
-  const std::size_t b = manager.submit(spec);  // slots [20, end)
+  const std::size_t b = server.submit(spec);  // slots [20, end)
   spec.arrival_slot = 30;
-  const std::size_t c = manager.submit(spec);  // rejected: link is full
+  const std::size_t c = server.submit(spec);  // rejected: link is full
   spec.arrival_slot = 80;
-  const std::size_t d = manager.submit(spec);  // admitted: a left at 60
+  const std::size_t d = server.submit(spec);  // admitted: a left at 60
 
-  EXPECT_EQ(manager.active_count(), 0U);
+  EXPECT_EQ(server.active_count(), 0U);
   for (std::size_t t = 0; t < config.steps; ++t) {
-    manager.step(channel.next_capacity_bytes());
+    server.step({channel.next_capacity_bytes()});
     if (t < 20) {
-      EXPECT_EQ(manager.active_count(), 1U) << t;
+      EXPECT_EQ(server.active_count(), 1U) << t;
     } else if (t < 60) {
-      EXPECT_EQ(manager.active_count(), 2U) << t;
+      EXPECT_EQ(server.active_count(), 2U) << t;
     } else if (t < 80) {
-      EXPECT_EQ(manager.active_count(), 1U) << t;
+      EXPECT_EQ(server.active_count(), 1U) << t;
     } else {
-      EXPECT_EQ(manager.active_count(), 2U) << t;
+      EXPECT_EQ(server.active_count(), 2U) << t;
     }
   }
 
-  const ServingResult result = manager.finish();
+  const ClusterResult result = server.finish();
   ASSERT_EQ(result.sessions.size(), 4U);
-  EXPECT_TRUE(result.sessions[a].admitted);
-  EXPECT_EQ(result.sessions[a].trace.size(), 60U);
-  EXPECT_EQ(result.sessions[a].departure_slot, 60U);
-  EXPECT_TRUE(result.sessions[b].admitted);
-  EXPECT_EQ(result.sessions[b].trace.size(), 100U);
-  EXPECT_EQ(result.sessions[b].departure_slot, 120U);
-  EXPECT_FALSE(result.sessions[c].admitted);
-  EXPECT_EQ(result.sessions[c].trace.size(), 0U);
-  EXPECT_TRUE(result.sessions[d].admitted);
-  EXPECT_EQ(result.sessions[d].trace.size(), 40U);
+  EXPECT_TRUE(result.sessions[a].session.admitted);
+  EXPECT_EQ(result.sessions[a].session.trace.size(), 60U);
+  EXPECT_EQ(result.sessions[a].session.departure_slot, 60U);
+  EXPECT_TRUE(result.sessions[b].session.admitted);
+  EXPECT_EQ(result.sessions[b].session.trace.size(), 100U);
+  EXPECT_EQ(result.sessions[b].session.departure_slot, 120U);
+  EXPECT_FALSE(result.sessions[c].session.admitted);
+  EXPECT_EQ(result.sessions[c].session.trace.size(), 0U);
+  EXPECT_TRUE(result.sessions[d].session.admitted);
+  EXPECT_EQ(result.sessions[d].session.trace.size(), 40U);
 
-  EXPECT_EQ(result.admission.attempts, 4U);
-  EXPECT_EQ(result.admission.accepted, 3U);
-  EXPECT_EQ(result.admission.rejected, 1U);
-  EXPECT_EQ(result.fleet.sessions_admitted, 3U);
-  EXPECT_EQ(result.fleet.sessions_rejected, 1U);
-  EXPECT_EQ(result.fleet.peak_concurrency, 2U);
+  const AdmissionStats& admission = result.metrics.per_link_admission[0];
+  EXPECT_EQ(admission.attempts, 4U);
+  EXPECT_EQ(admission.accepted, 3U);
+  EXPECT_EQ(admission.rejected, 1U);
+  EXPECT_EQ(result.metrics.fleet.sessions_admitted, 3U);
+  EXPECT_EQ(result.metrics.fleet.sessions_rejected, 1U);
+  EXPECT_EQ(result.metrics.fleet.peak_concurrency, 2U);
   EXPECT_EQ(result.session_table.row_count(), 4U);
 
-  EXPECT_THROW(manager.step(1.0), std::logic_error);
-  EXPECT_THROW(manager.submit(spec), std::logic_error);
+  EXPECT_THROW(server.step({1.0}), std::logic_error);
+  EXPECT_THROW(server.submit(spec), std::logic_error);
 }
 
 TEST(SessionManagerTest, Validation) {
   ServingConfig config = small_config();
-  SessionManager manager(config, 1e6);
+  EdgeCluster server(one_link(config), {1e6});
   SessionSpec spec;
-  EXPECT_THROW(manager.submit(spec), std::invalid_argument);  // null cache
+  EXPECT_THROW(server.submit(spec), std::invalid_argument);  // null cache
   spec.cache = &shared_cache();
   spec.arrival_slot = 10;
   spec.departure_slot = 10;
-  EXPECT_THROW(manager.submit(spec), std::invalid_argument);
+  EXPECT_THROW(server.submit(spec), std::invalid_argument);
   spec.departure_slot = 11;
   spec.weight = -1.0;
-  EXPECT_THROW(manager.submit(spec), std::invalid_argument);
+  EXPECT_THROW(server.submit(spec), std::invalid_argument);
 
   // A window that fully elapsed before submission can never stream a slot
   // inside its declared lifetime.
   SessionSpec elapsed;
   elapsed.cache = &shared_cache();
   elapsed.departure_slot = 3;
-  for (int t = 0; t < 5; ++t) manager.step(1e6);
-  EXPECT_THROW(manager.submit(elapsed), std::invalid_argument);
+  for (int t = 0; t < 5; ++t) server.step({1e6});
+  EXPECT_THROW(server.submit(elapsed), std::invalid_argument);
   // An elapsed *arrival* with a live departure is fine: it arrives now.
   elapsed.departure_slot = 100;
-  EXPECT_NO_THROW(manager.submit(elapsed));
+  EXPECT_NO_THROW(server.submit(elapsed));
 
   ServingConfig bad = config;
   bad.steps = 0;
@@ -734,7 +749,7 @@ TEST(SessionManagerTest, Validation) {
   EXPECT_THROW(SessionManager(bad, 1e6), std::invalid_argument);
   bad = config;
   bad.candidates = {42};
-  SessionManager out_of_range(bad, 1e6);
+  EdgeCluster out_of_range(one_link(bad), {1e6});
   SessionSpec ok;
   ok.cache = &shared_cache();
   EXPECT_THROW(out_of_range.submit(ok), std::invalid_argument);
@@ -743,21 +758,21 @@ TEST(SessionManagerTest, Validation) {
 TEST(SessionManagerTest, LateSubmitArrivesAtSubmissionSlot) {
   ServingConfig config = small_config();
   ConstantChannel channel(1e6);
-  SessionManager manager(config, channel.mean_capacity_bytes());
-  for (int t = 0; t < 10; ++t) manager.step(channel.next_capacity_bytes());
+  EdgeCluster server(one_link(config), {channel.mean_capacity_bytes()});
+  for (int t = 0; t < 10; ++t) server.step({channel.next_capacity_bytes()});
 
   // Declared arrival is in the past: the session arrives now, and the
   // reported window matches the trace exactly.
   SessionSpec spec;
   spec.cache = &shared_cache();
   spec.arrival_slot = 0;
-  const std::size_t id = manager.submit(spec);
-  for (int t = 0; t < 20; ++t) manager.step(channel.next_capacity_bytes());
+  const std::size_t id = server.submit(spec);
+  for (int t = 0; t < 20; ++t) server.step({channel.next_capacity_bytes()});
 
-  const ServingResult result = manager.finish();
-  EXPECT_EQ(result.sessions[id].arrival_slot, 10U);
-  EXPECT_EQ(result.sessions[id].departure_slot, 30U);
-  EXPECT_EQ(result.sessions[id].trace.size(), 20U);
+  const ClusterResult result = server.finish();
+  EXPECT_EQ(result.sessions[id].session.arrival_slot, 10U);
+  EXPECT_EQ(result.sessions[id].session.departure_slot, 30U);
+  EXPECT_EQ(result.sessions[id].session.trace.size(), 20U);
 }
 
 TEST(SessionManagerTest, NeverArrivedSessionIsNeitherAdmittedNorRejected) {
@@ -770,14 +785,19 @@ TEST(SessionManagerTest, NeverArrivedSessionIsNeitherAdmittedNorRejected) {
   never.cache = &shared_cache();
   never.arrival_slot = 500;  // beyond the horizon
 
-  const ServingResult result =
-      run_serving_scenario(config, {active, never}, channel);
+  const ClusterResult result = run_one_link(config, {active, never}, channel);
   // Admission never saw the future session, and the fleet counters agree.
-  EXPECT_EQ(result.admission.attempts, 1U);
-  EXPECT_EQ(result.admission.rejected, 0U);
-  EXPECT_EQ(result.fleet.sessions_submitted, 2U);
-  EXPECT_EQ(result.fleet.sessions_admitted, 1U);
-  EXPECT_EQ(result.fleet.sessions_rejected, 0U);
+  const AdmissionStats& admission = result.metrics.per_link_admission[0];
+  EXPECT_EQ(admission.attempts, 1U);
+  EXPECT_EQ(admission.rejected, 0U);
+  EXPECT_EQ(result.metrics.fleet.sessions_submitted, 2U);
+  EXPECT_EQ(result.metrics.fleet.sessions_admitted, 1U);
+  EXPECT_EQ(result.metrics.fleet.sessions_rejected, 0U);
+  // The report tells "never arrived" apart from a refusal.
+  EXPECT_FALSE(result.sessions[1].arrived);
+  EXPECT_EQ(std::get<std::string>(result.session_table.at(1, 2)),
+            "never-arrived");
+  EXPECT_EQ(std::get<std::string>(result.session_table.at(0, 2)), "yes");
 }
 
 TEST(SessionManagerTest, CapacityUsedEqualsBytesActuallyDrained) {
@@ -793,21 +813,22 @@ TEST(SessionManagerTest, CapacityUsedEqualsBytesActuallyDrained) {
     specs[i].cache = &shared_cache();
     specs[i].seed = i;
   }
-  const ServingResult result = run_serving_scenario(config, specs, channel);
+  const ClusterResult result = run_one_link(config, specs, channel);
 
   double drained = 0.0;       // what the queues actually served
   double old_accounting = 0.0;  // what the old code charged the link
-  for (const SessionOutcome& s : result.sessions) {
-    for (const StepRecord& r : s.trace.steps()) {
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    for (const StepRecord& r : s.session.trace.steps()) {
       drained += std::min(r.backlog_begin, r.service);
       old_accounting += std::min(r.service, r.backlog_begin + r.arrivals);
     }
   }
-  EXPECT_DOUBLE_EQ(result.fleet.capacity_used, drained);
+  EXPECT_DOUBLE_EQ(result.metrics.fleet.capacity_used, drained);
   // The over-report was real: with arrivals every slot the old accounting
   // strictly exceeds the drained bytes.
   EXPECT_GT(old_accounting, drained);
-  EXPECT_LE(result.fleet.capacity_used, result.fleet.capacity_offered);
+  EXPECT_LE(result.metrics.fleet.capacity_used,
+            result.metrics.fleet.capacity_offered);
 }
 
 TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
@@ -822,10 +843,9 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   brief.departure_slot = 3;
   SessionSpec full;
   full.cache = &shared_cache();
-  const ServingResult result =
-      run_serving_scenario(config, {brief, full}, channel);
+  const ClusterResult result = run_one_link(config, {brief, full}, channel);
 
-  const SessionOutcome& short_session = result.sessions[0];
+  const SessionOutcome& short_session = result.sessions[0].session;
   ASSERT_TRUE(short_session.admitted);
   ASSERT_EQ(short_session.trace.size(), 3U);
   ASSERT_TRUE(short_session.has_summary);
@@ -835,25 +855,27 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   EXPECT_LE(short_session.summary.mean_depth, config.candidates.back());
 
   // Both sessions now count toward the fleet aggregates.
-  EXPECT_EQ(result.fleet.partial_summary_sessions, 1U);
-  EXPECT_GT(result.fleet.mean_quality, 0.0);
-  EXPECT_GT(result.fleet.quality_fairness, 0.0);
+  EXPECT_EQ(result.metrics.fleet.partial_summary_sessions, 1U);
+  EXPECT_GT(result.metrics.fleet.mean_quality, 0.0);
+  EXPECT_GT(result.metrics.fleet.quality_fairness, 0.0);
 
-  // The report row carries the means and the "too-short" verdict.
-  EXPECT_EQ(std::get<std::string>(result.session_table.at(0, 8)),
+  // The report row carries the means (avg_quality, column 7) and the
+  // "too-short" verdict (column 10).
+  EXPECT_EQ(std::get<std::string>(result.session_table.at(0, 10)),
             "too-short");
   EXPECT_TRUE(
-      std::holds_alternative<double>(result.session_table.at(0, 5)));
+      std::holds_alternative<double>(result.session_table.at(0, 7)));
   // The full-horizon session keeps a real verdict.
-  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)), "-");
-  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 8)),
+  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 10)), "-");
+  EXPECT_NE(std::get<std::string>(result.session_table.at(1, 10)),
             "too-short");
 
   // The packed records decode from the profile, and summarizing them
   // directly is bit-identical to summarizing the decoded Trace — for the
   // partial 3-slot summary and the full 30-slot one alike.
-  ASSERT_EQ(result.sessions[1].trace.size(), 30U);
-  for (const SessionOutcome& s : result.sessions) {
+  ASSERT_EQ(result.sessions[1].session.trace.size(), 30U);
+  for (const ClusterSessionOutcome& placed : result.sessions) {
+    const SessionOutcome& s = placed.session;
     const Trace decoded = s.trace.to_trace();
     EXPECT_TRUE(arvis_test::decodes_from_profile(
         decoded, shared_cache(), config.candidates, config.v, 0, 0.0,
@@ -872,26 +894,26 @@ TEST(SessionManagerTest, OutOfOrderSubmissionsAdmitInArrivalOrder) {
   ServingConfig config = small_config();
   const double load = cheapest_load(config.candidates);
   ConstantChannel channel(2.5 * load);
-  SessionManager manager(config, channel.mean_capacity_bytes());
+  EdgeCluster server(one_link(config), {channel.mean_capacity_bytes()});
 
   SessionSpec spec;
   spec.cache = &shared_cache();
   spec.arrival_slot = 30;
-  const std::size_t last = manager.submit(spec);
+  const std::size_t last = server.submit(spec);
   spec.arrival_slot = 20;
-  const std::size_t middle = manager.submit(spec);
+  const std::size_t middle = server.submit(spec);
   spec.arrival_slot = 10;
-  const std::size_t first = manager.submit(spec);
+  const std::size_t first = server.submit(spec);
 
   for (std::size_t t = 0; t < config.steps; ++t) {
-    manager.step(channel.next_capacity_bytes());
+    server.step({channel.next_capacity_bytes()});
   }
-  const ServingResult result = manager.finish();
-  EXPECT_TRUE(result.sessions[first].admitted);
-  EXPECT_TRUE(result.sessions[middle].admitted);
-  EXPECT_FALSE(result.sessions[last].admitted);
-  EXPECT_EQ(result.sessions[last].arrival_slot, 30U);
-  EXPECT_EQ(result.admission.attempts, 3U);
+  const ClusterResult result = server.finish();
+  EXPECT_TRUE(result.sessions[first].session.admitted);
+  EXPECT_TRUE(result.sessions[middle].session.admitted);
+  EXPECT_FALSE(result.sessions[last].session.admitted);
+  EXPECT_EQ(result.sessions[last].session.arrival_slot, 30U);
+  EXPECT_EQ(result.metrics.per_link_admission[0].attempts, 3U);
 }
 
 // -------------------------------------------------------- Determinism ----
@@ -917,16 +939,15 @@ TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
 
   config.threads = 1;
   ConstantChannel ch_serial(capacity);
-  const ServingResult serial = run_serving_scenario(config, specs, ch_serial);
+  const ClusterResult serial = run_one_link(config, specs, ch_serial);
   config.threads = 4;
   ConstantChannel ch_parallel(capacity);
-  const ServingResult parallel =
-      run_serving_scenario(config, specs, ch_parallel);
+  const ClusterResult parallel = run_one_link(config, specs, ch_parallel);
 
   ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace a = serial.sessions[i].trace.to_trace();
-    const Trace b = parallel.sessions[i].trace.to_trace();
+    const Trace a = serial.sessions[i].session.trace.to_trace();
+    const Trace b = parallel.sessions[i].session.trace.to_trace();
     ASSERT_EQ(a.size(), b.size()) << "session " << i;
     for (std::size_t t = 0; t < a.size(); ++t) {
       // Bit-exact equality, not approximate: the decide phase touches only
@@ -939,9 +960,10 @@ TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
       EXPECT_EQ(a.at(t).quality, b.at(t).quality);
     }
   }
-  EXPECT_EQ(serial.fleet.quality_fairness, parallel.fleet.quality_fairness);
-  EXPECT_EQ(serial.fleet.total_time_average_backlog,
-            parallel.fleet.total_time_average_backlog);
+  EXPECT_EQ(serial.metrics.fleet.quality_fairness,
+            parallel.metrics.fleet.quality_fairness);
+  EXPECT_EQ(serial.metrics.fleet.total_time_average_backlog,
+            parallel.metrics.fleet.total_time_average_backlog);
 }
 
 TEST(ReplicationTest, ParallelReplicateMatchesSerialExactly) {
@@ -992,15 +1014,15 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
     }
     // Scarce link: queues stay backlogged, so the scheduler's choices bite.
     ConstantChannel channel(2.0 * shared_cache().workload(0).bytes(3));
-    return run_serving_scenario(c, specs, channel);
+    return run_one_link(c, specs, channel);
   };
-  const ServingResult legacy = run_with_window(0.0);
-  const ServingResult true_pf = run_with_window(32.0);
+  const ClusterResult legacy = run_with_window(0.0);
+  const ClusterResult true_pf = run_with_window(32.0);
   ASSERT_EQ(legacy.sessions.size(), true_pf.sessions.size());
   bool any_service_differs = false;
   for (std::size_t i = 0; i < legacy.sessions.size(); ++i) {
-    const Trace a = legacy.sessions[i].trace.to_trace();
-    const Trace b = true_pf.sessions[i].trace.to_trace();
+    const Trace a = legacy.sessions[i].session.trace.to_trace();
+    const Trace b = true_pf.sessions[i].session.trace.to_trace();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t t = 0; t < a.size(); ++t) {
       if (a.at(t).service != b.at(t).service) any_service_differs = true;
@@ -1009,39 +1031,39 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
   EXPECT_TRUE(any_service_differs);
   // Same capacity offered either way — the knob moves bytes between
   // sessions, it does not mint or lose any.
-  EXPECT_EQ(legacy.fleet.capacity_offered, true_pf.fleet.capacity_offered);
+  EXPECT_EQ(legacy.metrics.fleet.capacity_offered,
+            true_pf.metrics.fleet.capacity_offered);
 }
 
 // ------------------------------------------------- Serving end-to-end ----
 
 TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
-  // run_serving_scenario is now a thin wrapper over the event-driven
-  // EventLoop (dense mode + stop event). It must reproduce the pre-driver
-  // hand-rolled fixed-horizon loop bit for bit — same submit order, one step
-  // per slot, same capacity draws.
+  // run_cluster_scenario is a thin wrapper over the event-driven EventLoop
+  // (dense mode + stop event). It must reproduce a hand-rolled
+  // fixed-horizon EdgeCluster::step loop bit for bit — same submit order,
+  // one step per slot, same capacity draws.
   ServingConfig config = small_config();
   config.steps = 150;
   config.policy = SchedulerPolicy::kProportionalFair;
   const auto specs = churn_specs(9);
   const double capacity = 6.0 * shared_cache().workload(0).bytes(4);
 
-  // The reference: the loop run_serving_scenario used to be.
+  // The reference: the loop run_cluster_scenario stands for.
   GilbertElliottChannel hand_channel(capacity, 0.4, 0.1, 0.3, Rng(23));
-  SessionManager manager(config, hand_channel.mean_capacity_bytes());
-  for (const SessionSpec& spec : specs) manager.submit(spec);
+  EdgeCluster server(one_link(config), {hand_channel.mean_capacity_bytes()});
+  for (const SessionSpec& spec : specs) server.submit(spec);
   for (std::size_t t = 0; t < config.steps; ++t) {
-    manager.step(hand_channel.next_capacity_bytes());
+    server.step({hand_channel.next_capacity_bytes()});
   }
-  const ServingResult hand = manager.finish();
+  const ClusterResult hand = server.finish();
 
   GilbertElliottChannel loop_channel(capacity, 0.4, 0.1, 0.3, Rng(23));
-  const ServingResult looped =
-      run_serving_scenario(config, specs, loop_channel);
+  const ClusterResult looped = run_one_link(config, specs, loop_channel);
 
   ASSERT_EQ(hand.sessions.size(), looped.sessions.size());
   for (std::size_t i = 0; i < hand.sessions.size(); ++i) {
-    const SessionOutcome& a = hand.sessions[i];
-    const SessionOutcome& b = looped.sessions[i];
+    const SessionOutcome& a = hand.sessions[i].session;
+    const SessionOutcome& b = looped.sessions[i].session;
     EXPECT_EQ(a.admitted, b.admitted);
     EXPECT_EQ(a.arrival_slot, b.arrival_slot);
     EXPECT_EQ(a.departure_slot, b.departure_slot);
@@ -1057,15 +1079,18 @@ TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
       EXPECT_EQ(ta.at(t).quality, tb.at(t).quality);
     }
   }
-  EXPECT_EQ(hand.admission.attempts, looped.admission.attempts);
-  EXPECT_EQ(hand.admission.accepted, looped.admission.accepted);
-  EXPECT_EQ(hand.admission.rejected, looped.admission.rejected);
-  EXPECT_EQ(hand.fleet.capacity_offered, looped.fleet.capacity_offered);
-  EXPECT_EQ(hand.fleet.capacity_used, looped.fleet.capacity_used);
-  EXPECT_EQ(hand.fleet.quality_fairness, looped.fleet.quality_fairness);
-  EXPECT_EQ(hand.fleet.total_time_average_backlog,
-            looped.fleet.total_time_average_backlog);
-  EXPECT_EQ(hand.fleet.peak_concurrency, looped.fleet.peak_concurrency);
+  const AdmissionStats& ha = hand.metrics.per_link_admission[0];
+  const AdmissionStats& la = looped.metrics.per_link_admission[0];
+  EXPECT_EQ(ha.attempts, la.attempts);
+  EXPECT_EQ(ha.accepted, la.accepted);
+  EXPECT_EQ(ha.rejected, la.rejected);
+  const FleetMetrics& hf = hand.metrics.fleet;
+  const FleetMetrics& lf = looped.metrics.fleet;
+  EXPECT_EQ(hf.capacity_offered, lf.capacity_offered);
+  EXPECT_EQ(hf.capacity_used, lf.capacity_used);
+  EXPECT_EQ(hf.quality_fairness, lf.quality_fairness);
+  EXPECT_EQ(hf.total_time_average_backlog, lf.total_time_average_backlog);
+  EXPECT_EQ(hf.peak_concurrency, lf.peak_concurrency);
 }
 
 // -------------------------------------------------------- Session store ----
@@ -1227,12 +1252,12 @@ TEST(ServingScenarioTest, AdmissionKeepsFleetStable) {
   std::vector<SessionSpec> specs(8);
   for (auto& spec : specs) spec.cache = &shared_cache();
 
-  const ServingResult result = run_serving_scenario(config, specs, channel);
-  EXPECT_EQ(result.admission.accepted, 4U);
-  EXPECT_EQ(result.admission.rejected, 4U);
-  EXPECT_EQ(result.fleet.divergent_sessions, 0U);
-  EXPECT_GT(result.fleet.quality_fairness, 0.99);
-  EXPECT_GT(result.fleet.utilization(), 0.5);
+  const ClusterResult result = run_one_link(config, specs, channel);
+  EXPECT_EQ(result.metrics.per_link_admission[0].accepted, 4U);
+  EXPECT_EQ(result.metrics.per_link_admission[0].rejected, 4U);
+  EXPECT_EQ(result.metrics.fleet.divergent_sessions, 0U);
+  EXPECT_GT(result.metrics.fleet.quality_fairness, 0.99);
+  EXPECT_GT(result.metrics.fleet.utilization(), 0.5);
 }
 
 }  // namespace

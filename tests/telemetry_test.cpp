@@ -337,15 +337,20 @@ TEST(TelemetryEndToEndTest, ManagerCountersMatchRunShape) {
   const double load = AdmissionController::cheapest_depth_load(
       test_cache(), config.candidates);
   const double capacity = static_cast<double>(n) * load * 2.0;
+  // The per-link engine, driven the way EdgeCluster drives one link.
   SessionManager manager(config, capacity);
-  for (std::size_t i = 0; i < n; ++i) {
-    SessionSpec spec;
-    spec.cache = &test_cache();
-    spec.seed = i;
-    spec.departure_slot = 20 + i;  // retire mid-run: close counters fire
-    manager.submit(spec);
+  for (std::size_t t = 0; t < config.steps; ++t) {
+    manager.begin_slot();
+    for (std::size_t i = 0; t == 0 && i < n; ++i) {
+      SessionSpec spec;
+      spec.cache = &test_cache();
+      spec.seed = i;
+      spec.departure_slot = 20 + i;  // retire mid-run: close counters fire
+      ASSERT_TRUE(manager.try_place(spec, i).admitted);
+    }
+    manager.decide_all_sessions();
+    manager.finish_slot(capacity);
   }
-  for (std::size_t t = 0; t < config.steps; ++t) manager.step(capacity);
   const ServingResult result = manager.finish();
 
   const auto counter = [&](const char* name) {
