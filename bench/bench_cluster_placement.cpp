@@ -11,8 +11,8 @@
 // Build & run:  ./build/bench/bench_cluster_placement [--smoke | --json]
 //
 // --smoke runs one small configuration plus two hard invariant checks
-// (parallel decide == serial bit-for-bit; least-loaded admits at least as
-// many as round-robin on the skewed burst) and exits non-zero on violation —
+// (links as parallel tasks == serial bit-for-bit; least-loaded admits more
+// than round-robin on the skewed burst) and exits non-zero on violation —
 // cheap enough for CI, so the placement sweep cannot silently rot.
 // --json additionally writes BENCH_cluster_placement.json (wall time per
 // sweep point) — the bench's perf-trajectory record.
@@ -139,7 +139,8 @@ int run_smoke() {
     ++failures;
   }
 
-  // Invariant 2: parallel decide fan-out is bit-identical to serial.
+  // Invariant 2: the links as parallel executor tasks are bit-identical to
+  // serial.
   point.placement = PlacementPolicy::kLeastLoaded;
   point.threads = 2;
   const ClusterResult parallel = run_point(point, ms);

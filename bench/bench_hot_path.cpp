@@ -36,8 +36,8 @@
 //      the cluster placement path) — the incremental decide engine, the
 //      blocked kernel and the scheduler fast paths are exact memoization,
 //      zero behaviour;
-//   2. executor determinism: threads=2 decide fan-out (the scalar kernel)
-//      is bit-identical to the serial memoized engine;
+//   2. executor determinism: the K = 3 cluster's links run as parallel
+//      tasks at 2 and 4 threads, bit-identical to the serial run;
 //   3. perf budget: dense@10k may not regress more than 25% against the
 //      last committed BENCH_hot_path.json trajectory entry (override the
 //      factor with BENCH_HOT_PATH_BUDGET_FACTOR for foreign hardware).
@@ -368,21 +368,26 @@ bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
                                capacity, steps, specs, sessions, label);
 }
 
-/// K>1 cluster oracle: run a round-robin-placed cluster, then re-simulate
-/// every link's session subset (in placement order, which is id order)
-/// through the view-based path with that link's constant capacity.
-bool cluster_oracle_matches(SchedulerPolicy policy, std::size_t links,
-                            std::size_t n, std::size_t steps,
-                            const char* label) {
+/// Session i's weight in the K>1 cluster shape below.
+double cluster_weight(std::size_t i) { return (i % 3 == 0) ? 2.0 : 1.0; }
+
+/// The K>1 cluster shape of the oracles: `n` sessions, round-robin over
+/// `links` links with distinct constant capacities (returned in
+/// `capacities`), the links running as `threads`-wide executor tasks.
+ClusterResult run_cluster(SchedulerPolicy policy, std::size_t links,
+                          std::size_t n, std::size_t steps,
+                          std::size_t threads,
+                          std::vector<double>& capacities) {
   ClusterConfig config;
   config.serving = base_config(steps);
   config.serving.policy = policy;
+  config.serving.threads = threads;
   config.placement = PlacementPolicy::kRoundRobin;
   const double load = AdmissionController::cheapest_depth_load(
       hot_cache(), config.serving.candidates);
   std::vector<ConstantChannel> channels;
   std::vector<ChannelModel*> channel_ptrs;
-  std::vector<double> capacities;
+  capacities.clear();
   channels.reserve(links);
   for (std::size_t k = 0; k < links; ++k) {
     // Distinct per-link capacities so a link mix-up cannot cancel out.
@@ -396,10 +401,21 @@ bool cluster_oracle_matches(SchedulerPolicy policy, std::size_t links,
   for (std::size_t i = 0; i < n; ++i) {
     specs[i].cache = &hot_cache();
     specs[i].seed = i;
-    specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
+    specs[i].weight = cluster_weight(i);
   }
+  return run_cluster_scenario(config, specs, channel_ptrs);
+}
+
+/// K>1 cluster oracle: run a round-robin-placed cluster, then re-simulate
+/// every link's session subset (in placement order, which is id order)
+/// through the view-based path with that link's constant capacity.
+bool cluster_oracle_matches(SchedulerPolicy policy, std::size_t links,
+                            std::size_t n, std::size_t steps,
+                            const char* label) {
+  std::vector<double> capacities;
   const ClusterResult result =
-      run_cluster_scenario(config, specs, channel_ptrs);
+      run_cluster(policy, links, n, steps, 1, capacities);
+  const ServingConfig config = base_config(steps);
 
   for (std::size_t k = 0; k < links; ++k) {
     std::vector<OracleSpec> link_specs;
@@ -412,12 +428,12 @@ bool cluster_oracle_matches(SchedulerPolicy policy, std::size_t links,
         return false;
       }
       if (static_cast<std::size_t>(s.link) != k) continue;
-      link_specs.push_back({0, steps, specs[i].weight});
+      link_specs.push_back({0, steps, cluster_weight(i)});
       link_sessions.push_back(&s.session);
     }
-    if (!oracle_replay_matches(policy, 0.0, config.serving.v,
-                               config.serving.candidates, capacities[k], steps,
-                               link_specs, link_sessions, label)) {
+    if (!oracle_replay_matches(policy, 0.0, config.v, config.candidates,
+                               capacities[k], steps, link_specs,
+                               link_sessions, label)) {
       return false;
     }
   }
@@ -471,42 +487,39 @@ bool budget_ok(double* measured_out, double* budget_out) {
   return m.ns_per_session_slot <= *budget_out;
 }
 
-/// threads=2 decide fan-out must be bit-identical to serial.
+/// The cluster-k3 oracle's cluster with its links as parallel tasks, at 2
+/// (fewer workers than links) and 4 (more) threads, must be bit-identical
+/// to serial.
 bool parallel_matches_serial() {
-  const auto run = [&](std::size_t threads) {
-    ClusterConfig config = one_link_config(120);
-    config.serving.threads = threads;
-    const double load = AdmissionController::cheapest_depth_load(
-        hot_cache(), config.serving.candidates);
-    const double capacity = 64.0 * load * 1.5;
-    std::vector<SessionSpec> specs(64);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      specs[i].cache = &hot_cache();
-      specs[i].seed = i;
-      specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
-    }
-    ConstantChannel channel(capacity);
-    return run_cluster_scenario(config, specs, {&channel});
-  };
-  const ClusterResult serial = run(1);
-  const ClusterResult parallel = run(2);
-  if (serial.sessions.size() != parallel.sessions.size()) return false;
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace a = serial.sessions[i].session.trace.to_trace();
-    const Trace b = parallel.sessions[i].session.trace.to_trace();
-    if (a.size() != b.size()) return false;
-    for (std::size_t t = 0; t < a.size(); ++t) {
-      if (a.at(t).depth != b.at(t).depth ||
-          a.at(t).service != b.at(t).service ||
-          a.at(t).backlog_end != b.at(t).backlog_end) {
-        return false;
+  std::vector<double> capacities;
+  const ClusterResult serial = run_cluster(SchedulerPolicy::kDeficitRoundRobin,
+                                           3, 12, 160, 1, capacities);
+  for (const std::size_t threads : {2UL, 4UL}) {
+    const ClusterResult parallel =
+        run_cluster(SchedulerPolicy::kDeficitRoundRobin, 3, 12, 160, threads,
+                    capacities);
+    if (serial.sessions.size() != parallel.sessions.size()) return false;
+    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
+      if (serial.sessions[i].link != parallel.sessions[i].link) return false;
+      const Trace a = serial.sessions[i].session.trace.to_trace();
+      const Trace b = parallel.sessions[i].session.trace.to_trace();
+      if (a.size() != b.size()) return false;
+      for (std::size_t t = 0; t < a.size(); ++t) {
+        if (a.at(t).depth != b.at(t).depth ||
+            a.at(t).service != b.at(t).service ||
+            a.at(t).backlog_end != b.at(t).backlog_end) {
+          return false;
+        }
       }
     }
+    if (serial.metrics.fleet.capacity_used !=
+            parallel.metrics.fleet.capacity_used ||
+        serial.metrics.fleet.quality_fairness !=
+            parallel.metrics.fleet.quality_fairness) {
+      return false;
+    }
   }
-  return serial.metrics.fleet.capacity_used ==
-             parallel.metrics.fleet.capacity_used &&
-         serial.metrics.fleet.quality_fairness ==
-             parallel.metrics.fleet.quality_fairness;
+  return true;
 }
 
 int run_smoke() {

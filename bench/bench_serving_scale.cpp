@@ -1,9 +1,11 @@
-// Serving-scale sweep: session count (1 → 256) × executor threads, on one
-// shared link whose capacity grows with the fleet so per-session load stays
-// constant. Reports wall time, throughput in session-slots/s, the speedup of
-// each thread count over serial at the same fleet size, and the fleet
-// quality/fairness metrics — the scaling story of the serving runtime. The
-// one link is a K = 1 EdgeCluster (run_cluster_scenario with one channel).
+// Serving-scale sweep: session count (1 → 256) on one shared link whose
+// capacity grows with the fleet so per-session load stays constant. Reports
+// wall time, throughput in session-slots/s, and the fleet admission,
+// quality/fairness, utilization and divergence metrics — the scaling story
+// of the serving runtime. The one link is a K = 1 EdgeCluster
+// (run_cluster_scenario with one channel). There is no thread sweep: the
+// cluster's executor runs one task per link, so a one-link server always
+// runs inline.
 //
 // Build & run:  ./build/bench/bench_serving_scale [--json]
 //
@@ -13,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -34,8 +35,7 @@ const arvis::FrameStatsCache& serving_cache() {
   return cache;
 }
 
-double run_once(std::size_t sessions, std::size_t threads,
-                arvis::ClusterResult& result) {
+double run_once(std::size_t sessions, arvis::ClusterResult& result) {
   using namespace arvis;
   const auto& cache = serving_cache();
 
@@ -46,7 +46,6 @@ double run_once(std::size_t sessions, std::size_t threads,
   config.v = calibrate_streaming_v(cache, config.candidates,
                                    4.0 * cache.workload(0).bytes(5));
   config.policy = SchedulerPolicy::kWorkConserving;
-  config.threads = threads;
   config.admission.utilization_target = 0.95;
 
   std::vector<SessionSpec> specs(sessions);
@@ -77,47 +76,34 @@ int main(int argc, char** argv) {
   const bool json =
       argc > 1 && std::strcmp(argv[1], "--json") == 0;
 
-  CsvTable table({"sessions", "threads", "wall_ms", "session_slots_per_s",
-                  "speedup_vs_1t", "admitted", "rejected", "fairness",
-                  "utilization", "divergent"});
+  CsvTable table({"sessions", "wall_ms", "session_slots_per_s", "admitted",
+                  "rejected", "fairness", "utilization", "divergent"});
   std::vector<bench::BenchRecord> records;
 
   for (std::size_t sessions : {1U, 4U, 16U, 64U, 256U}) {
-    double serial_ms = 0.0;
-    for (std::size_t threads : {1U, 2U, 4U}) {
-      if (threads > sessions) continue;
-      ClusterResult result;
-      const double ms = run_once(sessions, threads, result);
-      if (threads == 1) serial_ms = ms;
-      double slots = 0.0;
-      for (const ClusterSessionOutcome& s : result.sessions) {
-        slots += static_cast<double>(s.session.trace.size());
-      }
-      const AdmissionStats& admission = result.metrics.per_link_admission[0];
-      const FleetMetrics& fleet = result.metrics.fleet;
-      table.add_row({static_cast<std::int64_t>(sessions),
-                     static_cast<std::int64_t>(threads), ms,
-                     slots / (ms / 1'000.0),
-                     serial_ms > 0.0 ? serial_ms / ms : 1.0,
-                     static_cast<std::int64_t>(admission.accepted),
-                     static_cast<std::int64_t>(admission.rejected),
-                     fleet.quality_fairness, fleet.utilization(),
-                     static_cast<std::int64_t>(fleet.divergent_sessions)});
-      char params[96];
-      std::snprintf(params, sizeof params,
-                    "{\"sessions\":%zu,\"threads\":%zu}", sessions, threads);
-      records.push_back({"scenario_run", params,
-                         slots > 0.0 ? ms * 1e6 / slots : 0.0, slots, 1});
+    ClusterResult result;
+    const double ms = run_once(sessions, result);
+    double slots = 0.0;
+    for (const ClusterSessionOutcome& s : result.sessions) {
+      slots += static_cast<double>(s.session.trace.size());
     }
+    const AdmissionStats& admission = result.metrics.per_link_admission[0];
+    const FleetMetrics& fleet = result.metrics.fleet;
+    table.add_row({static_cast<std::int64_t>(sessions), ms,
+                   slots / (ms / 1'000.0),
+                   static_cast<std::int64_t>(admission.accepted),
+                   static_cast<std::int64_t>(admission.rejected),
+                   fleet.quality_fairness, fleet.utilization(),
+                   static_cast<std::int64_t>(fleet.divergent_sessions)});
+    char params[64];
+    std::snprintf(params, sizeof params, "{\"sessions\":%zu}", sessions);
+    records.push_back({"scenario_run", params,
+                       slots > 0.0 ? ms * 1e6 / slots : 0.0, slots, 1});
   }
 
-  bench::print_table("serving scale: sessions x threads, " +
-                         std::to_string(kSteps) + " slots",
-                     table);
-  std::printf(
-      "\nNote: speedup_vs_1t compares against the serial run at the same\n"
-      "fleet size; gains require free hardware cores (this machine has %u).\n",
-      std::thread::hardware_concurrency());
+  bench::print_table(
+      "serving scale: sessions, one link, " + std::to_string(kSteps) + " slots",
+      table);
   if (json &&
       !bench::write_bench_json("serving_scale", records,
                                "\"unit\":\"ns_per_session_slot\"")) {

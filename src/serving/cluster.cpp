@@ -84,9 +84,9 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
         "EdgeCluster: at most 1024 links (the kMigration flight event packs "
         "from/to link indices into 10 bits each)");
   }
-  // The links run their phases inline — the cluster's executor is the only
-  // fan-out point. Each link gets its own telemetry lane: counters under
-  // "link<k>/", spans on Chrome tid k.
+  // The cluster's executor is the only fan-out point: its tasks are the
+  // links' finish_slot calls. Each link gets its own telemetry lane:
+  // counters under "link<k>/", spans on Chrome tid k.
   ServingConfig link_config = config_.serving;
   links_.reserve(link_mean_capacity_bytes.size());
   for (double mean : link_mean_capacity_bytes) {
@@ -98,6 +98,7 @@ EdgeCluster::EdgeCluster(const ClusterConfig& config,
   handover_score_.assign(links_.size(), 0.0);
   prev_reserved_.assign(links_.size(), 0.0);
   caps_scratch_.assign(links_.size(), 0.0);
+  reports_.assign(links_.size(), SessionManager::SlotReport{});
   if (config_.handover.enabled) {
     const HandoverPolicy& hp = config_.handover;
     if (!std::isfinite(hp.enter_score) || !std::isfinite(hp.exit_score) ||
@@ -650,31 +651,10 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
     for (auto& link : links_) link->evaluate_brownout();
   }
 
-  // 3. Decide. Serial executor: each link runs its incremental memoized
-  //    engine inline (group by exact inputs, blocked argmax per distinct
-  //    key). Parallel executor: all links' sessions fan out per (link,
-  //    index) pair through the one executor, each pair owning disjoint
-  //    state. Both produce bit-identical decisions for any thread count.
-  if (executor_.threads() > 1) {
-    const PhaseSpan span(tracer_, Phase::kDecide, slot_, kClusterTid);
-    decide_map_.clear();
-    for (std::size_t k = 0; k < links_.size(); ++k) {
-      const std::size_t width = links_[k]->decide_width();
-      for (std::size_t i = 0; i < width; ++i) {
-        decide_map_.emplace_back(static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(i));
-      }
-    }
-    executor_.parallel_for(decide_map_.size(), [this](std::size_t j) {
-      const auto [k, i] = decide_map_[j];
-      links_[k]->decide_session(i);
-    });
-  } else {
-    for (auto& link : links_) link->decide_all_sessions();
-  }
-
-  // 4. Each link schedules and drains with its own capacity; the cluster
-  //    records the fleet-wide slot totals. The fault plane shapes the
+  // 3. Each link decides, schedules and drains with its own capacity, one
+  //    task per link on the executor (inline at threads == 1 or K == 1). A
+  //    link's finish_slot touches only that link's state, so any thread
+  //    count is bit-identical to serial. The fault plane shapes the
   //    effective capacity here: a downed link offers zero (so utilization
   //    never counts capacity nobody could use) and a faded link offers its
   //    scaled draw. ×1.0 is the bitwise multiply identity, so with no
@@ -684,11 +664,15 @@ void EdgeCluster::step(const std::vector<double>& link_capacity_bytes) {
     caps_scratch_[k] =
         state.down ? 0.0 : link_capacity_bytes[k] * state.effective;
   }
+  executor_.parallel_for(links_.size(), [this](std::size_t k) {
+    reports_[k] = links_[k]->finish_slot(caps_scratch_[k]);
+  });
+
+  // 4. The fleet-wide slot totals, folded in link order (the order is what
+  //    keeps the floating-point sums identical at every thread count).
   double offered = 0.0, used = 0.0;
   std::size_t active = 0;
-  for (std::size_t k = 0; k < links_.size(); ++k) {
-    const SessionManager::SlotReport report =
-        links_[k]->finish_slot(caps_scratch_[k]);
+  for (const SessionManager::SlotReport& report : reports_) {
     offered += report.capacity_offered;
     used += report.capacity_used;
     active += report.active_sessions;

@@ -18,15 +18,17 @@
 //      spill_limit spills), refuse when every tried link rejects; then
 //      handover migrates sessions off degraded links, and each link
 //      evaluates brownout on the slot's final reservations;
-//   3. decide: all links' active sessions fan out through ONE deterministic
-//      ParallelExecutor (each session touches only its own state, so any
-//      thread count is bit-identical to serial); each decide is the link's
-//      flattened SoA kernel (SessionStore::decide), so the fan-out walks
-//      dense arrays, not heap-scattered session objects;
-//   4. every link schedules + drains with its own capacity draw — the
-//      scheduler consumes the link store's SoA spans in place (no
-//      demand-struct copy-in) — and per-link ServerMetrics roll up into the
-//      cluster fleet view.
+//   3. every link runs its slot work — memoized decide, schedule and drain
+//      with its own capacity draw (SessionManager::finish_slot) — as one
+//      task on the cluster's deterministic ParallelExecutor. A link's task
+//      touches only that link's state, so any thread count is bit-identical
+//      to serial; at threads == 1 (or K == 1) the tasks run inline. Decide
+//      and schedule walk the link store's SoA arrays in place;
+//   4. the links' slot reports fold into the cluster fleet view in link
+//      order, the same order at every thread count.
+//
+// Steps 1-2 are serial: placement, handover and brownout read reservations
+// across links. Only step 3 runs concurrently.
 //
 // A one-link server is the K = 1 case: run_cluster_scenario with one
 // channel. cluster_test pins its output to golden digests recorded from the
@@ -102,8 +104,9 @@ struct HandoverPolicy {
 
 struct ClusterConfig {
   /// Per-link runtime configuration (scheduler policy, candidates, V,
-  /// admission target). `serving.threads` sizes the *cluster's* decide
-  /// executor; the per-link managers run their phases inline.
+  /// admission target). `serving.threads` sizes the *cluster's* executor,
+  /// whose tasks are the links' slot work (decide, schedule, drain); it has
+  /// no effect at K = 1.
   ServingConfig serving;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   /// Extra links an arrival may try after its first choice rejects it
@@ -276,8 +279,6 @@ class EdgeCluster {
   [[nodiscard]] const ServerMetrics& metrics() const noexcept {
     return metrics_;
   }
-  /// Sessions admitted via a non-first-choice link so far.
-  [[nodiscard]] std::size_t spills() const noexcept { return spills_; }
   /// Sessions refused by every link they were offered to so far.
   [[nodiscard]] std::size_t placement_rejects() const noexcept {
     return placement_rejects_;
@@ -389,8 +390,8 @@ class EdgeCluster {
   /// The HandoverPolicy slot pass: score links, update hysteresis state,
   /// drain sessions off links in handover, and (when configured) rebalance
   /// one worst-served session onto a link a departure just freed. Runs
-  /// between placement and the decide phase; called only when the policy is
-  /// enabled.
+  /// between placement and the links' slot work; called only when the
+  /// policy is enabled.
   void evaluate_handover();
   /// Shared migration mechanics behind migrate_session and the policy
   /// paths. `reason`: 0 = degraded-link handover, 1 = rebalance-on-
@@ -421,8 +422,8 @@ class EdgeCluster {
   std::size_t spills_ = 0;
   std::size_t placement_rejects_ = 0;
   // Scratch reused across slots.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> decide_map_;
   std::vector<std::size_t> rank_;
+  std::vector<SessionManager::SlotReport> reports_;  // per link, this slot
   // -- Fault plane (preallocated; idle cost is one branch per link per slot
   // and a ×1.0 capacity multiply, which is bitwise identity) --------------
   std::vector<LinkState> link_state_;

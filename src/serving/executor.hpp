@@ -1,10 +1,11 @@
 // Deterministic fan-out over an index range on a persistent thread pool.
 //
-// The serving runtime parallelizes two shapes of work: the per-slot decide
-// phase across independent sessions, and whole replicate seeds across cores.
-// Both are "each index owns its slot" loops — body(i) reads and writes only
-// state owned by index i — so results are bit-identical for any thread count
-// or interleaving, which tests assert (parallel == serial). Determinism is a
+// The serving runtime parallelizes two shapes of work: each slot's per-link
+// work (EdgeCluster runs every link's decide, schedule and drain as one
+// task, K claims per slot) and whole replicate seeds across cores. Both are
+// "each index owns its slot" loops — body(i) reads and writes only state
+// owned by index i — so results are bit-identical for any thread count or
+// interleaving, which tests assert (parallel == serial). Determinism is a
 // contract on the *caller's* body, not something the pool can enforce.
 #pragma once
 

@@ -109,23 +109,19 @@ void SessionManager::validate_spec(const SessionSpec& spec) const {
   }
 }
 
-void SessionManager::close_departures() {
-  // Sweeps the dense departure mirror; the cold slab is only touched for
-  // sessions actually retiring, so a no-departure slot reads one array.
-  store_.retire_departed(slot_, [&](ServingSession& s) {
-    s.phase = SessionPhase::kClosed;
-    s.departure_actual = slot_;
-    admission_.release(s.cheapest_load);
-    if (c_closed_ != nullptr) {
-      c_closed_->add(1);
-      h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-    }
-    if (flight_ != nullptr) {
-      flight_->record(FlightEventKind::kClose, slot_, tid_,
-                      static_cast<double>(s.id),
-                      static_cast<double>(slot_ - s.arrival_actual));
-    }
-  });
+void SessionManager::retire(ServingSession& s) {
+  s.phase = SessionPhase::kClosed;
+  s.departure_actual = slot_;
+  admission_.release(s.cheapest_load);
+  if (c_closed_ != nullptr) {
+    c_closed_->add(1);
+    h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
+  }
+  if (flight_ != nullptr) {
+    flight_->record(FlightEventKind::kClose, slot_, tid_,
+                    static_cast<double>(s.id),
+                    static_cast<double>(slot_ - s.arrival_actual));
+  }
 }
 
 void SessionManager::activate(ServingSession& s) {
@@ -178,8 +174,8 @@ bool SessionManager::request_close(std::size_t session_id) {
   }
   ServingSession* s = store_.find(session_id);
   if (s == nullptr || s->phase != SessionPhase::kActive) return false;
-  // Departing "now": close_departures() retires departure_slot <= slot_ at
-  // the next begin_slot(), before this slot streams.
+  // Departing "now": begin_slot() retires departure_slot <= slot_ at the
+  // next slot start, before this slot streams.
   s->spec.departure_slot = slot_;
   store_.mirror_departure(*s);
   return true;
@@ -190,7 +186,9 @@ void SessionManager::begin_slot() {
     throw std::logic_error("SessionManager::begin_slot: already finished");
   }
   const PhaseSpan span(tracer_, Phase::kBeginSlot, slot_, tid_);
-  close_departures();
+  // Sweeps the dense departure mirror; the cold slab is only touched for
+  // sessions actually retiring, so a no-departure slot reads one array.
+  store_.retire_departed(slot_, [this](ServingSession& s) { retire(s); });
 }
 
 void SessionManager::evaluate_brownout() {
@@ -245,18 +243,7 @@ std::size_t SessionManager::evict_all_active(std::vector<EvictedSession>& out) {
       [](const ServingSession&) { return true; },
       [&](ServingSession& s) {
         out.push_back(EvictedSession{s.id, s.spec});
-        s.phase = SessionPhase::kClosed;
-        s.departure_actual = slot_;
-        admission_.release(s.cheapest_load);
-        if (c_closed_ != nullptr) {
-          c_closed_->add(1);
-          h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-        }
-        if (flight_ != nullptr) {
-          flight_->record(FlightEventKind::kClose, slot_, tid_,
-                          static_cast<double>(s.id),
-                          static_cast<double>(slot_ - s.arrival_actual));
-        }
+        retire(s);
       });
   return evicted;
 }
@@ -282,18 +269,7 @@ bool SessionManager::extract_session(std::size_t session_id,
       [&](ServingSession& s) {
         out.id = s.id;
         out.spec = s.spec;  // live spec: reflects any external close
-        s.phase = SessionPhase::kClosed;
-        s.departure_actual = slot_;
-        admission_.release(s.cheapest_load);
-        if (c_closed_ != nullptr) {
-          c_closed_->add(1);
-          h_lifetime_->record(static_cast<double>(slot_ - s.arrival_actual));
-        }
-        if (flight_ != nullptr) {
-          flight_->record(FlightEventKind::kClose, slot_, tid_,
-                          static_cast<double>(s.id),
-                          static_cast<double>(slot_ - s.arrival_actual));
-        }
+        retire(s);
       });
   return true;
 }
@@ -314,6 +290,20 @@ void SessionManager::set_capacity_scale(double scale) {
 SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
   const std::size_t n = store_.active_count();
   const bool pf_history = config_.pf_ewma_window > 0.0;
+  {
+    // Decide phase: every active session runs its own controller on local
+    // state, through the memoized engine.
+    const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
+    store_.decide_all();
+    // Memoization outcome, sampled once per decide (never per session).
+    if (c_decide_reuse_ != nullptr && n > 0) {
+      (store_.last_decide_reused_groups() ? c_decide_reuse_
+                                          : c_decide_rebuild_)
+          ->add(1);
+      h_decide_groups_->record(
+          static_cast<double>(store_.last_decide_groups()));
+    }
+  }
   {
     const PhaseSpan span(tracer_, Phase::kSchedule, slot_, tid_);
     // Schedule phase: the one centralized act — the link divides its own

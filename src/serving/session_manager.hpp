@@ -14,14 +14,16 @@
 // Slot phases, as EdgeCluster::step calls them:
 //   1. begin_slot(): close this slot's departures (so a same-slot placement
 //      sees the freed link reservation); placements and migrations follow,
-//      then evaluate_brownout() when the degradation policy is on;
-//   2. decide: every active session runs its own controller on local state
-//      (decide_all_sessions, or decide_session(i) fanned out across the
-//      cluster's executor — sessions are independent, so the result is
-//      bit-identical for any thread count);
-//   3. finish_slot(): the EdgeScheduler divides the slot's capacity, queues
-//      drain, per-session traces (16 bytes per slot, decoded on read — see
-//      session_trace.hpp) and link metrics record.
+//      then evaluate_brownout() when the degradation policy is on. The
+//      cluster runs this prefix serially, because placement reads every
+//      link's reservations;
+//   2. finish_slot(): the link's slot work, one task on the cluster's
+//      executor. Every active session decides on local state through the
+//      memoized engine (SessionStore::decide_all), the EdgeScheduler
+//      divides the slot's capacity, queues drain, and per-session traces
+//      (16 bytes per slot, decoded on read — see session_trace.hpp) and
+//      link metrics record. It touches only this link's state, so links run
+//      concurrently and the result is bit-identical for any thread count.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -93,8 +95,9 @@ struct ServingConfig {
   /// calibrate with calibrate_streaming_v).
   double v = 0.0;
   AdmissionConfig admission;
-  /// Width of the cluster's decide executor (EdgeCluster reads it; a link
-  /// runs its own phases inline); 1 = serial, 0 = all cores.
+  /// Width of the cluster's executor, whose tasks are links: each runs one
+  /// link's finish_slot, bit-identically to serial. No effect at K = 1 (one
+  /// task always runs inline); 1 = serial, 0 = all cores.
   std::size_t threads = 1;
   /// Averaging window (slots) of the per-session served-bytes EWMA fed to
   /// the proportional-fair scheduler: alpha = 1 / window. 0 (default)
@@ -158,11 +161,10 @@ class SessionManager {
 
   // --- Phase API -----------------------------------------------------------
   // EdgeCluster interleaves the phases of its links: close everywhere, place
-  // cross-link arrivals, fan the decide work of *all* links through one
-  // executor, then drain each link with its own capacity draw. Call order
-  // per slot: begin_slot() [+ try_place()* / place_migrated()*]
-  // [+ evaluate_brownout()] -> decide_all_sessions(), or decide_session(i)
-  // for i in [0, decide_width()) -> finish_slot().
+  // cross-link arrivals, then run each link's finish_slot() as one task
+  // with its own capacity draw. Call order per slot: begin_slot()
+  // [+ try_place()* / place_migrated()*] [+ evaluate_brownout()]
+  // -> finish_slot().
 
   /// Link-level outcome of one slot, returned by finish_slot() so external
   /// drivers can aggregate fleet metrics across links.
@@ -179,43 +181,17 @@ class SessionManager {
 
   /// The degradation policy's per-slot pass: enters or exits brownout from
   /// this slot's reservation level, so call it after the slot's placements
-  /// and migrations and before decide — a same-slot arrival then decides
-  /// under the ceiling it caused. Only for an enabled policy (the one the
-  /// constructor validated); EdgeCluster gates the call on it.
+  /// and migrations and before finish_slot — a same-slot arrival then
+  /// decides under the ceiling it caused. Only for an enabled policy (the
+  /// one the constructor validated); EdgeCluster gates the call on it.
   void evaluate_brownout();
 
-  /// Active sessions this slot (the decide fan-out width).
-  [[nodiscard]] std::size_t decide_width() const noexcept {
-    return store_.active_count();
-  }
-
-  /// Runs active session i's local controller for the current slot: the
-  /// scalar flattened drift-plus-penalty kernel over the session's
-  /// precomputed candidate row. Touches only index-i state: safe to fan out
-  /// across any executor, and the result is bit-identical for any thread
-  /// count. Allocation-free, virtual-dispatch-free, log10-free.
-  void decide_session(std::size_t i) { store_.decide(i); }
-
-  /// The serial incremental decide engine (group by exact inputs, blocked
-  /// argmax per distinct key, fan out). EdgeCluster runs it inline on each
-  /// link when its executor is serial; it decides bit-identically to the
-  /// per-session fan-out (the engine is exact memoization, asserted by the
-  /// bench_hot_path oracle and the parallel==serial test).
-  void decide_all_sessions() {
-    const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
-    store_.decide_all();
-    // Memoization outcome, sampled once per decide (never per session).
-    if (c_decide_reuse_ != nullptr && store_.active_count() > 0) {
-      (store_.last_decide_reused_groups() ? c_decide_reuse_
-                                          : c_decide_rebuild_)
-          ->add(1);
-      h_decide_groups_->record(
-          static_cast<double>(store_.last_decide_groups()));
-    }
-  }
-
-  /// Schedules the slot's capacity over the store's SoA spans, drains
-  /// queues, records metrics, and advances the slot clock.
+  /// The link's slot work: decides every active session through the
+  /// memoized engine (SessionStore::decide_all), schedules the slot's
+  /// capacity over the store's SoA spans, drains queues, records metrics,
+  /// and advances the slot clock. Touches only this link's state — its
+  /// flight events and spans go through the recorders' atomic slot claims —
+  /// so EdgeCluster runs the links' calls concurrently.
   SlotReport finish_slot(double capacity_bytes);
 
   /// The placement hook (EdgeCluster): runs this link's admission on `spec`
@@ -224,7 +200,7 @@ class SessionManager {
   /// per-session RNG stream, so placement decisions never perturb another
   /// session's randomness). On reject nothing is recorded beyond admission
   /// stats — the caller may spill the session to another link. Validates
-  /// with validate_spec(). Call between begin_slot() and the decide phase.
+  /// with validate_spec(). Call between begin_slot() and finish_slot().
   AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
 
   /// The link's admission state (reserved load / residual capacity), for
@@ -236,8 +212,8 @@ class SessionManager {
   /// External-close control: ends active session `session_id` at the
   /// current slot, before this slot streams (its trace covers
   /// [arrival, now)). Returns false for unknown or already-closed ids, true
-  /// when the close took effect. Call between slots or before the decide
-  /// phase (the driver fires close events before stepping the slot).
+  /// when the close took effect. Call between slots or before finish_slot()
+  /// (the driver fires close events before stepping the slot).
   bool request_close(std::size_t session_id);
 
   /// The spec checks try_place() applies (null cache, candidate range,
@@ -279,7 +255,7 @@ class SessionManager {
   /// frame-row cursor) instead of starting a fresh stream — its decide
   /// sequence continues bit for bit when source and target links are
   /// equivalent. The candidate ceiling is *this* link's brownout state, not
-  /// the source's. Call between begin_slot() and the decide phase.
+  /// the source's. Call between begin_slot() and finish_slot().
   AdmissionDecision place_migrated(const MigratedSession& migrated,
                                    std::size_t session_id);
 
@@ -344,7 +320,11 @@ class SessionManager {
   ServingResult finish();
 
  private:
-  void close_departures();
+  /// Closes active session `s` at the current slot: closed phase and
+  /// departure slot, admission reservation released, the sessions_closed
+  /// counter and lifetime histogram, and the kClose flight event. The one
+  /// close path of departures, evictions and migration extractions.
+  void retire(ServingSession& s);
   void activate(ServingSession& s);
   void register_telemetry();
 

@@ -237,8 +237,8 @@ Status SessionStore::validate() const {
     }
   }
   // The weight histogram must be exactly reproducible from the mirrors (it
-  // drives uniform_weights / distinct_weight_count, which gate scheduler
-  // fast paths — a drifted histogram silently changes scheduling).
+  // drives uniform_weights, which gates scheduler fast paths — a drifted
+  // histogram silently changes scheduling).
   std::vector<std::pair<std::uint64_t, std::size_t>> expect;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(weight_[i]);
@@ -423,7 +423,6 @@ void SessionStore::decide_all() {
   const bool reuse = groups_generation_ == generation_ && !backlog_dirty_ &&
                      !group_rep_.empty();
   last_reused_ = reuse;
-  ++decide_calls_;
   if (reuse) {
     ++decide_group_reuses_;
   } else {

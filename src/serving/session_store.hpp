@@ -360,11 +360,6 @@ class SessionStore {
   [[nodiscard]] bool uniform_weights() const noexcept {
     return weight_histo_.size() <= 1;
   }
-  /// Distinct active weight bit patterns (an upper bound on — and for
-  /// exactly-equal weights, equal to — the weighted-priority tier count).
-  [[nodiscard]] std::size_t distinct_weight_count() const noexcept {
-    return weight_histo_.size();
-  }
 
   // --- brownout quality ceilings -------------------------------------------
 
@@ -378,26 +373,15 @@ class SessionStore {
   /// limit out of range or more than kStoreQosTiers entries.
   void set_tier_limits(std::span<const std::uint32_t> limits);
 
-  /// Current ceiling for tier `qos` (width when never restricted).
-  [[nodiscard]] std::uint32_t tier_limit(std::uint8_t qos) const noexcept {
-    ARVIS_DCHECK_LT(qos, tier_limit_.size());
-    return tier_limit_[qos];
-  }
-  /// True when any tier's ceiling is below the full candidate width.
-  [[nodiscard]] bool tier_limits_active() const noexcept {
-    for (const std::uint32_t l : tier_limit_) {
-      if (l != width_) return true;
-    }
-    return false;
-  }
-
   // --- per-slot kernels ---------------------------------------------------
 
   /// The scalar flattened decide kernel: drift-plus-penalty argmax over
   /// active session i's precomputed candidate row for this slot. Touches
-  /// only index-i state — safe to fan out across any executor — and performs
-  /// no allocation, no virtual dispatch, no transcendental math, no integer
-  /// division (the frame row is a cursor advanced by drain()).
+  /// only index-i state and performs no allocation, no virtual dispatch, no
+  /// transcendental math, no integer division (the frame row is a cursor
+  /// advanced by drain()). The serving runtime decides through decide_all;
+  /// this kernel is the reference the tests compare the memo against
+  /// (serving_test's scalar-oracle store test).
   void decide(std::size_t i) noexcept {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(
@@ -428,11 +412,12 @@ class SessionStore {
 
   /// The incremental decide engine: one call decides every active session
   /// for this slot, bit-for-bit identical to calling decide(i) for each i
-  /// (asserted by the bench_hot_path oracle and the parallel==serial test,
-  /// whose threads>1 path still runs the scalar kernel). Groups sessions by
-  /// exact decide inputs, reuses the grouping across slots while the dirty
-  /// tracking proves it unchanged, and runs the blocked kernel once per
-  /// distinct key. Serial by design — the grouping pass is a dependent scan.
+  /// (asserted by the bench_hot_path oracle and by serving_test's
+  /// scalar-oracle store test, with and without brownout ceilings). Groups
+  /// sessions by exact decide inputs, reuses the grouping across slots while
+  /// the dirty tracking proves it unchanged, and runs the blocked kernel
+  /// once per distinct key. Serial by design — the grouping pass is a
+  /// dependent scan; the serving runtime parallelizes across links instead.
   void decide_all();
 
   /// Distinct decide keys of the last decide_all() (diagnostics/benches).
@@ -448,9 +433,6 @@ class SessionStore {
   // calls with >= 1 active session only). Plain uint64 adds at decide
   // granularity — always on, free by the smoke budget; the session manager
   // mirrors the per-call outcome into the telemetry registry.
-  [[nodiscard]] std::uint64_t decide_calls() const noexcept {
-    return decide_calls_;
-  }
   [[nodiscard]] std::uint64_t decide_group_reuses() const noexcept {
     return decide_group_reuses_;
   }
@@ -596,7 +578,6 @@ class SessionStore {
   bool backlog_dirty_ = true;          // any backlog bits changed since build
   std::uint64_t groups_generation_ = 0;  // generation the groups were built at
   bool last_reused_ = false;
-  std::uint64_t decide_calls_ = 0;
   std::uint64_t decide_group_reuses_ = 0;
   std::uint64_t decide_group_rebuilds_ = 0;
   std::vector<std::uint32_t> group_of_;   // session index -> group id

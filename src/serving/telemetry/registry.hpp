@@ -4,9 +4,11 @@
 // Components register named instruments once at construction and keep the
 // returned handles; the hot path then records through plain pointers — no
 // name lookup, no hashing, no allocation. A counter is one relaxed atomic
-// add (safe to record from inside the decide fan-out); histograms stay
-// deliberately single-threaded (the serving runtime serializes every phase
-// that records one): a histogram record is a bit_width + two adds.
+// add, safe to record from concurrent tasks (the cluster runs each link's
+// slot work as one task on its executor, and the links record their
+// "link<k>/" counters from there); histograms stay deliberately
+// single-threaded — each has one writer, its link's task or the serial
+// slot prefix — so a histogram record is a bit_width + two adds.
 //
 // Histograms are log2-bucketed: bucket 0 holds values < 1, bucket b >= 1
 // holds [2^(b-1), 2^b). Percentiles report the owning bucket's lower bound,
@@ -34,11 +36,12 @@ class PhaseTracer;      // tracer.hpp
 class FlightRecorder;   // flight_recorder.hpp
 
 /// A named monotonic counter. add() only; no reset (a run owns its registry).
-/// add() is a relaxed atomic fetch-add: counters are the one instrument a
-/// parallel phase may record into (the decide fan-out), so concurrent adds
-/// must never tear or drop. Relaxed is enough — there is no ordering to
-/// protect, only the sum — and value() is meaningful at phase barriers
-/// (slot boundaries and export time), which is when the runtime reads it.
+/// add() is a relaxed atomic fetch-add: counters are the one instrument
+/// concurrent writers may share (they are recorded from the cluster's link
+/// tasks), so concurrent adds must never tear or drop. Relaxed is enough —
+/// there is no ordering to protect, only the sum — and value() is
+/// meaningful at phase barriers (slot boundaries and export time), which is
+/// when the runtime reads it.
 class TelemetryCounter {
  public:
   void add(std::uint64_t n = 1) noexcept {

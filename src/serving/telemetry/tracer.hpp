@@ -3,11 +3,17 @@
 // event batches, recorded into a preallocated ring buffer with steady-clock
 // timestamps.
 //
-// Cost model: a span is two steady_clock reads plus one ring store when the
-// tracer is live and sampling this slot; when the caller's tracer pointer is
-// null (telemetry off or counters-only) constructing a PhaseSpan is a single
-// predictable branch — which is what lets the spans live permanently in the
-// hot path without violating the zero-overhead-when-off contract.
+// Cost model: a span is two steady_clock reads plus one relaxed fetch-add
+// (the ring slot claim) and one ring store when the tracer is live and
+// sampling this slot; when the caller's tracer pointer is null (telemetry
+// off or counters-only) constructing a PhaseSpan is a single predictable
+// branch — which is what lets the spans live permanently in the hot path
+// without violating the zero-overhead-when-off contract.
+//
+// Writers: the cluster runs each link's slot work as one task on its
+// executor, so with threads > 1 several links record at once. The slot
+// claim makes that safe; spans from different links of one slot may then
+// interleave in the ring, each record's fields unchanged.
 //
 // Export: chrome_trace_json() renders the ring as Chrome trace_event JSON
 // ("X" complete events, microsecond timestamps) loadable by chrome://tracing
@@ -16,6 +22,7 @@
 // the terminal.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -87,37 +94,42 @@ class PhaseTracer {
             .count());
   }
 
-  /// Stores one span (overwrites the oldest once the ring is full).
+  /// Stores one span (overwrites the oldest once the ring is full). The
+  /// slot claim is a relaxed fetch-add, as in FlightRecorder::record, so
+  /// concurrent writers land in distinct ring slots; the payload stores are
+  /// plain (readers consume the ring only at quiescent points).
   void record(Phase phase, std::size_t slot, std::uint32_t tid,
               std::uint64_t start_ns, std::uint64_t end_ns) noexcept {
-    SpanRecord& r = ring_[head_];
+    const std::uint64_t n = total_.fetch_add(1, std::memory_order_relaxed);
+    SpanRecord& r = ring_[static_cast<std::size_t>(n % ring_.size())];
     r.start_ns = start_ns;
     r.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
     r.slot = slot;
     r.tid = tid;
     r.phase = phase;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-    ++total_;
   }
 
   /// Spans currently held (min(recorded_total, capacity)).
   [[nodiscard]] std::size_t size() const noexcept {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
+    const std::uint64_t total = recorded_total();
+    return total < ring_.size() ? static_cast<std::size_t>(total)
+                                : ring_.size();
   }
   /// Spans ever recorded, including overwritten ones.
-  [[nodiscard]] std::uint64_t recorded_total() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t recorded_total() const noexcept {
+    return total_.load(std::memory_order_relaxed);
+  }
   /// Spans lost to ring wraparound.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
+    const std::uint64_t total = recorded_total();
+    return total > ring_.size() ? total - ring_.size() : 0;
   }
 
   /// i-th held span, oldest first (i < size()).
   [[nodiscard]] const SpanRecord& at(std::size_t i) const noexcept {
-    if (total_ <= ring_.size()) return ring_[i];
-    std::size_t idx = head_ + i;
-    if (idx >= ring_.size()) idx -= ring_.size();
-    return ring_[idx];
+    const std::uint64_t total = recorded_total();
+    if (total <= ring_.size()) return ring_[i];
+    return ring_[static_cast<std::size_t>((total + i) % ring_.size())];
   }
 
   /// The held spans as Chrome trace_event JSON ({"traceEvents":[...]},
@@ -132,8 +144,7 @@ class PhaseTracer {
 
  private:
   std::vector<SpanRecord> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t total_ = 0;
+  std::atomic<std::uint64_t> total_{0};
   std::size_t period_ = 1;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -1,9 +1,9 @@
 // Tests for the EdgeCluster serving runtime: the K = 1 case must reproduce
 // the golden digests of the single-link runtime it replaced, placement
 // policies must differ where they should (least-loaded rescues skewed bursts
-// round-robin strands; best-fit packs tight links first), parallel decide
-// fan-out must be bit-identical to serial, and the steady-state slot loop
-// must be allocation-free (counting global operator new probe).
+// round-robin strands; best-fit packs tight links first), running the links
+// as parallel tasks must be bit-identical to serial, and the steady-state
+// slot loop must be allocation-free (counting global operator new probe).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -231,40 +231,51 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
 // --------------------------------------------------------- determinism ----
 
 TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
-  ServingConfig serving = base_serving_config();
-  serving.steps = 100;
-  serving.policy = SchedulerPolicy::kWorkConserving;
+  // Three links, so the executor's per-link tasks meet fewer (2), as many
+  // (3) and more (4, 8) workers than there are tasks. Proportional-fair
+  // joins work-conserving as a second scheduler.
   const auto specs = churn_specs(12);
   const double capacity = 5.0 * shared_cache().workload(0).bytes(4);
 
-  auto run_with_threads = [&](std::size_t threads) {
-    ClusterConfig config;
-    config.serving = serving;
-    config.serving.threads = threads;
-    config.placement = PlacementPolicy::kLeastLoaded;
-    GilbertElliottChannel c0(capacity, 0.5, 0.1, 0.4, Rng(7));
-    GilbertElliottChannel c1(capacity, 0.5, 0.1, 0.4, Rng(8));
-    GilbertElliottChannel c2(capacity, 0.5, 0.1, 0.4, Rng(9));
-    std::vector<ChannelModel*> links{&c0, &c1, &c2};
-    return run_cluster_scenario(config, specs, links);
-  };
+  for (const SchedulerPolicy policy : {SchedulerPolicy::kWorkConserving,
+                                       SchedulerPolicy::kProportionalFair}) {
+    auto run_with_threads = [&](std::size_t threads) {
+      ClusterConfig config;
+      config.serving = base_serving_config();
+      config.serving.steps = 100;
+      config.serving.policy = policy;
+      config.serving.threads = threads;
+      config.placement = PlacementPolicy::kLeastLoaded;
+      GilbertElliottChannel c0(capacity, 0.5, 0.1, 0.4, Rng(7));
+      GilbertElliottChannel c1(capacity, 0.5, 0.1, 0.4, Rng(8));
+      GilbertElliottChannel c2(capacity, 0.5, 0.1, 0.4, Rng(9));
+      std::vector<ChannelModel*> links{&c0, &c1, &c2};
+      return run_cluster_scenario(config, specs, links);
+    };
 
-  const ClusterResult serial = run_with_threads(1);
-  const ClusterResult parallel = run_with_threads(4);
-
-  ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    EXPECT_EQ(serial.sessions[i].link, parallel.sessions[i].link);
-    EXPECT_EQ(serial.sessions[i].spilled, parallel.sessions[i].spilled);
-    expect_traces_bit_identical(serial.sessions[i].session.trace.to_trace(),
-                                parallel.sessions[i].session.trace.to_trace());
+    const ClusterResult serial = run_with_threads(1);
+    for (const std::size_t threads : {2UL, 3UL, 4UL, 8UL}) {
+      SCOPED_TRACE(std::string(to_string(policy)) +
+                   " threads=" + std::to_string(threads));
+      const ClusterResult parallel = run_with_threads(threads);
+      ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
+      for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
+        EXPECT_EQ(serial.sessions[i].link, parallel.sessions[i].link);
+        EXPECT_EQ(serial.sessions[i].spilled, parallel.sessions[i].spilled);
+        expect_traces_bit_identical(
+            serial.sessions[i].session.trace.to_trace(),
+            parallel.sessions[i].session.trace.to_trace());
+      }
+      EXPECT_EQ(serial.metrics.fleet.quality_fairness,
+                parallel.metrics.fleet.quality_fairness);
+      EXPECT_EQ(serial.metrics.fleet.total_time_average_backlog,
+                parallel.metrics.fleet.total_time_average_backlog);
+      EXPECT_EQ(serial.metrics.fleet.capacity_used,
+                parallel.metrics.fleet.capacity_used);
+      EXPECT_EQ(serial.metrics.link_load_fairness,
+                parallel.metrics.link_load_fairness);
+    }
   }
-  EXPECT_EQ(serial.metrics.fleet.quality_fairness,
-            parallel.metrics.fleet.quality_fairness);
-  EXPECT_EQ(serial.metrics.fleet.capacity_used,
-            parallel.metrics.fleet.capacity_used);
-  EXPECT_EQ(serial.metrics.link_load_fairness,
-            parallel.metrics.link_load_fairness);
 }
 
 // ------------------------------------------------------ metrics rollup ----

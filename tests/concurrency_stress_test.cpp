@@ -1,28 +1,34 @@
 // Thread-stress subset (ctest -L thread; the TSan preset runs exactly these).
 //
-// Three contracts under deliberate contention:
-//   1. ParallelExecutor fan-outs at 2-8 threads stay bit-for-bit identical
-//      to the serial run — the determinism claim the cluster decide phase
-//      rests on (paper: distributed per-session controllers must not observe
-//      the fan-out width).
-//   2. TelemetryCounter::add is safe to call concurrently (relaxed atomic):
+// The contracts under deliberate contention. The cluster runs each link's
+// slot work (decide, schedule, drain) as one task on its executor, so every
+// cluster here has four links:
+//   1. Four links as parallel tasks at 2-8 threads stay bit-for-bit
+//      identical to the serial run (paper: distributed per-session
+//      controllers must not observe the fan-out width).
+//   2. The same run with full tracing: the link tasks record spans, flight
+//      events and counters concurrently, and the tracer's ring claims, the
+//      span counts and the per-link counters match the serial run exactly.
+//   3. TelemetryCounter::add is safe to call concurrently (relaxed atomic):
 //      hammered from every worker, the sum is exact, never torn or dropped.
-//   3. The executor's own machinery (claim loop, exception funnel, pool
+//   4. The executor's own machinery (claim loop, exception funnel, pool
 //      reuse) survives back-to-back jobs under TSan.
-//   4. Failover under a parallel decide fan-out: links flap while the
-//      cluster's decide phase runs at 2-8 threads — displaced sessions
-//      re-enter placement between fan-outs without racing (TSan) and
-//      without perturbing determinism (bit-identical to the serial run).
-//   5. Migration under a parallel decide fan-out: graded degradation roams
-//      across the links and the handover policy moves hot sessions between
-//      stores while decide runs at 2-8 threads — extract/inject of hot
+//   5. Failover under parallel links: links flap while the link tasks run
+//      at 2-8 threads — displaced sessions re-enter placement between
+//      fan-outs without racing (TSan) and without perturbing determinism
+//      (bit-identical to the serial run).
+//   6. Migration under parallel links: graded degradation roams across the
+//      links and the handover policy moves hot sessions between stores
+//      while the link tasks run at 2-8 threads — extract/inject of hot
 //      state must be race-free and leave the run bit-identical to serial.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "datasets/catalog.hpp"
@@ -33,6 +39,7 @@
 #include "serving/executor.hpp"
 #include "serving/session_manager.hpp"
 #include "serving/telemetry/registry.hpp"
+#include "serving/telemetry/tracer.hpp"
 
 namespace arvis {
 namespace {
@@ -48,7 +55,9 @@ ServingConfig stress_config(std::size_t threads) {
   config.candidates = {3, 4, 5, 6};
   config.v = calibrate_streaming_v(stress_cache(), config.candidates,
                                    4.0 * stress_cache().workload(0).bytes(5));
-  config.admission.enabled = false;  // everyone in: maximise the fan-out
+  // Least-loaded placement spreads sessions by reserved load, which only
+  // admission books.
+  config.admission.utilization_target = 1.0;
   config.threads = threads;
   return config;
 }
@@ -67,22 +76,43 @@ std::vector<SessionSpec> churny_specs(std::size_t n, std::size_t steps) {
   return specs;
 }
 
-// One link (a K = 1 cluster), so the whole fleet shares one fan-out.
-ClusterResult run_at(std::size_t threads, std::size_t n) {
+constexpr std::size_t kStressLinks = 4;
+
+// Four links under least-loaded placement, each sized to host a quarter of
+// the fleet: admission spreads the sessions evenly, so every link is a busy
+// task in each slot's fan-out.
+ClusterResult run_at(std::size_t threads, std::size_t n,
+                     const TelemetryConfig& telemetry = {}) {
   ClusterConfig config;
   config.serving = stress_config(threads);
-  ConstantChannel channel(5.0e5);
+  config.serving.telemetry = telemetry;
+  config.placement = PlacementPolicy::kLeastLoaded;
+  const double load = AdmissionController::cheapest_depth_load(
+      stress_cache(), config.serving.candidates);
+  const double per_link = 1.1 * load * static_cast<double>(n) /
+                          static_cast<double>(kStressLinks);
+  std::vector<ConstantChannel> channels(kStressLinks,
+                                        ConstantChannel(per_link));
+  std::vector<ChannelModel*> links;
+  for (ConstantChannel& c : channels) links.push_back(&c);
   return run_cluster_scenario(
-      config, churny_specs(n, config.serving.steps), {&channel});
+      config, churny_specs(n, config.serving.steps), links);
 }
 
 TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
   const std::size_t n = 96;
   const ClusterResult serial = run_at(1, n);
+  // Everyone is admitted and every link hosts a share of the fleet.
+  for (std::size_t k = 0; k < kStressLinks; ++k) {
+    EXPECT_EQ(serial.metrics.per_link_admission[k].rejected, 0U) << k;
+    EXPECT_GT(serial.metrics.per_link_admission[k].accepted, 0U) << k;
+  }
   for (const std::size_t threads : {2UL, 4UL, 8UL}) {
     const ClusterResult parallel = run_at(threads, n);
     ASSERT_EQ(parallel.sessions.size(), serial.sessions.size()) << threads;
     for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(serial.sessions[i].link, parallel.sessions[i].link)
+          << "threads=" << threads << " session=" << i;
       const SessionOutcome& a = serial.sessions[i].session;
       const SessionOutcome& b = parallel.sessions[i].session;
       ASSERT_EQ(a.trace.size(), b.trace.size())
@@ -104,6 +134,62 @@ TEST(ConcurrencyStressTest, ParallelFanOutBitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(parallel.metrics.fleet.capacity_used,
               serial.metrics.fleet.capacity_used);
+  }
+}
+
+/// What a fully traced run recorded: the tracer's totals, spans per phase,
+/// each link's slot counter, and the fleet's used capacity.
+struct TracedRun {
+  std::uint64_t recorded = 0;
+  std::uint64_t dropped = 0;
+  std::array<std::uint64_t, kPhaseCount> spans{};
+  std::array<std::uint64_t, kStressLinks> link_slots{};
+  double capacity_used = 0.0;
+};
+
+TracedRun run_traced(std::size_t threads, std::size_t n) {
+  TelemetryRegistry registry;
+  PhaseTracer tracer(TracerConfig{});  // 64k spans: this run drops none
+  TelemetryConfig telemetry;
+  telemetry.mode = TelemetryMode::kFullTrace;
+  telemetry.registry = &registry;
+  telemetry.tracer = &tracer;
+  const ClusterResult result = run_at(threads, n, telemetry);
+
+  TracedRun run;
+  run.recorded = tracer.recorded_total();
+  run.dropped = tracer.dropped();
+  for (std::size_t i = 0; i < tracer.size(); ++i) {
+    ++run.spans[static_cast<std::size_t>(tracer.at(i).phase)];
+  }
+  for (std::size_t k = 0; k < kStressLinks; ++k) {
+    const std::string name = "link" + std::to_string(k) + "/slots";
+    run.link_slots[k] = registry.counter(name).value();
+  }
+  run.capacity_used = result.metrics.fleet.capacity_used;
+  return run;
+}
+
+TEST(ConcurrencyStressTest, TracedFanOutRecordsTheSerialSpansAtAnyThreadCount) {
+  const std::size_t n = 96;
+  const TracedRun serial = run_traced(1, n);
+  ASSERT_EQ(serial.dropped, 0U);
+  ASSERT_GT(serial.spans[static_cast<std::size_t>(Phase::kDecide)], 0U);
+  ASSERT_GT(serial.link_slots[kStressLinks - 1], 0U);
+  for (const std::size_t threads : {2UL, 4UL, 8UL}) {
+    const TracedRun parallel = run_traced(threads, n);
+    EXPECT_EQ(parallel.dropped, 0U) << threads;
+    EXPECT_EQ(parallel.recorded, serial.recorded) << threads;
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      EXPECT_EQ(parallel.spans[p], serial.spans[p])
+          << "threads=" << threads << " phase="
+          << to_string(static_cast<Phase>(p));
+    }
+    for (std::size_t k = 0; k < kStressLinks; ++k) {
+      EXPECT_EQ(parallel.link_slots[k], serial.link_slots[k])
+          << "threads=" << threads << " link=" << k;
+    }
+    EXPECT_EQ(parallel.capacity_used, serial.capacity_used) << threads;
   }
 }
 
@@ -159,14 +245,11 @@ TEST(ConcurrencyStressTest, ExecutorSurvivesContendedReuseAndExceptions) {
 ClusterResult run_flapping_cluster(std::size_t threads) {
   ClusterConfig config;
   config.serving = stress_config(threads);
-  config.serving.admission.enabled = true;  // failover needs real placement
-  config.serving.admission.utilization_target = 1.0;
   config.placement = PlacementPolicy::kLeastLoaded;
 
   const double load = AdmissionController::cheapest_depth_load(
       stress_cache(), config.serving.candidates);
-  const std::size_t links = 4;
-  const std::vector<double> means(links, 8.4 * load);
+  const std::vector<double> means(kStressLinks, 8.4 * load);
 
   EdgeCluster cluster(config, means);
   for (const SessionSpec& spec : churny_specs(48, config.serving.steps)) {
@@ -238,8 +321,6 @@ TEST(ConcurrencyStressTest, FailoverUnderParallelDecideMatchesSerial) {
 ClusterResult run_migrating_cluster(std::size_t threads) {
   ClusterConfig config;
   config.serving = stress_config(threads);
-  config.serving.admission.enabled = true;
-  config.serving.admission.utilization_target = 1.0;
   config.placement = PlacementPolicy::kLeastLoaded;
   config.handover.enabled = true;
   config.handover.delay_weight = 0.1;
@@ -247,8 +328,7 @@ ClusterResult run_migrating_cluster(std::size_t threads) {
 
   const double load = AdmissionController::cheapest_depth_load(
       stress_cache(), config.serving.candidates);
-  const std::size_t links = 4;
-  const std::vector<double> means(links, 8.4 * load);
+  const std::vector<double> means(kStressLinks, 8.4 * load);
 
   EdgeCluster cluster(config, means);
   for (const SessionSpec& spec : churny_specs(48, config.serving.steps)) {

@@ -755,7 +755,7 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
   const double load = cheapest_load(config.candidates);
 
   // A bare link, driven the way EdgeCluster drives one: close departures,
-  // place, evaluate brownout, decide, drain.
+  // place, evaluate brownout, then decide + schedule + drain.
   SessionManager manager(config, 4.0 * load);
   auto step = [&](bool place) {
     manager.begin_slot();
@@ -765,7 +765,6 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
       ASSERT_TRUE(manager.try_place(spec, i).admitted);
     }
     manager.evaluate_brownout();
-    manager.decide_all_sessions();
     manager.finish_slot(4.0 * load);
   };
   step(true);
@@ -822,7 +821,6 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
       ASSERT_TRUE(manager.try_place(premium, pr_id).admitted);
     }
     manager.evaluate_brownout();
-    manager.decide_all_sessions();
     manager.finish_slot(16.0 * load);
   }
   ASSERT_TRUE(manager.brownout_active());

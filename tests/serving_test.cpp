@@ -930,42 +930,6 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
   return specs;
 }
 
-TEST(SessionManagerTest, ParallelExecutionIsBitIdenticalToSerial) {
-  ServingConfig config = small_config();
-  config.steps = 150;
-  config.policy = SchedulerPolicy::kProportionalFair;
-  const auto specs = churn_specs(9);
-  const double capacity = 9.0 * shared_cache().workload(0).bytes(4);
-
-  config.threads = 1;
-  ConstantChannel ch_serial(capacity);
-  const ClusterResult serial = run_one_link(config, specs, ch_serial);
-  config.threads = 4;
-  ConstantChannel ch_parallel(capacity);
-  const ClusterResult parallel = run_one_link(config, specs, ch_parallel);
-
-  ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
-  for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-    const Trace a = serial.sessions[i].session.trace.to_trace();
-    const Trace b = parallel.sessions[i].session.trace.to_trace();
-    ASSERT_EQ(a.size(), b.size()) << "session " << i;
-    for (std::size_t t = 0; t < a.size(); ++t) {
-      // Bit-exact equality, not approximate: the decide phase touches only
-      // per-session state, so thread count must not change a single bit.
-      EXPECT_EQ(a.at(t).depth, b.at(t).depth);
-      EXPECT_EQ(a.at(t).arrivals, b.at(t).arrivals);
-      EXPECT_EQ(a.at(t).service, b.at(t).service);
-      EXPECT_EQ(a.at(t).backlog_begin, b.at(t).backlog_begin);
-      EXPECT_EQ(a.at(t).backlog_end, b.at(t).backlog_end);
-      EXPECT_EQ(a.at(t).quality, b.at(t).quality);
-    }
-  }
-  EXPECT_EQ(serial.metrics.fleet.quality_fairness,
-            parallel.metrics.fleet.quality_fairness);
-  EXPECT_EQ(serial.metrics.fleet.total_time_average_backlog,
-            parallel.metrics.fleet.total_time_average_backlog);
-}
-
 TEST(ReplicationTest, ParallelReplicateMatchesSerialExactly) {
   const auto factory = [](std::uint64_t seed) {
     StreamingConfig config;
@@ -1168,7 +1132,11 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   // with backlog 0 — plus a table retired from use and re-interned mid-run.
   // A key scheme that conflates tables would group them together and decide
   // some sessions on the wrong table; every decision is therefore checked
-  // bit-for-bit against a twin store driven only by the scalar kernel.
+  // bit-for-bit against a twin store driven only by the scalar kernel. This
+  // is the in-tree oracle of the memo against SessionStore::decide, so it
+  // also covers brownout ceilings: sessions span the three QoS tiers, and a
+  // mid-run ceiling splits them into enough groups that the blocked lanes
+  // run with limits below the candidate width.
   const ServingConfig config = small_config();
   SessionStore store(config.candidates, config.v);   // decide_all (memoized)
   SessionStore oracle(config.candidates, config.v);  // decide(i) (scalar)
@@ -1180,6 +1148,7 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
     spec.cache = &cache;
     spec.departure_slot = departure;
     for (std::size_t k = 0; k < count; ++k, ++next_id) {
+      spec.qos = static_cast<std::uint8_t>(next_id % kSloTiers);
       for (SessionStore* st : {&store, &oracle}) {
         ServingSession& s = st->create(next_id, spec);
         s.phase = SessionPhase::kActive;
@@ -1187,6 +1156,7 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
       }
     }
   };
+  bool ceiling = false;
   const auto step = [&](std::size_t t) {
     for (SessionStore* st : {&store, &oracle}) {
       st->retire_departed(
@@ -1195,6 +1165,9 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
     store.decide_all();
     for (std::size_t i = 0; i < oracle.active_count(); ++i) oracle.decide(i);
     ASSERT_EQ(store.active_count(), oracle.active_count());
+    if (ceiling) {
+      ASSERT_GE(store.last_decide_groups(), kDecideLanes) << "slot " << t;
+    }
     for (std::size_t i = 0; i < store.active_count(); ++i) {
       // Identical per-session share so backlogs stay bit-identical too.
       store.drain(i, 700.0, 0.0);
@@ -1212,6 +1185,16 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   spawn(shared_cache(), 2, kNeverDeparts);
   spawn(alt_cache(), 2, kNeverDeparts);
   for (std::size_t t = 4; t < 12; ++t) step(t);
+  // Brownout ceilings on both stores ({1, 2, width - 1} for tiers 0..2),
+  // then a fresh cohort that activates under them.
+  const auto width = static_cast<std::uint32_t>(config.candidates.size());
+  const std::vector<std::uint32_t> limits{1, 2, width - 1};
+  store.set_tier_limits(limits);
+  oracle.set_tier_limits(limits);
+  ceiling = true;
+  spawn(shared_cache(), 3, kNeverDeparts);
+  spawn(alt_cache(), 3, kNeverDeparts);
+  for (std::size_t t = 12; t < 20; ++t) step(t);
 
   // Bit-for-bit comparison of every surviving session's full trace.
   ASSERT_EQ(store.session_count(), oracle.session_count());

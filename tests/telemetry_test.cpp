@@ -348,7 +348,6 @@ TEST(TelemetryEndToEndTest, ManagerCountersMatchRunShape) {
       spec.departure_slot = 20 + i;  // retire mid-run: close counters fire
       ASSERT_TRUE(manager.try_place(spec, i).admitted);
     }
-    manager.decide_all_sessions();
     manager.finish_slot(capacity);
   }
   const ServingResult result = manager.finish();
