@@ -97,7 +97,6 @@ arvis::ScenarioConfig scenario_for(const SweepPoint& point) {
 arvis::ReplayConfig replay_for(const SweepPoint& point) {
   using namespace arvis;
   ReplayConfig config;
-  config.cluster.serving.steps = point.horizon;  // reservation hint
   config.cluster.serving.candidates = {3, 4, 5, 6};
   config.cluster.serving.v =
       calibrate_streaming_v(churn_cache(), config.cluster.serving.candidates,

@@ -115,8 +115,8 @@ struct Measurement {
 };
 
 /// Dense steady state: N sessions admitted at slot 0, none ever leave; the
-/// clock covers only the measured window (warm-up absorbs admission, trace
-/// reservations and scratch growth).
+/// clock covers only the measured window (warm-up absorbs admission and
+/// scratch growth; the record arena still takes a block per 8192 chunks).
 Measurement run_dense(std::size_t n, std::size_t warm, std::size_t measure,
                       const TelemetryConfig* telemetry = nullptr) {
   ClusterConfig config = one_link_config(warm + measure);

@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   }
 
   ReplayConfig config;
-  config.cluster.serving.steps = scenario.horizon;  // reservation hint
   config.cluster.serving.candidates = {4, 5, 6, 7, 8};
   config.cluster.serving.v =
       calibrate_streaming_v(cache_a, config.cluster.serving.candidates,

@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/stats.hpp"
-
 namespace arvis {
 
 const char* to_string(StabilityVerdict verdict) noexcept {
@@ -26,36 +24,65 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
   if (tail_fraction <= 0.0 || tail_fraction > 1.0) {
     throw std::invalid_argument("analyze_stability: tail_fraction in (0, 1]");
   }
-
-  StabilityReport report;
-  report.peak = *std::max_element(backlog.begin(), backlog.end());
-  report.time_average =
+  const double peak = *std::max_element(backlog.begin(), backlog.end());
+  const double time_average =
       std::accumulate(backlog.begin(), backlog.end(), 0.0) /
       static_cast<double>(backlog.size());
-
-  const std::size_t tail_len = std::max<std::size_t>(
-      4, static_cast<std::size_t>(static_cast<double>(backlog.size()) *
-                                  tail_fraction));
+  const std::size_t tail_len =
+      stability_tail_length(backlog.size(), tail_fraction);
   const std::size_t start = backlog.size() - tail_len;
-  std::vector<double> t(tail_len);
-  std::vector<double> q(tail_len);
-  double tail_sum = 0.0;
+  return classify_stability(std::span<const double>(backlog).subspan(start),
+                            start, peak, time_average, divergence_slope,
+                            zero_threshold);
+}
+
+std::size_t stability_tail_length(std::size_t n,
+                                  double tail_fraction) noexcept {
+  return std::max<std::size_t>(
+      4, static_cast<std::size_t>(static_cast<double>(n) * tail_fraction));
+}
+
+StabilityReport classify_stability(std::span<const double> tail,
+                                   std::size_t start, double peak,
+                                   double time_average,
+                                   double divergence_slope,
+                                   double zero_threshold) {
+  StabilityReport report;
+  report.peak = peak;
+  report.time_average = time_average;
+
+  // Least-squares slope of tail[i] against t = start + i: fit_linear's
+  // sums, in its order, without materializing the (t, q) vectors. The tail
+  // sum is fit_linear's y sum, so the tail mean is its y mean.
+  const std::size_t tail_len = tail.size();
+  const auto n = static_cast<double>(tail_len);
+  double sx = 0.0, sy = 0.0;
   for (std::size_t i = 0; i < tail_len; ++i) {
-    t[i] = static_cast<double>(start + i);
-    q[i] = backlog[start + i];
-    tail_sum += q[i];
+    sx += static_cast<double>(start + i);
+    sy += tail[i];
   }
-  report.tail_mean = tail_sum / static_cast<double>(tail_len);
-  report.tail_slope = fit_linear(t, q).slope;
+  const double mx = sx / n;
+  const double my = sy / n;
+  double sxx = 0.0, sxy = 0.0;
+  for (std::size_t i = 0; i < tail_len; ++i) {
+    const double dx = static_cast<double>(start + i) - mx;
+    const double dy = tail[i] - my;
+    sxx += dx * dx;
+    sxy += dx * dy;
+  }
+  report.tail_mean = my;
+  report.tail_slope = sxx <= 0.0 ? 0.0 : sxy / sxx;
 
   // First-half tail mean vs second-half tail mean: still growing?
   const std::size_t half = tail_len / 2;
   const double first_half =
-      std::accumulate(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(half),
-                      0.0) / static_cast<double>(half);
+      std::accumulate(tail.begin(),
+                      tail.begin() + static_cast<std::ptrdiff_t>(half), 0.0) /
+      static_cast<double>(half);
   const double second_half =
-      std::accumulate(q.begin() + static_cast<std::ptrdiff_t>(half), q.end(),
-                      0.0) / static_cast<double>(tail_len - half);
+      std::accumulate(tail.begin() + static_cast<std::ptrdiff_t>(half),
+                      tail.end(), 0.0) /
+      static_cast<double>(tail_len - half);
 
   if (report.tail_slope > divergence_slope && second_half > first_half) {
     report.verdict = StabilityVerdict::kDivergent;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace arvis {
@@ -43,6 +44,22 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
                                   double tail_fraction = 1.0 / 3.0,
                                   double divergence_slope = 1.0,
                                   double zero_threshold = 1.0);
+
+/// Length of the tail analyze_stability fits for an `n`-sample series: the
+/// last `tail_fraction` of it, at least 4 samples.
+std::size_t stability_tail_length(std::size_t n, double tail_fraction) noexcept;
+
+/// The verdict half of analyze_stability, for a caller that already holds
+/// the series' `peak` and `time_average` (Trace summaries sum them on their
+/// one pass): `tail` is the series' last stability_tail_length() samples,
+/// the first of them at index `start`. The tail is read in place with
+/// fit_linear's arithmetic in fit_linear's order, so the report is
+/// bit-identical to analyze_stability's on the whole series.
+StabilityReport classify_stability(std::span<const double> tail,
+                                   std::size_t start, double peak,
+                                   double time_average,
+                                   double divergence_slope,
+                                   double zero_threshold);
 
 /// The stability region boundary of the depth-control system: with constant
 /// frame workload a(d) and mean service b̄, depth d is sustainable iff

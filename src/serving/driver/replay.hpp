@@ -22,8 +22,8 @@
 namespace arvis {
 
 struct ReplayConfig {
-  /// Per-link runtime + placement. `cluster.serving.steps` no longer bounds
-  /// the run (the calendar does); it only sizes trace reservations.
+  /// Per-link runtime + placement. `cluster.serving.steps` is not read: the
+  /// calendar, not a horizon, bounds the run.
   ClusterConfig cluster;
   DriverConfig driver;
   /// Optional hard stop: halt before this slot even if sessions remain

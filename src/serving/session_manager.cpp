@@ -124,16 +124,6 @@ void SessionManager::retire(ServingSession& s) {
   }
 }
 
-void SessionManager::activate(ServingSession& s) {
-  s.phase = SessionPhase::kActive;
-  // Reserve the whole active window up front so steady-state trace appends
-  // never reallocate (the manager may be driven past config_.steps by hand,
-  // in which case appends beyond the reservation simply grow as usual).
-  const std::size_t horizon = std::min(s.spec.departure_slot, config_.steps);
-  if (horizon > slot_) s.trace.reserve(horizon - slot_);
-  store_.activate(s, slot_);
-}
-
 AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
                                             std::size_t session_id) {
   if (finished_) {
@@ -159,7 +149,8 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
   s.cheapest_load = decision.cheapest_load;
   s.max_sustainable_depth = decision.max_sustainable_depth;
   s.arrival_actual = slot_;
-  activate(s);
+  s.phase = SessionPhase::kActive;
+  store_.activate(s, slot_);
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kAdmit, slot_, tid_,
                     static_cast<double>(s.id),
@@ -396,8 +387,10 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
     slo_scratch_[t].push_back(delay);
     slo_scratch_[kSloTiers].push_back(delay);
     local[t].active += 1;
-    if (!s.trace.empty()) {
-      const double quality = s.trace.last_quality();
+    // Live records are sealed only at retire; the store knows the last
+    // step's quality.
+    if (store_.recorded_steps(i) != 0) {
+      const double quality = store_.last_quality(i);
       if (!local[t].has_quality || quality < local[t].min_quality) {
         local[t].min_quality = quality;
         local[t].has_quality = true;

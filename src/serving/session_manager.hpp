@@ -20,9 +20,9 @@
 //   2. finish_slot(): the link's slot work, one task on the cluster's
 //      executor. Every active session decides on local state through the
 //      memoized engine (SessionStore::decide_all), the EdgeScheduler
-//      divides the slot's capacity, queues drain, and per-session traces
-//      (16 bytes per slot, decoded on read — see session_trace.hpp) and
-//      link metrics record. It touches only this link's state, so links run
+//      divides the slot's capacity, queues drain, and per-session records
+//      (9.85 bytes per slot in the link's chunk arena, decoded on read —
+//      see session_trace.hpp) and link metrics record. It touches only this link's state, so links run
 //      concurrently and the result is bit-identical for any thread count.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
@@ -325,7 +325,6 @@ class SessionManager {
   /// counter and lifetime histogram, and the kClose flight event. The one
   /// close path of departures, evictions and migration extractions.
   void retire(ServingSession& s);
-  void activate(ServingSession& s);
   void register_telemetry();
 
   ServingConfig config_;

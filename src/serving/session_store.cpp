@@ -25,9 +25,17 @@ std::uint64_t mix_key(std::uint64_t row_key, std::uint64_t backlog_bits,
 }  // namespace
 
 SessionStore::SessionStore(std::vector<int> candidates, double v)
-    : candidates_(std::move(candidates)), v_(v), width_(candidates_.size()) {
+    : candidates_(std::move(candidates)),
+      v_(v),
+      width_(candidates_.size()),
+      arena_(std::make_shared<StepArena>()) {
   if (candidates_.empty()) {
     throw std::invalid_argument("SessionStore: empty candidate set");
+  }
+  if (width_ > std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument(
+        "SessionStore: more than 255 candidates (records store the index in "
+        "one byte)");
   }
   tier_limit_.assign(kStoreQosTiers, static_cast<std::uint32_t>(width_));
   // The per-session LyapunovDepthController used to reject V < 0 at
@@ -71,7 +79,13 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
 #endif
   const std::size_t table_id = intern(*s.spec.cache);
   const FlatDecideTable& table = *tables_[table_id].second;
-  s.trace.start(tables_[table_id].second, slot);
+  // Heads start at a rotating index, so sessions activated together fill
+  // their chunks on different slots: a fleet streaming in lockstep takes a
+  // thirteenth of its next chunks each slot, not all of them every 13th.
+  const std::size_t first = next_first_;
+  next_first_ = first + 1 == kStepsPerChunk ? 0 : first + 1;
+  StepChunk* head = arena_->alloc();
+  s.trace.start(tables_[table_id].second, arena_, head, first, slot);
   active_.push_back(&s);
   backlog_.push_back(0.0);  // sessions start with an empty queue
   weight_.push_back(s.spec.weight);
@@ -84,6 +98,8 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
   ARVIS_DCHECK_LT(s.spec.qos, tier_limit_.size());
   qos_.push_back(s.spec.qos);
   limit_.push_back(tier_limit_[s.spec.qos]);
+  chunk_.push_back(head);
+  pos_.push_back(first);
   choice_.push_back(0);
   dec_arrivals_.push_back(0.0);
   histo_add(std::bit_cast<std::uint64_t>(s.spec.weight));
@@ -136,6 +152,8 @@ void SessionStore::resize_active(std::size_t n) {
     departure_[i] = 0;
     qos_[i] = std::numeric_limits<std::uint8_t>::max();
     limit_[i] = 0;  // a live ceiling is never < 1
+    chunk_[i] = nullptr;
+    pos_[i] = std::numeric_limits<std::size_t>::max();
   }
 #endif
   active_.resize(n);
@@ -149,6 +167,8 @@ void SessionStore::resize_active(std::size_t n) {
   departure_.resize(n);
   qos_.resize(n);
   limit_.resize(n);
+  chunk_.resize(n);
+  pos_.resize(n);
   choice_.resize(n);
   dec_arrivals_.resize(n);
 }
@@ -184,8 +204,8 @@ Status SessionStore::validate() const {
   if (backlog_.size() != n || weight_.size() != n || ewma_.size() != n ||
       table_.size() != n || table_id_.size() != n || frames_.size() != n ||
       row_off_.size() != n || departure_.size() != n || qos_.size() != n ||
-      limit_.size() != n || choice_.size() != n ||
-      dec_arrivals_.size() != n) {
+      limit_.size() != n || chunk_.size() != n || pos_.size() != n ||
+      choice_.size() != n || dec_arrivals_.size() != n) {
     return Status::FailedPrecondition(
         "SessionStore::validate: SoA mirrors not index-parallel with the "
         "active list");
@@ -234,6 +254,20 @@ Status SessionStore::validate() const {
     }
     if (limit_[i] < 1 || limit_[i] > width_) {
       return fail(i, "candidate ceiling outside [1, width]");
+    }
+    // The write chunk must sit pos / kStepsPerChunk links down the record's
+    // chain, and the record stays unsealed while the session lives.
+    if (!s->trace.empty()) return fail(i, "live record already sealed");
+    if (pos_[i] < s->trace.first()) {
+      return fail(i, "chain position before the record's first step");
+    }
+    const StepChunk* chunk = s->trace.head();
+    for (std::size_t c = pos_[i] / kStepsPerChunk; c != 0; --c) {
+      if (chunk == nullptr) break;
+      chunk = chunk->next;
+    }
+    if (chunk == nullptr || chunk != chunk_[i]) {
+      return fail(i, "write chunk is not on the record's chain");
     }
   }
   // The weight histogram must be exactly reproducible from the mirrors (it

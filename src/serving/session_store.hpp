@@ -37,11 +37,15 @@
 // kernel — the single most expensive instruction the old decide executed.
 //
 // The trace is the slot loop's largest memory stream: every active session
-// appends to its own record every slot. Decide therefore outputs the index
-// of the chosen candidate (plus its arrivals, which the scheduler reads),
-// and drain appends 16 bytes — the share and that index — to the session's
-// SessionTrace, which decodes full StepRecords on read from the session's
-// table rows and the Lindley recurrence (see session_trace.hpp).
+// records every slot. Decide therefore outputs the index of the chosen
+// candidate (plus its arrivals, which the scheduler reads), and drain writes
+// the share and a one-byte copy of that index into the session's current
+// StepChunk, taken from the link's StepArena in bump order. Drain reaches
+// the chunk through two hot mirrors (the chunk being written and the chain
+// position), never through the cold slab; the session's SessionTrace
+// learns its size when the session retires and decodes full StepRecords on
+// read from the table rows and the Lindley recurrence (see
+// session_trace.hpp).
 //
 // The store also maintains exact O(changed) aggregates for the scheduler:
 // a membership generation (bumped on any activation/retirement) and a
@@ -130,8 +134,8 @@ struct HotSessionState {
   std::size_t row_off = 0;
 };
 
-/// The cold per-session record (slab resident; read at lifecycle edges and
-/// in the drain phase, never in the decide/schedule inner loops).
+/// The cold per-session record (slab resident; read at lifecycle edges,
+/// never in the decide/schedule/drain loops).
 struct ServingSession {
   ServingSession(std::size_t id_in, const SessionSpec& spec_in)
       : id(id_in),
@@ -144,7 +148,8 @@ struct ServingSession {
 
   std::size_t id;
   SessionSpec spec;
-  /// Packed per-slot record (see session_trace.hpp), started at activation.
+  /// Per-slot record (see session_trace.hpp): started at activation on the
+  /// link's chunk arena, sealed when the session retires (empty until then).
   SessionTrace trace;
   /// Private stream derived from the spec seed; reserved for stochastic
   /// controllers/arrival jitter so adding them later cannot perturb any
@@ -164,7 +169,9 @@ struct ServingSession {
 /// active list so the phase loops can trust plain indices.
 class SessionStore {
  public:
-  /// `candidates` must be non-empty (the manager validates ordering/range).
+  /// `candidates` must be non-empty (the manager validates ordering/range)
+  /// and at most 255 long: a record stores the chosen index in one byte.
+  /// Throws std::invalid_argument otherwise, or on V < 0.
   SessionStore(std::vector<int> candidates, double v);
 
   // --- slab ---------------------------------------------------------------
@@ -188,12 +195,13 @@ class SessionStore {
 
   /// Marks `s` active at `slot` and mirrors its hot fields into the SoA
   /// arrays (interning its cache's FlatDecideTable on first sight), and
-  /// starts its trace on that table at `slot`.
+  /// starts its trace on that table at `slot` in a fresh arena chunk.
   void activate(ServingSession& s, std::size_t slot);
 
   /// Compacts the active list, retiring every session `should_close`
-  /// selects (invoking `on_close(session)` for each) while keeping all SoA
-  /// mirrors index-parallel. Preserves relative order of survivors.
+  /// selects (sealing its trace, then invoking `on_close(session)`) while
+  /// keeping all SoA mirrors index-parallel. Preserves relative order of
+  /// survivors.
   template <class ShouldClose, class OnClose>
   void retire_active(ShouldClose should_close, OnClose on_close) {
     const std::size_t n = active_.size();
@@ -202,6 +210,7 @@ class SessionStore {
       ServingSession& s = *active_[i];
       if (should_close(s)) {
         histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
+        s.trace.commit(pos_[i]);
         on_close(s);
         continue;
       }
@@ -226,6 +235,7 @@ class SessionStore {
     for (std::size_t i = 0; i < n; ++i) {
       if (departure_[i] <= slot) {
         histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
+        active_[i]->trace.commit(pos_[i]);
         on_close(*active_[i]);
         continue;
       }
@@ -257,6 +267,25 @@ class SessionStore {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(active_[i] != nullptr, "poisoned active slot");
     return *active_[i];
+  }
+
+  /// Session·slots active session i has recorded in its current segment
+  /// (its trace reads empty until it retires). Reads the slab: snapshot
+  /// cadence, never the slot loop.
+  [[nodiscard]] std::size_t recorded_steps(std::size_t i) const noexcept {
+    ARVIS_DCHECK_LT(i, active_.size());
+    return pos_[i] - active_[i]->trace.first();
+  }
+  /// Quality active session i was served in its last recorded slot: its
+  /// last choice in the frame row before the cursor, which drain advanced
+  /// (wrapping at row 0). Requires recorded_steps(i) > 0; valid between
+  /// slots (compaction carries choice_, decide rewrites it).
+  [[nodiscard]] double last_quality(std::size_t i) const noexcept {
+    ARVIS_DCHECK(recorded_steps(i) != 0);
+    const std::size_t stride = 2 * width_;
+    const std::size_t row =
+        (row_off_[i] == 0 ? frames_[i] * stride : row_off_[i]) - stride;
+    return table_[i][row + choice_[i]];
   }
 
   // --- live-migration state transfer ---------------------------------------
@@ -441,19 +470,21 @@ class SessionStore {
   }
 
   /// Drain bookkeeping for active session i after the scheduler granted
-  /// `share`: Lindley queue step, 16-byte trace append, hot-mirror refresh,
+  /// `share`: Lindley queue step, the step's record, hot-mirror refresh,
   /// EWMA update (alpha > 0 only), frame-row cursor advance, backlog dirty
   /// tracking for the memoizer. Returns the bytes actually served.
   ///
   /// The Lindley step runs inline on the hot mirror (lindley_next, the
   /// arithmetic SessionTrace's decoder replays), because the serving runtime
   /// observes a queue only through the trace and the served-bytes return.
-  /// The trace keeps just the share and the chosen candidate index: depth,
-  /// arrivals, quality and both backlogs are decoded on read from the
-  /// session's table row and the same recurrence.
+  /// The record keeps just the share and the chosen candidate index, written
+  /// into the session's current chunk through the chunk_/pos_ mirrors (the
+  /// cold slab is not touched); a chunk that fills links a fresh one from
+  /// the arena. Depth, arrivals, quality and both backlogs are decoded on
+  /// read from the session's table row and the same recurrence.
   double drain(std::size_t i, double share, double alpha) {
     ARVIS_DCHECK_LT(i, active_.size());
-    ARVIS_DCHECK_MSG(active_[i] != nullptr, "drain on poisoned slot");
+    ARVIS_DCHECK_MSG(chunk_[i] != nullptr, "drain on poisoned slot");
     ARVIS_DCHECK_MSG(
         std::bit_cast<std::uint64_t>(backlog_[i]) != kPoisonedSlotBits,
         "drain on poisoned (released) slot");
@@ -465,7 +496,14 @@ class SessionStore {
       backlog_dirty_ = true;
     }
     backlog_[i] = backlog_end;
-    active_[i]->trace.append(share, choice_[i]);
+    StepChunk* chunk = chunk_[i];
+    const std::size_t k = pos_[i]++ % kStepsPerChunk;
+    chunk->service[k] = share;
+    chunk->choice[k] = static_cast<std::uint8_t>(choice_[i]);
+    if (k == kStepsPerChunk - 1) {
+      chunk->next = arena_->alloc();
+      chunk_[i] = chunk->next;
+    }
     const std::size_t next = row_off_[i] + 2 * width_;
     row_off_[i] = next == frames_[i] * 2 * width_ ? 0 : next;
     if (alpha > 0.0) ewma_[i] = (1.0 - alpha) * ewma_[i] + alpha * served;
@@ -488,7 +526,8 @@ class SessionStore {
   }
 
  private:
-  /// Moves every SoA mirror of index `from` to index `to` (compaction).
+  /// Moves every SoA mirror of index `from` to index `to` (compaction). The
+  /// decide choice moves too: last_quality reads it between slots.
   void compact_to(std::size_t to, std::size_t from) noexcept {
     if (to == from) return;
     active_[to] = active_[from];
@@ -502,6 +541,9 @@ class SessionStore {
     departure_[to] = departure_[from];
     qos_[to] = qos_[from];
     limit_[to] = limit_[from];
+    chunk_[to] = chunk_[from];
+    pos_[to] = pos_[from];
+    choice_[to] = choice_[from];
   }
 
   void resize_active(std::size_t n);
@@ -560,11 +602,18 @@ class SessionStore {
   std::vector<std::size_t> departure_;     // spec departure slot (sweep key)
   std::vector<std::uint8_t> qos_;          // spec QoS tier (ceiling lookup)
   std::vector<std::uint32_t> limit_;       // candidate ceiling (<= width_)
+  std::vector<StepChunk*> chunk_;          // chunk drain writes into next
+  std::vector<std::size_t> pos_;           // chain position drain writes next
 
   // Per-slot decide outputs (written by decide, read by schedule/drain):
   // the chosen candidate index and its arrivals.
   std::vector<std::uint32_t> choice_;
   std::vector<double> dec_arrivals_;
+
+  // This link's record chunks. Shared with every trace started in it, so
+  // finished outcomes stay decodable after the store.
+  std::shared_ptr<StepArena> arena_;
+  std::size_t next_first_ = 0;  // head-chunk index of the next activation
 
   // Interned flattened tables, keyed by cache identity (few distinct caches
   // per run; linear scan at activation only). Shared with every trace

@@ -1,6 +1,7 @@
 #include "serving/session_trace.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace arvis {
 
@@ -38,11 +39,26 @@ FlatDecideTable::FlatDecideTable(const FrameStatsCache& cache,
   }
 }
 
+StepArena::~StepArena() {
+  // Unlink the chain block by block: each block owns its predecessor, and
+  // destroying the newest one would otherwise recurse once per block.
+  while (block_ != nullptr) block_ = std::move(block_->prev);
+}
+
+void StepArena::grow() {
+  std::unique_ptr<Block> block(new Block);
+  block->prev = std::move(block_);
+  block_ = std::move(block);
+  used_ = 0;
+}
+
 SessionTrace::Iterator SessionTrace::begin() const noexcept {
-  if (steps_.empty()) return end();  // refused sessions carry no table
+  if (size_ == 0) return end();  // refused sessions carry no table
   const FlatDecideTable& table = *table_;
   Iterator it;
-  it.step_ = steps_.data();
+  it.chunk_ = head_;
+  it.k_ = first_;
+  it.left_ = size_;
   it.rows_begin_ = table.data();
   it.rows_end_ = table.data() + table.frames() * table.stride();
   it.row_ = table.data() + row0_;
@@ -54,16 +70,20 @@ SessionTrace::Iterator SessionTrace::begin() const noexcept {
 }
 
 double SessionTrace::last_quality() const noexcept {
-  ARVIS_DCHECK(!steps_.empty());
+  ARVIS_DCHECK(size_ != 0);
+  const std::size_t last = size_ - 1;
+  const std::size_t pos = first_ + last;  // chain position of the last step
+  const StepChunk* chunk = head_;
+  for (std::size_t c = pos / kStepsPerChunk; c != 0; --c) chunk = chunk->next;
   const std::size_t stride = table_->stride();
   const std::size_t row =
-      (row0_ + (steps_.size() - 1) * stride) % (table_->frames() * stride);
-  return table_->data()[row + steps_.back().choice];
+      (row0_ + last * stride) % (table_->frames() * stride);
+  return table_->data()[row + chunk->choice[pos % kStepsPerChunk]];
 }
 
 Trace SessionTrace::to_trace() const {
   Trace trace;
-  trace.reserve(steps_.size());
+  trace.reserve(size_);
   for (const StepRecord& record : *this) trace.add(record);
   return trace;
 }

@@ -1,21 +1,33 @@
-// SessionTrace: the serving runtime's per-session record, packed to 16 bytes
-// per slot and decoded on read.
+// SessionTrace: the serving runtime's per-session record, written into a
+// per-link chunk arena and decoded on read.
 //
-// Every active session appends to its own record every slot, so the record
-// width sets the slot loop's largest memory stream, spread over thousands of
-// per-session vectors. A full StepRecord (56 bytes) is redundant given the
-// session's decide table: the slot's frame row is the segment's first row
-// advanced one row per slot (cycling over the table), depth, arrivals and
-// quality are that row's entries at the chosen candidate, and both backlogs
-// follow from the Lindley recurrence. Only the scheduler's share is new
-// information. So drain records a PackedStep {share, candidate index}, and
-// readers decode StepRecords through a forward range whose iterator carries
-// the frame row and the backlog: no step costs a division, and backlog_end
-// is bit-identical to the hot mirror's because drain and decode share
-// lindley_next().
+// Every active session records every slot, so the record sets the slot
+// loop's largest memory stream. A full StepRecord (56 bytes) is redundant
+// given the session's decide table: the slot's frame row is the segment's
+// first row advanced one row per slot (cycling over the table), depth,
+// arrivals and quality are that row's entries at the chosen candidate, and
+// both backlogs follow from the Lindley recurrence. Only the scheduler's
+// share is new information. So drain records the share and the candidate
+// index, and readers decode StepRecords through a forward range whose
+// iterator carries the frame row and the backlog: no step costs a division,
+// and backlog_end is bit-identical to the hot mirror's because drain and
+// decode share lindley_next().
 //
-// A record holds a reference to its FlatDecideTable, so session outcomes stay
-// decodable after the runtime that produced them is gone.
+// Drain writes into StepChunks: 128 bytes holding 13 consecutive
+// session·slots of one segment (9.85 B each) and a link to the segment's
+// next chunk. Each link's store owns one StepArena that hands chunks out in
+// bump order from 1 MiB blocks, so a slot's writes land on a few dozen pages
+// per link instead of one page per session, and a segment holds only the
+// chunks it filled plus the one it is writing: nothing is reserved ahead.
+// A segment's first step lands at a rotating index of its head chunk, so a
+// fleet that streams in lockstep crosses chunk boundaries a few sessions at
+// a time rather than all at once every 13th slot. The store keeps the chunk
+// being written and the chain position in hot mirrors; a record learns its
+// size only when its segment retires (commit), so a live session's trace
+// reads empty.
+//
+// A record holds its FlatDecideTable and its StepArena, so session outcomes
+// stay decodable after the runtime that produced them is gone.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +37,7 @@
 #include <memory>
 #include <ranges>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -73,20 +86,60 @@ inline double lindley_next(double backlog, double share,
   return backlog - served_bytes(backlog, share) + std::max(0.0, arrivals);
 }
 
-/// One session·slot as drain records it: the scheduler's share and the
-/// index of the candidate decide chose.
-struct PackedStep {
-  double service = 0.0;
-  std::uint32_t choice = 0;
+/// Session·slots one StepChunk holds.
+inline constexpr std::size_t kStepsPerChunk = 13;
+
+/// Thirteen consecutive session·slots of one segment as drain records them:
+/// per slot, the scheduler's share and the index of the candidate decide
+/// chose. `next` links the segment's following chunk; drain sets it when
+/// this chunk fills.
+struct StepChunk {
+  double service[kStepsPerChunk];
+  std::uint8_t choice[kStepsPerChunk];
+  StepChunk* next;
 };
-static_assert(sizeof(PackedStep) == 16);
+static_assert(sizeof(StepChunk) == 128);
+
+/// One link's append-only chunk arena. Chunks come out in bump order from
+/// blocks of kChunksPerBlock; a block never moves and is freed only with the
+/// arena, so every record written into it stays readable while any outcome
+/// holds the arena.
+class StepArena {
+ public:
+  static constexpr std::size_t kChunksPerBlock = 8192;  // 1 MiB of chunks
+
+  StepArena() = default;
+  StepArena(const StepArena&) = delete;
+  StepArena& operator=(const StepArena&) = delete;
+  ~StepArena();
+
+  /// A fresh chunk with a null `next`. One heap allocation (a new block)
+  /// per kChunksPerBlock calls, none otherwise.
+  [[nodiscard]] StepChunk* alloc() {
+    if (used_ == kChunksPerBlock) grow();
+    StepChunk* chunk = &block_->chunks[used_++];
+    chunk->next = nullptr;
+    return chunk;
+  }
+
+ private:
+  struct Block {
+    StepChunk chunks[kChunksPerBlock];
+    std::unique_ptr<Block> prev;  // the block filled before this one
+  };
+  void grow();
+
+  std::unique_ptr<Block> block_;  // the block alloc() bumps through
+  std::size_t used_ = kChunksPerBlock;  // chunks taken from block_
+};
 
 /// A session's per-slot record over one active segment (an admission, or a
 /// migration / failover re-placement onto a link). Empty and table-less for
-/// a session that was refused or never arrived.
+/// a session that was refused or never arrived, and empty while the
+/// segment is live: the store seals the size when the segment retires.
 class SessionTrace {
  public:
-  /// Decodes one StepRecord per packed step. A forward iterator whose
+  /// Decodes one StepRecord per recorded step. A forward iterator whose
   /// reference is a StepRecord value.
   class Iterator {
    public:
@@ -98,12 +151,12 @@ class SessionTrace {
     Iterator() = default;
 
     StepRecord operator*() const noexcept {
-      const std::uint32_t c = step_->choice;
+      const std::size_t c = chunk_->choice[k_];
       StepRecord record;
       record.t = t_;
       record.depth = candidates_[c];
       record.arrivals = row_[width_ + c];
-      record.service = step_->service;
+      record.service = chunk_->service[k_];
       record.backlog_begin = backlog_;
       record.backlog_end =
           lindley_next(backlog_, record.service, record.arrivals);
@@ -111,9 +164,13 @@ class SessionTrace {
       return record;
     }
     Iterator& operator++() noexcept {
-      backlog_ =
-          lindley_next(backlog_, step_->service, row_[width_ + step_->choice]);
-      ++step_;
+      backlog_ = lindley_next(backlog_, chunk_->service[k_],
+                              row_[width_ + chunk_->choice[k_]]);
+      if (++k_ == kStepsPerChunk) {
+        chunk_ = chunk_->next;
+        k_ = 0;
+      }
+      --left_;
       ++t_;
       row_ += 2 * width_;
       if (row_ == rows_end_) row_ = rows_begin_;  // the frame cycle wraps
@@ -125,13 +182,15 @@ class SessionTrace {
       return before;
     }
     friend bool operator==(const Iterator& a, const Iterator& b) noexcept {
-      return a.step_ == b.step_;
+      return a.left_ == b.left_;
     }
 
    private:
     friend class SessionTrace;
 
-    const PackedStep* step_ = nullptr;
+    const StepChunk* chunk_ = nullptr;
+    std::size_t k_ = 0;     // step index within chunk_
+    std::size_t left_ = 0;  // steps from here to the end, this one included
     const double* row_ = nullptr;
     const double* rows_begin_ = nullptr;
     const double* rows_end_ = nullptr;
@@ -141,11 +200,18 @@ class SessionTrace {
     double backlog_ = 0.0;
   };
 
-  /// Starts the record of a session activated at `slot` on `table`: frame
-  /// row 0, empty queue.
-  void start(std::shared_ptr<const FlatDecideTable> table, std::size_t slot) {
-    ARVIS_DCHECK_MSG(steps_.empty(), "SessionTrace restarted after appends");
+  /// Opens the record of a segment activated at `slot` on `table`, whose
+  /// first step drain writes at index `first` of `head` (a fresh chunk of
+  /// `arena`): frame row 0, empty queue.
+  void start(std::shared_ptr<const FlatDecideTable> table,
+             std::shared_ptr<const StepArena> arena, const StepChunk* head,
+             std::size_t first, std::size_t slot) {
+    ARVIS_DCHECK_MSG(head_ == nullptr, "SessionTrace restarted");
+    ARVIS_DCHECK_LT(first, kStepsPerChunk);
     table_ = std::move(table);
+    arena_ = std::move(arena);
+    head_ = head;
+    first_ = first;
     t0_ = slot;
     row0_ = 0;
     backlog0_ = 0.0;
@@ -153,30 +219,33 @@ class SessionTrace {
   /// Sets a migrated segment's start: the carried backlog and frame row (in
   /// doubles from the table base, aligned to its stride).
   void resume_at(double backlog, std::size_t row_off) noexcept {
-    ARVIS_DCHECK_MSG(steps_.empty(), "SessionTrace resumed after appends");
+    ARVIS_DCHECK_MSG(size_ == 0, "SessionTrace resumed after commit");
     ARVIS_DCHECK(table_ != nullptr);
     backlog0_ = backlog;
     row0_ = row_off;
   }
-  void reserve(std::size_t n) { steps_.reserve(n); }
-  /// The drain-phase append: one 16-byte record per session·slot.
-  void append(double service, std::uint32_t choice) {
-    steps_.push_back(PackedStep{service, choice});
+  /// Seals the record at chain position `end`: one past its last step,
+  /// counted from the head chunk's index 0. Called once, when the segment
+  /// retires.
+  void commit(std::size_t end) noexcept {
+    ARVIS_DCHECK_MSG(size_ == 0, "SessionTrace committed twice");
+    ARVIS_DCHECK(end >= first_);
+    size_ = end - first_;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return steps_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return steps_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// The chunk the record's first step is (or will be) written into, and
+  /// that step's index in it.
+  [[nodiscard]] const StepChunk* head() const noexcept { return head_; }
+  [[nodiscard]] std::size_t first() const noexcept { return first_; }
   /// The decoded records in slot order. The record is itself the range;
   /// steps() mirrors Trace::steps() so loops read the same over both.
   [[nodiscard]] const SessionTrace& steps() const noexcept { return *this; }
   [[nodiscard]] Iterator begin() const noexcept;
-  [[nodiscard]] Iterator end() const noexcept {
-    Iterator it;
-    it.step_ = steps_.data() + steps_.size();
-    return it;
-  }
+  [[nodiscard]] Iterator end() const noexcept { return Iterator{}; }
 
-  /// Quality of the last recorded step, O(1) (one modulo). Requires a
+  /// Quality of the last recorded step (walks the chunk chain). Requires a
   /// non-empty record.
   [[nodiscard]] double last_quality() const noexcept;
 
@@ -188,10 +257,13 @@ class SessionTrace {
 
  private:
   std::shared_ptr<const FlatDecideTable> table_;
+  std::shared_ptr<const StepArena> arena_;  // owns the chunks below
+  const StepChunk* head_ = nullptr;
+  std::size_t first_ = 0;    // index of the first step in head_
+  std::size_t size_ = 0;     // sealed step count (0 while live)
   std::size_t t0_ = 0;       // slot of the first step
   std::size_t row0_ = 0;     // frame row of the first step, in doubles
   double backlog0_ = 0.0;    // Q at the first step
-  std::vector<PackedStep> steps_;
 };
 
 static_assert(std::forward_iterator<SessionTrace::Iterator>);

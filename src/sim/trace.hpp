@@ -42,8 +42,11 @@ struct TraceSummary {
 /// The one summary definition, over any sized forward range of StepRecord
 /// values: the summation order and the stability thresholds behind
 /// Trace::summarize_partial, shared by record types that decode into
-/// StepRecords (the serving runtime's packed SessionTrace) so their summaries
-/// stay bit-identical. Throws std::logic_error on an empty range.
+/// StepRecords (the serving runtime's SessionTrace) so their summaries stay
+/// bit-identical. The stability report reuses this pass's backlog peak and
+/// time average and keeps only the Q(t) tail the fit reads, so it equals
+/// analyze_stability over the whole series for the non-negative backlogs a
+/// queue produces. Throws std::logic_error on an empty range.
 template <class Steps>
 TraceSummary summarize_steps(const Steps& steps) {
   const std::size_t count = steps.size();
@@ -51,10 +54,14 @@ TraceSummary summarize_steps(const Steps& steps) {
     throw std::logic_error("summarize_partial: empty trace");
   }
   const bool analyzed = count >= 8;
+  constexpr double kTailFraction = 1.0 / 3.0;
+  const std::size_t tail_start =
+      analyzed ? count - stability_tail_length(count, kTailFraction) : count;
   TraceSummary summary;
   double q_sum = 0.0, b_sum = 0.0, d_sum = 0.0, a_sum = 0.0, s_sum = 0.0;
-  std::vector<double> backlog;  // Q(t) series for the stability fit
-  if (analyzed) backlog.reserve(count);
+  std::vector<double> tail;  // Q(t) over the stability fit's tail
+  tail.reserve(count - tail_start);
+  std::size_t t = 0;
   for (const StepRecord& s : steps) {
     q_sum += s.quality;
     b_sum += s.backlog_begin;
@@ -63,7 +70,7 @@ TraceSummary summarize_steps(const Steps& steps) {
     s_sum += s.service;
     summary.peak_backlog = std::max(summary.peak_backlog, s.backlog_begin);
     summary.final_backlog = s.backlog_end;
-    if (analyzed) backlog.push_back(s.backlog_begin);
+    if (t++ >= tail_start) tail.push_back(s.backlog_begin);
   }
   const auto n = static_cast<double>(count);
   summary.time_average_quality = q_sum / n;
@@ -88,8 +95,9 @@ TraceSummary summarize_steps(const Steps& steps) {
   // every slot.
   const double zero_threshold = std::max(1.0, 2.0 * summary.mean_arrivals);
   const double divergence_slope = std::max(1.0, 0.02 * summary.mean_arrivals);
-  summary.stability = analyze_stability(backlog, 1.0 / 3.0, divergence_slope,
-                                        zero_threshold);
+  summary.stability = classify_stability(
+      tail, tail_start, summary.peak_backlog, summary.time_average_backlog,
+      divergence_slope, zero_threshold);
   return summary;
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -345,6 +347,88 @@ TEST(EdgeClusterTest, Validation) {
                std::invalid_argument);
 }
 
+// -------------------------------------------------- SLO quality floor ----
+
+TEST(EdgeClusterTest, SloQualityFloorIsEachActiveSessionsLastServedQuality) {
+  // accumulate_slo's per-tier quality floor is the minimum, over the
+  // sessions active at the sample, of the quality each was served in the
+  // previous slot. A live record is sealed only when its session retires,
+  // so the runtime reads that quality from the store's hot mirrors; this
+  // checks it against the decoded records of the same run finished right
+  // after the sample. Tiers are mixed; session 1's frame row wraps at slot 8
+  // (the cache has 8 frames); session 0 migrates from link 0 to link 1 at
+  // slot 6, ahead of session 2 in link 0's active list, so the sample taken
+  // right after the migration reads a compacted list.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double capacity = 6.0 * cheapest_load(config.serving.candidates);
+  const std::vector<double> caps{capacity, capacity};
+  struct Session {
+    std::size_t arrival, departure;
+    std::uint8_t qos;
+  };
+  const Session sessions[] = {
+      {0, kNeverDeparts, 2},  // link 0, then link 1 from kMigrateAt
+      {0, kNeverDeparts, 0},  // link 1
+      {0, 17, 1},             // link 0
+      {3, kNeverDeparts, 0},  // link 1
+      {5, kNeverDeparts, 1},  // link 0
+      {9, 20, 2},             // link 1
+  };
+  constexpr std::size_t kMigrateAt = 6;
+  ASSERT_EQ(shared_cache().frame_count(), 8U);
+
+  for (const std::size_t at : {1, 5, 6, 7, 8, 9, 13, 16, 17, 21}) {
+    SCOPED_TRACE("sample at slot " + std::to_string(at));
+    EdgeCluster cluster(config, caps);
+    for (const Session& s : sessions) {
+      SessionSpec spec;
+      spec.cache = &shared_cache();
+      spec.arrival_slot = s.arrival;
+      spec.departure_slot = s.departure;
+      spec.qos = s.qos;
+      cluster.submit(spec);
+    }
+    for (std::size_t t = 0; t < at; ++t) {
+      if (t == kMigrateAt) {
+        ASSERT_TRUE(cluster.migrate_session(0, 1));
+      }
+      cluster.step(caps);
+    }
+    if (at == kMigrateAt) {
+      ASSERT_TRUE(cluster.migrate_session(0, 1));
+    }
+    SloObservation observation;
+    cluster.accumulate_slo(observation);
+    const ClusterResult result = cluster.finish();
+    EXPECT_EQ(result.sessions[2].link, 0);
+    EXPECT_EQ(result.sessions[0].link, at >= kMigrateAt ? 1 : 0);
+
+    // The reference: every session whose record ends at slot at - 1 was
+    // active at the sample and was served that record's quality.
+    SloTierSample want[kSloTiers];
+    for (std::size_t id = 0; id < std::size(sessions); ++id) {
+      const SessionTrace& trace = result.sessions[id].session.trace;
+      if (trace.empty()) continue;
+      const StepRecord last = trace.to_trace().steps().back();
+      if (last.t + 1 != at) continue;
+      SloTierSample& tier = want[sessions[id].qos];
+      if (!tier.has_quality || last.quality < tier.min_quality) {
+        tier.min_quality = last.quality;
+        tier.has_quality = true;
+      }
+    }
+    for (std::size_t t = 0; t < kSloTiers; ++t) {
+      EXPECT_EQ(observation.tier[t].has_quality, want[t].has_quality)
+          << "tier " << t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(observation.tier[t].min_quality),
+                std::bit_cast<std::uint64_t>(want[t].min_quality))
+          << "tier " << t;
+    }
+  }
+}
+
 // ------------------------------------------------- allocation freedom ----
 
 TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
@@ -361,7 +445,8 @@ TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
     spec.seed = i;
     cluster.submit(spec);
   }
-  // Warm-up: admissions, trace reservations, scheduler scratch growth.
+  // Warm-up: admissions, the record arena's first block (six sessions never
+  // fill it), scheduler scratch growth.
   const std::vector<double> caps{capacity};
   for (int t = 0; t < 30; ++t) cluster.step(caps);
 
@@ -396,6 +481,58 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
   EXPECT_EQ(after - before, 0U)
       << "steady-state cluster loop performed " << (after - before)
       << " heap allocations over 60 slots";
+  static_cast<void>(cluster.finish());
+}
+
+TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {
+  // Drain records every session·slot into its link's chunk arena: a session
+  // takes a head chunk at activation, writing from a head offset the store
+  // rotates per activation (0, 1, ..., 12, 0, ...), and one more chunk each
+  // time its chain position reaches a multiple of 13; the arena allocates a
+  // block of chunks when its current block runs out. A window's allocations
+  // are therefore exactly the blocks the fleet's chunk count crossed in it —
+  // nothing per session, per chunk or per slot. 1000 sessions streaming from
+  // slot 0 cross the first block boundary during slot 93.
+  constexpr std::size_t kSessions = 1000;
+  constexpr std::size_t kWarmup = 30;
+  constexpr std::size_t kSlots = 120;
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.steps = kSlots;
+  config.serving.policy = SchedulerPolicy::kWorkConserving;
+  config.serving.admission.enabled = false;
+  config.serving.threads = 1;
+  const double capacity =
+      static_cast<double>(kSessions) * shared_cache().workload(0).bytes(4);
+  EdgeCluster cluster(config, {capacity});
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.seed = i;
+    cluster.submit(spec);
+  }
+  // Arena blocks in use once every session has drained `slots` slots.
+  const auto blocks_after = [](std::size_t slots) {
+    std::size_t chunks = 0;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      chunks += 1 + (s % kStepsPerChunk + slots) / kStepsPerChunk;
+    }
+    return (chunks + StepArena::kChunksPerBlock - 1) /
+           StepArena::kChunksPerBlock;
+  };
+  // Warm-up: admissions, the arena's first block, scheduler scratch growth.
+  const std::vector<double> caps{capacity};
+  for (std::size_t t = 0; t < kWarmup; ++t) cluster.step(caps);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t t = kWarmup; t < kSlots; ++t) cluster.step(caps);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t blocks = blocks_after(kSlots) - blocks_after(kWarmup);
+  ASSERT_GT(blocks, 0U) << "the window must cross a block boundary";
+  EXPECT_EQ(after - before, blocks)
+      << "slots " << kWarmup << ".." << kSlots << " of " << kSessions
+      << " sessions performed " << (after - before)
+      << " heap allocations; the arena grew by " << blocks << " block(s)";
   static_cast<void>(cluster.finish());
 }
 

@@ -66,7 +66,7 @@ ScenarioConfig base_scenario() {
 
 ClusterConfig replay_cluster_config(std::size_t sessions_per_link) {
   ClusterConfig config;
-  config.serving.steps = 400;  // reservation hint only under the driver
+  config.serving.steps = 400;
   config.serving.candidates = {3, 4, 5, 6};
   config.serving.v =
       calibrate_streaming_v(shared_cache(), config.serving.candidates,
@@ -1110,11 +1110,11 @@ TEST(ScenarioStreamTest, BatchesReproduceGenerateRowForRow) {
 
 /// Drives six never-departing sessions through an EventLoop + EdgeCluster
 /// and returns the allocations the run() performed. Called with two stop
-/// horizons: every heap allocation belongs to the arrival/warm-up phase, so
-/// the longer steady tail must add exactly zero.
+/// horizons: every heap allocation belongs to the arrival/warm-up phase
+/// (including each link's first record-arena block, which six sessions
+/// never fill), so the longer steady tail must add exactly zero.
 std::size_t driver_run_allocations(std::size_t stop_slot) {
   ClusterConfig config = replay_cluster_config(2);
-  config.serving.steps = 600;  // trace reservation horizon covers both runs
   const double load = cheapest_load(config.serving.candidates);
   const double capacity = 4.0 * load;
   EdgeCluster cluster(config, {capacity, capacity});

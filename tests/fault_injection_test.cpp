@@ -44,7 +44,7 @@ double cheapest_load(const std::vector<int>& candidates) {
 
 ServingConfig base_serving() {
   ServingConfig config;
-  config.steps = 200;  // reservation hint under the driver
+  config.steps = 200;
   config.candidates = {3, 4, 5, 6};
   config.v = calibrate_streaming_v(fault_cache(), config.candidates,
                                    4.0 * fault_cache().workload(0).bytes(5));

@@ -68,11 +68,12 @@ SessionSpec session_spec(std::size_t arrival, std::size_t departure,
 
 // ------------------------------------------------ explicit migration ----
 
-TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
-  // One session, two equivalent links. Cluster A migrates it from link 0 to
-  // link 1 at slot 20; the twin cluster leaves it alone. Hot-state transfer
-  // (backlog, EWMA, frame-row cursor) must make the migrated session's
-  // per-slot records from the migration onward bit-identical to the twin's.
+/// One session, two equivalent links. Cluster A migrates it from link 0 to
+/// link 1 at slot `at`; the twin cluster leaves it alone. Hot-state transfer
+/// (backlog, EWMA, frame-row cursor) must make the migrated session's
+/// per-slot records from the migration onward bit-identical to the twin's.
+void expect_migration_matches_twin(std::size_t at) {
+  SCOPED_TRACE("migration at slot " + std::to_string(at));
   ClusterConfig config;
   config.serving = base_serving();
   const double load = cheapest_load(config.serving.candidates);
@@ -81,9 +82,9 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
 
   EdgeCluster migrated(config, means);
   const std::size_t id = migrated.submit(session_spec(0, 60));
-  for (std::size_t t = 0; t < 20; ++t) migrated.step(caps);
+  for (std::size_t t = 0; t < at; ++t) migrated.step(caps);
   ASSERT_TRUE(migrated.migrate_session(id, 1));
-  for (std::size_t t = 20; t < 60; ++t) migrated.step(caps);
+  for (std::size_t t = at; t < 60; ++t) migrated.step(caps);
   const ClusterResult moved = migrated.finish();
 
   EdgeCluster oracle(config, means);
@@ -103,14 +104,14 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
   const Trace seg = moved.sessions[id].session.trace.to_trace();
   const Trace full = stayed.sessions[twin].session.trace.to_trace();
   ASSERT_EQ(full.size(), 60U);
-  ASSERT_EQ(seg.size(), 40U);
-  ASSERT_EQ(seg.at(0).t, 20U);
+  ASSERT_EQ(seg.size(), 60U - at);
+  ASSERT_EQ(seg.at(0).t, at);
   // The first migrated record opens with the carried backlog: exactly the
   // twin's backlog at the same slot.
-  EXPECT_EQ(seg.at(0).backlog_begin, full.at(20).backlog_begin);
+  EXPECT_EQ(seg.at(0).backlog_begin, full.at(at).backlog_begin);
   for (std::size_t i = 0; i < seg.size(); ++i) {
     const StepRecord& a = seg.at(i);
-    const StepRecord& b = full.at(20 + i);
+    const StepRecord& b = full.at(at + i);
     EXPECT_EQ(a.t, b.t) << i;
     EXPECT_EQ(a.depth, b.depth) << i;
     EXPECT_EQ(a.arrivals, b.arrivals) << i;
@@ -123,16 +124,23 @@ TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
   // Both decode from the profile alone. The segment starts mid-table with
   // the carried (non-zero) backlog and wraps past the last frame.
   const std::size_t frames = migration_cache().frame_count();
-  ASSERT_NE(20 % frames, 0U);
+  ASSERT_NE(at % frames, 0U);
   ASSERT_GT(seg.size(), frames);
-  ASSERT_GT(full.at(20).backlog_begin, 0.0);
+  ASSERT_GT(full.at(at).backlog_begin, 0.0);
   const std::vector<int>& candidates = config.serving.candidates;
   EXPECT_TRUE(arvis_test::decodes_from_profile(
       full, migration_cache(), candidates, config.serving.v, 0, 0.0,
       candidates.size()));
   EXPECT_TRUE(arvis_test::decodes_from_profile(
-      seg, migration_cache(), candidates, config.serving.v, 20,
-      full.at(20).backlog_begin, candidates.size()));
+      seg, migration_cache(), candidates, config.serving.v, at,
+      full.at(at).backlog_begin, candidates.size()));
+}
+
+TEST(MigrationTest, MigratedSessionMatchesOracleTwinBitForBit) {
+  expect_migration_matches_twin(20);
+  // At slot 13 the source segment fills exactly one 13-step chunk, and the
+  // target segment opens a fresh chunk mid-frame with the carried backlog.
+  expect_migration_matches_twin(13);
 }
 
 TEST(MigrationTest, ExplicitMigrationRecordsFlightEventAndRejectsBadInput) {

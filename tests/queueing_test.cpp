@@ -1,10 +1,19 @@
 // Tests for discrete-time queues, arrival processes and stability analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "queueing/arrival_process.hpp"
 #include "queueing/queue.hpp"
 #include "queueing/stability.hpp"
+#include "sim/trace.hpp"
 
 namespace arvis {
 namespace {
@@ -234,6 +243,141 @@ TEST(StabilityTest, ValidatesInput) {
   const auto series = make_series(100, [](std::size_t) { return 1.0; });
   EXPECT_THROW(analyze_stability(series, 0.0), std::invalid_argument);
   EXPECT_THROW(analyze_stability(series, 1.5), std::invalid_argument);
+}
+
+/// The stability definition the in-place paths must reproduce: peak and
+/// time average rescanned over the whole series, the tail copied into (t, q)
+/// vectors and fitted with fit_linear.
+StabilityReport reference_stability(const std::vector<double>& backlog,
+                                    double tail_fraction,
+                                    double divergence_slope,
+                                    double zero_threshold) {
+  StabilityReport report;
+  report.peak = *std::max_element(backlog.begin(), backlog.end());
+  report.time_average =
+      std::accumulate(backlog.begin(), backlog.end(), 0.0) /
+      static_cast<double>(backlog.size());
+  const std::size_t tail_len = std::max<std::size_t>(
+      4, static_cast<std::size_t>(static_cast<double>(backlog.size()) *
+                                  tail_fraction));
+  const std::size_t start = backlog.size() - tail_len;
+  std::vector<double> t(tail_len);
+  std::vector<double> q(tail_len);
+  double tail_sum = 0.0;
+  for (std::size_t i = 0; i < tail_len; ++i) {
+    t[i] = static_cast<double>(start + i);
+    q[i] = backlog[start + i];
+    tail_sum += q[i];
+  }
+  report.tail_mean = tail_sum / static_cast<double>(tail_len);
+  report.tail_slope = fit_linear(t, q).slope;
+  const std::size_t half = tail_len / 2;
+  const double first_half =
+      std::accumulate(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(half),
+                      0.0) / static_cast<double>(half);
+  const double second_half =
+      std::accumulate(q.begin() + static_cast<std::ptrdiff_t>(half), q.end(),
+                      0.0) / static_cast<double>(tail_len - half);
+  if (report.tail_slope > divergence_slope && second_half > first_half) {
+    report.verdict = StabilityVerdict::kDivergent;
+  } else if (report.tail_mean < zero_threshold) {
+    report.verdict = StabilityVerdict::kConvergentToZero;
+  } else {
+    report.verdict = StabilityVerdict::kBoundedPositive;
+  }
+  return report;
+}
+
+::testing::AssertionResult reports_bit_equal(const StabilityReport& got,
+                                             const StabilityReport& want) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  if (bits(got.tail_slope) != bits(want.tail_slope)) {
+    return ::testing::AssertionFailure()
+           << "tail_slope " << got.tail_slope << " vs " << want.tail_slope;
+  }
+  if (bits(got.tail_mean) != bits(want.tail_mean)) {
+    return ::testing::AssertionFailure()
+           << "tail_mean " << got.tail_mean << " vs " << want.tail_mean;
+  }
+  if (bits(got.peak) != bits(want.peak)) {
+    return ::testing::AssertionFailure()
+           << "peak " << got.peak << " vs " << want.peak;
+  }
+  if (bits(got.time_average) != bits(want.time_average)) {
+    return ::testing::AssertionFailure() << "time_average " << got.time_average
+                                         << " vs " << want.time_average;
+  }
+  if (got.verdict != want.verdict) {
+    return ::testing::AssertionFailure()
+           << "verdict " << to_string(got.verdict) << " vs "
+           << to_string(want.verdict);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(StabilityTest, InPlaceTailFitMatchesMaterializedFitBitForBit) {
+  // analyze_stability and the trace summary read the tail in place, and the
+  // summary hands over the peak and time average of its own pass; every
+  // field must equal the materialized definition's bit for bit. Random
+  // series of 8-200 samples in four shapes: noise, constants (zero
+  // included), noise with an all-zero tail, and noisy ramps.
+  Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 8 + static_cast<std::size_t>(rng.next_u64() % 193);
+    const double level = 1e4 * rng.next_double();
+    const double slope = 50.0 * rng.next_double();
+    std::vector<double> series(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double noise = level * rng.next_double();
+      switch (trial % 4) {
+        case 0: series[i] = noise; break;
+        case 1: series[i] = trial % 8 == 1 ? 0.0 : level; break;
+        case 2: series[i] = i < n / 2 ? noise : 0.0; break;
+        default: series[i] = slope * static_cast<double>(i) + noise; break;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", n " +
+                 std::to_string(n));
+    const double divergence_slope = 0.5 + 10.0 * rng.next_double();
+    const double zero_threshold = level * rng.next_double();
+    const StabilityReport want = reference_stability(
+        series, 1.0 / 3.0, divergence_slope, zero_threshold);
+    EXPECT_TRUE(reports_bit_equal(
+        analyze_stability(series, 1.0 / 3.0, divergence_slope,
+                          zero_threshold),
+        want));
+
+    // The summary's one pass: a running max from zero, a left-to-right sum,
+    // and only the tail kept.
+    double peak = 0.0, sum = 0.0;
+    for (const double q : series) {
+      peak = std::max(peak, q);
+      sum += q;
+    }
+    const std::size_t start = n - stability_tail_length(n, 1.0 / 3.0);
+    EXPECT_TRUE(reports_bit_equal(
+        classify_stability(std::span<const double>(series).subspan(start),
+                           start, peak, sum / static_cast<double>(n),
+                           divergence_slope, zero_threshold),
+        want));
+
+    // The same through Trace::summarize_partial, whose thresholds follow
+    // the mean arrivals.
+    Trace trace;
+    for (std::size_t i = 0; i < n; ++i) {
+      StepRecord r;
+      r.t = i;
+      r.backlog_begin = series[i];
+      r.arrivals = 100.0 * rng.next_double();
+      trace.add(r);
+    }
+    const TraceSummary summary = trace.summarize_partial();
+    EXPECT_TRUE(reports_bit_equal(
+        summary.stability,
+        reference_stability(series, 1.0 / 3.0,
+                            std::max(1.0, 0.02 * summary.mean_arrivals),
+                            std::max(1.0, 2.0 * summary.mean_arrivals))));
+  }
 }
 
 TEST(StabilityTest, VerdictToString) {

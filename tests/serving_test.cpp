@@ -843,7 +843,20 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   brief.departure_slot = 3;
   SessionSpec full;
   full.cache = &shared_cache();
-  const ClusterResult result = run_one_link(config, {brief, full}, channel);
+  // Records that end around a 13-step chunk boundary: one short of it,
+  // exactly at it, one past it, and at the end of a second full chunk. A
+  // record's chain starts at its head offset, which the store rotates per
+  // activation (0, 1, 2, ... here), so each length is its end minus that.
+  std::vector<SessionSpec> specs{brief, full};
+  const std::size_t ends[] = {3, 31, 12, 13, 14, 26};
+  std::size_t lengths[std::size(ends)];
+  for (std::size_t k = 0; k < std::size(ends); ++k) {
+    lengths[k] = ends[k] - k;
+    if (k < 2) continue;
+    specs.push_back(full);
+    specs.back().departure_slot = lengths[k];
+  }
+  const ClusterResult result = run_one_link(config, specs, channel);
 
   const SessionOutcome& short_session = result.sessions[0].session;
   ASSERT_TRUE(short_session.admitted);
@@ -870,20 +883,26 @@ TEST(SessionManagerTest, ShortSessionGetsPartialSummary) {
   EXPECT_NE(std::get<std::string>(result.session_table.at(1, 10)),
             "too-short");
 
-  // The packed records decode from the profile, and summarizing them
+  // The chunked records decode from the profile, and summarizing them
   // directly is bit-identical to summarizing the decoded Trace — for the
-  // partial 3-slot summary and the full 30-slot one alike.
-  ASSERT_EQ(result.sessions[1].session.trace.size(), 30U);
-  for (const ClusterSessionOutcome& placed : result.sessions) {
-    const SessionOutcome& s = placed.session;
+  // partial 3-slot summary and every full one alike.
+  ASSERT_EQ(result.sessions.size(), std::size(lengths));
+  for (std::size_t k = 0; k < std::size(lengths); ++k) {
+    const SessionOutcome& s = result.sessions[k].session;
+    ASSERT_EQ(s.trace.size(), lengths[k]) << "session " << k;
+    ASSERT_EQ(s.trace.first() + s.trace.size(), ends[k]) << "session " << k;
     const Trace decoded = s.trace.to_trace();
     EXPECT_TRUE(arvis_test::decodes_from_profile(
         decoded, shared_cache(), config.candidates, config.v, 0, 0.0,
-        config.candidates.size()));
+        config.candidates.size()))
+        << "session " << k;
     const TraceSummary want = decoded.summarize_partial();
     EXPECT_TRUE(
         arvis_test::summaries_bit_equal(s.trace.summarize_partial(), want));
     EXPECT_TRUE(arvis_test::summaries_bit_equal(s.summary, want));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.trace.last_quality()),
+              std::bit_cast<std::uint64_t>(decoded.steps().back().quality))
+        << "session " << k;
   }
 }
 
@@ -1142,8 +1161,9 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   SessionStore oracle(config.candidates, config.v);  // decide(i) (scalar)
 
   std::size_t next_id = 0;
+  std::vector<std::size_t> active_slots;  // per session: slots it streamed
   const auto spawn = [&](const FrameStatsCache& cache, std::size_t count,
-                         std::size_t departure) {
+                         std::size_t slot, std::size_t departure) {
     SessionSpec spec;
     spec.cache = &cache;
     spec.departure_slot = departure;
@@ -1152,8 +1172,9 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
       for (SessionStore* st : {&store, &oracle}) {
         ServingSession& s = st->create(next_id, spec);
         s.phase = SessionPhase::kActive;
-        st->activate(s, 0);
+        st->activate(s, slot);
       }
+      active_slots.push_back(std::min<std::size_t>(departure, 20) - slot);
     }
   };
   bool ceiling = false;
@@ -1177,13 +1198,13 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
     ASSERT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
   };
 
-  spawn(shared_cache(), 3, 4);            // cohort A: table 0, departs at 4
-  spawn(alt_cache(), 3, kNeverDeparts);   // cohort B: table 1, same row/backlog
+  spawn(shared_cache(), 3, 0, 4);           // cohort A: table 0, departs at 4
+  spawn(alt_cache(), 3, 0, kNeverDeparts);  // cohort B: table 1, same row/backlog
   for (std::size_t t = 0; t < 4; ++t) step(t);
   // Cohort A is gone; re-intern its table mid-run (must find table id 0, not
   // mint a duplicate) alongside more sessions on table 1.
-  spawn(shared_cache(), 2, kNeverDeparts);
-  spawn(alt_cache(), 2, kNeverDeparts);
+  spawn(shared_cache(), 2, 4, kNeverDeparts);
+  spawn(alt_cache(), 2, 4, kNeverDeparts);
   for (std::size_t t = 4; t < 12; ++t) step(t);
   // Brownout ceilings on both stores ({1, 2, width - 1} for tiers 0..2),
   // then a fresh cohort that activates under them.
@@ -1192,15 +1213,33 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   store.set_tier_limits(limits);
   oracle.set_tier_limits(limits);
   ceiling = true;
-  spawn(shared_cache(), 3, kNeverDeparts);
-  spawn(alt_cache(), 3, kNeverDeparts);
+  spawn(shared_cache(), 3, 12, kNeverDeparts);
+  spawn(alt_cache(), 3, 12, kNeverDeparts);
   for (std::size_t t = 12; t < 20; ++t) step(t);
 
-  // Bit-for-bit comparison of every surviving session's full trace.
+  // The engine rebuilt across the lifecycle edges above; now exercise the
+  // reuse path too: with no drain or churn since the previous call, the
+  // second decide_all must reuse the grouping (and still match the oracle).
+  EXPECT_GT(store.decide_group_rebuilds(), 0U);
+  store.decide_all();  // rebuilds: the last drain dirtied the backlogs
+  store.decide_all();  // provably unchanged since -> reuse
+  EXPECT_TRUE(store.last_decide_reused_groups());
+  EXPECT_GT(store.decide_group_reuses(), 0U);
+
+  // A record is sealed when its session retires: retire the survivors on
+  // both stores, then compare every session's full trace bit for bit.
+  for (SessionStore* st : {&store, &oracle}) {
+    st->retire_active(
+        [](const ServingSession&) { return true; },
+        [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
+  }
   ASSERT_EQ(store.session_count(), oracle.session_count());
+  ASSERT_EQ(store.session_count(), active_slots.size());
   for (std::size_t pos = 0; pos < store.session_count(); ++pos) {
     const Trace got = store.session(pos).trace.to_trace();
     const Trace want = oracle.session(pos).trace.to_trace();
+    ASSERT_GT(active_slots[pos], 0U);
+    ASSERT_EQ(got.size(), active_slots[pos]) << "session " << pos;
     ASSERT_EQ(got.size(), want.size()) << "session " << pos;
     for (std::size_t t = 0; t < got.size(); ++t) {
       const StepRecord& g = got.at(t);
@@ -1214,14 +1253,6 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
                 std::bit_cast<std::uint64_t>(w.backlog_end));
     }
   }
-  // The engine rebuilt across the lifecycle edges above; now exercise the
-  // reuse path too: with no drain or churn since the previous call, the
-  // second decide_all must reuse the grouping (and still match the oracle).
-  EXPECT_GT(store.decide_group_rebuilds(), 0U);
-  store.decide_all();  // rebuilds: the last drain dirtied the backlogs
-  store.decide_all();  // provably unchanged since -> reuse
-  EXPECT_TRUE(store.last_decide_reused_groups());
-  EXPECT_GT(store.decide_group_reuses(), 0U);
 }
 
 TEST(ServingScenarioTest, AdmissionKeepsFleetStable) {

@@ -24,14 +24,16 @@ import pathlib
 import re
 import sys
 
-# The hot-path TU set: the session arena + decide engine, the packed trace
-# record drain appends to, the manager's decide/drain slot loop, the
-# schedulers, the event calendar, and the telemetry record path. Everything
-# here runs per slot (or per session·slot) in the serving benchmark.
+# The hot-path TU set: the session arena + decide engine, the record chunks
+# drain writes and the chunk arena that hands them out, the manager's
+# decide/drain slot loop, the schedulers, the event calendar, and the
+# telemetry record path. Everything here runs per slot (or per session·slot)
+# in the serving benchmark.
 HOT_PATH_FILES = [
     "src/serving/session_store.hpp",
     "src/serving/session_store.cpp",
     "src/serving/session_trace.hpp",
+    "src/serving/session_trace.cpp",
     "src/serving/session_manager.hpp",
     "src/serving/session_manager.cpp",
     "src/serving/scheduler.hpp",
