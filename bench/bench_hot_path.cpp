@@ -30,12 +30,11 @@
 //      LogPointQualityView / LyapunovDepthController + the demand-struct
 //      scheduler interface + a per-session DiscreteQueue), matches the
 //      runtime's traces bit for bit. Covered regimes: a one-link server (a
-//      K = 1 cluster) dense (the memoizer collapses the fleet to a handful
-//      of groups) and churned (arrivals and departures mutate the groups
-//      every few slots), and a K>1 cluster (each link's incremental engine +
-//      the cluster placement path) — the incremental decide engine, the
-//      blocked kernel and the scheduler fast paths are exact memoization,
-//      zero behaviour;
+//      K = 1 cluster) dense (every session streams from slot 0) and churned
+//      (arrivals and departures change the active list every few slots),
+//      and a K>1 cluster (each link's slot engine + the cluster placement
+//      path) — the flattened decide kernel, the SoA layout and the
+//      scheduler fast paths change cost, never behaviour;
 //   2. executor determinism: the K = 3 cluster's links run as parallel
 //      tasks at 2 and 4 threads, bit-identical to the serial run;
 //   3. perf budget: dense@10k may not regress more than 25% against the
@@ -202,8 +201,8 @@ Measurement best_of(std::size_t reps, const auto& run) {
 // demand-struct scheduler interface (which carries none of the O(changed)
 // aggregate hints, so the schedulers' cached/fused fast paths are exercised
 // on the runtime side only). Any divergence between this and the runtime's
-// traces means the incremental decide engine, the blocked kernel, or a
-// scheduler fast path leaked into behaviour.
+// traces means the flattened decide kernel, the SoA layout, or a scheduler
+// fast path leaked into behaviour.
 
 struct OracleSession {
   OracleSession(double v, std::size_t arrival_in, std::size_t departure_in,
@@ -315,8 +314,8 @@ bool oracle_replay_matches(SchedulerPolicy policy, double pf_window, double v,
 
 /// Single-link oracle over a one-link server (K = 1 cluster). `churn`
 /// staggers arrivals across the first half of the window with finite
-/// lifetimes, so groups mutate every few slots; without it every session
-/// arrives at 0 and stays (dense steady state, the memoizer's best case).
+/// lifetimes, so the active list changes every few slots; without it every
+/// session arrives at 0 and stays (dense steady state).
 bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
                     std::size_t steps, bool churn, const char* label) {
   ClusterConfig cluster = one_link_config(steps);
@@ -534,7 +533,7 @@ int run_smoke() {
   const bool oracle_drr = oracle_matches(SchedulerPolicy::kDeficitRoundRobin,
                                          0.0, 6, 200, false, "drr");
   if (!oracle_drr) ++failures;
-  // Churn: arrivals/departures mutate the memo groups and bump the
+  // Churn: arrivals/departures compact the active list and bump the
   // membership generation every few slots; weighted-priority additionally
   // exercises the cached tier permutation's invalidation.
   const bool oracle_churn_wc =

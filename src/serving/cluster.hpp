@@ -18,8 +18,8 @@
 //      spill_limit spills), refuse when every tried link rejects; then
 //      handover migrates sessions off degraded links, and each link
 //      evaluates brownout on the slot's final reservations;
-//   3. every link runs its slot work — memoized decide, schedule and drain
-//      with its own capacity draw (SessionManager::finish_slot) — as one
+//   3. every link runs its slot work — decide, schedule and drain with its
+//      own capacity draw (SessionManager::finish_slot) — as one
 //      task on the cluster's deterministic ParallelExecutor. A link's task
 //      touches only that link's state, so any thread count is bit-identical
 //      to serial; at threads == 1 (or K == 1) the tasks run inline. Decide

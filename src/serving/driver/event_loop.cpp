@@ -525,14 +525,13 @@ DriverReport EventLoop::run() {
     const std::size_t pending = backend_->next_pending_arrival_slot();
     const bool work_now = backend_->active_count() > 0 || pending <= now;
     if (work_now) {
-      // Decision-stable fast-forward: nothing external can happen before the
-      // next calendar/source event, so hand the backend the whole stretch as
-      // one burst. Bit-identical to stepping slot by slot — the skipped
-      // per-slot checks would all have been no-ops — but the runtime's
-      // incremental decide engine gets an uninterrupted run of slots, and
-      // the loop's event bookkeeping drops out of the per-slot cost. The
-      // burst ends early if the runtime drains mid-stretch (internal
-      // departures), handing control back to the idle logic below.
+      // Busy fast-forward: nothing external can happen before the next
+      // calendar/source event, so hand the backend the whole stretch as one
+      // burst. Bit-identical to stepping slot by slot — the skipped per-slot
+      // checks would all have been no-ops — and the loop's event
+      // bookkeeping drops out of the per-slot cost. The burst ends early if
+      // the runtime drains mid-stretch (internal departures), handing
+      // control back to the idle logic below.
       const std::size_t cal_next =
           events_.empty() ? kNoSlot : events_.min_slot();
       const std::size_t src_next =

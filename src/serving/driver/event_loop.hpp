@@ -30,15 +30,13 @@
 // sessions, or arrivals due now). Across idle stretches it fast-forwards the
 // slot clock to the next event instead of burning capacity draws on empty
 // slots — an event-driven server does not spin while nobody streams. Busy
-// stretches fast-forward too, in the *decision-stable* sense: the loop
-// computes how many slots separate now from the next calendar/source event
-// and hands the whole stretch to the backend as one burst
-// (ServingBackend::step_slots), so the per-slot event bookkeeping vanishes
-// and the runtime's incremental decide engine sees an uninterrupted run of
-// slots over which its memoized group structure stays valid. With
-// skip_idle off and a stop event armed it degenerates to exactly the old
-// fixed-horizon loop, which is how run_cluster_scenario is implemented
-// (bit-for-bit, tested): one execution path, two driving styles.
+// stretches fast-forward too: the loop computes how many slots separate now
+// from the next calendar/source event and hands the whole stretch to the
+// backend as one burst (ServingBackend::step_slots), so the loop's per-slot
+// event bookkeeping drops out of busy stretches. With skip_idle off and a
+// stop event armed it degenerates to exactly the old fixed-horizon loop,
+// which is how run_cluster_scenario is implemented (bit-for-bit, tested):
+// one execution path, two driving styles.
 //
 // The loop reaches the runtime through ServingBackend. The runtime is an
 // EdgeCluster (a one-link server is K = 1), adapted by ClusterBackend;
@@ -220,7 +218,7 @@ class ServingBackend {
   /// Executes up to `max_slots` consecutive slots, stopping early when the
   /// runtime goes idle (nothing active, no internal arrival due). Returns
   /// the slots executed. The loop uses this to hand the backend whole
-  /// event-free stretches in one call (decision-stable fast-forward).
+  /// event-free stretches in one call (busy fast-forward).
   std::size_t step_slots(std::size_t max_slots);
   /// Fast-forwards `slots` idle slots (precondition: nothing active).
   virtual void skip_idle_slots(std::size_t slots) = 0;

@@ -67,11 +67,8 @@ void SessionManager::register_telemetry() {
   c_adm_accept_ = &reg.counter(prefix + "admission_accepted");
   c_adm_reject_ = &reg.counter(prefix + "admission_rejected");
   c_closed_ = &reg.counter(prefix + "sessions_closed");
-  c_decide_reuse_ = &reg.counter(prefix + "decide_group_reuses");
-  c_decide_rebuild_ = &reg.counter(prefix + "decide_group_rebuilds");
   c_sched_fast_ = &reg.counter(prefix + "scheduler_fast_path");
   c_sched_generic_ = &reg.counter(prefix + "scheduler_generic");
-  h_decide_groups_ = &reg.histogram(prefix + "decide_groups");
   h_active_ = &reg.histogram(prefix + "active_sessions");
   h_slot_used_ = &reg.histogram(prefix + "slot_used_bytes");
   h_lifetime_ = &reg.histogram(prefix + "session_lifetime_slots");
@@ -283,17 +280,9 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
   const bool pf_history = config_.pf_ewma_window > 0.0;
   {
     // Decide phase: every active session runs its own controller on local
-    // state, through the memoized engine.
+    // state (one argmax over its candidate row).
     const PhaseSpan span(tracer_, Phase::kDecide, slot_, tid_);
     store_.decide_all();
-    // Memoization outcome, sampled once per decide (never per session).
-    if (c_decide_reuse_ != nullptr && n > 0) {
-      (store_.last_decide_reused_groups() ? c_decide_reuse_
-                                          : c_decide_rebuild_)
-          ->add(1);
-      h_decide_groups_->record(
-          static_cast<double>(store_.last_decide_groups()));
-    }
   }
   {
     const PhaseSpan span(tracer_, Phase::kSchedule, slot_, tid_);

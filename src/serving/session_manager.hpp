@@ -18,12 +18,13 @@
 //      cluster runs this prefix serially, because placement reads every
 //      link's reservations;
 //   2. finish_slot(): the link's slot work, one task on the cluster's
-//      executor. Every active session decides on local state through the
-//      memoized engine (SessionStore::decide_all), the EdgeScheduler
-//      divides the slot's capacity, queues drain, and per-session records
-//      (9.85 bytes per slot in the link's chunk arena, decoded on read —
-//      see session_trace.hpp) and link metrics record. It touches only this link's state, so links run
-//      concurrently and the result is bit-identical for any thread count.
+//      executor. Every active session decides on local state (one argmax
+//      per session, SessionStore::decide_all), the EdgeScheduler divides
+//      the slot's capacity, queues drain, and per-session records (9.85
+//      bytes per slot in the link's chunk arena, decoded on read — see
+//      session_trace.hpp) and link metrics record. It touches only this
+//      link's state, so links run concurrently and the result is
+//      bit-identical for any thread count.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -186,10 +187,10 @@ class SessionManager {
   /// one the constructor validated); EdgeCluster gates the call on it.
   void evaluate_brownout();
 
-  /// The link's slot work: decides every active session through the
-  /// memoized engine (SessionStore::decide_all), schedules the slot's
-  /// capacity over the store's SoA spans, drains queues, records metrics,
-  /// and advances the slot clock. Touches only this link's state — its
+  /// The link's slot work: decides every active session
+  /// (SessionStore::decide_all), schedules the slot's capacity over the
+  /// store's SoA spans, drains queues, records metrics, and advances the
+  /// slot clock. Touches only this link's state — its
   /// flight events and spans go through the recorders' atomic slot claims —
   /// so EdgeCluster runs the links' calls concurrently.
   SlotReport finish_slot(double capacity_bytes);
@@ -351,11 +352,8 @@ class SessionManager {
   TelemetryCounter* c_adm_accept_ = nullptr;
   TelemetryCounter* c_adm_reject_ = nullptr;
   TelemetryCounter* c_closed_ = nullptr;
-  TelemetryCounter* c_decide_reuse_ = nullptr;
-  TelemetryCounter* c_decide_rebuild_ = nullptr;
   TelemetryCounter* c_sched_fast_ = nullptr;
   TelemetryCounter* c_sched_generic_ = nullptr;
-  TelemetryHistogram* h_decide_groups_ = nullptr;
   TelemetryHistogram* h_active_ = nullptr;
   TelemetryHistogram* h_slot_used_ = nullptr;
   TelemetryHistogram* h_lifetime_ = nullptr;

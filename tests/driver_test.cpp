@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -887,96 +886,6 @@ TEST(EventLoopTest, ExternalCloseOnAClusterClosesOnTheOwningLink) {
   for (int i = 1; i < 4; ++i) {
     EXPECT_EQ(result.sessions[i].session.trace.size(), 40u) << i;
   }
-}
-
-// ------------------------------------------------ decide-memo telemetry ----
-
-// The decide-memo counters must agree with an oracle derived purely from the
-// emitted traces: the store reuses its grouping when membership is unchanged
-// AND no session's backlog bits moved during the previous drain; otherwise it
-// rebuilds. A 1-frame cache makes arrivals depth-constant, so once every
-// session fully drains each slot the backlog reaches a bit-stable fixed point
-// and the memo should hit on (nearly) every subsequent slot.
-TEST(EventLoopTest, DecideMemoCountersMatchTraceOracle) {
-  static const FrameStatsCache mono(*open_test_subject(71), 8,
-                                    /*frame_limit=*/1);
-  const std::vector<int> candidates{3, 4, 5, 6};
-  ServingConfig config;
-  config.steps = 60;
-  config.candidates = candidates;
-  // A near-zero V pins the argmax to the cheapest depth whenever backlog is
-  // positive; a calibrated V would ride a depth limit cycle whose backlog
-  // never bit-stabilizes, so the memo would (correctly) never hit.
-  config.v = 1e-6;
-  config.admission.utilization_target = 1.0;
-  TelemetryRegistry registry;
-  config.telemetry.mode = TelemetryMode::kCounters;
-  config.telemetry.registry = &registry;
-
-  // Capacity far above worst-case arrivals: every session drains fully
-  // every slot, so the backlog hits the fixed point q = a(cheapest).
-  const std::size_t n = 12;
-  const double capacity =
-      200.0 * static_cast<double>(n) *
-      AdmissionController::cheapest_depth_load(mono, candidates);
-  ConstantChannel channel(capacity);
-  ClusterConfig one_link;
-  one_link.serving = config;
-  EdgeCluster cluster(one_link, {capacity});
-  SessionSpec spec;
-  spec.cache = &mono;
-  for (std::size_t i = 0; i < n; ++i) {
-    spec.seed = i;
-    cluster.submit(spec);
-  }
-
-  DriverConfig driver;
-  ClusterBackend backend(cluster, {&channel});
-  EventLoop loop(driver, backend);
-  loop.schedule_stop(config.steps);
-  loop.run();
-  const ClusterResult result = cluster.finish();
-  ASSERT_EQ(result.sessions.size(), n);
-  std::vector<Trace> traces;
-  for (const auto& placed : result.sessions) {
-    const SessionOutcome& s = placed.session;
-    ASSERT_TRUE(s.admitted);
-    ASSERT_EQ(s.trace.size(), config.steps);
-    traces.push_back(s.trace.to_trace());
-  }
-
-  // Replay the memo rule from the traces alone (membership is constant, so
-  // only backlog-bit movement forces a rebuild; the flag clears on rebuild).
-  std::size_t want_reuses = 0;
-  std::size_t want_rebuilds = 0;
-  bool have_groups = false;
-  bool dirty = false;
-  for (std::size_t t = 0; t < config.steps; ++t) {
-    if (have_groups && !dirty) {
-      ++want_reuses;
-    } else {
-      ++want_rebuilds;
-      have_groups = true;
-      dirty = false;
-    }
-    for (const Trace& trace : traces) {
-      const StepRecord& rec = trace.at(t);
-      if (std::bit_cast<std::uint64_t>(rec.backlog_begin) !=
-          std::bit_cast<std::uint64_t>(rec.backlog_end)) {
-        dirty = true;
-      }
-    }
-  }
-
-  const auto counter = [&](const char* name) {
-    const TelemetryCounter* c = registry.find_counter(name);
-    EXPECT_NE(c, nullptr) << name;
-    return c != nullptr ? c->value() : 0;
-  };
-  EXPECT_EQ(counter("link0/decide_group_reuses"), want_reuses);
-  EXPECT_EQ(counter("link0/decide_group_rebuilds"), want_rebuilds);
-  // The fixed point must actually be reached — the memo pays off.
-  EXPECT_GT(want_reuses, want_rebuilds);
 }
 
 // ---------------------------------------------- incremental arrival feed ----

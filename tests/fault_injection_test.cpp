@@ -793,8 +793,8 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
 TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   // Two identical specs on different tiers under a permanent brownout:
   // best-effort loses all headroom (pinned to the cheapest candidate),
-  // premium keeps the full set — so the decide-group memoization must key
-  // on the tier ceiling, not just the spec inputs.
+  // premium keeps the full set — so decide must apply each session's tier
+  // ceiling, not just its spec inputs.
   ServingConfig config = base_serving();
   config.steps = 40;
   config.degradation.enabled = true;

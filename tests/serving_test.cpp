@@ -1079,9 +1079,14 @@ TEST(ServingScenarioTest, EventLoopWrapperMatchesHandRolledFixedHorizonLoop) {
 // -------------------------------------------------------- Session store ----
 
 const FrameStatsCache& alt_cache() {
-  // Different subject than shared_cache() -> different workload/quality
-  // tables, so a session deciding on the wrong table decides differently.
-  static const FrameStatsCache cache(*open_test_subject(72), 8, 8);
+  // A sparser, coarser subject than shared_cache(): its deepest candidate
+  // gains far less quality per byte, so a session deciding on the other
+  // table decides differently.
+  SyntheticBodyParams params;
+  params.sample_count = 4'000;
+  params.voxel_bits = 6;
+  static const SyntheticSequence source("sparse", params, 8, 8, 72);
+  static const FrameStatsCache cache(source, 8, 8);
   return cache;
 }
 
@@ -1143,25 +1148,22 @@ TEST(SessionStoreTest, ValidateDetectsSlabMirrorDivergence) {
   EXPECT_TRUE(store.validate().ok());
 }
 
-TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
-  // Regression for the decide-memo key scheme: memo entries are keyed by
-  // (interned table id, row offset), never by the row's address. The
-  // adversarial shape is sessions on *different* tables whose (row offset,
-  // backlog bits) collide exactly — fresh activations all start at row 0
-  // with backlog 0 — plus a table retired from use and re-interned mid-run.
-  // A key scheme that conflates tables would group them together and decide
-  // some sessions on the wrong table; every decision is therefore checked
-  // bit-for-bit against a twin store driven only by the scalar kernel. This
-  // is the in-tree oracle of the memo against SessionStore::decide, so it
-  // also covers brownout ceilings: sessions span the three QoS tiers, and a
-  // mid-run ceiling splits them into enough groups that the blocked lanes
-  // run with limits below the candidate width.
+TEST(SessionStoreTest, ReinterningTablesMidRunDecodesFromProfile) {
+  // Sessions on two tables whose decide inputs collide exactly — fresh
+  // activations all start at row 0 with backlog 0 — plus a table retired
+  // from use and re-interned mid-run, over mixed QoS tiers with a mid-run
+  // brownout ceiling. Every sealed record is checked against its own
+  // session's profile (decode_oracle.hpp), so a kernel that reads another
+  // session's table or ignores the ceiling fails here; validate() runs
+  // every slot, so a re-intern that minted a second table for a cache
+  // fails too.
   const ServingConfig config = small_config();
-  SessionStore store(config.candidates, config.v);   // decide_all (memoized)
-  SessionStore oracle(config.candidates, config.v);  // decide(i) (scalar)
+  SessionStore store(config.candidates, config.v);
+  constexpr std::size_t kSplit = 12;  // the slot the ceilings take effect
+  constexpr std::size_t kEnd = 20;    // every survivor retires here
 
   std::size_t next_id = 0;
-  std::vector<std::size_t> active_slots;  // per session: slots it streamed
+  std::vector<std::size_t> activated;  // per session: its activation slot
   const auto spawn = [&](const FrameStatsCache& cache, std::size_t count,
                          std::size_t slot, std::size_t departure) {
     SessionSpec spec;
@@ -1169,30 +1171,18 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
     spec.departure_slot = departure;
     for (std::size_t k = 0; k < count; ++k, ++next_id) {
       spec.qos = static_cast<std::uint8_t>(next_id % kSloTiers);
-      for (SessionStore* st : {&store, &oracle}) {
-        ServingSession& s = st->create(next_id, spec);
-        s.phase = SessionPhase::kActive;
-        st->activate(s, slot);
-      }
-      active_slots.push_back(std::min<std::size_t>(departure, 20) - slot);
+      ServingSession& s = store.create(next_id, spec);
+      s.phase = SessionPhase::kActive;
+      store.activate(s, slot);
+      activated.push_back(slot);
     }
   };
-  bool ceiling = false;
   const auto step = [&](std::size_t t) {
-    for (SessionStore* st : {&store, &oracle}) {
-      st->retire_departed(
-          t, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
-    }
+    store.retire_departed(
+        t, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
     store.decide_all();
-    for (std::size_t i = 0; i < oracle.active_count(); ++i) oracle.decide(i);
-    ASSERT_EQ(store.active_count(), oracle.active_count());
-    if (ceiling) {
-      ASSERT_GE(store.last_decide_groups(), kDecideLanes) << "slot " << t;
-    }
     for (std::size_t i = 0; i < store.active_count(); ++i) {
-      // Identical per-session share so backlogs stay bit-identical too.
       store.drain(i, 700.0, 0.0);
-      oracle.drain(i, 700.0, 0.0);
     }
     const Status ok = store.validate();
     ASSERT_TRUE(ok.ok()) << "slot " << t << ": " << ok.to_string();
@@ -1201,57 +1191,55 @@ TEST(SessionStoreTest, ReinterningTablesMidRunKeepsDecisionsExact) {
   spawn(shared_cache(), 3, 0, 4);           // cohort A: table 0, departs at 4
   spawn(alt_cache(), 3, 0, kNeverDeparts);  // cohort B: table 1, same row/backlog
   for (std::size_t t = 0; t < 4; ++t) step(t);
-  // Cohort A is gone; re-intern its table mid-run (must find table id 0, not
+  // Cohort A is gone; re-intern its table mid-run (must find table 0, not
   // mint a duplicate) alongside more sessions on table 1.
   spawn(shared_cache(), 2, 4, kNeverDeparts);
   spawn(alt_cache(), 2, 4, kNeverDeparts);
-  for (std::size_t t = 4; t < 12; ++t) step(t);
-  // Brownout ceilings on both stores ({1, 2, width - 1} for tiers 0..2),
-  // then a fresh cohort that activates under them.
-  const auto width = static_cast<std::uint32_t>(config.candidates.size());
-  const std::vector<std::uint32_t> limits{1, 2, width - 1};
+  for (std::size_t t = 4; t < kSplit; ++t) step(t);
+  // Brownout ceilings ({1, 2, width - 1} for tiers 0..2) bind the sessions
+  // already active from this slot on, and a fresh cohort activates under
+  // them.
+  const std::size_t width = config.candidates.size();
+  const std::vector<std::uint32_t> limits{
+      1, 2, static_cast<std::uint32_t>(width - 1)};
   store.set_tier_limits(limits);
-  oracle.set_tier_limits(limits);
-  ceiling = true;
-  spawn(shared_cache(), 3, 12, kNeverDeparts);
-  spawn(alt_cache(), 3, 12, kNeverDeparts);
-  for (std::size_t t = 12; t < 20; ++t) step(t);
+  spawn(shared_cache(), 3, kSplit, kNeverDeparts);
+  spawn(alt_cache(), 3, kSplit, kNeverDeparts);
+  for (std::size_t t = kSplit; t < kEnd; ++t) step(t);
 
-  // The engine rebuilt across the lifecycle edges above; now exercise the
-  // reuse path too: with no drain or churn since the previous call, the
-  // second decide_all must reuse the grouping (and still match the oracle).
-  EXPECT_GT(store.decide_group_rebuilds(), 0U);
-  store.decide_all();  // rebuilds: the last drain dirtied the backlogs
-  store.decide_all();  // provably unchanged since -> reuse
-  EXPECT_TRUE(store.last_decide_reused_groups());
-  EXPECT_GT(store.decide_group_reuses(), 0U);
-
-  // A record is sealed when its session retires: retire the survivors on
-  // both stores, then compare every session's full trace bit for bit.
-  for (SessionStore* st : {&store, &oracle}) {
-    st->retire_active(
-        [](const ServingSession&) { return true; },
-        [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
-  }
-  ASSERT_EQ(store.session_count(), oracle.session_count());
-  ASSERT_EQ(store.session_count(), active_slots.size());
+  // A record is sealed when its session retires.
+  store.retire_active(
+      [](const ServingSession&) { return true; },
+      [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
+  ASSERT_EQ(store.session_count(), activated.size());
   for (std::size_t pos = 0; pos < store.session_count(); ++pos) {
-    const Trace got = store.session(pos).trace.to_trace();
-    const Trace want = oracle.session(pos).trace.to_trace();
-    ASSERT_GT(active_slots[pos], 0U);
-    ASSERT_EQ(got.size(), active_slots[pos]) << "session " << pos;
-    ASSERT_EQ(got.size(), want.size()) << "session " << pos;
-    for (std::size_t t = 0; t < got.size(); ++t) {
-      const StepRecord& g = got.at(t);
-      const StepRecord& w = want.at(t);
-      EXPECT_EQ(g.depth, w.depth) << "session " << pos << " slot " << t;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.arrivals),
-                std::bit_cast<std::uint64_t>(w.arrivals));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.quality),
-                std::bit_cast<std::uint64_t>(w.quality));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.backlog_end),
-                std::bit_cast<std::uint64_t>(w.backlog_end));
+    const ServingSession& s = store.session(pos);
+    const Trace trace = s.trace.to_trace();
+    const std::size_t end = std::min(s.spec.departure_slot, kEnd);
+    ASSERT_EQ(trace.size(), end - activated[pos]) << "session " << pos;
+    ASSERT_GT(trace.size(), 0U);
+    const std::size_t limit = limits[s.spec.qos];
+    // Full width before the split, the tier's ceiling from it on. The
+    // second part opens at the frame and backlog the first one reached.
+    const std::size_t before =
+        activated[pos] >= kSplit ? 0 : std::min(end, kSplit) - activated[pos];
+    Trace head, tail;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      (k < before ? head : tail).add(trace.at(k));
     }
+    EXPECT_TRUE(arvis_test::decodes_from_profile(
+        head, *s.spec.cache, config.candidates, config.v, 0, 0.0, width))
+        << "session " << pos;
+    if (tail.empty()) continue;
+    const double tail_backlog = tail.at(0).backlog_begin;
+    if (before > 0) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(tail_backlog),
+                std::bit_cast<std::uint64_t>(head.at(before - 1).backlog_end));
+    }
+    EXPECT_TRUE(arvis_test::decodes_from_profile(
+        tail, *s.spec.cache, config.candidates, config.v, before,
+        tail_backlog, limit))
+        << "session " << pos;
   }
 }
 

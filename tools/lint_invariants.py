@@ -24,7 +24,7 @@ import pathlib
 import re
 import sys
 
-# The hot-path TU set: the session arena + decide engine, the record chunks
+# The hot-path TU set: the session arena + decide kernel, the record chunks
 # drain writes and the chunk arena that hands them out, the manager's
 # decide/drain slot loop, the schedulers, the event calendar, and the
 # telemetry record path. Everything here runs per slot (or per session·slot)
