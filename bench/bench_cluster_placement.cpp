@@ -68,7 +68,6 @@ std::vector<arvis::SessionSpec> skewed_specs(const SweepPoint& point) {
   const std::size_t lower_links = point.links > 1 ? point.links / 2 : 1;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].cache = &cluster_cache();
-    specs[i].seed = i;
     if (i < wave) {
       if (i % point.links < lower_links) {
         specs[i].departure_slot = point.steps / 2;

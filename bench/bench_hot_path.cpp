@@ -127,7 +127,6 @@ Measurement run_dense(std::size_t n, std::size_t warm, std::size_t measure,
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
     spec.cache = &hot_cache();
-    spec.seed = i;
     server.submit(spec);
   }
   const std::vector<double> caps{capacity};
@@ -161,7 +160,6 @@ Measurement run_churn(std::size_t n, std::size_t warm, std::size_t measure) {
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
     spec.cache = &hot_cache();
-    spec.seed = i;
     spec.arrival_slot = i * span / n;  // non-decreasing: O(1) pending insert
     spec.departure_slot = spec.arrival_slot + life;
     server.submit(spec);
@@ -198,11 +196,10 @@ Measurement best_of(std::size_t reps, const auto& run) {
 // Re-simulates the slot loop the way the pre-SoA runtime computed it: one
 // object per session, per-slot non-owning views over the frame cache, the
 // virtual-dispatch controller, a per-session DiscreteQueue, and the
-// demand-struct scheduler interface (which carries none of the O(changed)
-// aggregate hints, so the schedulers' cached/fused fast paths are exercised
-// on the runtime side only). Any divergence between this and the runtime's
-// traces means the flattened decide kernel, the SoA layout, or a scheduler
-// fast path leaked into behaviour.
+// demand-struct scheduler interface (a copy of the demand set, where the
+// runtime hands the scheduler its SoA spans in place). Any divergence
+// between this and the runtime's traces means the flattened decide kernel,
+// the SoA layout, or the span plumbing leaked into behaviour.
 
 struct OracleSession {
   OracleSession(double v, std::size_t arrival_in, std::size_t departure_in,
@@ -331,7 +328,6 @@ bool oracle_matches(SchedulerPolicy policy, double pf_window, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     SessionSpec spec;
     spec.cache = &hot_cache();
-    spec.seed = i;
     spec.weight = (i % 2 == 0) ? 1.0 : 2.0;
     if (churn) {
       spec.arrival_slot = i * steps / (2 * n);  // non-decreasing
@@ -399,7 +395,6 @@ ClusterResult run_cluster(SchedulerPolicy policy, std::size_t links,
   std::vector<SessionSpec> specs(n);
   for (std::size_t i = 0; i < n; ++i) {
     specs[i].cache = &hot_cache();
-    specs[i].seed = i;
     specs[i].weight = cluster_weight(i);
   }
   return run_cluster_scenario(config, specs, channel_ptrs);
@@ -533,9 +528,9 @@ int run_smoke() {
   const bool oracle_drr = oracle_matches(SchedulerPolicy::kDeficitRoundRobin,
                                          0.0, 6, 200, false, "drr");
   if (!oracle_drr) ++failures;
-  // Churn: arrivals/departures compact the active list and bump the
-  // membership generation every few slots; weighted-priority additionally
-  // exercises the cached tier permutation's invalidation.
+  // Churn: arrivals/departures compact the active list every few slots;
+  // weighted-priority additionally re-sorts a changing mixed-weight fleet
+  // into tiers.
   const bool oracle_churn_wc =
       oracle_matches(SchedulerPolicy::kWorkConserving, 0.0, 10, 240, true,
                      "churn/work-conserving");

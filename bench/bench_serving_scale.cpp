@@ -56,7 +56,6 @@ double run_once(std::size_t sessions, arvis::ClusterResult& result) {
       specs[i].arrival_slot = i % kSteps / 2;
       specs[i].departure_slot = specs[i].arrival_slot + kSteps / 2;
     }
-    specs[i].seed = i;
   }
 
   // Link fits the whole fleet around depth 5 (the middle candidate).

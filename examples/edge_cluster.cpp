@@ -59,7 +59,6 @@ int main() {
   for (std::size_t i = 0; i < 10; ++i) {
     SessionSpec spec;
     spec.cache = caches[i % caches.size()].get();
-    spec.seed = i;
     spec.weight = (i % 4 == 0) ? 2.0 : 1.0;
     if (i >= 6) spec.arrival_slot = 400;  // second wave
     if (i < 2) spec.departure_slot = 350;  // early leavers free capacity

@@ -64,7 +64,6 @@ int main() {
   for (std::size_t i = 0; i < caches.size(); ++i) {
     SessionSpec spec;
     spec.cache = caches[i].get();
-    spec.seed = i;
     spec.weight = (i == 0) ? 2.0 : 1.0;  // subject 0 is a premium client
     if (i == 1) spec.departure_slot = 500;
     specs.push_back(spec);
@@ -73,13 +72,11 @@ int main() {
   SessionSpec late;
   late.cache = caches[0].get();
   late.arrival_slot = 600;
-  late.seed = 100;
   specs.push_back(late);
   // ...and one that arrives while the link is still full: rejected.
   SessionSpec greedy;
   greedy.cache = caches[2].get();
   greedy.arrival_slot = 200;
-  greedy.seed = 101;
   specs.push_back(greedy);
 
   const ClusterResult result = run_cluster_scenario(cluster, specs, {&channel});

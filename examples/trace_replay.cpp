@@ -8,7 +8,10 @@
 // exactly as long as the churn does, idle stretches are fast-forwarded, and
 // periodic snapshots record the spike hitting the admission wall. A few
 // sessions abandon mid-stream (the trace's t_close column), exercising the
-// external-close path.
+// external-close path. A REPLAY_SUMMARY line reports each tier as
+// <tier>=arrived/admitted/rejected plus the closes applied and ignored;
+// CI compares it, and the other *_SUMMARY lines, with
+// tests/golden/trace_replay_summaries.txt.
 //
 // --faults arms the fault plane: link 1 goes down mid-spike and recovers 30
 // slots later, displaced sessions fail over to link 0, refused and evicted
@@ -248,6 +251,14 @@ int main(int argc, char** argv) {
       result.report.closes_applied,
       result.report.slots_executed + result.report.slots_skipped,
       result.report.slots_executed, result.report.slots_skipped);
+  std::printf("REPLAY_SUMMARY");
+  for (std::size_t q = 0; q < kQosClassCount; ++q) {
+    const QosOutcome& tier = result.per_qos[q];
+    std::printf(" %s=%zu/%zu/%zu", to_string(static_cast<QosClass>(q)),
+                tier.arrivals, tier.admitted, tier.rejected);
+  }
+  std::printf(" closes_applied=%zu closes_ignored=%zu\n",
+              result.report.closes_applied, result.report.closes_ignored);
 
   std::size_t recovers = 0;
   for (const SloTransition& t : result.report.slo_transitions) {

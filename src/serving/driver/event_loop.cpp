@@ -164,9 +164,9 @@ void EventLoop::push_event(std::size_t slot, EventKind kind,
 }
 
 void EventLoop::push(std::size_t slot, EventKind kind, std::size_t payload) {
-  // Only the loop's own snapshot re-arm (and the source's marker rides,
-  // which bypass this via push_event) may enqueue mid-run; the public
-  // scheduling API stays closed once run() starts.
+  // Only the loop's own snapshot re-arm (and retry arrivals, which bypass
+  // this via push_event) may enqueue mid-run; the public scheduling API
+  // stays closed once run() starts.
   if (ran_ && kind != EventKind::kSnapshot) {
     throw std::logic_error("EventLoop: cannot schedule after run()");
   }
@@ -175,10 +175,16 @@ void EventLoop::push(std::size_t slot, EventKind kind, std::size_t payload) {
   push_event(slot, kind, payload);
 }
 
-void EventLoop::schedule_arrival(std::size_t slot, const SessionSpec& spec) {
+void EventLoop::schedule_arrival(std::size_t slot, const SessionSpec& spec,
+                                 std::size_t close_slot) {
   specs_.push_back(spec);
   spec_attempt_.push_back(0);
   push(slot, EventKind::kArrival, specs_.size() - 1);
+  // Pushed now, not when the arrival fires, so the close keeps its place
+  // among same-slot events (faults, other closes) in schedule order.
+  if (close_slot != kNoSlot) {
+    push(close_slot, EventKind::kArrivalClose, specs_.size() - 1);
+  }
 }
 
 void EventLoop::schedule_departure_marker(std::size_t slot) {
@@ -199,16 +205,6 @@ void EventLoop::schedule_fault_plan(const FaultPlan& plan) {
     faults_.push_back(fault);
     push(fault.slot, EventKind::kFault, faults_.size() - 1);
   }
-}
-
-void EventLoop::set_arrival_source(ArrivalSource& source) {
-  if (ran_) {
-    throw std::logic_error("EventLoop: cannot attach a source after run()");
-  }
-  if (source_ != nullptr) {
-    throw std::logic_error("EventLoop: arrival source already attached");
-  }
-  source_ = &source;
 }
 
 void EventLoop::take_snapshot(std::size_t slot, DriverReport& report) {
@@ -391,6 +387,7 @@ void EventLoop::drain_retry_feed(std::size_t now, DriverReport& report) {
     spec.arrival_slot = retry_slot;
     specs_.push_back(spec);
     spec_attempt_.push_back(attempt);
+    report.arrival_ids.push_back(kNoSlot);
     push_event(retry_slot, EventKind::kArrival, specs_.size() - 1);
     ++arrival_events_;
     ++report.retries_scheduled;
@@ -402,28 +399,12 @@ void EventLoop::drain_retry_feed(std::size_t now, DriverReport& report) {
   }
 }
 
-void EventLoop::pull_source(std::size_t now, DriverReport& report) {
-  // Source arrivals due at or before this slot submit before any calendar
-  // event of the same slot fires — mirroring a pre-scheduled trace, whose
-  // arrival events carry the smallest sequence numbers.
-  while (source_ != nullptr && source_->next_slot() <= now) {
-    batch_.clear();
-    source_->take(batch_);
-    for (const SessionSpec& spec : batch_) {
-      backend_->submit(spec);
-      ++report.arrivals_injected;
-      if (spec.departure_slot != kNeverDeparts) {
-        push_event(spec.departure_slot, EventKind::kDeparture, 0);
-      }
-    }
-  }
-}
-
 DriverReport EventLoop::run() {
   if (ran_) {
     throw std::logic_error("EventLoop::run: already ran");
   }
   DriverReport report;
+  report.arrival_ids.assign(specs_.size(), kNoSlot);
   // Arm the periodic snapshot (and seed the window baseline) before any
   // events fire; snapshots are ordinary calendar entries from here on.
   {
@@ -442,11 +423,9 @@ DriverReport EventLoop::run() {
   while (true) {
     const std::size_t now = backend_->slot();
 
-    // Incremental arrivals first (see pull_source), then fire everything
-    // due at or before this slot, in (slot, schedule-order): arrivals enter
-    // the runtime before the slot executes, a snapshot at S samples the
-    // end-of-slot-(S-1) state, a stop at S halts before S runs.
-    pull_source(now, report);
+    // Fire everything due at or before this slot, in (slot, schedule-order):
+    // arrivals enter the runtime before the slot executes, a snapshot at S
+    // samples the end-of-slot-(S-1) state, a stop at S halts before S runs.
     events_.pop_due(now, due_);
     if (!due_.empty()) {
       // One span per non-empty calendar batch (batches are rare relative to
@@ -460,6 +439,7 @@ DriverReport EventLoop::run() {
           case EventKind::kArrival: {
             --arrival_events_;
             const std::size_t id = backend_->submit(specs_[event.payload]);
+            report.arrival_ids[event.payload] = id;
             const std::uint32_t attempt = spec_attempt_[event.payload];
             // Retried arrivals record their lineage depth under the fresh
             // runtime id, so a re-rejection knows its attempt number.
@@ -476,18 +456,24 @@ DriverReport EventLoop::run() {
                  0);
             break;
           case EventKind::kClose:
+          case EventKind::kArrivalClose: {
             // Fires before the slot executes: the session's trace covers
             // [arrival, event.slot). A target already refused/retired (or a
-            // bogus id in a hand-written trace) is counted, not fatal.
-            if (backend_->close_session(event.payload)) {
+            // bogus id in a hand-written trace, or an arrival that has not
+            // fired) is counted, not fatal.
+            const std::size_t id =
+                static_cast<EventKind>(event.kind) == EventKind::kClose
+                    ? event.payload
+                    : report.arrival_ids[event.payload];
+            if (backend_->close_session(id)) {
               ++report.closes_applied;
             } else {
               ++report.closes_ignored;
               log_info("driver: close event at slot ", event.slot,
-                       " ignored (session ", event.payload,
-                       " unknown or already gone)");
+                       " ignored (session ", id, " unknown or already gone)");
             }
             break;
+          }
           case EventKind::kStop:
             --stop_events_;
             stopped = true;
@@ -526,17 +512,14 @@ DriverReport EventLoop::run() {
     const bool work_now = backend_->active_count() > 0 || pending <= now;
     if (work_now) {
       // Busy fast-forward: nothing external can happen before the next
-      // calendar/source event, so hand the backend the whole stretch as one
+      // calendar event, so hand the backend the whole stretch as one
       // burst. Bit-identical to stepping slot by slot — the skipped per-slot
       // checks would all have been no-ops — and the loop's event
       // bookkeeping drops out of the per-slot cost. The burst ends early if
       // the runtime drains mid-stretch (internal departures), handing
       // control back to the idle logic below.
-      const std::size_t cal_next =
+      const std::size_t next_external =
           events_.empty() ? kNoSlot : events_.min_slot();
-      const std::size_t src_next =
-          source_ != nullptr ? source_->next_slot() : kNoSlot;
-      const std::size_t next_external = std::min(cal_next, src_next);
       // Events at `now` already fired, so next_external > now here.
       std::size_t burst =
           next_external == kNoSlot ? config_.max_slots : next_external - now;
@@ -547,23 +530,20 @@ DriverReport EventLoop::run() {
       continue;
     }
 
-    const std::size_t source_next =
-        source_ != nullptr ? source_->next_slot() : kNoSlot;
-
     // Idle with no arrivals ever coming: the churn is over. A queued stop
     // only keeps the run alive in dense mode, where it defines the horizon
     // and the empty slots up to it must execute; in idle-skip mode it is a
     // ceiling, and waiting for it would only manufacture a phantom idle
     // tail of skipped slots and empty snapshots. Self-re-arming snapshots
     // and pure-observation markers never keep the run alive.
-    if (pending == kNoSlot && arrival_events_ == 0 && source_next == kNoSlot &&
+    if (pending == kNoSlot && arrival_events_ == 0 &&
         (config_.skip_idle || stop_events_ == 0)) {
       break;
     }
 
     // Idle: nothing to serve this slot. Find the next slot anything happens
     // (snapshots included, so idle gaps still sample on schedule).
-    std::size_t next = std::min(pending, source_next);
+    std::size_t next = pending;
     if (!events_.empty()) next = std::min(next, events_.min_slot());
     if (next == kNoSlot) break;  // calendar drained — the run is over
     if (config_.skip_idle) {

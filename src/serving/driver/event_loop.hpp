@@ -21,17 +21,14 @@
 // The calendar is a bucketed calendar queue keyed by slot (see
 // calendar.hpp): event push and pop are O(1) amortized under heavy churn,
 // where the old std::priority_queue paid O(log n) heap percolations per
-// event. Arrivals can also be *pulled* instead of scheduled: attach an
-// ArrivalSource and the loop asks it for each slot's arrivals as the clock
-// reaches them — churn too large (or too long-running) to materialize as a
-// trace streams through in O(one slot's arrivals) memory.
+// event. Every arrival, scheduled or retried, is a calendar event.
 //
 // The loop advances the runtime slot-by-slot only while work exists (active
 // sessions, or arrivals due now). Across idle stretches it fast-forwards the
 // slot clock to the next event instead of burning capacity draws on empty
 // slots — an event-driven server does not spin while nobody streams. Busy
 // stretches fast-forward too: the loop computes how many slots separate now
-// from the next calendar/source event and hands the whole stretch to the
+// from the next calendar event and hands the whole stretch to the
 // backend as one burst (ServingBackend::step_slots), so the loop's per-slot
 // event bookkeeping drops out of busy stretches. With skip_idle off and a
 // stop event armed it degenerates to exactly the old fixed-horizon loop,
@@ -148,6 +145,11 @@ struct MetricsSnapshot {
 /// What one EventLoop::run produced, besides the backend's own results.
 struct DriverReport {
   std::vector<MetricsSnapshot> snapshots;
+  /// Runtime id each arrival event received when it fired, kNoSlot when it
+  /// never fired: the scheduled arrivals in schedule order, then the retry
+  /// arrivals in the order the loop scheduled them. Retries take the next
+  /// id as they fire, so a schedule position is not an id once one fires.
+  std::vector<std::size_t> arrival_ids;
   std::size_t slots_executed = 0;
   /// Idle slots fast-forwarded (0 when skip_idle is off).
   std::size_t slots_skipped = 0;
@@ -252,23 +254,6 @@ class ServingBackend {
   virtual void take_retry_feed(std::vector<RetrySeed>& out) = 0;
 };
 
-/// Pull-based arrival feed: the incremental alternative to scheduling every
-/// arrival up front. The loop reads next_slot(); when the clock reaches it,
-/// take() is called exactly once to emit that slot's specs (in submission
-/// order) and advance. Emitted specs are submitted *before* any calendar
-/// event of the same slot fires, and a departure marker is scheduled
-/// automatically for every spec with a finite departure — so a source feed
-/// is bit-for-bit equivalent to pre-scheduling the same arrivals (tested).
-class ArrivalSource {
- public:
-  virtual ~ArrivalSource() = default;
-
-  /// Slot of the next un-emitted arrival batch; kNoSlot when exhausted.
-  [[nodiscard]] virtual std::size_t next_slot() const = 0;
-  /// Appends the batch due at next_slot() to `out` and advances.
-  virtual void take(std::vector<SessionSpec>& out) = 0;
-};
-
 /// Per-channel mean capacities (the admission calibration input), after
 /// checking the set is non-empty and null-free. Throws std::invalid_argument
 /// otherwise, prefixing messages with `who`. Shared by every driver entry
@@ -353,19 +338,25 @@ class EventLoop {
 
   /// Schedules a session arrival at `slot` (>= the backend's current slot).
   /// The spec's own arrival_slot should agree with `slot`; the runtime
-  /// clamps late declarations to "arrives now" either way.
-  void schedule_arrival(std::size_t slot, const SessionSpec& spec);
+  /// clamps late declarations to "arrives now" either way. A `close_slot`
+  /// other than kNoSlot also schedules an external close (see
+  /// schedule_close) of whatever runtime id this arrival receives when it
+  /// fires; a close that fires before its arrival is ignored.
+  void schedule_arrival(std::size_t slot, const SessionSpec& spec,
+                        std::size_t close_slot = kNoSlot);
 
   /// Schedules a departure marker: counted in the report when the calendar
   /// passes it. The session's actual close runs inside the runtime.
   void schedule_departure_marker(std::size_t slot);
 
   /// Schedules an external-close control event: at `slot`, before the slot
-  /// executes, session `session_id` (the runtime id submit()/the trace
-  /// assigned) ends — its trace covers [arrival, slot) — or, if it has not
-  /// arrived yet, is cancelled and reports as never-arrived. Lets a trace
-  /// express mid-stream abandonment. Applied/ignored counts land in the
-  /// report.
+  /// executes, session `session_id` (the runtime id submit() assigned) ends
+  /// — its trace covers [arrival, slot) — or, if it has not been placed
+  /// yet, is cancelled and reports as never-arrived. Lets a trace express
+  /// mid-stream abandonment. Applied/ignored counts land in the report.
+  /// Retry arrivals take runtime ids as they fire, so with retries on, a
+  /// trace row's id is known only then: close rows through
+  /// schedule_arrival's `close_slot` instead.
   void schedule_close(std::size_t slot, std::size_t session_id);
 
   /// Schedules a stop control event: the loop halts before executing `slot`
@@ -375,18 +366,14 @@ class EventLoop {
 
   /// Schedules every event of a fault plan, each at its own slot (it fires
   /// before the slot executes, like close events; same-slot events fire in
-  /// plan order). The plan composes freely with scheduled arrivals, an
-  /// arrival source, and other plans. Whether the backend honours each
-  /// event lands in the report's faults_applied / faults_ignored.
+  /// plan order). The plan composes freely with scheduled arrivals and
+  /// other plans. Whether the backend honours each event lands in the
+  /// report's faults_applied / faults_ignored.
   void schedule_fault_plan(const FaultPlan& plan);
 
-  /// Attaches an incremental arrival feed (must outlive run()). At most one
-  /// source; call before run().
-  void set_arrival_source(ArrivalSource& source);
-
   /// Drives the backend until stopped, drained (no events, no pending
-  /// arrivals, source exhausted, nothing active), or capped. Throws
-  /// std::logic_error on a second call.
+  /// arrivals, nothing active), or capped. Throws std::logic_error on a
+  /// second call.
   DriverReport run();
 
  private:
@@ -395,15 +382,17 @@ class EventLoop {
     kDeparture,
     kSnapshot,
     kClose,
+    /// A close whose payload is an arrival's specs_ index, resolved through
+    /// DriverReport::arrival_ids when it fires.
+    kArrivalClose,
     kStop,
     kFault,
   };
 
   void push(std::size_t slot, EventKind kind, std::size_t payload);
-  /// Guard-free enqueue for the loop's own mid-run pushes (source-fed
-  /// departure markers, retry arrivals); the public API goes through push().
+  /// Guard-free enqueue for the loop's own mid-run pushes (retry
+  /// arrivals); the public API goes through push().
   void push_event(std::size_t slot, EventKind kind, std::size_t payload);
-  void pull_source(std::size_t now, DriverReport& report);
   /// Converts the backend's pending retry seeds into future arrival events
   /// (capped exponential backoff + deterministic jitter) or abandons them.
   void drain_retry_feed(std::size_t now, DriverReport& report);
@@ -427,12 +416,11 @@ class EventLoop {
   /// rejected retry find its lineage depth.
   std::unordered_map<std::size_t, std::uint32_t> retry_attempt_;
   std::vector<RetrySeed> retry_scratch_;
-  ArrivalSource* source_ = nullptr;
   std::uint64_t seq_ = 0;
   /// Arrival events still queued. Snapshots re-arm themselves and markers
   /// are pure observations, so neither may keep the run alive; the loop is
-  /// drained when nothing is active, nothing is pending, the source is
-  /// exhausted, and this hits zero.
+  /// drained when nothing is active, nothing is pending, and this hits
+  /// zero.
   std::size_t arrival_events_ = 0;
   /// Stop events still queued. In dense mode a stop *is* the horizon (empty
   /// slots execute up to it — the fixed-horizon contract); in idle-skip
@@ -445,7 +433,6 @@ class EventLoop {
   double prev_used_ = 0.0;
   std::vector<double> prev_per_link_used_;
   std::vector<CalendarEvent> due_;       // pop_due scratch
-  std::vector<SessionSpec> batch_;       // source-pull scratch
   std::vector<double> per_link_used_;    // scratch
   std::vector<double> window_per_link_;  // scratch
   // Telemetry (null unless DriverConfig::telemetry turns it on; see

@@ -7,6 +7,8 @@
 // for its known close), runs the loop open-ended — the run lasts exactly as
 // long as the churn does, no horizon declared anywhere — and reports the
 // cluster outcome, the driver's snapshot series, and a per-QoS-tier rollup.
+// A scenario generator's churn replays as replay_trace(config,
+// generator.generate(), ...).
 #pragma once
 
 #include <array>
@@ -15,7 +17,6 @@
 
 #include "serving/cluster.hpp"
 #include "serving/driver/event_loop.hpp"
-#include "serving/driver/scenario.hpp"
 #include "serving/driver/trace.hpp"
 #include "sim/frame_stats_cache.hpp"
 
@@ -31,8 +32,9 @@ struct ReplayConfig {
   std::size_t stop_slot = kNoSlot;
   /// Fault plan scheduled alongside the workload (validated against the
   /// link count). Composes with a trace's own fault schedule — the trace's
-  /// faults fire first on slot ties — and with every scenario generator,
-  /// which is how "flash crowd × link outage" style runs are expressed.
+  /// faults fire first on slot ties — and with every scenario generator's
+  /// trace, which is how "flash crowd × link outage" style runs are
+  /// expressed.
   FaultPlan faults;
 };
 
@@ -54,34 +56,20 @@ struct ReplayResult {
 
 /// The SessionSpec a trace event denotes: profile id resolved against
 /// `profiles`, departure = arrival + duration (kNeverDeparts for duration
-/// 0), and the session's RNG stream seeded from its row `index` so a trace
-/// file fully determines the run. Throws std::invalid_argument on a profile
-/// id out of range.
+/// 0). The row `index` does not enter the spec. Throws
+/// std::invalid_argument on a profile id out of range.
 SessionSpec trace_session_spec(const TraceEvent& event, std::size_t index,
                                const std::vector<const FrameStatsCache*>& profiles);
 
 /// Replays `trace` through a fresh EdgeCluster with one channel per link
-/// (all non-null; admission calibrates on each channel's mean). Session ids
-/// equal trace row indices. Throws std::invalid_argument on an invalid
-/// trace (validate_workload_trace against profiles.size()), empty or null
-/// profiles/channels, or a bad cluster config.
+/// (all non-null; admission calibrates on each channel's mean). Row i's
+/// session id is report.arrival_ids[i]: ids follow firing order, and a
+/// retry takes the next id when it fires. Throws std::invalid_argument on
+/// an invalid trace (validate_workload_trace against profiles.size()),
+/// empty or null profiles/channels, or a bad cluster config.
 ReplayResult replay_trace(const ReplayConfig& config,
                           const WorkloadTrace& trace,
                           const std::vector<const FrameStatsCache*>& profiles,
                           const std::vector<ChannelModel*>& channels);
-
-/// Replays a scenario generator's churn through a fresh EdgeCluster by
-/// pulling arrivals *incrementally* (ScenarioGenerator::stream ->
-/// EventLoop::ArrivalSource) as the clock advances — bit-for-bit the run
-/// replay_trace(generator.generate(), ...) produces (tested), without ever
-/// materializing the trace: peak arrival-side memory is one slot's batch
-/// plus one QoS tag per emitted row, which is what makes horizon-scale
-/// diurnal runs feasible. Rows whose profile id is outside `profiles` throw
-/// std::invalid_argument when their slot is reached (the materialized path
-/// rejects the whole trace up front instead).
-ReplayResult replay_scenario(const ReplayConfig& config,
-                             const ScenarioGenerator& generator,
-                             const std::vector<const FrameStatsCache*>& profiles,
-                             const std::vector<ChannelModel*>& channels);
 
 }  // namespace arvis

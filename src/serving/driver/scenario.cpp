@@ -41,36 +41,24 @@ ScenarioGenerator::ScenarioGenerator(const ScenarioConfig& config)
   }
 }
 
-ScenarioStream::ScenarioStream(const ScenarioConfig& config,
-                               std::unique_ptr<ArrivalProcess> process,
-                               Rng attribute_rng)
-    : config_(config),
-      process_(std::move(process)),
-      attribute_rng_(attribute_rng) {
-  advance();  // buffer the first arrival-bearing slot
-}
-
-ScenarioStream::ScenarioStream(ScenarioStream&&) noexcept = default;
-ScenarioStream& ScenarioStream::operator=(ScenarioStream&&) noexcept = default;
-ScenarioStream::~ScenarioStream() = default;
-
-void ScenarioStream::pop() {
-  emitted_ += batch_.size();
-  advance();
-}
-
-void ScenarioStream::advance() {
-  batch_.clear();
-  batch_slot_ = kExhausted;
-  while (t_ < config_.horizon) {
-    const std::size_t slot = t_++;
-    const auto count = static_cast<std::uint64_t>(process_->next_arrivals());
+WorkloadTrace ScenarioGenerator::generate() const {
+  // Independent streams from the one seed: the count process and the
+  // attribute draws never share randomness, so swapping the arrival process
+  // leaves session attributes (for the arrivals both emit) comparable.
+  Rng root(config_.seed);
+  const std::unique_ptr<ArrivalProcess> process = make_process(root.split());
+  Rng attribute_rng = root.split();
+  WorkloadTrace trace;
+  trace.events.reserve(static_cast<std::size_t>(
+      config_.base_rate * static_cast<double>(config_.horizon) * 2.0 + 16.0));
+  for (std::size_t slot = 0; slot < config_.horizon; ++slot) {
+    const auto count = static_cast<std::uint64_t>(process->next_arrivals());
     for (std::uint64_t a = 0; a < count; ++a) {
       TraceEvent event;
       event.t_arrive = slot;
       // Fixed draw order (tier, duration, profile) keeps traces reproducible
       // attribute-by-attribute.
-      const double u = attribute_rng_.next_double();
+      const double u = attribute_rng.next_double();
       if (u < config_.best_effort_fraction) {
         event.qos = QosClass::kBestEffort;
       } else if (u < config_.best_effort_fraction + config_.premium_fraction) {
@@ -80,7 +68,7 @@ void ScenarioStream::advance() {
       }
       event.weight = default_qos_weight(event.qos);
       double duration =
-          std::round(attribute_rng_.exponential(1.0 / config_.mean_duration));
+          std::round(attribute_rng.exponential(1.0 / config_.mean_duration));
       duration = std::max(duration, 1.0);
       if (config_.max_duration > 0) {
         duration =
@@ -88,36 +76,9 @@ void ScenarioStream::advance() {
       }
       event.duration = static_cast<std::size_t>(duration);
       event.profile = static_cast<std::uint32_t>(
-          attribute_rng_.below(config_.profile_count));
-      batch_.push_back(event);
+          attribute_rng.below(config_.profile_count));
+      trace.events.push_back(event);
     }
-    if (!batch_.empty()) {
-      batch_slot_ = slot;
-      return;
-    }
-  }
-}
-
-ScenarioStream ScenarioGenerator::stream() const {
-  // Independent streams from the one seed: the count process and the
-  // attribute draws never share randomness, so swapping the arrival process
-  // leaves session attributes (for the arrivals both emit) comparable.
-  Rng root(config_.seed);
-  const Rng process_rng = root.split();
-  Rng attribute_rng = root.split();
-  return ScenarioStream(config_, make_process(process_rng), attribute_rng);
-}
-
-WorkloadTrace ScenarioGenerator::generate() const {
-  // Materialization = one drained stream, so the two shapes cannot diverge.
-  ScenarioStream events = stream();
-  WorkloadTrace trace;
-  trace.events.reserve(static_cast<std::size_t>(
-      config_.base_rate * static_cast<double>(config_.horizon) * 2.0 + 16.0));
-  while (events.next_slot() != ScenarioStream::kExhausted) {
-    trace.events.insert(trace.events.end(), events.batch().begin(),
-                        events.batch().end());
-    events.pop();
   }
   return trace;
 }

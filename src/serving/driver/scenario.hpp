@@ -13,6 +13,9 @@
 //   diurnal      sine-modulated rate (a compressed day/night cycle)
 //   flash-crowd  stationary base plus a short spike window of multiplied rate
 //                (the admission-control stress test)
+//
+// A generator materializes its whole trace (generate()); replay_trace runs
+// it like any loaded file.
 #pragma once
 
 #include <cstddef>
@@ -82,57 +85,9 @@ enum class ScenarioKind { kPoisson, kBursty, kDiurnal, kFlashCrowd };
 
 const char* to_string(ScenarioKind kind) noexcept;
 
-/// Incremental emission of exactly the event stream generate()
-/// materializes, delivered one arrival-bearing slot at a time: peek the
-/// next batch's slot, read the batch, pop to advance. The draws (arrival
-/// counts and per-session attributes) happen lazily in generate()'s order,
-/// so draining a stream reproduces generate() bit for bit — generate() is
-/// in fact implemented as exactly that (tested). Peak memory is one slot's
-/// arrivals instead of the whole trace, which is what lets a long diurnal
-/// run feed an EventLoop without materializing millions of rows.
-class ScenarioStream {
- public:
-  ScenarioStream(ScenarioStream&&) noexcept;
-  ScenarioStream& operator=(ScenarioStream&&) noexcept;
-  ~ScenarioStream();
-
-  /// Slot of the buffered batch; kExhausted once the horizon is consumed.
-  [[nodiscard]] std::size_t next_slot() const noexcept { return batch_slot_; }
-  /// The arrivals due at next_slot() (non-empty unless exhausted).
-  [[nodiscard]] const std::vector<TraceEvent>& batch() const noexcept {
-    return batch_;
-  }
-  /// Row index (generate() order) of batch().front().
-  [[nodiscard]] std::size_t batch_first_row() const noexcept {
-    return emitted_;
-  }
-  /// Consumes the batch and buffers the next arrival-bearing slot.
-  void pop();
-
-  /// next_slot() sentinel once the horizon is consumed (numerically equal
-  /// to the driver's kNoSlot).
-  static constexpr std::size_t kExhausted =
-      std::numeric_limits<std::size_t>::max();
-
- private:
-  friend class ScenarioGenerator;
-  ScenarioStream(const ScenarioConfig& config,
-                 std::unique_ptr<class ArrivalProcess> process,
-                 Rng attribute_rng);
-  void advance();
-
-  ScenarioConfig config_;
-  std::unique_ptr<class ArrivalProcess> process_;
-  Rng attribute_rng_;
-  std::size_t t_ = 0;        // next un-drawn slot
-  std::size_t emitted_ = 0;  // rows emitted before the buffered batch
-  std::size_t batch_slot_ = kExhausted;
-  std::vector<TraceEvent> batch_;
-};
-
-/// Interface: a seeded trace synthesizer. generate() and stream() are const
-/// and draw from private streams derived from config.seed, so the same
-/// generator yields the same churn every call, materialized or incremental.
+/// Interface: a seeded trace synthesizer. generate() is const and draws
+/// from private streams derived from config.seed, so the same generator
+/// yields the same churn every call.
 class ScenarioGenerator {
  public:
   /// Validates the shared knobs. Throws std::invalid_argument on horizon or
@@ -141,10 +96,9 @@ class ScenarioGenerator {
   explicit ScenarioGenerator(const ScenarioConfig& config);
   virtual ~ScenarioGenerator() = default;
 
-  /// The whole trace at once (drains a stream() internally).
+  /// The whole trace: slot by slot over [0, horizon), the process draws the
+  /// slot's arrival count, then each arrival draws its attributes.
   [[nodiscard]] WorkloadTrace generate() const;
-  /// The same events, pulled slot by slot (O(one slot) memory).
-  [[nodiscard]] ScenarioStream stream() const;
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:

@@ -260,7 +260,7 @@ void ProportionalFairScheduler::allocate(double capacity,
   }
 }
 
-void WeightedPriorityScheduler::rebuild_tiers(const SchedulerInput& demands) {
+void WeightedPriorityScheduler::sort_tiers(const SchedulerInput& demands) {
   const std::size_t n = demands.size();
   // Sorted index permutation (weight descending, index ascending for
   // determinism); tiers are maximal runs of epsilon-equal adjacent weights.
@@ -295,18 +295,15 @@ void WeightedPriorityScheduler::allocate(double capacity,
     return;
   }
 
-  // Uniform fleet (hinted by the store's weight histogram, or detected in
-  // one compare pass): the sort would be the identity permutation and the
-  // tier split one maximal run, so the whole policy degenerates to a single
-  // water-fill over everyone — bit-identical, no sort, no permutation.
-  bool uniform = demands.uniform_weights == 1;
-  if (demands.uniform_weights < 0) {
-    uniform = true;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (demands.weight[i] != demands.weight[0]) {
-        uniform = false;
-        break;
-      }
+  // Uniform fleet (detected in one compare pass): the sort would be the
+  // identity permutation and the tier split one maximal run, so the whole
+  // policy degenerates to a single water-fill over everyone — bit-identical,
+  // no sort, no permutation.
+  bool uniform = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (demands.weight[i] != demands.weight[0]) {
+      uniform = false;
+      break;
     }
   }
   if (uniform) {
@@ -318,20 +315,8 @@ void WeightedPriorityScheduler::allocate(double capacity,
     return;
   }
 
-  // Weights belong to sessions and sessions only change at lifecycle edges,
-  // so the sorted tier permutation is valid as long as the caller's
-  // membership generation holds still: the O(n log n) sort runs once per
-  // arrival/departure batch, not once per slot.
-  const bool cached = demands.membership_generation != 0 &&
-                      demands.membership_generation == cached_generation_ &&
-                      perm_.size() == n;
-  if (!cached) {
-    ++stats_.generic;  // membership changed: pay the O(n log n) sort
-    rebuild_tiers(demands);
-    cached_generation_ = demands.membership_generation;
-  } else {
-    ++stats_.fast_path;  // cached tier permutation reused across slots
-  }
+  ++stats_.generic;
+  sort_tiers(demands);
 
   for (const auto& [begin, end] : tier_bounds_) {
     if (!(capacity > 0.0)) break;

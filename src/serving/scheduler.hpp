@@ -17,18 +17,15 @@
 // external callers; it unpacks into scratch arrays and forwards to the same
 // kernels, bit for bit.
 //
-// Steady-state cost is kept proportional to what changed, not to the
-// population, wherever that is possible without perturbing a single bit:
-// the input carries O(changed) aggregate hints (membership generation,
-// weight uniformity) maintained by the session store at lifecycle edges, so
-// weighted-priority reuses its sorted tier permutation across slots; the
-// multi-round policies run a fused first round over the implicit full index
-// range (no index-list materialization, no zero-fill pass) that reproduces
-// the generic round's arithmetic operation for operation; DRR initializes
-// deficit residue for ring members only. Incrementally-maintained floating
-// point *sums* are deliberately absent: they round differently from the
-// canonical left-to-right pass, and every fast path here must be (and is,
-// tested) bit-identical to the reference algorithm.
+// Fast paths skip work only where that perturbs no bit: the multi-round
+// policies run a fused first round over the implicit full index range (no
+// index-list materialization, no zero-fill pass) that reproduces the
+// generic round's arithmetic operation for operation; weighted-priority
+// skips tier-finding for a uniform fleet; DRR initializes deficit residue
+// for ring members only. Incrementally-maintained floating point *sums* are
+// deliberately absent: they round differently from the canonical
+// left-to-right pass, and every fast path here must be (and is, tested)
+// bit-identical to the reference algorithm.
 #pragma once
 
 #include <cstddef>
@@ -69,20 +66,6 @@ struct SchedulerInput {
   std::span<const double> weight;
   std::span<const double> ewma_throughput;
 
-  // O(changed) aggregate hints, maintained by the session store at lifecycle
-  // edges (never by a per-slot pass). Pure accelerators: every policy
-  // produces bit-identical shares with or without them.
-  //
-  /// Monotone generation of the active-set membership behind these spans.
-  /// Nonzero generations promise: equal generation (from the same caller) ⇒
-  /// identical session set in identical index order with identical weights,
-  /// so policies may cache cross-slot structure (weighted-priority's sorted
-  /// tier permutation) keyed on it. 0 = unknown/uncacheable (the adapter
-  /// default) — rebuild every call.
-  std::uint64_t membership_generation = 0;
-  /// 1 = every weight has the same bit pattern, 0 = not, -1 = unknown.
-  std::int8_t uniform_weights = -1;
-
   [[nodiscard]] std::size_t size() const noexcept { return backlog.size(); }
   /// Most session i could drain this slot.
   [[nodiscard]] double total(std::size_t i) const noexcept {
@@ -100,7 +83,7 @@ struct SchedulerInput {
 struct SchedulerStats {
   /// Span-kernel allocate() invocations.
   std::uint64_t calls = 0;
-  /// Slots served entirely by a fused / cached / uniform fast path.
+  /// Slots served entirely by a fused or uniform fast path.
   std::uint64_t fast_path = 0;
   /// Slots that fell through to the generic multi-round algorithm.
   std::uint64_t generic = 0;
@@ -200,12 +183,9 @@ class ProportionalFairScheduler final : public EdgeScheduler {
 /// relative epsilon — never by exact `double ==`, so weights that should be
 /// equal but were produced by different arithmetic paths (0.1 + 0.2 vs 0.3)
 /// land in one tier instead of silently forming a phantom priority level.
-/// The permutation (and its tier split) is cached across slots: weights only
-/// change when the membership does, so while the caller's
-/// membership_generation holds still the O(n log n) sort is skipped
-/// entirely, and a uniform fleet (uniform_weights hint, or detected) skips
-/// tier-finding altogether — one water-fill over everyone, which is exactly
-/// what the sort degenerates to when all weights are equal.
+/// A uniform fleet (detected in one compare pass) skips tier-finding
+/// altogether — one water-fill over everyone, which is exactly what the sort
+/// degenerates to when all weights are equal.
 class WeightedPriorityScheduler final : public EdgeScheduler {
  public:
   using EdgeScheduler::allocate;
@@ -216,14 +196,12 @@ class WeightedPriorityScheduler final : public EdgeScheduler {
   }
 
  private:
-  void rebuild_tiers(const SchedulerInput& demands);
+  void sort_tiers(const SchedulerInput& demands);
 
-  std::vector<std::size_t> perm_;  // reused across slots: no per-slot allocs
+  // Reused across slots: no per-slot allocs.
+  std::vector<std::size_t> perm_;
   std::vector<std::size_t> tier_;
-  // Cached tier structure: valid while cached_generation_ matches the
-  // caller's nonzero membership generation (and n is unchanged).
   std::vector<std::pair<std::size_t, std::size_t>> tier_bounds_;
-  std::uint64_t cached_generation_ = 0;
 };
 
 /// Deficit round-robin, byte-granular: each round every positive-weight

@@ -297,11 +297,6 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
     // instantaneous demand, keeping the window-off path bit-identical to the
     // legacy one.
     if (pf_history) demands.ewma_throughput = store_.ewma_throughput();
-    // O(changed) aggregate hints maintained by the store at lifecycle edges:
-    // let weighted policies reuse their sorted tier permutation across slots
-    // and skip tier-finding for uniform fleets (bit-identical either way).
-    demands.membership_generation = store_.membership_generation();
-    demands.uniform_weights = store_.uniform_weights() ? 1 : 0;
     scheduler_->allocate(capacity_bytes, demands, shares_);
   }
 

@@ -41,7 +41,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "serving/admission.hpp"
 #include "serving/metrics.hpp"
@@ -197,11 +196,10 @@ class SessionManager {
 
   /// The placement hook (EdgeCluster): runs this link's admission on `spec`
   /// right now. On accept the session is created *active at the current
-  /// slot* under the caller-assigned `session_id` (which also seeds the
-  /// per-session RNG stream, so placement decisions never perturb another
-  /// session's randomness). On reject nothing is recorded beyond admission
-  /// stats — the caller may spill the session to another link. Validates
-  /// with validate_spec(). Call between begin_slot() and finish_slot().
+  /// slot* under the caller-assigned `session_id`. On reject nothing is
+  /// recorded beyond admission stats — the caller may spill the session to
+  /// another link. Validates with validate_spec(). Call between
+  /// begin_slot() and finish_slot().
   AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
 
   /// The link's admission state (reserved load / residual capacity), for

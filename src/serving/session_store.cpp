@@ -84,7 +84,6 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
   pos_.push_back(first);
   choice_.push_back(0);
   dec_arrivals_.push_back(0.0);
-  histo_add(std::bit_cast<std::uint64_t>(s.spec.weight));
   ++generation_;
 }
 
@@ -101,9 +100,6 @@ void SessionStore::set_tier_limits(std::span<const std::uint32_t> limits) {
     tier_limit_[t] =
         t < limits.size() ? limits[t] : static_cast<std::uint32_t>(width_);
   }
-  // Refresh the active mirror. The membership generation stays: it promises
-  // the schedulers the same sessions, order and weights, and a ceiling
-  // changes none of them.
   for (std::size_t i = 0; i < active_.size(); ++i) {
     limit_[i] = tier_limit_[qos_[i]];
   }
@@ -144,28 +140,6 @@ void SessionStore::resize_active(std::size_t n) {
   pos_.resize(n);
   choice_.resize(n);
   dec_arrivals_.resize(n);
-}
-
-void SessionStore::histo_add(std::uint64_t weight_bits) {
-  for (auto& [bits, count] : weight_histo_) {
-    if (bits == weight_bits) {
-      ++count;
-      return;
-    }
-  }
-  weight_histo_.emplace_back(weight_bits, 1);
-}
-
-void SessionStore::histo_remove(std::uint64_t weight_bits) {
-  for (std::size_t k = 0; k < weight_histo_.size(); ++k) {
-    if (weight_histo_[k].first == weight_bits) {
-      if (--weight_histo_[k].second == 0) {
-        weight_histo_[k] = weight_histo_.back();
-        weight_histo_.pop_back();
-      }
-      return;
-    }
-  }
 }
 
 Status SessionStore::validate() const {
@@ -243,39 +217,6 @@ Status SessionStore::validate() const {
     }
     if (chunk == nullptr || chunk != chunk_[i]) {
       return fail(i, "write chunk is not on the record's chain");
-    }
-  }
-  // The weight histogram must be exactly reproducible from the mirrors (it
-  // drives uniform_weights, which gates scheduler fast paths — a drifted
-  // histogram silently changes scheduling).
-  std::vector<std::pair<std::uint64_t, std::size_t>> expect;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(weight_[i]);
-    bool found = false;
-    for (auto& [b, c] : expect) {
-      if (b == bits) {
-        ++c;
-        found = true;
-        break;
-      }
-    }
-    if (!found) expect.emplace_back(bits, 1);
-  }
-  if (expect.size() != weight_histo_.size()) {
-    return Status::FailedPrecondition(
-        "SessionStore::validate: weight histogram tier count diverged");
-  }
-  for (const auto& [bits, count] : expect) {
-    bool matched = false;
-    for (const auto& [b, c] : weight_histo_) {
-      if (b == bits && c == count) {
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      return Status::FailedPrecondition(
-          "SessionStore::validate: weight histogram count diverged");
     }
   }
   return Status::Ok();

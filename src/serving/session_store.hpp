@@ -1,8 +1,8 @@
 // SessionStore: the serving runtime's session arena, its hot-path data
 // layout, and the per-session decide kernel.
 //
-// The store separates a session's cold slab record (spec, trace, RNG
-// stream) from dense struct-of-arrays mirrors of exactly the fields the
+// The store separates a session's cold slab record (spec, trace, lifecycle
+// slots) from dense struct-of-arrays mirrors of exactly the fields the
 // decide/schedule/drain phases read every slot, so each phase is a linear
 // walk over contiguous arrays. Decide is one pass over the active list:
 // every session runs the drift-plus-penalty argmax,
@@ -28,15 +28,11 @@
 // read from the table rows and the Lindley recurrence (see
 // session_trace.hpp).
 //
-// The store also maintains exact O(changed) aggregates for the scheduler:
-// a membership generation (bumped on any activation/retirement) and a
-// weight histogram keyed by weight bit patterns (per-tier session counts),
-// which let weighted policies reuse their sorted tier permutation across
-// slots and skip tier-finding entirely for uniform fleets. Floating-point
-// *sums* are deliberately not maintained incrementally: an incrementally
-// updated sum rounds differently from the canonical left-to-right pass, and
-// everything here must stay bit-for-bit against the view-based oracle
-// (asserted by bench_hot_path --smoke and the serving determinism tests).
+// Floating-point *sums* are deliberately not maintained incrementally: an
+// incrementally updated sum rounds differently from the canonical
+// left-to-right pass, and everything here must stay bit-for-bit against the
+// view-based oracle (asserted by bench_hot_path --smoke and the serving
+// determinism tests).
 #pragma once
 
 #include <algorithm>
@@ -51,7 +47,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "serving/session_trace.hpp"
 #include "sim/frame_stats_cache.hpp"
@@ -83,9 +78,6 @@ struct SessionSpec {
   std::size_t departure_slot = kNeverDeparts;
   /// Scheduler priority (>= 0; weighted policies only).
   double weight = 1.0;
-  /// Seed of this session's private RNG stream (split per session so runs
-  /// are reproducible regardless of arrival order or thread count).
-  std::uint64_t seed = 0;
   /// QoS tier for SLO accounting: 0 = best-effort, 1 = standard,
   /// 2 = premium. Raw index (not the driver-layer QosClass enum — this layer
   /// sits below the trace format); must be < kSloTiers, which the manager
@@ -114,23 +106,13 @@ struct HotSessionState {
 /// never in the decide/schedule/drain loops).
 struct ServingSession {
   ServingSession(std::size_t id_in, const SessionSpec& spec_in)
-      : id(id_in),
-        spec(spec_in),
-        // Mix the session id into the stream so sessions sharing a spec
-        // seed (e.g. the default 0) still draw independent randomness.
-        rng(Rng(spec_in.seed ^ (0x9E3779B97F4A7C15ULL * (id_in + 1)))
-                .split()),
-        arrival_actual(spec_in.arrival_slot) {}
+      : id(id_in), spec(spec_in), arrival_actual(spec_in.arrival_slot) {}
 
   std::size_t id;
   SessionSpec spec;
   /// Per-slot record (see session_trace.hpp): started at activation on the
   /// link's chunk arena, sealed when the session retires (empty until then).
   SessionTrace trace;
-  /// Private stream derived from the spec seed; reserved for stochastic
-  /// controllers/arrival jitter so adding them later cannot perturb any
-  /// other session's stream.
-  Rng rng;
   SessionPhase phase = SessionPhase::kPending;
   int max_sustainable_depth = 0;
   double cheapest_load = 0.0;
@@ -185,7 +167,6 @@ class SessionStore {
     for (std::size_t i = 0; i < n; ++i) {
       ServingSession& s = *active_[i];
       if (should_close(s)) {
-        histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
         s.trace.commit(pos_[i]);
         on_close(s);
         continue;
@@ -210,7 +191,6 @@ class SessionStore {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (departure_[i] <= slot) {
-        histo_remove(std::bit_cast<std::uint64_t>(weight_[i]));
         active_[i]->trace.commit(pos_[i]);
         on_close(*active_[i]);
         continue;
@@ -279,8 +259,7 @@ class SessionStore {
 
   /// Overwrites the most recently activated session's hot mirrors with
   /// migrated state — activate() then inject_hot_state() is the migration
-  /// injection sequence. The membership generation was already bumped by
-  /// the activation; the next decide reads the carried backlog and frame
+  /// injection sequence. The next decide reads the carried backlog and frame
   /// row instead of the fresh zero, and the segment's trace starts at them.
   /// The row cursor must be aligned to the session's table stride and in
   /// range (checked), which holds whenever source and target share the
@@ -343,27 +322,10 @@ class SessionStore {
   /// tables: index-parallel lengths, weight/departure bit-equality with the
   /// spec, table pointers/frame counts matching the table interned for the
   /// session's cache (the first one, so a duplicate intern fails), row
-  /// cursors aligned and in range, the weight histogram exactly
-  /// reproducible from the mirrors, and no poisoned or duplicated slots.
+  /// cursors aligned and in range, and no poisoned or duplicated slots.
   /// O(active + slab) — called from tests and the bench oracles, never from
   /// the slot loop (hot-path invariants are the DCHECKs above).
   [[nodiscard]] Status validate() const;
-
-  // --- O(changed) aggregates ----------------------------------------------
-
-  /// Monotone active-membership generation: bumped on every activation and
-  /// every retirement batch. Equal generations promise an identical active
-  /// list (same sessions, same index order, same weights) — the key the
-  /// schedulers' cached structures invalidate on.
-  [[nodiscard]] std::uint64_t membership_generation() const noexcept {
-    return generation_;
-  }
-  /// True when every active session's weight has the same bit pattern
-  /// (maintained via the weight histogram, O(distinct weights) per
-  /// lifecycle edge — never a per-slot pass).
-  [[nodiscard]] bool uniform_weights() const noexcept {
-    return weight_histo_.size() <= 1;
-  }
 
   // --- brownout quality ceilings -------------------------------------------
 
@@ -372,9 +334,8 @@ class SessionStore {
   /// ascending depth list, so a lower ceiling caps delivered quality — the
   /// brownout degradation knob). Tiers beyond `limits.size()` reset to the
   /// full width. Every limit must be in [1, width]. Active sessions take
-  /// their tier's new ceiling at the next decide. The membership generation
-  /// does not move: ceilings are decide inputs, never scheduler inputs.
-  /// Throws std::invalid_argument on a limit out of range or more than
+  /// their tier's new ceiling at the next decide. Handles stay valid: a
+  /// ceiling changes no index. Throws std::invalid_argument on a limit out of range or more than
   /// kStoreQosTiers entries.
   void set_tier_limits(std::span<const std::uint32_t> limits);
 
@@ -466,8 +427,6 @@ class SessionStore {
   /// The (possibly newly) interned table for `cache`.
   const std::shared_ptr<const FlatDecideTable>& intern(
       const FrameStatsCache& cache);
-  void histo_add(std::uint64_t weight_bits);
-  void histo_remove(std::uint64_t weight_bits);
 
   std::vector<int> candidates_;
   double v_;
@@ -509,11 +468,7 @@ class SessionStore {
       std::pair<const FrameStatsCache*, std::shared_ptr<const FlatDecideTable>>>
       tables_;
 
-  std::uint64_t generation_ = 1;  // active-membership generation
-
-  // Active-weight histogram: (weight bit pattern, active count). Few
-  // distinct weights per fleet; linear scans at lifecycle edges only.
-  std::vector<std::pair<std::uint64_t, std::size_t>> weight_histo_;
+  std::uint64_t generation_ = 1;  // lifecycle-edge count (ActiveHandle)
 };
 
 }  // namespace arvis

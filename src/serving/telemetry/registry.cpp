@@ -48,20 +48,6 @@ double TelemetryHistogram::percentile(double p) const noexcept {
   return bucket_lower_bound(kBuckets - 1);
 }
 
-void TelemetryHistogram::merge_from(const TelemetryHistogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 TelemetryCounter& TelemetryRegistry::counter(std::string_view name) {
   for (auto& entry : counters_) {
     if (entry.name == name) return entry.instrument;
@@ -95,15 +81,6 @@ const TelemetryHistogram* TelemetryRegistry::find_histogram(
     if (entry.name == name) return &entry.instrument;
   }
   return nullptr;
-}
-
-void TelemetryRegistry::merge_from(const TelemetryRegistry& other) {
-  for (const auto& entry : other.counters_) {
-    counter(entry.name).add(entry.instrument.value());
-  }
-  for (const auto& entry : other.histograms_) {
-    histogram(entry.name).merge_from(entry.instrument);
-  }
 }
 
 CsvTable TelemetryRegistry::counters_table() const {

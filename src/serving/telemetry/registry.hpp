@@ -16,7 +16,9 @@
 // (the telemetry tests exploit this), and any data set's reported quantile
 // is at most 2x below the true one — the usual log-bucket contract.
 //
-// The registry's instrument storage is a deque so handles stay stable across
+// One registry serves a whole run: the links' tasks share it through the
+// atomic counters, so there is no per-thread shard to merge. The registry's
+// instrument storage is a deque so handles stay stable across
 // registrations. Iteration order is registration order, which keeps exported
 // tables deterministic.
 #pragma once
@@ -86,12 +88,6 @@ class TelemetryHistogram {
     return buckets_[b];
   }
 
-  /// Folds `other` into this histogram *exactly*: log2 buckets make the
-  /// merge lossless (bucket-wise add), so the merged percentile/count/sum/
-  /// min/max equal those of one histogram fed both sample streams — the
-  /// property the shard-per-thread rollup will rely on (tested).
-  void merge_from(const TelemetryHistogram& other) noexcept;
-
  private:
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t count_ = 0;
@@ -132,14 +128,6 @@ class TelemetryRegistry {
   void for_each_histogram(Fn&& fn) const {
     for (const auto& entry : histograms_) fn(entry.name, entry.instrument);
   }
-
-  /// Folds every instrument of `other` into this registry by name, creating
-  /// absent instruments (in `other`'s registration order, appended after the
-  /// existing ones): counters add their values, histograms merge bucket-wise
-  /// (exact — see TelemetryHistogram::merge_from). The per-shard -> global
-  /// rollup of the sharded-runtime refactor: each shard records into its own
-  /// registry lock-free, the barrier merges.
-  void merge_from(const TelemetryRegistry& other);
 
   /// (counter, value) rows in registration order.
   [[nodiscard]] CsvTable counters_table() const;

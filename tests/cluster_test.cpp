@@ -57,7 +57,6 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
     specs[i].arrival_slot = 5 * i;
     specs[i].departure_slot = (i % 3 == 0) ? 5 * i + 70 : kNeverDeparts;
     specs[i].weight = (i % 2 == 0) ? 1.0 : 2.0;
-    specs[i].seed = 1'000 + i;
   }
   return specs;
 }
@@ -138,7 +137,6 @@ std::vector<SessionSpec> skewed_burst_specs() {
   std::vector<SessionSpec> specs(12);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].cache = &shared_cache();
-    specs[i].seed = i;
   }
   // Round-robin placement of the initial eight: i -> link i % 4. The
   // departing four are exactly those placed on links 0 and 1.
@@ -184,7 +182,6 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
   std::vector<SessionSpec> specs(4);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].cache = &shared_cache();
-    specs[i].seed = i;
     specs[i].arrival_slot = i;  // sequential arrivals: placement sees each
   }
 
@@ -442,7 +439,6 @@ TEST(AllocationProbeTest, SingleLinkSteadyStateStepIsAllocationFree) {
   for (std::size_t i = 0; i < 6; ++i) {
     SessionSpec spec;
     spec.cache = &shared_cache();
-    spec.seed = i;
     cluster.submit(spec);
   }
   // Warm-up: admissions, the record arena's first block (six sessions never
@@ -469,7 +465,6 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
   for (std::size_t i = 0; i < 6; ++i) {
     SessionSpec spec;
     spec.cache = &shared_cache();
-    spec.seed = i;
     cluster.submit(spec);
   }
   std::vector<double> caps{capacity, capacity};
@@ -508,7 +503,6 @@ TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {
   for (std::size_t i = 0; i < kSessions; ++i) {
     SessionSpec spec;
     spec.cache = &shared_cache();
-    spec.seed = i;
     cluster.submit(spec);
   }
   // Arena blocks in use once every session has drained `slots` slots.

@@ -66,7 +66,6 @@ std::vector<SessionSpec> churny_specs(std::size_t n, std::size_t steps) {
   std::vector<SessionSpec> specs(n);
   for (std::size_t i = 0; i < n; ++i) {
     specs[i].cache = &stress_cache();
-    specs[i].seed = i;
     specs[i].weight = (i % 3 == 0) ? 2.0 : 1.0;
     // Staggered arrivals/departures so lifecycle edges land mid-run (the
     // compaction paths run while the executor is in use).

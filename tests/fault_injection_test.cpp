@@ -52,13 +52,11 @@ ServingConfig base_serving() {
   return config;
 }
 
-SessionSpec session_spec(std::size_t arrival, std::size_t departure,
-                         std::uint64_t seed = 7) {
+SessionSpec session_spec(std::size_t arrival, std::size_t departure) {
   SessionSpec spec;
   spec.cache = &fault_cache();
   spec.arrival_slot = arrival;
   spec.departure_slot = departure;
-  spec.seed = seed;
   return spec;
 }
 
@@ -434,10 +432,10 @@ ReplayResult replay_chaos(const ChaosRun& run) {
   ConstantChannel a(2.4 * load), b(2.4 * load);
   std::vector<ChannelModel*> channels{&a, &b};
   const std::vector<const FrameStatsCache*> profiles{&fault_cache()};
-  return replay_scenario(run.config,
-                         *make_scenario(ScenarioKind::kFlashCrowd,
-                                        run.scenario),
-                         profiles, channels);
+  return replay_trace(
+      run.config,
+      make_scenario(ScenarioKind::kFlashCrowd, run.scenario)->generate(),
+      profiles, channels);
 }
 
 TEST(FaultReplayTest, SameSeedSameFaultPlanIsBitIdenticalTwice) {
@@ -629,7 +627,7 @@ TEST(ClusterFaultTest, OverlappingOutagesCountOneTransition) {
   ClusterBackend backend(cluster, {&a, &b});
   EventLoop loop(DriverConfig{}, backend);
   for (std::uint64_t i = 0; i < 4; ++i) {
-    loop.schedule_arrival(0, session_spec(0, 100, i));
+    loop.schedule_arrival(0, session_spec(0, 100));
   }
   FaultPlan plan;
   plan.outage(/*link=*/1, /*at=*/10, /*duration=*/20)
@@ -760,7 +758,7 @@ TEST(BrownoutTest, EnterLowersQualityCeilingsAndExitRestores) {
   auto step = [&](bool place) {
     manager.begin_slot();
     for (std::size_t i = 0; place && i < 2; ++i) {
-      SessionSpec spec = session_spec(0, 60, i);
+      SessionSpec spec = session_spec(0, 60);
       spec.qos = static_cast<std::uint8_t>(i);  // one best-effort, one standard
       ASSERT_TRUE(manager.try_place(spec, i).admitted);
     }
@@ -806,11 +804,11 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   const double load = cheapest_load(config.candidates);
 
   SessionManager manager(config, 16.0 * load);
-  SessionSpec best_effort = session_spec(0, kNeverDeparts, 7);
+  SessionSpec best_effort = session_spec(0, kNeverDeparts);
   best_effort.qos = 0;
-  SessionSpec standard = session_spec(0, kNeverDeparts, 7);
+  SessionSpec standard = session_spec(0, kNeverDeparts);
   standard.qos = 1;
-  SessionSpec premium = session_spec(0, kNeverDeparts, 7);
+  SessionSpec premium = session_spec(0, kNeverDeparts);
   premium.qos = 2;
   const std::size_t be_id = 0, standard_id = 1, pr_id = 2;
   for (std::size_t t = 0; t < config.steps; ++t) {

@@ -56,13 +56,11 @@ ServingConfig base_serving() {
   return config;
 }
 
-SessionSpec session_spec(std::size_t arrival, std::size_t departure,
-                         std::uint64_t seed = 7) {
+SessionSpec session_spec(std::size_t arrival, std::size_t departure) {
   SessionSpec spec;
   spec.cache = &migration_cache();
   spec.arrival_slot = arrival;
   spec.departure_slot = departure;
-  spec.seed = seed;
   return spec;
 }
 
@@ -378,7 +376,7 @@ TEST(HandoverPolicyTest, DegradedLinkHandsSessionsOverAndBooksBalance) {
   DriverConfig driver;
   EventLoop loop(driver, backend);
   for (std::size_t i = 0; i < 3; ++i) {
-    loop.schedule_arrival(0, session_spec(0, 120, i));
+    loop.schedule_arrival(0, session_spec(0, 120));
   }
   FaultPlan plan;
   plan.events = {degrade(0, 0.2, 3.0, /*slot=*/40),   // score 1.1: enter
@@ -431,7 +429,7 @@ TEST(HandoverPolicyTest, SessionBudgetSuppressesPingPong) {
     DriverConfig driver;
     EventLoop loop(driver, backend);
     for (std::size_t i = 0; i < 4; ++i) {
-      loop.schedule_arrival(0, session_spec(0, 400, i));
+      loop.schedule_arrival(0, session_spec(0, 400));
     }
     // Flap the degradation between the links every 40 slots.
     for (std::size_t round = 0; round < 4; ++round) {
@@ -475,9 +473,9 @@ TEST(HandoverPolicyTest, RebalanceOnDepartureFillsFreedLink) {
   const std::vector<double> caps{4.0 * load, 4.0 * load};
 
   EdgeCluster cluster(config, means);
-  const std::size_t s0 = cluster.submit(session_spec(0, 100, 1));
-  const std::size_t s1 = cluster.submit(session_spec(0, 30, 2));
-  const std::size_t s2 = cluster.submit(session_spec(0, 100, 3));
+  const std::size_t s0 = cluster.submit(session_spec(0, 100));
+  const std::size_t s1 = cluster.submit(session_spec(0, 30));
+  const std::size_t s2 = cluster.submit(session_spec(0, 100));
   for (std::size_t t = 0; t < 60; ++t) cluster.step(caps);
   const ClusterResult result = cluster.finish();
 
@@ -515,9 +513,9 @@ TEST(HandoverPolicyTest, QuietPolicyIsBitIdenticalToDisabled) {
     ConstantChannel a(2.4 * load), b(2.4 * load);
     std::vector<ChannelModel*> channels{&a, &b};
     const std::vector<const FrameStatsCache*> profiles{&migration_cache()};
-    return replay_scenario(config,
-                           *make_scenario(ScenarioKind::kFlashCrowd, scenario),
-                           profiles, channels);
+    return replay_trace(
+        config, make_scenario(ScenarioKind::kFlashCrowd, scenario)->generate(),
+        profiles, channels);
   };
 
   const ReplayResult off = run(false);
@@ -577,9 +575,9 @@ TEST(MigrationChurnTest, BooksReconcileUnderChurnAndFlappingDegradation) {
     ConstantChannel a(2.4 * load), b(2.4 * load);
     std::vector<ChannelModel*> channels{&a, &b};
     const std::vector<const FrameStatsCache*> profiles{&migration_cache()};
-    return replay_scenario(config,
-                           *make_scenario(ScenarioKind::kFlashCrowd, scenario),
-                           profiles, channels);
+    return replay_trace(
+        config, make_scenario(ScenarioKind::kFlashCrowd, scenario)->generate(),
+        profiles, channels);
   };
 
   const ReplayResult result = run();

@@ -2,10 +2,10 @@
 // SLO window math (blip vs breach over fast/slow windows, cumulative-counter
 // deltas, worst-over-window gauges, per-tier isolation, empty-denominator
 // semantics), flight-recorder ring wraparound, black-box JSON parse-back,
-// Prometheus text export structure, registry merge exactness (sharded ==
-// single-stream), the DCHECK-failure black-box dump (death test), and an
-// end-to-end replay under deliberately tight SLOs producing report entries,
-// counters, an auto-dumped black box and a live-stats file.
+// Prometheus text export structure, the DCHECK-failure black-box dump
+// (death test), and an end-to-end replay under deliberately tight SLOs
+// producing report entries, counters, an auto-dumped black box and a
+// live-stats file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -468,49 +468,6 @@ TEST(PrometheusTest, BucketCountsAreCumulative) {
   const std::string file = ::testing::TempDir() + "/m.prom";
   ASSERT_TRUE(write_prometheus_text(registry, file).ok());
   EXPECT_EQ(read_file(file), text);
-}
-
-// ------------------------------------------------------- registry merge ----
-
-TEST(RegistryMergeTest, ShardedMergeMatchesSingleStreamExactly) {
-  // The same event stream, once through a single registry and once split
-  // across two shards merged into a third: every counter value, histogram
-  // bucket, sum and percentile must match bit for bit.
-  const std::vector<double> stream_a{1.0, 8.0, 8.0, 0.25};
-  const std::vector<double> stream_b{2.0, 1024.5, 8.0};
-
-  TelemetryRegistry single;
-  single.counter("x").add(3);
-  single.counter("y").add(1);
-  single.counter("z").add(2);
-  for (const double v : stream_a) single.histogram("h").record(v);
-  for (const double v : stream_b) single.histogram("h").record(v);
-
-  TelemetryRegistry shard_a, shard_b;
-  shard_a.counter("x").add(3);
-  shard_a.counter("y").add(1);
-  for (const double v : stream_a) shard_a.histogram("h").record(v);
-  shard_b.counter("x");  // registered first so merge keeps x before z
-  shard_b.counter("z").add(2);
-  for (const double v : stream_b) shard_b.histogram("h").record(v);
-
-  TelemetryRegistry merged;
-  merged.merge_from(shard_a);
-  merged.merge_from(shard_b);
-
-  EXPECT_EQ(merged.counter("x").value(), 3U);
-  EXPECT_EQ(merged.counter("y").value(), 1U);
-  EXPECT_EQ(merged.counter("z").value(), 2U);
-  EXPECT_EQ(merged.histogram("h").count(), 7U);
-  EXPECT_EQ(merged.histogram("h").sum(), single.histogram("h").sum());
-  for (const double p : {0.0, 0.5, 0.95, 1.0}) {
-    EXPECT_EQ(merged.histogram("h").percentile(p),
-              single.histogram("h").percentile(p))
-        << "p" << p;
-  }
-  // Same registration order, same contents: identical exports.
-  EXPECT_EQ(merged.to_json(), single.to_json());
-  EXPECT_EQ(prometheus_text(merged), prometheus_text(single));
 }
 
 // ------------------------------------------------- end-to-end SLO replay ----

@@ -280,10 +280,10 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
 }
 
 // ------------------------------------- scheduler fast-path equivalence ----
-// Reference implementations of the pre-incremental generic algorithms (as
-// they stood before the fused first rounds, cached tier permutation, and
-// lazy DRR residue landed). The production kernels' fast paths must
-// reproduce them share for share — exact doubles, not NEAR.
+// Reference implementations of the generic algorithms (as they stood before
+// the fused first rounds, the uniform-fleet shortcut and lazy DRR residue
+// landed). The production kernels' fast paths must reproduce them share for
+// share — exact doubles, not NEAR.
 
 namespace ref {
 
@@ -453,7 +453,7 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
   WorkConservingScheduler wc;
   ProportionalFairScheduler pf;
   WeightedPriorityScheduler wp;
-  std::vector<double> shares, want, hinted;
+  std::vector<double> shares, want, direct;
   std::size_t drr_calls = 0;
   DeficitRoundRobinScheduler drr;
 
@@ -477,42 +477,33 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
     const double capacity =
         rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, total * 1.4 + 10.0);
 
-    // SoA mirror of the demand set, carrying the aggregate hints the hot
-    // path would supply.
+    // SoA mirror of the demand set, the shape the hot path supplies.
     std::vector<double> backlog(n), arrivals(n), weight(n), ewma(n);
-    bool bits_uniform = true;
     for (std::size_t i = 0; i < n; ++i) {
       backlog[i] = demands[i].backlog;
       arrivals[i] = demands[i].arrivals;
       weight[i] = demands[i].weight;
       ewma[i] = demands[i].ewma_throughput;
-      if (weight[i] != weight[0]) bits_uniform = false;
     }
-    SchedulerInput input{backlog, arrivals, weight, ewma};
-    input.membership_generation = static_cast<std::uint64_t>(iter) + 1;
-    input.uniform_weights = bits_uniform ? 1 : 0;
+    const SchedulerInput input{backlog, arrivals, weight, ewma};
 
     ref::work_conserving(capacity, demands, want);
-    wc.allocate(capacity, demands, shares);  // adapter path, no hints
+    wc.allocate(capacity, demands, shares);  // adapter path
     ASSERT_EQ(shares, want) << "wc iter " << iter;
-    wc.allocate(capacity, input, hinted);
-    ASSERT_EQ(hinted, want) << "wc hinted iter " << iter;
+    wc.allocate(capacity, input, direct);
+    ASSERT_EQ(direct, want) << "wc direct iter " << iter;
 
     ref::proportional_fair(capacity, demands, want);
     pf.allocate(capacity, demands, shares);
     ASSERT_EQ(shares, want) << "pf iter " << iter;
-    pf.allocate(capacity, input, hinted);
-    ASSERT_EQ(hinted, want) << "pf hinted iter " << iter;
+    pf.allocate(capacity, input, direct);
+    ASSERT_EQ(direct, want) << "pf direct iter " << iter;
 
     ref::weighted_priority(capacity, demands, want);
     wp.allocate(capacity, demands, shares);
     ASSERT_EQ(shares, want) << "wp iter " << iter;
-    // Twice with the same generation: the second call replays the cached
-    // tier permutation and must not drift by a bit.
-    wp.allocate(capacity, input, hinted);
-    ASSERT_EQ(hinted, want) << "wp hinted iter " << iter;
-    wp.allocate(capacity, input, hinted);
-    ASSERT_EQ(hinted, want) << "wp cached iter " << iter;
+    wp.allocate(capacity, input, direct);
+    ASSERT_EQ(direct, want) << "wp direct iter " << iter;
 
     // DRR is stateful (rotation cursor, lazy residue): drive one scheduler
     // object across all iterations and mirror the cursor in the reference
@@ -523,8 +514,8 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
     ASSERT_EQ(shares, want) << "drr iter " << iter;
     ref::deficit_round_robin(capacity, demands, drr_calls, want);
     if (n > 0) ++drr_calls;
-    drr.allocate(capacity, input, hinted);
-    ASSERT_EQ(hinted, want) << "drr hinted iter " << iter;
+    drr.allocate(capacity, input, direct);
+    ASSERT_EQ(direct, want) << "drr direct iter " << iter;
   }
 }
 
@@ -811,7 +802,6 @@ TEST(SessionManagerTest, CapacityUsedEqualsBytesActuallyDrained) {
   std::vector<SessionSpec> specs(3);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].cache = &shared_cache();
-    specs[i].seed = i;
   }
   const ClusterResult result = run_one_link(config, specs, channel);
 
@@ -944,7 +934,6 @@ std::vector<SessionSpec> churn_specs(std::size_t n) {
     specs[i].arrival_slot = 5 * i;
     specs[i].departure_slot = (i % 3 == 0) ? 5 * i + 70 : kNeverDeparts;
     specs[i].weight = (i % 2 == 0) ? 1.0 : 2.0;
-    specs[i].seed = 1'000 + i;
   }
   return specs;
 }
@@ -992,7 +981,6 @@ TEST(SessionManagerTest, PfEwmaWindowValidationAndEffect) {
     std::vector<SessionSpec> specs(3);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       specs[i].cache = &shared_cache();
-      specs[i].seed = i;
       specs[i].weight = i == 0 ? 2.0 : 1.0;
     }
     // Scarce link: queues stay backlogged, so the scheduler's choices bite.

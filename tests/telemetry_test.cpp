@@ -344,7 +344,6 @@ TEST(TelemetryEndToEndTest, ManagerCountersMatchRunShape) {
     for (std::size_t i = 0; t == 0 && i < n; ++i) {
       SessionSpec spec;
       spec.cache = &test_cache();
-      spec.seed = i;
       spec.departure_slot = 20 + i;  // retire mid-run: close counters fire
       ASSERT_TRUE(manager.try_place(spec, i).admitted);
     }
