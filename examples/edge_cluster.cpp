@@ -70,9 +70,9 @@ int main() {
   std::printf("cluster of %zu links, %s placement, %zu slots:\n\n%s\n",
               result.metrics.link_count, to_string(config.placement),
               config.serving.steps,
-              result.session_table.to_pretty_string().c_str());
+              result.session_table().to_pretty_string().c_str());
   std::printf("per-link rollup:\n\n%s\n",
-              result.link_table.to_pretty_string().c_str());
+              result.link_table().to_pretty_string().c_str());
   std::printf(
       "fleet: %zu admitted, %zu refused (%zu spills rescued), "
       "link-load fairness %.3f,\n"

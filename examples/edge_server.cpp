@@ -83,7 +83,7 @@ int main() {
 
   std::printf("per-session outcome after %zu slots (%s scheduler):\n\n%s\n",
               config.steps, to_string(config.policy),
-              result.session_table.to_pretty_string().c_str());
+              result.session_table().to_pretty_string().c_str());
 
   // The full-horizon traces feed the same report tooling the benches use
   // (summary_table wants equal-length runs, so churned sessions sit out).

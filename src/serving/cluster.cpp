@@ -135,7 +135,6 @@ std::size_t EdgeCluster::submit(const SessionSpec& spec) {
   links_.front()->validate_spec(spec);
 
   entries_.push_back(std::make_unique<Entry>(entries_.size(), spec));
-  metrics_.reserve_sessions(entries_.size());
   Entry* e = entries_.back().get();
   e->due = std::max(spec.arrival_slot, slot_);
   const auto begin =
@@ -760,47 +759,37 @@ ClusterResult EdgeCluster::finish() {
   }
   displaced_.clear();
 
-  // Close every link and index its outcomes by cluster session id. A
-  // failed-over session left retired segments on earlier links under older
-  // runtime ids; only the segment matching the entry's *current* runtime id
-  // is the one its report should carry.
-  std::vector<ServingResult> link_results;
-  link_results.reserve(links_.size());
-  for (auto& link : links_) link_results.push_back(link->finish());
-  // entry id -> (link, index into that link's outcome list)
-  std::vector<std::pair<int, std::size_t>> where(entries_.size(), {-1, 0});
-  for (std::size_t k = 0; k < link_results.size(); ++k) {
-    const auto& sessions = link_results[k].sessions;
-    for (std::size_t j = 0; j < sessions.size(); ++j) {
-      const std::size_t owner = owner_of(sessions[j].id);
-      if (sessions[j].id == entries_[owner]->runtime_id) {
-        where[owner] = {static_cast<int>(k), j};
-      }
-    }
+  // Every link walks its segments in placement order and fills the outcome
+  // of each current one — the segment whose runtime id is its entry's —
+  // straight into the result, summarized once. A failed-over or migrated
+  // session left retired segments on earlier links under older runtime ids;
+  // those are skipped, so per_link[k] covers the sessions that ended on
+  // link k.
+  ClusterResult result;
+  result.sessions.resize(entries_.size());
+  for (auto& link : links_) {
+    link->finish([&](std::size_t runtime_id) -> SessionOutcome* {
+      const std::size_t owner = owner_of(runtime_id);
+      return runtime_id == entries_[owner]->runtime_id
+                 ? &result.sessions[owner].session
+                 : nullptr;
+    });
   }
 
-  ClusterResult result;
-  result.sessions.reserve(entries_.size());
   for (const auto& entry : entries_) {
     const Entry& e = *entry;
-    ClusterSessionOutcome out;
+    ClusterSessionOutcome& out = result.sessions[e.id];
     out.link = e.link;
     out.spilled = e.spilled;
     out.arrived = e.arrived;
     out.failovers = e.failovers;
     out.migrations = e.migrations;
     out.fault_evicted = e.fault_evicted;
-    if (e.admitted) {
-      out.session = std::move(
-          link_results[static_cast<std::size_t>(where[e.id].first)]
-              .sessions[where[e.id].second]);
-      // The segment carries its per-link runtime id; report the cluster id.
-      out.session.id = e.id;
-    } else {
+    // The segment carried its per-link runtime id; report the cluster id.
+    out.session.id = e.id;
+    if (!e.admitted) {
       // Refused everywhere (or never arrived): no link holds a record, so
-      // synthesize the outcome here.
-      out.session.id = e.id;
-      out.session.admitted = false;
+      // the outcome is synthesized here.
       out.session.arrival_slot = e.arrival_actual;
       out.session.departure_slot = e.arrived ? e.departure_actual
                                              : e.arrival_actual;
@@ -808,19 +797,9 @@ ClusterResult EdgeCluster::finish() {
       out.session.max_sustainable_depth =
           e.arrived ? e.max_sustainable_depth : 0;
     }
-
-    SessionMetrics metrics;
-    metrics.session_id = e.id;
-    metrics.arrived = e.arrived;
-    metrics.admitted = e.admitted;
-    metrics.arrival_slot = out.session.arrival_slot;
-    metrics.departure_slot = out.session.departure_slot;
-    metrics.weight = e.spec.weight;
-    metrics.has_summary = out.session.has_summary;
-    metrics.summary = out.session.summary;
-    metrics_.record_session(metrics);
-
-    result.sessions.push_back(std::move(out));
+    metrics_.record_session(
+        e.arrived, e.admitted,
+        out.session.has_summary ? &out.session.summary : nullptr);
   }
 
   static_cast<FaultBooks&>(result.metrics) = books_;
@@ -829,56 +808,54 @@ ClusterResult EdgeCluster::finish() {
   result.metrics.spills = spills_;
   result.metrics.placement_rejects = placement_rejects_;
   std::vector<double> link_used;
-  link_used.reserve(link_results.size());
-  for (const ServingResult& lr : link_results) {
-    result.metrics.per_link.push_back(lr.fleet);
-    result.metrics.per_link_admission.push_back(lr.admission);
-    link_used.push_back(lr.fleet.capacity_used);
+  link_used.reserve(links_.size());
+  for (const auto& link : links_) {
+    result.metrics.per_link.push_back(link->metrics().fleet());
+    result.metrics.per_link_admission.push_back(link->admission_stats());
+    link_used.push_back(result.metrics.per_link.back().capacity_used);
   }
   result.metrics.link_load_fairness = jain_fairness_index(link_used);
+  return result;
+}
 
-  // Per-session report with link assignment.
-  CsvTable sessions({"session", "link", "placed", "spilled", "arrival",
-                     "departure", "weight", "avg_quality", "avg_backlog",
-                     "mean_depth", "verdict"});
-  for (const ClusterSessionOutcome& s : result.sessions) {
+CsvTable ClusterResult::session_table() const {
+  CsvTable table({"session", "link", "placed", "spilled", "arrival",
+                  "departure", "weight", "avg_quality", "avg_backlog",
+                  "mean_depth", "verdict"});
+  for (const ClusterSessionOutcome& s : sessions) {
     const SessionOutcome& o = s.session;
-    CsvCell link_cell = s.link >= 0
-                            ? CsvCell(static_cast<std::int64_t>(s.link))
-                            : CsvCell(std::monostate{});
+    std::vector<CsvCell> row{
+        static_cast<std::int64_t>(o.id),
+        s.link >= 0 ? CsvCell(static_cast<std::int64_t>(s.link)) : CsvCell(),
+        std::string(!s.arrived ? "never-arrived" : o.admitted ? "yes" : "no"),
+        std::string(s.spilled ? "yes" : "no"),
+        static_cast<std::int64_t>(o.arrival_slot),
+        static_cast<std::int64_t>(o.departure_slot),
+        o.weight};
     if (o.has_summary) {
-      sessions.add_row(
-          {static_cast<std::int64_t>(o.id), link_cell, std::string("yes"),
-           std::string(s.spilled ? "yes" : "no"),
-           static_cast<std::int64_t>(o.arrival_slot),
-           static_cast<std::int64_t>(o.departure_slot), o.weight,
-           o.summary.time_average_quality, o.summary.time_average_backlog,
-           o.summary.mean_depth,
-           std::string(o.summary.partial
-                           ? "too-short"
-                           : to_string(o.summary.stability.verdict))});
+      row.insert(row.end(),
+                 {o.summary.time_average_quality,
+                  o.summary.time_average_backlog, o.summary.mean_depth,
+                  std::string(o.summary.partial
+                                  ? "too-short"
+                                  : to_string(o.summary.stability.verdict))});
     } else {
-      sessions.add_row({static_cast<std::int64_t>(o.id), link_cell,
-                        std::string(!s.arrived     ? "never-arrived"
-                                    : o.admitted   ? "yes"
-                                                   : "no"),
-                        std::string(s.spilled ? "yes" : "no"),
-                        static_cast<std::int64_t>(o.arrival_slot),
-                        static_cast<std::int64_t>(o.departure_slot), o.weight,
-                        std::monostate{}, std::monostate{}, std::monostate{},
-                        std::string("-")});
+      row.insert(row.end(),
+                 {CsvCell(), CsvCell(), CsvCell(), std::string("-")});
     }
+    table.add_row(std::move(row));
   }
-  result.session_table = std::move(sessions);
+  return table;
+}
 
-  // Per-link rollup.
-  CsvTable links({"link", "placed", "attempts", "accepted", "rejected",
+CsvTable ClusterResult::link_table() const {
+  CsvTable table({"link", "placed", "attempts", "accepted", "rejected",
                   "capacity_offered", "capacity_used", "utilization",
                   "mean_quality", "divergent"});
-  for (std::size_t k = 0; k < link_results.size(); ++k) {
-    const FleetMetrics& fleet = link_results[k].fleet;
-    const AdmissionStats& adm = link_results[k].admission;
-    links.add_row({static_cast<std::int64_t>(k),
+  for (std::size_t k = 0; k < metrics.per_link.size(); ++k) {
+    const FleetMetrics& fleet = metrics.per_link[k];
+    const AdmissionStats& adm = metrics.per_link_admission[k];
+    table.add_row({static_cast<std::int64_t>(k),
                    static_cast<std::int64_t>(fleet.sessions_admitted),
                    static_cast<std::int64_t>(adm.attempts),
                    static_cast<std::int64_t>(adm.accepted),
@@ -887,8 +864,7 @@ ClusterResult EdgeCluster::finish() {
                    fleet.utilization(), fleet.mean_quality,
                    static_cast<std::int64_t>(fleet.divergent_sessions)});
   }
-  result.link_table = std::move(links);
-  return result;
+  return table;
 }
 
 // run_cluster_scenario is defined in serving/driver/event_loop.cpp: the

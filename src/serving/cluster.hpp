@@ -210,10 +210,13 @@ struct FaultBooks {
 /// Fleet view across all links, plus the final fault-plane books.
 struct ClusterMetrics : FaultBooks {
   std::size_t link_count = 0;
-  /// Cluster-wide aggregates over every submitted session and the summed
-  /// per-slot link capacities.
+  /// Cluster-wide aggregates over every submitted session (folded in
+  /// submission order) and the summed per-slot link capacities.
   FleetMetrics fleet;
-  /// Each link's own fleet view (covers only sessions placed on that link).
+  /// Each link's own fleet view: its capacity totals, and the sessions whose
+  /// final segment is on that link (folded in the link's placement order).
+  /// Every admitted session counts on exactly one link, so the per-link
+  /// session counts sum to the fleet's, failovers and migrations included.
   std::vector<FleetMetrics> per_link;
   /// Each link's admission counters (spill attempts count per link tried).
   std::vector<AdmissionStats> per_link_admission;
@@ -229,10 +232,15 @@ struct ClusterMetrics : FaultBooks {
 struct ClusterResult {
   std::vector<ClusterSessionOutcome> sessions;  // submission order
   ClusterMetrics metrics;
-  /// Per-session report with link assignment.
-  CsvTable session_table = CsvTable({"session"});
-  /// Per-link rollup (placed/utilization/fairness inputs).
-  CsvTable link_table = CsvTable({"link"});
+
+  /// Per-session report with link assignment, built on request from
+  /// `sessions`: one row each (session, link, placed, spilled, arrival,
+  /// departure, weight, avg_quality, avg_backlog, mean_depth, verdict).
+  [[nodiscard]] CsvTable session_table() const;
+  /// Per-link rollup, built on request from `metrics`: one row each (link,
+  /// placed, attempts, accepted, rejected, capacity_offered, capacity_used,
+  /// utilization, mean_quality, divergent).
+  [[nodiscard]] CsvTable link_table() const;
 };
 
 /// The sharded serving runtime. Submit sessions up front (or between steps),

@@ -5,63 +5,62 @@
 namespace arvis {
 
 double jain_fairness_index(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
   double sum = 0.0, sum_sq = 0.0;
   for (double v : values) {
     sum += v;
     sum_sq += v * v;
   }
+  return jain_fairness_index(values.size(), sum, sum_sq);
+}
+
+double jain_fairness_index(std::size_t n, double sum, double sum_sq) {
+  if (n == 0) return 0.0;
   // All-zero fleet: every session got the same (zero) outcome — perfectly
   // fair, not maximally unfair (the seed returned 0 here, which made an
   // idle fleet look pathological).
   if (sum_sq <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(values.size()) * sum_sq);
+  return sum * sum / (static_cast<double>(n) * sum_sq);
 }
 
 void ServerMetrics::record_slot(double capacity_offered, double capacity_used,
                                 std::size_t active_sessions) {
-  capacity_offered_ += capacity_offered;
-  capacity_used_ += capacity_used;
-  peak_concurrency_ = std::max(peak_concurrency_, active_sessions);
+  sums_.capacity_offered += capacity_offered;
+  sums_.capacity_used += capacity_used;
+  sums_.peak_concurrency = std::max(sums_.peak_concurrency, active_sessions);
 }
 
-void ServerMetrics::record_session(SessionMetrics metrics) {
-  sessions_.push_back(std::move(metrics));
+void ServerMetrics::record_session(bool arrived, bool admitted,
+                                   const TraceSummary* summary) {
+  ++sums_.sessions_submitted;
+  if (!arrived) return;  // admission never saw it
+  if (!admitted) {
+    ++sums_.sessions_rejected;
+    return;
+  }
+  ++sums_.sessions_admitted;
+  if (summary == nullptr) return;
+  const double quality = summary->time_average_quality;
+  ++summarized_;
+  quality_sum_ += quality;
+  quality_sq_sum_ += quality * quality;
+  sums_.total_time_average_backlog += summary->time_average_backlog;
+  sums_.peak_backlog = std::max(sums_.peak_backlog, summary->peak_backlog);
+  if (summary->partial) {
+    // Too short for a stability verdict, but its quality/backlog means are
+    // real — excluding them made churn-heavy fleets under-report.
+    ++sums_.partial_summary_sessions;
+  } else if (summary->stability.verdict == StabilityVerdict::kDivergent) {
+    ++sums_.divergent_sessions;
+  }
 }
 
 FleetMetrics ServerMetrics::fleet() const {
-  FleetMetrics fleet;
-  fleet.sessions_submitted = sessions_.size();
-  fleet.capacity_offered = capacity_offered_;
-  fleet.capacity_used = capacity_used_;
-  fleet.peak_concurrency = peak_concurrency_;
-
-  std::vector<double> qualities;
-  qualities.reserve(sessions_.size());
-  for (const SessionMetrics& s : sessions_) {
-    if (!s.arrived) continue;  // admission never saw it
-    if (!s.admitted) {
-      ++fleet.sessions_rejected;
-      continue;
-    }
-    ++fleet.sessions_admitted;
-    if (!s.has_summary) continue;
-    qualities.push_back(s.summary.time_average_quality);
-    fleet.mean_quality += s.summary.time_average_quality;
-    fleet.total_time_average_backlog += s.summary.time_average_backlog;
-    fleet.peak_backlog = std::max(fleet.peak_backlog, s.summary.peak_backlog);
-    if (s.summary.partial) {
-      // Too short for a stability verdict, but its quality/backlog means are
-      // real — excluding them made churn-heavy fleets under-report.
-      ++fleet.partial_summary_sessions;
-    } else if (s.summary.stability.verdict == StabilityVerdict::kDivergent) {
-      ++fleet.divergent_sessions;
-    }
+  FleetMetrics fleet = sums_;
+  if (summarized_ != 0) {
+    fleet.mean_quality = quality_sum_ / static_cast<double>(summarized_);
   }
-  if (!qualities.empty()) {
-    fleet.mean_quality /= static_cast<double>(qualities.size());
-  }
-  fleet.quality_fairness = jain_fairness_index(qualities);
+  fleet.quality_fairness =
+      jain_fairness_index(summarized_, quality_sum_, quality_sq_sum_);
   return fleet;
 }
 

@@ -1,11 +1,12 @@
-// Fleet-level serving metrics: per-session outcomes plus the aggregates the
-// operator dashboards care about (fairness, backlog, capacity utilization,
-// admission counts). Home of jain_fairness_index, which moved here from
-// net/edge when the edge scenario became a thin wrapper over the serving
-// runtime.
+// Fleet-level serving metrics: the aggregates the operator dashboards care
+// about (fairness, backlog, capacity utilization, admission counts), kept as
+// running sums the serving runtime folds slot by slot and session by
+// session. No per-session record is stored here: the one outcome per session
+// is ClusterSessionOutcome (cluster.hpp). Home of jain_fairness_index, which
+// moved here from net/edge when the edge scenario became a thin wrapper over
+// the serving runtime.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -17,31 +18,8 @@ namespace arvis {
 /// (including the all-zero fleet — nobody is favoured), → 1/n when one
 /// session dominates. Empty input returns 0 (no fleet, no fairness).
 double jain_fairness_index(const std::vector<double>& values);
-
-/// One session's lifecycle outcome.
-struct SessionMetrics {
-  std::size_t session_id = 0;
-  /// False for a session whose arrival slot was never reached before the
-  /// run ended: admission never saw it, so it counts as neither admitted
-  /// nor rejected.
-  bool arrived = false;
-  bool admitted = false;
-  std::size_t arrival_slot = 0;
-  /// First slot the session was no longer active (== arrival_slot for a
-  /// rejected session).
-  std::size_t departure_slot = 0;
-  double weight = 1.0;
-  /// True when `summary` is populated: any admitted session with a non-empty
-  /// trace. Sessions active < 8 slots carry a *partial* summary
-  /// (summary.partial — means valid, stability verdict reported as
-  /// "too-short"), so churn-heavy fleets no longer under-report.
-  bool has_summary = false;
-  TraceSummary summary;
-
-  [[nodiscard]] std::size_t slots_active() const noexcept {
-    return departure_slot - arrival_slot;
-  }
-};
+/// The same index from n values' running sum and sum of squares.
+double jain_fairness_index(std::size_t n, double sum, double sum_sq);
 
 /// Fleet aggregates over one serving run.
 struct FleetMetrics {
@@ -80,49 +58,42 @@ struct FleetMetrics {
   }
 };
 
-/// Aggregate builder the serving runtime feeds slot by slot and session by
-/// session; turns into FleetMetrics at the end.
+/// Running aggregates the serving runtime feeds slot by slot and session by
+/// session; fleet() turns them into FleetMetrics. Sums fold in call order,
+/// so the same sessions recorded in the same order give bit-identical means.
 class ServerMetrics {
  public:
   /// Records one slot's link-level outcome.
   void record_slot(double capacity_offered, double capacity_used,
                    std::size_t active_sessions);
 
-  /// Records one finished (or rejected) session.
-  void record_session(SessionMetrics metrics);
-
-  /// Pre-sizes the per-session record vector for an expected session count
-  /// (geometric growth, so calling it per submit stays amortized O(1)).
-  /// The runtime calls it at submit time, so the finish-time
-  /// record_session loop never reallocates mid-aggregation.
-  void reserve_sessions(std::size_t expected) {
-    if (sessions_.capacity() < expected) {
-      sessions_.reserve(std::max(expected, sessions_.capacity() * 2));
-    }
-  }
-
-  [[nodiscard]] const std::vector<SessionMetrics>& sessions() const noexcept {
-    return sessions_;
-  }
+  /// Folds one submitted session into the running sums. `arrived` is false
+  /// when the run ended before its arrival slot (admission never saw it, so
+  /// it counts as neither admitted nor rejected). `summary` is null unless
+  /// the session was admitted and streamed at least one slot.
+  void record_session(bool arrived, bool admitted,
+                      const TraceSummary* summary);
 
   // Running slot totals, readable mid-run (the event-driven driver samples
   // them for its periodic metrics snapshots; fleet() stays an end-of-run
   // aggregate).
   [[nodiscard]] double capacity_offered_total() const noexcept {
-    return capacity_offered_;
+    return sums_.capacity_offered;
   }
   [[nodiscard]] double capacity_used_total() const noexcept {
-    return capacity_used_;
+    return sums_.capacity_used;
   }
 
-  /// Computes the fleet aggregates from everything recorded so far.
+  /// The fleet aggregates over everything recorded so far.
   [[nodiscard]] FleetMetrics fleet() const;
 
  private:
-  std::vector<SessionMetrics> sessions_;
-  double capacity_offered_ = 0.0;
-  double capacity_used_ = 0.0;
-  std::size_t peak_concurrency_ = 0;
+  /// Counts, slot totals and backlog aggregates; fleet() adds the quality
+  /// mean and fairness from the sums below.
+  FleetMetrics sums_;
+  std::size_t summarized_ = 0;
+  double quality_sum_ = 0.0;
+  double quality_sq_sum_ = 0.0;
 };
 
 }  // namespace arvis

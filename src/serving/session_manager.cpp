@@ -142,7 +142,6 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
     return decision;
   }
   ServingSession& s = store_.create(session_id, spec);
-  metrics_.reserve_sessions(store_.session_count());
   s.cheapest_load = decision.cheapest_load;
   s.max_sustainable_depth = decision.max_sustainable_depth;
   s.arrival_actual = slot_;
@@ -160,13 +159,14 @@ bool SessionManager::request_close(std::size_t session_id) {
   if (finished_) {
     throw std::logic_error("SessionManager::request_close: already finished");
   }
-  ServingSession* s = store_.find(session_id);
-  if (s == nullptr || s->phase != SessionPhase::kActive) return false;
-  // Departing "now": begin_slot() retires departure_slot <= slot_ at the
-  // next slot start, before this slot streams.
-  s->spec.departure_slot = slot_;
-  store_.mirror_departure(*s);
-  return true;
+  for (std::size_t i = 0; i < store_.active_count(); ++i) {
+    if (store_.active_session(i).id != session_id) continue;
+    // Departing "now": begin_slot() retires departure_slot <= slot_ at the
+    // next slot start, before this slot streams.
+    store_.set_departure(i, slot_);
+    return true;
+  }
+  return false;
 }
 
 void SessionManager::begin_slot() {
@@ -422,52 +422,20 @@ void SessionManager::skip_idle_slots(std::size_t slots) {
   slot_ += slots;
 }
 
-ServingResult SessionManager::finish() {
-  if (finished_) {
-    throw std::logic_error("SessionManager::finish: already finished");
+void SessionManager::fill_outcome(ServingSession& s, SessionOutcome& out) {
+  out.id = s.id;
+  // Every session on a link was placed on it: arrived and admitted.
+  out.admitted = true;
+  out.arrival_slot = s.arrival_actual;
+  out.departure_slot = s.departure_actual;
+  out.weight = s.spec.weight;
+  out.max_sustainable_depth = s.max_sustainable_depth;
+  if (!s.trace.empty()) {
+    out.has_summary = true;
+    out.summary = s.trace.summarize_partial();
   }
-  finished_ = true;
-  const PhaseSpan span(tracer_, Phase::kFinish, slot_, tid_);
-  store_.retire_active([](const ServingSession&) { return true; },
-                       [&](ServingSession& s) {
-                         s.phase = SessionPhase::kClosed;
-                         s.departure_actual = slot_;
-                         admission_.release(s.cheapest_load);
-                       });
-
-  ServingResult result;
-  result.admission = admission_.stats();
-  result.sessions.reserve(store_.session_count());
-  for (std::size_t pos = 0; pos < store_.session_count(); ++pos) {
-    ServingSession& s = store_.session(pos);
-    SessionMetrics metrics;
-    metrics.session_id = s.id;
-    // Every session on a link was placed on it: arrived and admitted.
-    metrics.arrived = true;
-    metrics.admitted = true;
-    metrics.arrival_slot = s.arrival_actual;
-    metrics.departure_slot = s.departure_actual;
-    metrics.weight = s.spec.weight;
-    if (!s.trace.empty()) {
-      metrics.has_summary = true;
-      metrics.summary = s.trace.summarize_partial();
-    }
-    metrics_.record_session(metrics);
-
-    SessionOutcome outcome;
-    outcome.id = s.id;
-    outcome.admitted = true;
-    outcome.arrival_slot = s.arrival_actual;
-    outcome.departure_slot = s.departure_actual;
-    outcome.weight = s.spec.weight;
-    outcome.max_sustainable_depth = s.max_sustainable_depth;
-    outcome.has_summary = metrics.has_summary;
-    outcome.summary = metrics.summary;
-    outcome.trace = std::move(s.trace);
-    result.sessions.push_back(std::move(outcome));
-  }
-  result.fleet = metrics_.fleet();
-  return result;
+  metrics_.record_session(true, true, out.has_summary ? &out.summary : nullptr);
+  out.trace = std::move(s.trace);
 }
 
 }  // namespace arvis

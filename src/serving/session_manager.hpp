@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/status.hpp"
@@ -114,7 +115,8 @@ struct ServingConfig {
   DegradationPolicy degradation;
 };
 
-/// One session's run record.
+/// One session's run record, filled once at finish() from the segment the
+/// session ended on (its current link).
 struct SessionOutcome {
   std::size_t id = 0;
   bool admitted = false;
@@ -134,16 +136,9 @@ struct SessionOutcome {
   bool has_summary = false;
   TraceSummary summary;
   /// Per-slot record over the active window (empty when rejected), packed;
-  /// decode with steps() or to_trace().
+  /// decode with steps() or to_trace(). It keeps its arena chunks and decide
+  /// table alive, so it stays decodable after the runtime is gone.
   SessionTrace trace;
-};
-
-/// One link's books at finish(), folded into the cluster's result by
-/// EdgeCluster::finish.
-struct ServingResult {
-  std::vector<SessionOutcome> sessions;  // in placement order
-  AdmissionStats admission;
-  FleetMetrics fleet;
 };
 
 /// One link of an EdgeCluster. Not thread-safe; the cluster drives it.
@@ -210,9 +205,11 @@ class SessionManager {
 
   /// External-close control: ends active session `session_id` at the
   /// current slot, before this slot streams (its trace covers
-  /// [arrival, now)). Returns false for unknown or already-closed ids, true
-  /// when the close took effect. Call between slots or before finish_slot()
-  /// (the driver fires close events before stepping the slot).
+  /// [arrival, now)). One scan of the active list: returns false for an id
+  /// not streaming here (unknown, already closed, or retired by a failover
+  /// or migration), true when the close took effect. Call between slots or
+  /// before finish_slot() (the driver fires close events before stepping
+  /// the slot).
   bool request_close(std::size_t session_id);
 
   /// The spec checks try_place() applies (null cache, candidate range,
@@ -285,8 +282,9 @@ class SessionManager {
   [[nodiscard]] std::size_t active_count() const noexcept;
   [[nodiscard]] const AdmissionStats& admission_stats() const noexcept;
 
-  /// Running slot/session aggregates, readable mid-run (the event-driven
-  /// driver samples them for periodic metrics snapshots).
+  /// Running slot aggregates, readable mid-run (the event-driven driver
+  /// samples them for periodic metrics snapshots); finish() folds in the
+  /// sessions whose outcome it fills.
   [[nodiscard]] const ServerMetrics& metrics() const noexcept {
     return metrics_;
   }
@@ -314,9 +312,32 @@ class SessionManager {
   /// finished.
   void skip_idle_slots(std::size_t slots);
 
-  /// Closes every still-active session at the current slot and returns the
-  /// link's books. The manager is spent afterwards (the phase calls throw).
-  ServingResult finish();
+  /// Closes every still-active session at the current slot, then walks the
+  /// link's segments (one per placement) in placement order. For each,
+  /// `outcome_for(id)` returns the SessionOutcome the segment fills, or null
+  /// for a segment the caller's books superseded (a failover or migration
+  /// re-placed its session). A filled outcome is the segment summarized once
+  /// — folded into metrics() in the same walk — with its record moved in;
+  /// a superseded segment is neither summarized nor copied. The manager is
+  /// spent afterwards (the phase calls throw).
+  template <class OutcomeFor>
+  void finish(OutcomeFor outcome_for) {
+    if (finished_) {
+      throw std::logic_error("SessionManager::finish: already finished");
+    }
+    finished_ = true;
+    const PhaseSpan span(tracer_, Phase::kFinish, slot_, tid_);
+    store_.retire_active([](const ServingSession&) { return true; },
+                         [this](ServingSession& s) {
+                           s.phase = SessionPhase::kClosed;
+                           s.departure_actual = slot_;
+                           admission_.release(s.cheapest_load);
+                         });
+    for (std::size_t pos = 0; pos < store_.session_count(); ++pos) {
+      ServingSession& s = store_.session(pos);
+      if (SessionOutcome* out = outcome_for(s.id)) fill_outcome(s, *out);
+    }
+  }
 
  private:
   /// Closes active session `s` at the current slot: closed phase and
@@ -324,6 +345,9 @@ class SessionManager {
   /// counter and lifetime histogram, and the kClose flight event. The one
   /// close path of departures, evictions and migration extractions.
   void retire(ServingSession& s);
+  /// finish()'s per-segment step: summarizes closed segment `s` into `out`,
+  /// folds it into metrics_ and moves its record in.
+  void fill_outcome(ServingSession& s, SessionOutcome& out);
   void register_telemetry();
 
   ServingConfig config_;

@@ -33,16 +33,6 @@ ServingSession& SessionStore::create(std::size_t id, const SessionSpec& spec) {
   return slab_.back();
 }
 
-ServingSession* SessionStore::find(std::size_t id) noexcept {
-  // Linear: slab ids are NOT guaranteed sorted (EdgeCluster places sessions
-  // in (due slot, id) order, so a link can create id 7 before id 3), and
-  // closes are rare calendar events, never per-slot work.
-  for (ServingSession& s : slab_) {
-    if (s.id == id) return &s;
-  }
-  return nullptr;
-}
-
 const std::shared_ptr<const FlatDecideTable>& SessionStore::intern(
     const FrameStatsCache& cache) {
   for (const auto& [interned, table] : tables_) {

@@ -145,9 +145,6 @@ class SessionStore {
   [[nodiscard]] ServingSession& session(std::size_t pos) noexcept {
     return slab_[pos];
   }
-  /// Slab record with the given id, nullptr when unknown. O(sessions) —
-  /// used by the rare external-close path only, never per slot.
-  [[nodiscard]] ServingSession* find(std::size_t id) noexcept;
 
   // --- active list + hot mirrors ------------------------------------------
 
@@ -204,16 +201,12 @@ class SessionStore {
     }
   }
 
-  /// Re-mirrors session `s`'s departure slot after the caller mutated it
-  /// (the external-close control path). O(active) pointer scan — closes are
-  /// calendar events, never per-slot work.
-  void mirror_departure(const ServingSession& s) noexcept {
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (active_[i] == &s) {
-        departure_[i] = s.spec.departure_slot;
-        return;
-      }
-    }
+  /// Moves active session i's departure to `slot`, in its spec and in the
+  /// sweep mirror together (the external-close control path).
+  void set_departure(std::size_t i, std::size_t slot) noexcept {
+    ARVIS_DCHECK_LT(i, active_.size());
+    active_[i]->spec.departure_slot = slot;
+    departure_[i] = slot;
   }
 
   [[nodiscard]] std::size_t active_count() const noexcept {

@@ -1,6 +1,8 @@
 #include "serving/session_trace.hpp"
 
 #include <cmath>
+#include <mutex>
+#include <type_traits>
 #include <utility>
 
 namespace arvis {
@@ -39,17 +41,57 @@ FlatDecideTable::FlatDecideTable(const FrameStatsCache& cache,
   }
 }
 
+struct StepArena::FreeList {
+  std::mutex mutex;
+  Block* head = nullptr;  // owns the chain
+};
+
+// Constant-initialized and never destroyed, so an arena may return its
+// blocks at any point of the program, static destruction included.
+constinit StepArena::FreeList StepArena::free_list_;
+static_assert(std::is_trivially_destructible_v<std::mutex>);
+
 StepArena::~StepArena() {
-  // Unlink the chain block by block: each block owns its predecessor, and
-  // destroying the newest one would otherwise recurse once per block.
-  while (block_ != nullptr) block_ = std::move(block_->prev);
+  if (block_ == nullptr) return;
+  // Splice the whole chain onto the list: its oldest block links to the
+  // list's head.
+  Block* oldest = block_.get();
+  while (oldest->prev != nullptr) oldest = oldest->prev.get();
+  const std::lock_guard<std::mutex> lock(free_list_.mutex);
+  oldest->prev.reset(free_list_.head);
+  free_list_.head = block_.release();
 }
 
 void StepArena::grow() {
-  std::unique_ptr<Block> block(new Block);
+  std::unique_ptr<Block> block;
+  {
+    // Link tasks grow their arenas concurrently.
+    const std::lock_guard<std::mutex> lock(free_list_.mutex);
+    if (free_list_.head != nullptr) {
+      block.reset(free_list_.head);
+      free_list_.head = block->prev.release();
+    }
+  }
+  if (block == nullptr) block.reset(new Block);
   block->prev = std::move(block_);
   block_ = std::move(block);
   used_ = 0;
+}
+
+std::size_t StepArena::release_free_blocks() {
+  Block* head = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(free_list_.mutex);
+    head = std::exchange(free_list_.head, nullptr);
+  }
+  // Unlink block by block: each block owns its successor on the list, and
+  // freeing the head alone would recurse once per block.
+  std::size_t freed = 0;
+  for (; head != nullptr; ++freed) {
+    const std::unique_ptr<Block> block(head);
+    head = block->prev.release();
+  }
+  return freed;
 }
 
 SessionTrace::Iterator SessionTrace::begin() const noexcept {
@@ -67,18 +109,6 @@ SessionTrace::Iterator SessionTrace::begin() const noexcept {
   it.t_ = t0_;
   it.backlog_ = backlog0_;
   return it;
-}
-
-double SessionTrace::last_quality() const noexcept {
-  ARVIS_DCHECK(size_ != 0);
-  const std::size_t last = size_ - 1;
-  const std::size_t pos = first_ + last;  // chain position of the last step
-  const StepChunk* chunk = head_;
-  for (std::size_t c = pos / kStepsPerChunk; c != 0; --c) chunk = chunk->next;
-  const std::size_t stride = table_->stride();
-  const std::size_t row =
-      (row0_ + last * stride) % (table_->frames() * stride);
-  return table_->data()[row + chunk->choice[pos % kStepsPerChunk]];
 }
 
 Trace SessionTrace::to_trace() const {

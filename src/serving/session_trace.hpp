@@ -101,9 +101,14 @@ struct StepChunk {
 static_assert(sizeof(StepChunk) == 128);
 
 /// One link's append-only chunk arena. Chunks come out in bump order from
-/// blocks of kChunksPerBlock; a block never moves and is freed only with the
+/// blocks of kChunksPerBlock; a block never moves and leaves only with the
 /// arena, so every record written into it stays readable while any outcome
-/// holds the arena.
+/// holds the arena. A destroyed arena's blocks go to a process-wide free
+/// list, which the next arena takes blocks from before it asks the heap: a
+/// process that runs one serving run after another then writes its records
+/// into pages it has already touched. Without it, the heap may hand a freed
+/// arena back to the kernel (glibc trims the top of the heap), and the next
+/// run's drain faults every page in again.
 class StepArena {
  public:
   static constexpr std::size_t kChunksPerBlock = 8192;  // 1 MiB of chunks
@@ -111,10 +116,12 @@ class StepArena {
   StepArena() = default;
   StepArena(const StepArena&) = delete;
   StepArena& operator=(const StepArena&) = delete;
+  /// Moves the arena's blocks to the free list.
   ~StepArena();
 
-  /// A fresh chunk with a null `next`. One heap allocation (a new block)
-  /// per kChunksPerBlock calls, none otherwise.
+  /// A fresh chunk with a null `next`. At most one heap allocation (a new
+  /// block, when the free list is empty) per kChunksPerBlock calls, none
+  /// otherwise.
   [[nodiscard]] StepChunk* alloc() {
     if (used_ == kChunksPerBlock) grow();
     StepChunk* chunk = &block_->chunks[used_++];
@@ -122,13 +129,19 @@ class StepArena {
     return chunk;
   }
 
+  /// Frees every block on the free list and returns how many it freed.
+  static std::size_t release_free_blocks();
+
  private:
   struct Block {
     StepChunk chunks[kChunksPerBlock];
     std::unique_ptr<Block> prev;  // the block filled before this one
   };
+  /// Blocks of destroyed arenas, linked through `prev`.
+  struct FreeList;
   void grow();
 
+  static FreeList free_list_;
   std::unique_ptr<Block> block_;  // the block alloc() bumps through
   std::size_t used_ = kChunksPerBlock;  // chunks taken from block_
 };
@@ -244,10 +257,6 @@ class SessionTrace {
   [[nodiscard]] const SessionTrace& steps() const noexcept { return *this; }
   [[nodiscard]] Iterator begin() const noexcept;
   [[nodiscard]] Iterator end() const noexcept { return Iterator{}; }
-
-  /// Quality of the last recorded step (walks the chunk chain). Requires a
-  /// non-empty record.
-  [[nodiscard]] double last_quality() const noexcept;
 
   /// The decoded records as a plain Trace (one pass).
   [[nodiscard]] Trace to_trace() const;

@@ -104,8 +104,7 @@ TEST(CheckDeathTest, StaleHandleIsCaught) {
 
   // Any lifecycle edge bumps the membership generation: the handle is now
   // provably stale (index 1 no longer exists; index 0 compacted).
-  doomed.spec.departure_slot = 0;
-  store.mirror_departure(doomed);
+  store.set_departure(1, 0);
   store.retire_departed(
       0, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
   EXPECT_DEATH((void)store.resolve(h), "stale session handle");
@@ -131,9 +130,8 @@ TEST(CheckDeathTest, OutOfRangeKernelIndexIsCaught) {
 TEST(CheckDeathTest, RetiredSlotIsPoisonedNotReadable) {
   SessionStore store = make_store();
   activate_one(store, 0);
-  ServingSession& b = activate_one(store, 1);
-  b.spec.departure_slot = 0;
-  store.mirror_departure(b);
+  activate_one(store, 1);
+  store.set_departure(1, 0);
   store.retire_departed(
       0, [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
   ASSERT_EQ(store.active_count(), 1U);

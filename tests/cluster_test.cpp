@@ -298,18 +298,97 @@ TEST(EdgeClusterTest, MetricsRollUpAcrossLinks) {
   EXPECT_GT(result.metrics.link_load_fairness, 0.0);
   EXPECT_LE(result.metrics.link_load_fairness, 1.0 + 1e-12);
 
-  // Report tables: one row per session / per link, link column populated for
-  // placed sessions.
-  EXPECT_EQ(result.session_table.row_count(), result.sessions.size());
-  EXPECT_EQ(result.link_table.row_count(), 4U);
+  // Report tables, built on request: one row per session / per link, link
+  // column populated for placed sessions.
+  const CsvTable sessions = result.session_table();
+  EXPECT_EQ(sessions.row_count(), result.sessions.size());
+  EXPECT_EQ(result.link_table().row_count(), 4U);
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     if (result.sessions[i].link >= 0) {
-      EXPECT_EQ(std::get<std::int64_t>(result.session_table.at(i, 1)),
+      EXPECT_EQ(std::get<std::int64_t>(sessions.at(i, 1)),
                 result.sessions[i].link);
     } else {
-      EXPECT_TRUE(std::holds_alternative<std::monostate>(
-          result.session_table.at(i, 1)));
+      EXPECT_TRUE(std::holds_alternative<std::monostate>(sessions.at(i, 1)));
     }
+  }
+}
+
+TEST(EdgeClusterTest, PerLinkRollupCountsEachSessionOnceUnderFailover) {
+  // Three links, round-robin, room for six sessions each. Sessions 0-5
+  // arrive at slot 0 (two per link) and 6-7 at slot 17 (links 0 and 1).
+  // Link 1 goes down at slot 20: sessions 1, 4 and 7 fail over, 7 after a
+  // 3-slot (partial) segment. Link 1 comes back at 30; session 0 migrates
+  // onto it at 40 and session 7 at 45. Session 8 streams slots 60-62 only.
+  // Each session's superseded segments stay in their links' books, but the
+  // per-link rollup covers only the sessions whose final segment is there,
+  // so it reconciles with the fleet view.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double capacity = 6.5 * cheapest_load(config.serving.candidates);
+  const std::vector<double> caps(3, capacity);
+  EdgeCluster cluster(config, caps);
+  for (std::size_t i = 0; i < 9; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    if (i >= 6) spec.arrival_slot = 17;
+    if (i == 8) {
+      spec.arrival_slot = 60;
+      spec.departure_slot = 63;
+    }
+    cluster.submit(spec);
+  }
+  for (std::size_t t = 0; t < 80; ++t) {
+    if (t == 20) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkDown, 1}));
+    }
+    if (t == 30) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkUp, 1}));
+    }
+    if (t == 40) {
+      ASSERT_TRUE(cluster.migrate_session(0, 1));
+    }
+    if (t == 45) {
+      ASSERT_TRUE(cluster.migrate_session(7, 1));
+    }
+    cluster.step(caps);
+  }
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  ASSERT_EQ(m.failover_displaced, 3U);
+  ASSERT_EQ(m.failover_replaced, 3U);
+  ASSERT_EQ(m.migrations_completed, 2U);
+  EXPECT_EQ(result.sessions[0].link, 1);
+  EXPECT_EQ(result.sessions[7].link, 1);
+  EXPECT_EQ(result.sessions[7].failovers, 1U);
+  EXPECT_EQ(m.fleet.sessions_admitted, 9U);
+  EXPECT_EQ(m.fleet.partial_summary_sessions, 1U);  // session 8 only
+
+  std::size_t admitted = 0, divergent = 0, partial = 0;
+  for (const FleetMetrics& link : m.per_link) {
+    admitted += link.sessions_admitted;
+    divergent += link.divergent_sessions;
+    partial += link.partial_summary_sessions;
+  }
+  EXPECT_EQ(admitted, m.fleet.sessions_admitted);
+  EXPECT_EQ(divergent, m.fleet.divergent_sessions);
+  EXPECT_EQ(partial, m.fleet.partial_summary_sessions);
+
+  // Each link's mean quality is the mean over the outcomes that ended there
+  // (summed in submission order here, in placement order by the link).
+  for (std::size_t k = 0; k < m.per_link.size(); ++k) {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const ClusterSessionOutcome& s : result.sessions) {
+      if (s.link != static_cast<int>(k) || !s.session.has_summary) continue;
+      sum += s.session.summary.time_average_quality;
+      ++n;
+    }
+    ASSERT_GT(n, 0U) << "link " << k;
+    EXPECT_EQ(m.per_link[k].sessions_admitted, n) << "link " << k;
+    EXPECT_DOUBLE_EQ(m.per_link[k].mean_quality,
+                     sum / static_cast<double>(n))
+        << "link " << k;
   }
 }
 
@@ -483,11 +562,12 @@ TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {
   // Drain records every session·slot into its link's chunk arena: a session
   // takes a head chunk at activation, writing from a head offset the store
   // rotates per activation (0, 1, ..., 12, 0, ...), and one more chunk each
-  // time its chain position reaches a multiple of 13; the arena allocates a
+  // time its chain position reaches a multiple of 13; the arena takes a
   // block of chunks when its current block runs out. A window's allocations
-  // are therefore exactly the blocks the fleet's chunk count crossed in it —
-  // nothing per session, per chunk or per slot. 1000 sessions streaming from
-  // slot 0 cross the first block boundary during slot 93.
+  // are therefore at most the blocks the fleet's chunk count crossed in it —
+  // nothing per session, per chunk or per slot — and exactly those blocks
+  // when the free list of destroyed arenas' blocks is empty. 1000 sessions
+  // streaming from slot 0 cross the first block boundary during slot 93.
   constexpr std::size_t kSessions = 1000;
   constexpr std::size_t kWarmup = 30;
   constexpr std::size_t kSlots = 120;
@@ -499,12 +579,23 @@ TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {
   config.serving.threads = 1;
   const double capacity =
       static_cast<double>(kSessions) * shared_cache().workload(0).bytes(4);
-  EdgeCluster cluster(config, {capacity});
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    SessionSpec spec;
-    spec.cache = &shared_cache();
-    cluster.submit(spec);
-  }
+  // Heap allocations of slots kWarmup..kSlots of one run.
+  const auto window_allocations = [&] {
+    EdgeCluster cluster(config, {capacity});
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      SessionSpec spec;
+      spec.cache = &shared_cache();
+      cluster.submit(spec);
+    }
+    // Warm-up: admissions, the arena's first block, scheduler scratch.
+    const std::vector<double> caps{capacity};
+    for (std::size_t t = 0; t < kWarmup; ++t) cluster.step(caps);
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (std::size_t t = kWarmup; t < kSlots; ++t) cluster.step(caps);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    static_cast<void>(cluster.finish());
+    return after - before;
+  };
   // Arena blocks in use once every session has drained `slots` slots.
   const auto blocks_after = [](std::size_t slots) {
     std::size_t chunks = 0;
@@ -514,20 +605,17 @@ TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {
     return (chunks + StepArena::kChunksPerBlock - 1) /
            StepArena::kChunksPerBlock;
   };
-  // Warm-up: admissions, the arena's first block, scheduler scratch growth.
-  const std::vector<double> caps{capacity};
-  for (std::size_t t = 0; t < kWarmup; ++t) cluster.step(caps);
-
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (std::size_t t = kWarmup; t < kSlots; ++t) cluster.step(caps);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   const std::size_t blocks = blocks_after(kSlots) - blocks_after(kWarmup);
   ASSERT_GT(blocks, 0U) << "the window must cross a block boundary";
-  EXPECT_EQ(after - before, blocks)
+
+  // Earlier runs in this process left blocks on the free list; start empty.
+  StepArena::release_free_blocks();
+  EXPECT_EQ(window_allocations(), blocks)
       << "slots " << kWarmup << ".." << kSlots << " of " << kSessions
-      << " sessions performed " << (after - before)
-      << " heap allocations; the arena grew by " << blocks << " block(s)";
-  static_cast<void>(cluster.finish());
+      << " sessions: the arena grew by " << blocks << " block(s)";
+  // The same run again takes every block back from the free list.
+  EXPECT_EQ(window_allocations(), 0U);
+  EXPECT_EQ(StepArena::release_free_blocks(), blocks_after(kSlots));
 }
 
 }  // namespace

@@ -984,8 +984,11 @@ TEST(EventLoopTest, ExternalCloseOnAClusterClosesOnTheOwningLink) {
 /// and returns the allocations the run() performed. Called with two stop
 /// horizons: every heap allocation belongs to the arrival/warm-up phase
 /// (including each link's first record-arena block, which six sessions
-/// never fill), so the longer steady tail must add exactly zero.
+/// never fill), so the longer steady tail must add exactly zero. Each run
+/// starts with an empty record free list, so both take their blocks from
+/// the heap.
 std::size_t driver_run_allocations(std::size_t stop_slot) {
+  StepArena::release_free_blocks();
   ClusterConfig config = replay_cluster_config(2);
   const double load = cheapest_load(config.serving.candidates);
   const double capacity = 4.0 * load;

@@ -822,12 +822,13 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
     manager.finish_slot(16.0 * load);
   }
   ASSERT_TRUE(manager.brownout_active());
-  const ServingResult result = manager.finish();
+  std::vector<SessionOutcome> outcomes(3);
+  manager.finish([&](std::size_t id) { return &outcomes[id]; });
   // The best-effort session never left the floor candidate; the premium
   // session (identical spec otherwise) climbed above it.
   int be_peak = 0, pr_peak = 0;
-  const Trace be = result.sessions[be_id].trace.to_trace();
-  const Trace pr = result.sessions[pr_id].trace.to_trace();
+  const Trace be = outcomes[be_id].trace.to_trace();
+  const Trace pr = outcomes[pr_id].trace.to_trace();
   for (std::size_t t = 0; t < be.size(); ++t) {
     be_peak = std::max(be_peak, be.at(t).depth);
   }
@@ -840,7 +841,7 @@ TEST(BrownoutTest, TierCeilingsBindPerTierDuringBrownout) {
   // Each tier's record decodes from the profile under its own ceiling:
   // best-effort 1 candidate, standard width - 2, premium all of them.
   const std::size_t width = config.candidates.size();
-  const Trace standard_trace = result.sessions[standard_id].trace.to_trace();
+  const Trace standard_trace = outcomes[standard_id].trace.to_trace();
   EXPECT_TRUE(arvis_test::decodes_from_profile(
       be, fault_cache(), config.candidates, config.v, 0, 0.0, 1));
   EXPECT_TRUE(arvis_test::decodes_from_profile(

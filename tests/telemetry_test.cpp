@@ -349,7 +349,8 @@ TEST(TelemetryEndToEndTest, ManagerCountersMatchRunShape) {
     }
     manager.finish_slot(capacity);
   }
-  const ServingResult result = manager.finish();
+  std::vector<SessionOutcome> outcomes(n);
+  manager.finish([&](std::size_t id) { return &outcomes[id]; });
 
   const auto counter = [&](const char* name) {
     const TelemetryCounter* c = registry.find_counter(name);
@@ -390,7 +391,8 @@ TEST(TelemetryEndToEndTest, ManagerCountersMatchRunShape) {
   EXPECT_TRUE(phases.count("finish"));
 
   // The run's own accounting agrees.
-  EXPECT_EQ(result.admission.accepted, n);
+  EXPECT_EQ(manager.admission_stats().accepted, n);
+  EXPECT_EQ(manager.metrics().fleet().sessions_admitted, n);
 }
 
 // ------------------------------------------------------------- export ----
