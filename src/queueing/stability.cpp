@@ -47,42 +47,30 @@ StabilityReport classify_stability(std::span<const double> tail,
                                    double time_average,
                                    double divergence_slope,
                                    double zero_threshold) {
+  TailFit fit(start, tail.size());
+  for (const double q : tail) fit.add_first(q);
+  for (const double q : tail) fit.add_second(q);
+  return fit.report(peak, time_average, divergence_slope, zero_threshold);
+}
+
+StabilityReport TailFit::report(double peak, double time_average,
+                                double divergence_slope,
+                                double zero_threshold) const noexcept {
   StabilityReport report;
   report.peak = peak;
   report.time_average = time_average;
 
-  // Least-squares slope of tail[i] against t = start + i: fit_linear's
-  // sums, in its order, without materializing the (t, q) vectors. The tail
-  // sum is fit_linear's y sum, so the tail mean is its y mean.
-  const std::size_t tail_len = tail.size();
-  const auto n = static_cast<double>(tail_len);
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < tail_len; ++i) {
-    sx += static_cast<double>(start + i);
-    sy += tail[i];
-  }
-  const double mx = sx / n;
-  const double my = sy / n;
-  double sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < tail_len; ++i) {
-    const double dx = static_cast<double>(start + i) - mx;
-    const double dy = tail[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-  }
-  report.tail_mean = my;
-  report.tail_slope = sxx <= 0.0 ? 0.0 : sxy / sxx;
+  // Least-squares slope of the tail against t: fit_linear's sums, in its
+  // order, without materializing the (t, q) vectors. The tail sum is
+  // fit_linear's y sum, so the tail mean is its y mean.
+  const auto n = static_cast<double>(length_);
+  report.tail_mean = sy_ / n;
+  report.tail_slope = sxx_ <= 0.0 ? 0.0 : sxy_ / sxx_;
 
   // First-half tail mean vs second-half tail mean: still growing?
-  const std::size_t half = tail_len / 2;
-  const double first_half =
-      std::accumulate(tail.begin(),
-                      tail.begin() + static_cast<std::ptrdiff_t>(half), 0.0) /
-      static_cast<double>(half);
+  const double first_half = first_half_ / static_cast<double>(half_);
   const double second_half =
-      std::accumulate(tail.begin() + static_cast<std::ptrdiff_t>(half),
-                      tail.end(), 0.0) /
-      static_cast<double>(tail_len - half);
+      second_half_ / static_cast<double>(length_ - half_);
 
   if (report.tail_slope > divergence_slope && second_half > first_half) {
     report.verdict = StabilityVerdict::kDivergent;

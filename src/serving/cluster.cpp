@@ -764,17 +764,20 @@ ClusterResult EdgeCluster::finish() {
   // straight into the result, summarized once. A failed-over or migrated
   // session left retired segments on earlier links under older runtime ids;
   // those are skipped, so per_link[k] covers the sessions that ended on
-  // link k.
+  // link k. A session's current segment lives on exactly one link, so each
+  // link's finish writes outcomes no other link touches (and only reads the
+  // entries and the failover owners): the links finish as one executor task
+  // each, like their slots.
   ClusterResult result;
   result.sessions.resize(entries_.size());
-  for (auto& link : links_) {
-    link->finish([&](std::size_t runtime_id) -> SessionOutcome* {
+  executor_.parallel_for(links_.size(), [&](std::size_t k) {
+    links_[k]->finish([&](std::size_t runtime_id) -> SessionOutcome* {
       const std::size_t owner = owner_of(runtime_id);
       return runtime_id == entries_[owner]->runtime_id
                  ? &result.sessions[owner].session
                  : nullptr;
     });
-  }
+  });
 
   for (const auto& entry : entries_) {
     const Entry& e = *entry;

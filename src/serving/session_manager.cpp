@@ -422,20 +422,32 @@ void SessionManager::skip_idle_slots(std::size_t slots) {
   slot_ += slots;
 }
 
-void SessionManager::fill_outcome(ServingSession& s, SessionOutcome& out) {
-  out.id = s.id;
-  // Every session on a link was placed on it: arrived and admitted.
-  out.admitted = true;
-  out.arrival_slot = s.arrival_actual;
-  out.departure_slot = s.departure_actual;
-  out.weight = s.spec.weight;
-  out.max_sustainable_depth = s.max_sustainable_depth;
-  if (!s.trace.empty()) {
-    out.has_summary = true;
-    out.summary = s.trace.summarize_partial();
+void SessionManager::fill_outcomes(std::span<SessionOutcome* const> outcomes) {
+  std::vector<SessionTrace::SummaryJob> jobs;
+  for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
+    const SessionTrace& trace = store_.session(pos).trace;
+    if (outcomes[pos] == nullptr || trace.empty()) continue;
+    jobs.push_back({&trace, static_cast<std::uint32_t>(pos),
+                    &outcomes[pos]->summary});
   }
-  metrics_.record_session(true, true, out.has_summary ? &out.summary : nullptr);
-  out.trace = std::move(s.trace);
+  SessionTrace::summarize_in_arena_order(store_.arena(), outcomes.size(),
+                                         jobs);
+  for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
+    if (outcomes[pos] == nullptr) continue;
+    ServingSession& s = store_.session(pos);
+    SessionOutcome& out = *outcomes[pos];
+    out.id = s.id;
+    // Every session on a link was placed on it: arrived and admitted.
+    out.admitted = true;
+    out.arrival_slot = s.arrival_actual;
+    out.departure_slot = s.departure_actual;
+    out.weight = s.spec.weight;
+    out.max_sustainable_depth = s.max_sustainable_depth;
+    out.has_summary = !s.trace.empty();
+    metrics_.record_session(true, true,
+                            out.has_summary ? &out.summary : nullptr);
+    out.trace = std::move(s.trace);
+  }
 }
 
 }  // namespace arvis

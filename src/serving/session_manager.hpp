@@ -25,6 +25,10 @@
 //      session_trace.hpp) and link metrics record. It touches only this
 //      link's state, so links run concurrently and the result is
 //      bit-identical for any thread count.
+// At the run's end, finish() fills each session's outcome from the segment
+// it ended on and summarizes the link's records in one read of its chunk
+// arena (SessionTrace::summarize_in_arena_order). The cluster runs the
+// links' finish calls as executor tasks, like their slot work.
 //
 // Data layout (the hot-path contract): sessions live in the SessionStore's
 // stable-index slab, and the per-slot fields the three phases touch are
@@ -39,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -312,14 +317,17 @@ class SessionManager {
   /// finished.
   void skip_idle_slots(std::size_t slots);
 
-  /// Closes every still-active session at the current slot, then walks the
-  /// link's segments (one per placement) in placement order. For each,
-  /// `outcome_for(id)` returns the SessionOutcome the segment fills, or null
-  /// for a segment the caller's books superseded (a failover or migration
-  /// re-placed its session). A filled outcome is the segment summarized once
-  /// — folded into metrics() in the same walk — with its record moved in;
-  /// a superseded segment is neither summarized nor copied. The manager is
-  /// spent afterwards (the phase calls throw).
+  /// Closes every still-active session at the current slot, then asks
+  /// `outcome_for(id)` for each of the link's segments (one per placement),
+  /// in placement order, which SessionOutcome the segment fills, or null for
+  /// a segment the caller's books superseded (a failover or migration
+  /// re-placed its session). The selected non-empty segments are summarized
+  /// together in one read of the link's chunk arena, in the order drain
+  /// wrote the chunks (SessionTrace::summarize_in_arena_order, bit-identical
+  /// to each record's summarize_partial); a superseded segment's chunks are
+  /// skipped by their tag. Then each selected outcome is filled, folded
+  /// into metrics() and given its record, in placement order. The manager
+  /// is spent afterwards (the phase calls throw).
   template <class OutcomeFor>
   void finish(OutcomeFor outcome_for) {
     if (finished_) {
@@ -333,10 +341,11 @@ class SessionManager {
                            s.departure_actual = slot_;
                            admission_.release(s.cheapest_load);
                          });
-    for (std::size_t pos = 0; pos < store_.session_count(); ++pos) {
-      ServingSession& s = store_.session(pos);
-      if (SessionOutcome* out = outcome_for(s.id)) fill_outcome(s, *out);
+    std::vector<SessionOutcome*> outcomes(store_.session_count());
+    for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
+      outcomes[pos] = outcome_for(store_.session(pos).id);
     }
+    fill_outcomes(outcomes);
   }
 
  private:
@@ -345,9 +354,10 @@ class SessionManager {
   /// counter and lifetime histogram, and the kClose flight event. The one
   /// close path of departures, evictions and migration extractions.
   void retire(ServingSession& s);
-  /// finish()'s per-segment step: summarizes closed segment `s` into `out`,
-  /// folds it into metrics_ and moves its record in.
-  void fill_outcome(ServingSession& s, SessionOutcome& out);
+  /// finish()'s fill: summarizes the segment at each slab position with a
+  /// non-null `outcomes` entry into it, then fills each, folds it into
+  /// metrics_ and moves its record in, in placement order.
+  void fill_outcomes(std::span<SessionOutcome* const> outcomes);
   void register_telemetry();
 
   ServingConfig config_;

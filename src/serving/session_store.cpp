@@ -29,6 +29,11 @@ SessionStore::SessionStore(std::vector<int> candidates, double v)
 }
 
 ServingSession& SessionStore::create(std::size_t id, const SessionSpec& spec) {
+  if (slab_.size() == kSegmentTagLimit) {
+    throw std::length_error(
+        "SessionStore: more than 2^24 segments on one link (record chunks tag "
+        "their segment in three bytes)");
+  }
   slab_.emplace_back(id, spec);
   return slab_.back();
 }
@@ -51,13 +56,15 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
     ARVIS_DCHECK_MSG(a != &s, "session activated twice");
   }
 #endif
+  ARVIS_DCHECK_MSG(&s == &slab_.back(), "activate: not the newest record");
   const std::shared_ptr<const FlatDecideTable>& table = intern(*s.spec.cache);
   // Heads start at a rotating index, so sessions activated together fill
   // their chunks on different slots: a fleet streaming in lockstep takes a
   // thirteenth of its next chunks each slot, not all of them every 13th.
   const std::size_t first = next_first_;
   next_first_ = first + 1 == kStepsPerChunk ? 0 : first + 1;
-  StepChunk* head = arena_->alloc();
+  StepChunk* head =
+      arena_->alloc(static_cast<std::uint32_t>(slab_.size() - 1));
   s.trace.start(table, arena_, head, first, slot);
   active_.push_back(&s);
   backlog_.push_back(0.0);  // sessions start with an empty queue
@@ -207,6 +214,18 @@ Status SessionStore::validate() const {
     }
     if (chunk == nullptr || chunk != chunk_[i]) {
       return fail(i, "write chunk is not on the record's chain");
+    }
+  }
+  // finish() attributes each chunk to its record by the tag alone.
+  for (std::size_t pos = 0; pos < slab_.size(); ++pos) {
+    const ServingSession& s = slab_[pos];
+    if (s.phase != SessionPhase::kActive) continue;
+    for (const StepChunk* c = s.trace.head(); c != nullptr; c = c->next) {
+      if (c->tag() != pos) {
+        return Status::FailedPrecondition(
+            "SessionStore::validate: slab position " + std::to_string(pos) +
+            ": record chunk tagged " + std::to_string(c->tag()));
+      }
     }
   }
   return Status::Ok();

@@ -26,7 +26,11 @@
 // position), never through the cold slab; the session's SessionTrace
 // learns its size when the session retires and decodes full StepRecords on
 // read from the table rows and the Lindley recurrence (see
-// session_trace.hpp).
+// session_trace.hpp). Every chunk names its segment: activate tags the head
+// chunk with the segment's slab position, and when a chunk fills, drain
+// links a fresh one under the filled chunk's tag (read from the same cache
+// line it just wrote), so finish() can summarize the link's records in one
+// read of the arena.
 //
 // Floating-point *sums* are deliberately not maintained incrementally: an
 // incrementally updated sum rounds differently from the canonical
@@ -129,14 +133,18 @@ class SessionStore {
  public:
   /// `candidates` must be non-empty (the manager validates ordering/range)
   /// and at most 255 long: a record stores the chosen index in one byte.
-  /// Throws std::invalid_argument otherwise, or on V < 0.
+  /// Throws std::invalid_argument otherwise, or on V < 0. A store holds at
+  /// most kSegmentTagLimit (2^24) segments: a record chunk carries its
+  /// segment's slab position in three bytes (see create()).
   SessionStore(std::vector<int> candidates, double v);
 
   // --- slab ---------------------------------------------------------------
 
   /// Appends a cold record (stable reference; insertion order preserved).
   /// Ids need not be ordered (cluster placement can create them out of
-  /// submission order) but must be unique within one store.
+  /// submission order) but must be unique within one store. Its slab
+  /// position is the tag its record's chunks carry, so a store takes at
+  /// most kSegmentTagLimit records: throws std::length_error past that.
   ServingSession& create(std::size_t id, const SessionSpec& spec);
   [[nodiscard]] std::size_t session_count() const noexcept {
     return slab_.size();
@@ -145,12 +153,15 @@ class SessionStore {
   [[nodiscard]] ServingSession& session(std::size_t pos) noexcept {
     return slab_[pos];
   }
+  /// The link's record chunks, every record's under its slab position.
+  [[nodiscard]] const StepArena& arena() const noexcept { return *arena_; }
 
   // --- active list + hot mirrors ------------------------------------------
 
-  /// Marks `s` active at `slot` and mirrors its hot fields into the SoA
-  /// arrays (interning its cache's FlatDecideTable on first sight), and
-  /// starts its trace on that table at `slot` in a fresh arena chunk.
+  /// Marks `s`, the record create() returned last, active at `slot` and
+  /// mirrors its hot fields into the SoA arrays (interning its cache's
+  /// FlatDecideTable on first sight), and starts its trace on that table at
+  /// `slot` in a fresh arena chunk tagged with its slab position.
   void activate(ServingSession& s, std::size_t slot);
 
   /// Compacts the active list, retiring every session `should_close`
@@ -315,7 +326,8 @@ class SessionStore {
   /// tables: index-parallel lengths, weight/departure bit-equality with the
   /// spec, table pointers/frame counts matching the table interned for the
   /// session's cache (the first one, so a duplicate intern fails), row
-  /// cursors aligned and in range, and no poisoned or duplicated slots.
+  /// cursors aligned and in range, no poisoned or duplicated slots, and
+  /// every chunk on a live record's chain tagged with its slab position.
   /// O(active + slab) — called from tests and the bench oracles, never from
   /// the slot loop (hot-path invariants are the DCHECKs above).
   [[nodiscard]] Status validate() const;
@@ -356,8 +368,10 @@ class SessionStore {
   /// The record keeps just the share and the chosen candidate index, written
   /// into the session's current chunk through the chunk_/pos_ mirrors (the
   /// cold slab is not touched); a chunk that fills links a fresh one from
-  /// the arena. Depth, arrivals, quality and both backlogs are decoded on
-  /// read from the session's table row and the same recurrence.
+  /// the arena, tagged with the filled chunk's tag, so every chunk of a
+  /// record names its segment. Depth, arrivals, quality and both backlogs
+  /// are decoded on read from the session's table row and the same
+  /// recurrence.
   double drain(std::size_t i, double share, double alpha) {
     ARVIS_DCHECK_LT(i, active_.size());
     ARVIS_DCHECK_MSG(chunk_[i] != nullptr, "drain on poisoned slot");
@@ -372,7 +386,7 @@ class SessionStore {
     chunk->service[k] = share;
     chunk->choice[k] = static_cast<std::uint8_t>(choice_[i]);
     if (k == kStepsPerChunk - 1) {
-      chunk->next = arena_->alloc();
+      chunk->next = arena_->alloc(chunk->tag());
       chunk_[i] = chunk->next;
     }
     const std::size_t next = row_off_[i] + 2 * width_;

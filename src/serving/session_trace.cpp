@@ -1,6 +1,8 @@
 #include "serving/session_trace.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -78,6 +80,15 @@ void StepArena::grow() {
   used_ = 0;
 }
 
+std::vector<std::span<const StepChunk>> StepArena::blocks() const {
+  std::vector<std::span<const StepChunk>> out;
+  for (const Block* b = block_.get(); b != nullptr; b = b->prev.get()) {
+    out.emplace_back(b->chunks, b == block_.get() ? used_ : kChunksPerBlock);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
 std::size_t StepArena::release_free_blocks() {
   Block* head = nullptr;
   {
@@ -120,6 +131,150 @@ Trace SessionTrace::to_trace() const {
 
 TraceSummary SessionTrace::summarize_partial() const {
   return summarize_steps(*this);
+}
+
+namespace {
+
+/// One record's decode state in summarize_in_arena_order: the iterator's
+/// cursor plus the record's sums. Chain positions count steps from index 0
+/// of the record's head chunk.
+struct ArenaDecode {
+  // What every step reads first, so it shares cache lines with the sums.
+  const double* row;  // frame row of the next step
+  double backlog;     // Q at the next step
+  const double* rows_begin;
+  const double* rows_end;
+  const int* candidates;
+  std::size_t width;
+  std::size_t pos;   // chain position of the next step
+  std::size_t end;   // chain position one past the last step
+  std::size_t tail;  // chain position of the first stability-tail step
+  SummaryAccumulator sums;
+  // Where pass 2 resumes: the frame row and Q at the next tail step.
+  const double* tail_row;
+  double tail_backlog;
+  TraceSummary* out;
+
+  /// Decodes step k of `chunk` (the record's next step) into the sums.
+  void step(const StepChunk& chunk, std::size_t k) noexcept {
+    const std::size_t c = chunk.choice[k];
+    const double service = chunk.service[k];
+    const double arrivals = row[width + c];
+    const double next = lindley_next(backlog, service, arrivals);
+    sums.add(row[c], backlog, candidates[c], arrivals, service, next);
+    backlog = next;
+    row += 2 * width;
+    if (row == rows_end) row = rows_begin;  // the frame cycle wraps
+  }
+  /// Replays tail step k of `chunk` into the fit's second pass.
+  void replay(const StepChunk& chunk, std::size_t k) noexcept {
+    sums.add_tail(tail_backlog);
+    tail_backlog = lindley_next(tail_backlog, chunk.service[k],
+                                tail_row[width + chunk.choice[k]]);
+    tail_row += 2 * width;
+    if (tail_row == rows_end) tail_row = rows_begin;
+  }
+};
+
+/// A chunk holding stability-tail steps [k0, k1) of decode state `state`.
+struct TailChunk {
+  const StepChunk* chunk;
+  std::uint32_t state;
+  std::uint8_t k0;
+  std::uint8_t k1;
+};
+static_assert(sizeof(TailChunk) == 16);
+
+}  // namespace
+
+void SessionTrace::summarize_in_arena_order(const StepArena& arena,
+                                            std::size_t tags,
+                                            std::span<const SummaryJob> jobs) {
+  constexpr std::uint32_t kNoJob = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> index(tags, kNoJob);
+  std::vector<ArenaDecode> states;
+  states.reserve(jobs.size());
+  std::size_t tail_chunks = 0;
+  for (const SummaryJob& job : jobs) {
+    const SessionTrace& r = *job.trace;
+    ARVIS_DCHECK(r.arena_.get() == &arena);
+    ARVIS_DCHECK_LT(job.tag, tags);
+    ARVIS_DCHECK_EQ(r.head_->tag(), job.tag);
+    index[job.tag] = static_cast<std::uint32_t>(states.size());
+    const FlatDecideTable& table = *r.table_;
+    SummaryAccumulator sums(r.size_);  // throws on an empty record
+    const std::size_t end = r.first_ + r.size_;
+    const std::size_t tail = r.first_ + sums.tail_start();
+    if (tail < end) {
+      tail_chunks += (end - 1) / kStepsPerChunk - tail / kStepsPerChunk + 1;
+    }
+    const double* rows = table.data();
+    states.push_back(ArenaDecode{
+        rows + r.row0_, r.backlog0_, rows,
+        rows + table.frames() * table.stride(), table.candidates().data(),
+        table.candidates().size(), r.first_, end, tail, sums, nullptr, 0.0,
+        job.out});
+  }
+
+  // The chunks stream in order, but their records' states do not: with
+  // thousands of records on a link they spill out of L2, so each pass
+  // fetches the state (and, in pass 2, the chunk) a few visits ahead.
+  constexpr std::size_t kAhead = 4;
+  const auto prefetch = [](const void* p, std::size_t bytes) {
+    for (std::size_t off = 0; off < bytes; off += 64) {
+      __builtin_prefetch(static_cast<const char*>(p) + off);
+    }
+  };
+
+  // Pass 1: every chunk in bump order; a record's chunks come in chain
+  // order because each was allocated when the one before it filled.
+  std::vector<TailChunk> worklist;
+  worklist.reserve(tail_chunks);
+  for (const std::span<const StepChunk> block : arena.blocks()) {
+    for (std::size_t j = 0; j < block.size(); ++j) {
+      if (j + kAhead < block.size()) {
+        const std::uint32_t ahead = index[block[j + kAhead].tag()];
+        if (ahead != kNoJob) prefetch(&states[ahead], sizeof(ArenaDecode));
+      }
+      const StepChunk& chunk = block[j];
+      ARVIS_DCHECK_LT(chunk.tag(), tags);
+      const std::uint32_t id = index[chunk.tag()];
+      if (id == kNoJob) continue;  // superseded, empty or not asked for
+      ArenaDecode& d = states[id];
+      // The chunk holds chain positions [base, base + 13); the record's
+      // steps in it run from its next one to its end.
+      const std::size_t base = d.pos - d.pos % kStepsPerChunk;
+      const std::size_t k0 = d.pos - base;
+      const std::size_t k1 = std::min(kStepsPerChunk, d.end - base);
+      const std::size_t kt = std::clamp(d.tail, base + k0, base + k1) - base;
+      for (std::size_t k = k0; k < kt; ++k) d.step(chunk, k);
+      if (kt < k1) {
+        if (base + kt == d.tail) {
+          d.tail_row = d.row;
+          d.tail_backlog = d.backlog;
+        }
+        for (std::size_t k = kt; k < k1; ++k) d.step(chunk, k);
+        worklist.push_back(TailChunk{&chunk, id, static_cast<std::uint8_t>(kt),
+                                     static_cast<std::uint8_t>(k1)});
+      }
+      d.pos = base + k1;
+    }
+  }
+
+  // Pass 2: the tail steps again, now that each tail's mean is known.
+  for (std::size_t j = 0; j < worklist.size(); ++j) {
+    if (j + kAhead < worklist.size()) {
+      prefetch(&states[worklist[j + kAhead].state], sizeof(ArenaDecode));
+      prefetch(worklist[j + kAhead].chunk, sizeof(StepChunk));
+    }
+    const TailChunk& w = worklist[j];
+    ArenaDecode& d = states[w.state];
+    for (std::size_t k = w.k0; k < w.k1; ++k) d.replay(*w.chunk, k);
+  }
+  for (const ArenaDecode& d : states) {
+    ARVIS_DCHECK_EQ(d.pos, d.end);
+    *d.out = d.sums.summary();
+  }
 }
 
 }  // namespace arvis

@@ -26,6 +26,15 @@
 // size only when its segment retires (commit), so a live session's trace
 // reads empty.
 //
+// Every chunk carries a 24-bit tag, the slab position of the segment whose
+// steps it holds, in the padding before `next`. So the run's end can read a
+// link's records the way drain wrote them: SessionTrace::
+// summarize_in_arena_order visits the arena's chunks in bump order
+// (StepArena::blocks) and sends each chunk's steps to its record's
+// SummaryAccumulator by tag, instead of following each record's chain,
+// whose consecutive chunks lie as far apart as the sessions streaming
+// beside it (about 128 KiB on a link of 1000 sessions).
+//
 // A record holds its FlatDecideTable and its StepArena, so session outcomes
 // stay decodable after the runtime that produced them is gone.
 #pragma once
@@ -89,14 +98,34 @@ inline double lindley_next(double backlog, double share,
 /// Session·slots one StepChunk holds.
 inline constexpr std::size_t kStepsPerChunk = 13;
 
+/// Segment tags a chunk can carry: 24 bits.
+inline constexpr std::size_t kSegmentTagLimit = std::size_t{1} << 24;
+
 /// Thirteen consecutive session·slots of one segment as drain records them:
 /// per slot, the scheduler's share and the index of the candidate decide
 /// chose. `next` links the segment's following chunk; drain sets it when
-/// this chunk fills.
+/// this chunk fills. The tag names the segment whose steps the chunk holds
+/// (its slab position in the link's store), in the three bytes that would
+/// otherwise pad `next`, so a reader that visits an arena's chunks in
+/// memory order knows whose steps each one holds without following any
+/// chain.
 struct StepChunk {
   double service[kStepsPerChunk];
   std::uint8_t choice[kStepsPerChunk];
+  std::uint8_t tag_bytes[3];  // little-endian
   StepChunk* next;
+
+  [[nodiscard]] std::uint32_t tag() const noexcept {
+    return static_cast<std::uint32_t>(tag_bytes[0]) |
+           static_cast<std::uint32_t>(tag_bytes[1]) << 8 |
+           static_cast<std::uint32_t>(tag_bytes[2]) << 16;
+  }
+  void set_tag(std::uint32_t tag) noexcept {
+    ARVIS_DCHECK_LT(tag, kSegmentTagLimit);
+    tag_bytes[0] = static_cast<std::uint8_t>(tag);
+    tag_bytes[1] = static_cast<std::uint8_t>(tag >> 8);
+    tag_bytes[2] = static_cast<std::uint8_t>(tag >> 16);
+  }
 };
 static_assert(sizeof(StepChunk) == 128);
 
@@ -119,15 +148,22 @@ class StepArena {
   /// Moves the arena's blocks to the free list.
   ~StepArena();
 
-  /// A fresh chunk with a null `next`. At most one heap allocation (a new
-  /// block, when the free list is empty) per kChunksPerBlock calls, none
-  /// otherwise.
-  [[nodiscard]] StepChunk* alloc() {
+  /// A fresh chunk tagged `tag` (< kSegmentTagLimit) with a null `next`. At
+  /// most one heap allocation (a new block, when the free list is empty)
+  /// per kChunksPerBlock calls, none otherwise.
+  [[nodiscard]] StepChunk* alloc(std::uint32_t tag) {
     if (used_ == kChunksPerBlock) grow();
     StepChunk* chunk = &block_->chunks[used_++];
+    chunk->set_tag(tag);
     chunk->next = nullptr;
     return chunk;
   }
+
+  /// Every chunk alloc() handed out, in the order it handed them out: one
+  /// span per block, oldest block first. Each chunk was allocated (so it
+  /// carries a tag), free-list blocks included, because the arena leaves a
+  /// block behind only once it is full.
+  [[nodiscard]] std::vector<std::span<const StepChunk>> blocks() const;
 
   /// Frees every block on the free list and returns how many it freed.
   static std::size_t release_free_blocks();
@@ -263,6 +299,28 @@ class SessionTrace {
   /// Trace::summarize_partial over the decoded records (same definition,
   /// bit-identical result). Throws std::logic_error on an empty record.
   [[nodiscard]] TraceSummary summarize_partial() const;
+
+  /// A sealed, non-empty record of one arena, the tag its chunks carry,
+  /// and where its summary goes.
+  struct SummaryJob {
+    const SessionTrace* trace = nullptr;
+    std::uint32_t tag = 0;
+    TraceSummary* out = nullptr;
+  };
+  /// Writes every job's summarize_partial() into its `out`, bit for bit, in
+  /// one read of `arena` (every job's records live there, under tags below
+  /// `tags`) in the order alloc() handed its chunks out, instead of one
+  /// chain walk per record: a record's consecutive chunks lie as far apart
+  /// as the sessions that streamed beside it, while the arena reads
+  /// sequentially. Pass 1 visits every chunk, skips those whose tag has no
+  /// job, and feeds each step to its record's SummaryAccumulator; a chunk
+  /// holding stability-tail steps goes on a worklist (16 B each), and pass
+  /// 2 replays only those steps, from the row and backlog each record had
+  /// where its tail starts. Transient memory: a decode state per job, a
+  /// 4-byte index per tag and the worklist.
+  static void summarize_in_arena_order(const StepArena& arena,
+                                       std::size_t tags,
+                                       std::span<const SummaryJob> jobs);
 
  private:
   std::shared_ptr<const FlatDecideTable> table_;

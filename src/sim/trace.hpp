@@ -39,66 +39,77 @@ struct TraceSummary {
   StabilityReport stability;
 };
 
-/// The one summary definition, over any sized forward range of StepRecord
-/// values: the summation order and the stability thresholds behind
-/// Trace::summarize_partial, shared by record types that decode into
-/// StepRecords (the serving runtime's SessionTrace) so their summaries stay
-/// bit-identical. The stability report reuses this pass's backlog peak and
-/// time average and keeps only the Q(t) tail the fit reads, so it equals
-/// analyze_stability over the whole series for the non-negative backlogs a
-/// queue produces. Throws std::logic_error on an empty range.
+/// The one summary definition, as an accumulator over one record of `count`
+/// steps: the summation order and the stability thresholds behind
+/// Trace::summarize_partial. Pass 1 feeds every step in slot order (add);
+/// pass 2 feeds Q(t) of the stability tail's steps again, in order
+/// (add_tail), once pass 1 is done. summarize_steps runs it over a range;
+/// the serving runtime's finish() feeds many records' steps interleaved, in
+/// the order their chunks lie in memory. Either way each record's sums are
+/// added in the same order, so the summaries are bit-identical. The
+/// stability report reuses pass 1's backlog peak and time average and fits
+/// only the Q(t) tail, so it equals analyze_stability over the whole series
+/// for the non-negative backlogs a queue produces.
+class SummaryAccumulator {
+ public:
+  /// Throws std::logic_error on an empty record.
+  explicit SummaryAccumulator(std::size_t count);
+
+  /// Index of the first step of the stability tail (`count` when the record
+  /// is too short to analyze).
+  [[nodiscard]] std::size_t tail_start() const noexcept { return tail_start_; }
+
+  /// Pass 1: the next step. True when it lies in the stability tail.
+  bool add(double quality, double backlog_begin, int depth, double arrivals,
+           double service, double backlog_end) noexcept {
+    q_sum_ += quality;
+    b_sum_ += backlog_begin;
+    d_sum_ += depth;
+    a_sum_ += arrivals;
+    s_sum_ += service;
+    peak_ = std::max(peak_, backlog_begin);
+    final_ = backlog_end;
+    if (seen_++ < tail_start_) return false;
+    fit_.add_first(backlog_begin);
+    return true;
+  }
+  bool add(const StepRecord& s) noexcept {
+    return add(s.quality, s.backlog_begin, s.depth, s.arrivals, s.service,
+               s.backlog_end);
+  }
+  /// Pass 2: Q(t) of the next tail step.
+  void add_tail(double backlog_begin) noexcept {
+    fit_.add_second(backlog_begin);
+  }
+
+  /// The summary, once both passes are done.
+  [[nodiscard]] TraceSummary summary() const noexcept;
+
+ private:
+  std::size_t count_;
+  std::size_t tail_start_;
+  std::size_t seen_ = 0;
+  double q_sum_ = 0.0, b_sum_ = 0.0, d_sum_ = 0.0, a_sum_ = 0.0, s_sum_ = 0.0;
+  double peak_ = 0.0;
+  double final_ = 0.0;
+  TailFit fit_;
+};
+
+/// SummaryAccumulator over any sized forward range of StepRecord values, in
+/// one pass that keeps the tail's Q(t) for the second: the summary of
+/// Trace::summarize_partial and of every record type that decodes into
+/// StepRecords (the serving runtime's SessionTrace). Throws
+/// std::logic_error on an empty range.
 template <class Steps>
 TraceSummary summarize_steps(const Steps& steps) {
-  const std::size_t count = steps.size();
-  if (count == 0) {
-    throw std::logic_error("summarize_partial: empty trace");
-  }
-  const bool analyzed = count >= 8;
-  constexpr double kTailFraction = 1.0 / 3.0;
-  const std::size_t tail_start =
-      analyzed ? count - stability_tail_length(count, kTailFraction) : count;
-  TraceSummary summary;
-  double q_sum = 0.0, b_sum = 0.0, d_sum = 0.0, a_sum = 0.0, s_sum = 0.0;
+  SummaryAccumulator sums(steps.size());
   std::vector<double> tail;  // Q(t) over the stability fit's tail
-  tail.reserve(count - tail_start);
-  std::size_t t = 0;
+  tail.reserve(steps.size() - sums.tail_start());
   for (const StepRecord& s : steps) {
-    q_sum += s.quality;
-    b_sum += s.backlog_begin;
-    d_sum += s.depth;
-    a_sum += s.arrivals;
-    s_sum += s.service;
-    summary.peak_backlog = std::max(summary.peak_backlog, s.backlog_begin);
-    summary.final_backlog = s.backlog_end;
-    if (t++ >= tail_start) tail.push_back(s.backlog_begin);
+    if (sums.add(s)) tail.push_back(s.backlog_begin);
   }
-  const auto n = static_cast<double>(count);
-  summary.time_average_quality = q_sum / n;
-  summary.time_average_backlog = b_sum / n;
-  summary.mean_depth = d_sum / n;
-  summary.mean_arrivals = a_sum / n;
-  summary.mean_service = s_sum / n;
-  if (!analyzed) {
-    // Too short for the regression-based stability classifier: report the
-    // observables we do have and flag the summary partial so consumers show
-    // "too-short" instead of a fabricated verdict.
-    summary.partial = true;
-    summary.stability.peak = summary.peak_backlog;
-    summary.stability.time_average = summary.time_average_backlog;
-    summary.stability.tail_mean = summary.time_average_backlog;
-    return summary;
-  }
-  // Scale-relative thresholds: a stable queue still holds up to one slot of
-  // arrivals at the observation instant (Lindley order: serve, then admit),
-  // so "converged to zero" means "at most ~a couple of slots of arrivals";
-  // genuine divergence grows by a macroscopic fraction of the arrival rate
-  // every slot.
-  const double zero_threshold = std::max(1.0, 2.0 * summary.mean_arrivals);
-  const double divergence_slope = std::max(1.0, 0.02 * summary.mean_arrivals);
-  summary.stability = classify_stability(
-      tail, tail_start, summary.peak_backlog, summary.time_average_backlog,
-      divergence_slope, zero_threshold);
-  return summary;
+  for (const double q : tail) sums.add_tail(q);
+  return sums.summary();
 }
 
 /// An append-only run record.

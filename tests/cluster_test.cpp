@@ -6,6 +6,7 @@
 // slot loop must be allocation-free (counting global operator new probe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -15,7 +16,9 @@
 #include <stdexcept>
 #include <string>
 #include <variant>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
@@ -24,6 +27,7 @@
 #include "serving/session_manager.hpp"
 #include "serving/telemetry/registry.hpp"
 #include "support/alloc_probe.hpp"
+#include "support/decode_oracle.hpp"
 #include "support/run_digest.hpp"
 
 using arvis_test::g_allocations;
@@ -390,6 +394,137 @@ TEST(EdgeClusterTest, PerLinkRollupCountsEachSessionOnceUnderFailover) {
                      sum / static_cast<double>(n))
         << "link " << k;
   }
+}
+
+// ----------------------------------------------- finish in arena order ----
+
+/// What the randomized runs below put into their records, summed over runs,
+/// so the differential test can show it met every case.
+struct FinishCoverage {
+  std::size_t records = 0;
+  std::size_t failovers = 0;
+  std::size_t migrations = 0;
+  std::size_t closes = 0;
+  std::size_t short_records = 0;       // < 8 steps: a partial summary
+  std::size_t chunk_edge_records = 0;  // ends within a step of a chunk end
+  std::size_t alive_at_finish = 0;
+  std::size_t most_link_chunks = 0;    // current segments' chunks, one link
+};
+
+/// One seeded run of `links` links: random arrivals and lifetimes (some
+/// shorter than 8 slots, some streaming until finish), link outages,
+/// degrades that drive handover, explicit migrations and closes.
+/// `admit_all` turns admission and outages off, so every session streams
+/// until it departs or is closed. finish() summarizes each link's records
+/// in arena order; every summary must equal the record's own chain-walking
+/// summarize_partial() and the decoded Trace's, bit for bit.
+void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
+                                 std::size_t sessions, std::size_t slots,
+                                 bool admit_all, FinishCoverage& coverage) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", K = " +
+               std::to_string(links));
+  Rng rng(seed);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.admission.enabled = !admit_all;
+  config.serving.threads = seed % 2 == 0 ? links : 1;
+  config.placement = static_cast<PlacementPolicy>(seed % 3);
+  config.handover.enabled = links > 1 && seed % 2 == 0;
+  config.handover.max_migrations_per_slot = 2;
+  const std::vector<double> means(
+      links, 5.0 * cheapest_load(config.serving.candidates));
+  EdgeCluster cluster(config, means);
+  for (std::size_t i = 0; i < sessions; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.arrival_slot = below(slots);
+    spec.weight = 1.0 + static_cast<double>(below(3));
+    switch (below(4)) {
+      case 0: spec.departure_slot = spec.arrival_slot + 1 + below(7); break;
+      case 1: spec.departure_slot = spec.arrival_slot + 8 + below(40); break;
+      case 2: spec.departure_slot = spec.arrival_slot + 40 + below(slots); break;
+      default: break;  // streams until finish
+    }
+    cluster.submit(spec);
+  }
+  std::vector<std::size_t> up_at(links, kNeverDeparts);
+  std::vector<double> caps(links);
+  for (std::size_t t = 0; t < slots; ++t) {
+    for (std::size_t k = 0; k < links; ++k) {
+      if (up_at[k] != t) continue;
+      const auto link = static_cast<std::uint32_t>(k);
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkUp, link}));
+      up_at[k] = kNeverDeparts;
+    }
+    const auto link = static_cast<std::uint32_t>(below(links));
+    if (!admit_all && below(40) == 0 && up_at[link] == kNeverDeparts) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkDown, link}));
+      up_at[link] = t + 3 + below(15);
+    }
+    if (below(20) == 0) {
+      const double scale = 0.2 + 0.8 * rng.next_double();
+      const auto delay = static_cast<double>(below(6));
+      cluster.apply_fault({t, FaultKind::kLinkDegrade, link, scale, delay});
+    }
+    if (links > 1 && below(6) == 0) {
+      cluster.migrate_session(below(sessions), below(links));
+    }
+    if (below(8) == 0 && cluster.request_close(below(sessions))) {
+      ++coverage.closes;
+    }
+    for (std::size_t k = 0; k < links; ++k) {
+      caps[k] = means[k] * (0.5 + rng.next_double());
+    }
+    cluster.step(caps);
+  }
+  const ClusterResult result = cluster.finish();
+
+  std::vector<std::size_t> link_chunks(links, 0);
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    coverage.failovers += s.failovers;
+    coverage.migrations += s.migrations;
+    const SessionOutcome& o = s.session;
+    if (!o.has_summary) {
+      EXPECT_TRUE(o.trace.empty()) << "session " << o.id;
+      continue;
+    }
+    SCOPED_TRACE("session " + std::to_string(o.id));
+    EXPECT_TRUE(arvis_test::summaries_bit_equal(
+        o.summary, o.trace.summarize_partial()));
+    EXPECT_TRUE(arvis_test::summaries_bit_equal(
+        o.summary, o.trace.to_trace().summarize_partial()));
+    const std::size_t end = o.trace.first() + o.trace.size();
+    ++coverage.records;
+    if (o.trace.size() < 8) ++coverage.short_records;
+    const std::size_t edge = end % kStepsPerChunk;
+    if (edge <= 1 || edge == kStepsPerChunk - 1) ++coverage.chunk_edge_records;
+    if (o.departure_slot == slots) ++coverage.alive_at_finish;
+    link_chunks[static_cast<std::size_t>(s.link)] += end / kStepsPerChunk + 1;
+  }
+  for (const std::size_t chunks : link_chunks) {
+    coverage.most_link_chunks = std::max(coverage.most_link_chunks, chunks);
+  }
+}
+
+TEST(ClusterFinishTest, ArenaOrderSummariesMatchEachRecordBitForBit) {
+  FinishCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    check_random_cluster_finish(seed, 1 + seed % 4, 60, 240, false, coverage);
+  }
+  // A link that admits everyone, so its records fill more than one arena
+  // block and records cross from one block into the next.
+  check_random_cluster_finish(17, 1, 500, 1500, true, coverage);
+  EXPECT_GT(coverage.records, 500U);
+  EXPECT_GT(coverage.failovers, 0U);
+  EXPECT_GT(coverage.migrations, 0U);
+  EXPECT_GT(coverage.closes, 0U);
+  EXPECT_GT(coverage.short_records, 0U);
+  EXPECT_GT(coverage.chunk_edge_records, 0U);
+  EXPECT_GT(coverage.alive_at_finish, 0U);
+  EXPECT_GT(coverage.most_link_chunks, StepArena::kChunksPerBlock);
 }
 
 // --------------------------------------------------------- validation ----

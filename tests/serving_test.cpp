@@ -1131,6 +1131,83 @@ TEST(SessionStoreTest, ValidateDetectsSlabMirrorDivergence) {
   EXPECT_TRUE(store.validate().ok());
 }
 
+TEST(SessionStoreTest, ValidateDetectsAChunkTaggedForAnotherRecord) {
+  // finish() attributes every chunk to a record by its tag alone, so a
+  // chunk on a live record's chain that names another slab position is a
+  // broken store.
+  const ServingConfig config = small_config();
+  SessionStore store(config.candidates, config.v);
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  for (std::size_t id = 0; id < 2; ++id) {
+    ServingSession& s = store.create(id, spec);
+    s.phase = SessionPhase::kActive;
+    store.activate(s, 0);
+  }
+  for (std::size_t t = 0; t < 3 * kStepsPerChunk; ++t) {
+    store.decide_all();
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      store.drain(i, 500.0, 0.0);
+    }
+  }
+  ASSERT_TRUE(store.validate().ok()) << store.validate().to_string();
+  auto* linked = const_cast<StepChunk*>(store.session(1).trace.head()->next);
+  ASSERT_NE(linked, nullptr);
+  ASSERT_EQ(linked->tag(), 1U);
+  linked->set_tag(0);
+  EXPECT_EQ(store.validate().code(), StatusCode::kFailedPrecondition);
+  linked->set_tag(1);
+  EXPECT_TRUE(store.validate().ok());
+}
+
+TEST(StepArenaTest, BlocksReturnEveryChunkInAllocationOrderWithItsTag) {
+  // Three blocks come from a destroyed arena's free list (newest first)
+  // and a fourth from the heap, so the chunks' addresses do not ascend in
+  // allocation order. Tags use all three bytes.
+  StepArena::release_free_blocks();
+  {
+    StepArena donor;
+    for (std::size_t i = 0; i < 2 * StepArena::kChunksPerBlock + 1; ++i) {
+      static_cast<void>(donor.alloc(0));
+    }
+  }
+  StepArena arena;
+  EXPECT_TRUE(arena.blocks().empty());
+  const auto tag_of = [](std::size_t i) {
+    return static_cast<std::uint32_t>((i * 2654435761U) % kSegmentTagLimit);
+  };
+  std::vector<const StepChunk*> handed;
+  const std::size_t n = 3 * StepArena::kChunksPerBlock + 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    StepChunk* chunk = arena.alloc(tag_of(i));
+    EXPECT_EQ(chunk->next, nullptr);
+    // Every third chunk holds a step; the rest hold none.
+    if (i % 3 == 0) chunk->service[0] = static_cast<double>(i);
+    handed.push_back(chunk);
+  }
+  StepChunk* last = arena.alloc(kSegmentTagLimit - 1);
+  handed.push_back(last);
+
+  const std::vector<std::span<const StepChunk>> blocks = arena.blocks();
+  ASSERT_EQ(blocks.size(), 4U);
+  EXPECT_EQ(blocks.back().size(), 6U);
+  std::vector<const StepChunk*> walked;
+  for (const std::span<const StepChunk> block : blocks) {
+    for (const StepChunk& chunk : block) walked.push_back(&chunk);
+  }
+  ASSERT_EQ(walked, handed);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(walked[i]->tag(), tag_of(i)) << "chunk " << i;
+    if (i % 3 == 0) {
+      ASSERT_EQ(walked[i]->service[0], static_cast<double>(i));
+    }
+  }
+  EXPECT_EQ(walked.back()->tag(), kSegmentTagLimit - 1);
+  EXPECT_FALSE(std::is_sorted(handed.begin(), handed.end(),
+                              std::less<const StepChunk*>()))
+      << "the recycled blocks should not ascend in memory";
+}
+
 TEST(SessionStoreTest, ReinterningTablesMidRunDecodesFromProfile) {
   // Sessions on two tables whose decide inputs collide exactly — fresh
   // activations all start at row 0 with backlog 0 — plus a table retired

@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Checks examples/trace_replay's *_SUMMARY lines against the committed goldens.
+"""Checks a smoke's *_SUMMARY and *_JSON lines against the committed goldens.
 
 Run from the repository root on the saved stdout of one smoke:
 
   ./build/examples/trace_replay --slo-strict --faults > chaos-smoke.txt
   python3 tools/check_replay_goldens.py chaos chaos-smoke.txt [--golden FILE]
 
-tests/golden/trace_replay_summaries.txt holds one section per smoke: a
-"[name] flags" header line, then the summary lines that run prints, in
-order. Every line of the output that starts with an upper-case word ending
-in _SUMMARY is compared, in order, with the named section. A change in
-behaviour then shows up as a reviewed diff of the golden file.
+A golden file holds one section per smoke: a "[name] flags" header line,
+then the summary lines that run prints, in order. Every line of the output
+that starts with an upper-case word ending in _SUMMARY or _JSON is
+compared, in order, with the named section. A change in behaviour then
+shows up as a reviewed diff of the golden file. The default file,
+tests/golden/trace_replay_summaries.txt, holds examples/trace_replay's
+smokes (which print no _JSON line);
+tests/golden/driver_churn_summaries.txt holds bench/bench_driver_churn's
+legs.
 
 Exit code 0 = the lines match, 1 = they differ, 2 = an unknown section or
 an unreadable file. Standard library only.
@@ -24,7 +28,7 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SUMMARY = re.compile(r"^[A-Z]+(?:_[A-Z]+)*_SUMMARY ")
+SUMMARY = re.compile(r"^[A-Z]+(?:_[A-Z]+)*_(?:SUMMARY|JSON) ")
 
 
 def read_sections(text: str) -> dict[str, list[str]]:
