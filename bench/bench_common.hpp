@@ -4,16 +4,12 @@
 // Scale note: the benches run the synthetic "longdress" subject at 10% of
 // full sample density so a full bench suite completes in minutes. The
 // qualitative results (who diverges, where the knee falls relative to the
-// horizon, growth factors) are scale-invariant; EXPERIMENTS.md records a
-// full-scale spot check.
+// horizon, growth factors) are scale-invariant.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
-#include <ctime>
-#include <memory>
+#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "common/csv.hpp"
 #include "datasets/catalog.hpp"
@@ -21,134 +17,6 @@
 #include "sim/simulation.hpp"
 
 namespace arvis::bench {
-
-// ---------------------------------------------------------------------------
-// Perf-trajectory plumbing shared by the benches: a wall-clock timer and a
-// BENCH_<name>.json emitter. Every bench that measures speed writes its
-// numbers through this, so the repo accumulates a machine-readable perf
-// trajectory (one JSON file per bench at the repo root, uploaded by CI as a
-// workflow artifact) instead of throwing measurements away in stdout tables.
-
-/// Monotonic wall-clock stopwatch (nanosecond reads).
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double elapsed_ns() const {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-  [[nodiscard]] double elapsed_ms() const { return elapsed_ns() / 1e6; }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// One measured configuration of a bench. `params` is a raw JSON object
-/// string ("{\"sessions\":10000,...}") so each bench picks its own axes;
-/// `ns_per_op` is the headline number (ops = whatever unit the bench
-/// documents, e.g. session·slots), min over `repetitions` runs.
-struct BenchRecord {
-  std::string name;
-  std::string params;  // raw JSON object
-  double ns_per_op = 0.0;
-  double ops = 0.0;  // ops measured in the best repetition
-  std::size_t repetitions = 1;
-};
-
-/// Serializes one dated trajectory entry (records plus an optional raw-JSON
-/// `extra` block of bench-specific fields).
-inline std::string bench_entry_json(const std::string& date,
-                                    const std::vector<BenchRecord>& records,
-                                    const std::string& extra = "") {
-  std::string out = "{\"date\":\"" + date + "\",\"records\":[";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const BenchRecord& r = records[i];
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\"ns_per_op\":%.3f,\"ops\":%.0f,\"repetitions\":%zu}",
-                  r.ns_per_op, r.ops, r.repetitions);
-    out += (i ? "," : "");
-    out += "{\"name\":\"" + r.name + "\",\"params\":" + r.params + "," + buf;
-  }
-  out += "]";
-  if (!extra.empty()) out += "," + extra;
-  out += "}";
-  return out;
-}
-
-/// Local date as YYYY-MM-DD (the trajectory entry stamp).
-inline std::string bench_date() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  localtime_r(&now, &tm);
-  char buf[16];
-  std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm);
-  return buf;
-}
-
-/// Reads a whole file; empty string when absent/unreadable.
-inline std::string read_file_or_empty(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "";
-  std::string content;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    content.append(buf, got);
-  }
-  std::fclose(f);
-  return content;
-}
-
-/// Appends a dated trajectory entry to the bench's JSON at `path` (default:
-/// BENCH_<bench>.json in the current directory — run from the repo root to
-/// land it beside the sources), preserving every earlier entry so the perf
-/// history survives across PRs:
-///
-///   {"bench":"<name>","entries":[<oldest>, ..., <today>]}
-///
-/// A pre-history file in the old single-object format is wrapped verbatim as
-/// the first entry (it keeps its own fields; it just lacks a "date").
-/// Returns false on I/O failure.
-inline bool write_bench_json(const std::string& bench,
-                             const std::vector<BenchRecord>& records,
-                             const std::string& extra = "",
-                             std::string path = "") {
-  if (path.empty()) path = "BENCH_" + bench + ".json";
-  const std::string entry = bench_entry_json(bench_date(), records, extra);
-  const std::string prefix = "{\"bench\":\"" + bench + "\",\"entries\":[";
-
-  std::string existing = read_file_or_empty(path);
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' ')) {
-    existing.pop_back();
-  }
-
-  std::string body;
-  if (existing.rfind(prefix, 0) == 0 && existing.size() >= 2 &&
-      existing.compare(existing.size() - 2, 2, "]}") == 0) {
-    // Already the entries format: splice today's entry before the closer.
-    body = existing.substr(0, existing.size() - 2) + ",\n" + entry + "]}\n";
-  } else if (!existing.empty() && existing.front() == '{' &&
-             existing.back() == '}') {
-    // Legacy single-object trajectory point: keep it as the first entry.
-    body = prefix + existing + ",\n" + entry + "]}\n";
-  } else {
-    body = prefix + entry + "]}\n";
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "write_bench_json: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  std::printf("appended trajectory entry to %s\n", path.c_str());
-  return ok;
-}
 
 /// Frames cached for the simulation benches (one walk cycle at 30 fps ~ a
 /// representative slice of the 300-frame sequence; slots cycle through it).

@@ -6,13 +6,11 @@
 // rejects, spills, peak concurrency, utilization, cross-link window fairness
 // at the last snapshot, executed vs skipped slots, and wall time.
 //
-// Build & run:  ./build/bench/bench_driver_churn [--smoke] [--json]
-//                                                [--telemetry] [--slo]
-//                                                [--faults] [--handover]
+// Build & run:  ./build/bench/bench_driver_churn [--smoke] [--telemetry]
+//                                                [--slo] [--faults]
+//                                                [--handover]
 //
-// --json appends a dated trajectory entry to BENCH_driver_churn.json (one
-// record per scenario at the least-loaded 2-link point; ns per executed
-// slot). --telemetry re-runs the poisson and flash-crowd points with full
+// --telemetry re-runs the poisson and flash-crowd points with full
 // tracing on, writes churn_<scenario>_trace.json (Chrome trace_event format,
 // loadable in Perfetto / chrome://tracing) and prints the per-phase rollup
 // plus the counter registry. --slo replays the flash crowd under
@@ -20,12 +18,11 @@
 // "SLO_SUMMARY breaches=N blips=M" line, and fails if nothing breached.
 // --faults replays the flash crowd with a mid-spike single-link outage and
 // retry/backoff on, checks the failover books reconcile exactly and the run
-// is seed-stable, prints a FAULTS_JSON line, and appends a dated
-// churn_faults trajectory entry to BENCH_driver_churn.json.
+// is seed-stable, and prints a FAULTS_JSON line.
 // --handover replays the flash crowd with graded mid-spike degradation and
 // the handover policy live, checks the migration books are exact (>=1
-// completed, zero stranded) and seed-stable, prints a MIGRATION_JSON line,
-// and appends a dated churn_handover trajectory entry.
+// completed, zero stranded) and seed-stable, and prints a MIGRATION_JSON
+// line.
 //
 // --smoke runs three hard invariants cheap enough for CI and exits non-zero
 // on violation:
@@ -329,8 +326,7 @@ int run_slo() {
 /// that the failover books reconcile exactly (displaced == replaced +
 /// evicted + closed — no session strands), that a retry storm actually
 /// happened, and that a second identical run reproduces every fault counter
-/// bit for bit. Appends a dated churn_faults trajectory entry to
-/// BENCH_driver_churn.json so the fault path's cost is tracked across PRs.
+/// bit for bit.
 int run_faults() {
   using namespace arvis;
   int failures = 0;
@@ -348,11 +344,11 @@ int run_faults() {
   FaultPlan faults;
   faults.outage(/*link=*/1, /*at=*/spike_start + 10, /*duration=*/40);
 
-  double ms = 0.0, ms2 = 0.0;
+  double ms = 0.0;
   const ReplayResult first =
       run_point(point, ms, nullptr, nullptr, &faults, /*retry=*/true);
   const ReplayResult second =
-      run_point(point, ms2, nullptr, nullptr, &faults, /*retry=*/true);
+      run_point(point, ms, nullptr, nullptr, &faults, /*retry=*/true);
 
   const ClusterMetrics& m = first.cluster.metrics;
   const bool books = m.failover_displaced ==
@@ -415,18 +411,6 @@ int run_faults() {
       first.report.retries_abandoned, books ? "true" : "false",
       deterministic ? "true" : "false", failures);
 
-  // The chaos leg keeps its own perf trajectory: same ns-per-slot unit as
-  // the sweep records, measured with the fault plane active.
-  bench::BenchRecord record;
-  record.name = "churn_faults";
-  record.params =
-      "{\"scenario\":\"flash_crowd\",\"links\":2,\"outage_slots\":40,"
-      "\"retry\":true}";
-  const double slots = static_cast<double>(first.report.slots_executed);
-  record.ns_per_op = slots > 0.0 ? ms * 1e6 / slots : 0.0;
-  record.ops = slots;
-  if (!bench::write_bench_json("driver_churn", {record})) ++failures;
-
   std::printf(failures == 0 ? "faults OK\n" : "faults: %d failure(s)\n",
               failures);
   return failures == 0 ? 0 : 1;
@@ -440,8 +424,7 @@ int run_faults() {
 /// are exact (requested == completed + aborted, aborts on the displaced
 /// path — zero stranded), that the failover books still reconcile, and that
 /// a second identical run reproduces every counter bit for bit. Prints a
-/// MIGRATION_JSON line and appends a dated churn_handover trajectory entry
-/// to BENCH_driver_churn.json.
+/// MIGRATION_JSON line.
 int run_handover() {
   using namespace arvis;
   int failures = 0;
@@ -461,10 +444,10 @@ int run_handover() {
                        /*floor_scale=*/0.2, /*delay=*/3.0,
                        /*hold_slots=*/150);
 
-  double ms = 0.0, ms2 = 0.0;
+  double ms = 0.0;
   const ReplayResult first = run_point(point, ms, nullptr, nullptr, &faults,
                                        /*retry=*/true, /*handover=*/true);
-  const ReplayResult second = run_point(point, ms2, nullptr, nullptr, &faults,
+  const ReplayResult second = run_point(point, ms, nullptr, nullptr, &faults,
                                         /*retry=*/true, /*handover=*/true);
 
   const ClusterMetrics& m = first.cluster.metrics;
@@ -527,17 +510,6 @@ int run_handover() {
       m.migrations_aborted, stranded, m.failover_displaced, m.fault_evicted,
       books ? "true" : "false", deterministic ? "true" : "false", failures);
 
-  // The handover leg keeps its own perf trajectory alongside the chaos one.
-  bench::BenchRecord record;
-  record.name = "churn_handover";
-  record.params =
-      "{\"scenario\":\"flash_crowd\",\"links\":2,\"degrade_floor\":0.2,"
-      "\"hold_slots\":150,\"retry\":true}";
-  const double slots = static_cast<double>(first.report.slots_executed);
-  record.ns_per_op = slots > 0.0 ? ms * 1e6 / slots : 0.0;
-  record.ops = slots;
-  if (!bench::write_bench_json("driver_churn", {record})) ++failures;
-
   std::printf(failures == 0 ? "handover OK\n" : "handover: %d failure(s)\n",
               failures);
   return failures == 0 ? 0 : 1;
@@ -547,17 +519,14 @@ int run_handover() {
 
 int main(int argc, char** argv) {
   using namespace arvis;
-  bool emit_json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) return run_smoke();
     if (std::strcmp(argv[i], "--telemetry") == 0) return run_telemetry();
     if (std::strcmp(argv[i], "--slo") == 0) return run_slo();
     if (std::strcmp(argv[i], "--faults") == 0) return run_faults();
     if (std::strcmp(argv[i], "--handover") == 0) return run_handover();
-    if (std::strcmp(argv[i], "--json") == 0) emit_json = true;
   }
 
-  std::vector<bench::BenchRecord> records;
   CsvTable table({"scenario", "policy", "links", "arrivals", "admitted",
                   "rejected", "spills", "peak_active", "utilization",
                   "link_fairness", "slots_run", "slots_skipped", "wall_ms"});
@@ -590,17 +559,6 @@ int main(int argc, char** argv) {
              result.cluster.metrics.fleet.utilization(), fairness,
              static_cast<std::int64_t>(result.report.slots_executed),
              static_cast<std::int64_t>(result.report.slots_skipped), ms});
-        if (placement == PlacementPolicy::kLeastLoaded && links == 2) {
-          // One trajectory record per scenario at the representative point.
-          bench::BenchRecord record;
-          record.name = std::string("churn_") + to_string(kind);
-          record.params = "{\"policy\":\"least_loaded\",\"links\":2}";
-          const double slots =
-              static_cast<double>(result.report.slots_executed);
-          record.ns_per_op = slots > 0.0 ? ms * 1e6 / slots : 0.0;
-          record.ops = slots;
-          records.push_back(record);
-        }
       }
     }
   }
@@ -613,8 +571,5 @@ int main(int argc, char** argv) {
       "flash-crowd rows show the admission wall: rejects cluster in the\n"
       "spike; bursty rows show skipped slots — the event loop fast-forwards\n"
       "the OFF-state gaps no fixed-horizon loop could.\n");
-  if (emit_json && !bench::write_bench_json("driver_churn", records)) {
-    return 1;
-  }
   return 0;
 }

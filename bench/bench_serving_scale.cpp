@@ -7,13 +7,9 @@
 // cluster's executor runs one task per link, so a one-link server always
 // runs inline.
 //
-// Build & run:  ./build/bench/bench_serving_scale [--json]
-//
-// --json additionally writes BENCH_serving_scale.json (ns per session·slot
-// per sweep point) — the bench's perf-trajectory record.
+// Build & run:  ./build/bench/bench_serving_scale
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,14 +66,10 @@ double run_once(std::size_t sessions, arvis::ClusterResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace arvis;
-  const bool json =
-      argc > 1 && std::strcmp(argv[1], "--json") == 0;
-
   CsvTable table({"sessions", "wall_ms", "session_slots_per_s", "admitted",
                   "rejected", "fairness", "utilization", "divergent"});
-  std::vector<bench::BenchRecord> records;
 
   for (std::size_t sessions : {1U, 4U, 16U, 64U, 256U}) {
     ClusterResult result;
@@ -94,19 +86,10 @@ int main(int argc, char** argv) {
                    static_cast<std::int64_t>(admission.rejected),
                    fleet.quality_fairness, fleet.utilization(),
                    static_cast<std::int64_t>(fleet.divergent_sessions)});
-    char params[64];
-    std::snprintf(params, sizeof params, "{\"sessions\":%zu}", sessions);
-    records.push_back({"scenario_run", params,
-                       slots > 0.0 ? ms * 1e6 / slots : 0.0, slots, 1});
   }
 
   bench::print_table(
       "serving scale: sessions, one link, " + std::to_string(kSteps) + " slots",
       table);
-  if (json &&
-      !bench::write_bench_json("serving_scale", records,
-                               "\"unit\":\"ns_per_session_slot\"")) {
-    return 1;
-  }
   return 0;
 }

@@ -7,8 +7,8 @@
 // while compiling to *nothing* in Release — not a disabled branch, nothing:
 // the condition expression is not evaluated, so checks may be arbitrarily
 // expensive (O(n) scans, heap walks) without budget consequences. The
-// existing counting-operator-new probes and the bench_hot_path 25% budget
-// run against Release builds and therefore verify the elision for free.
+// counting-operator-new probes and the perf/ benchmark's gated timings run
+// against Release builds, so a check that was not elided shows up there.
 //
 // Enablement: on when NDEBUG is not defined (Debug builds), or when
 // ARVIS_FORCE_DCHECKS is defined (the asan-ubsan / tsan CMake presets force

@@ -58,26 +58,6 @@ bool same_tier(double a, double b) noexcept {
 
 }  // namespace
 
-void EdgeScheduler::allocate(double capacity,
-                             const std::vector<SchedulerDemand>& demands,
-                             std::vector<double>& shares) {
-  const std::size_t n = demands.size();
-  compat_backlog_.resize(n);
-  compat_arrivals_.resize(n);
-  compat_weight_.resize(n);
-  compat_ewma_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    compat_backlog_[i] = demands[i].backlog;
-    compat_arrivals_[i] = demands[i].arrivals;
-    compat_weight_[i] = demands[i].weight;
-    compat_ewma_[i] = demands[i].ewma_throughput;
-  }
-  allocate(capacity,
-           SchedulerInput{compat_backlog_, compat_arrivals_, compat_weight_,
-                          compat_ewma_},
-           shares);
-}
-
 void EqualShareScheduler::allocate(double capacity,
                                    const SchedulerInput& demands,
                                    std::vector<double>& shares) {

@@ -12,10 +12,7 @@
 //
 // The kernels consume *flat per-field arrays* (SchedulerInput spans over the
 // session store's SoA mirrors) so the schedule phase walks contiguous
-// memory with no per-session struct copy-in. The demand-struct shape
-// (SchedulerDemand) survives as a convenience adapter for tests and
-// external callers; it unpacks into scratch arrays and forwards to the same
-// kernels, bit for bit.
+// memory with no per-session struct copy-in.
 //
 // Fast paths skip work only where that perturbs no bit: the multi-round
 // policies run a fused first round over the implicit full index range (no
@@ -37,29 +34,10 @@
 
 namespace arvis {
 
-/// One session's demand as seen by the scheduler in one slot (the adapter
-/// shape; the hot path feeds SchedulerInput spans instead).
-struct SchedulerDemand {
-  /// Queue backlog Q(t) at slot start (bytes).
-  double backlog = 0.0;
-  /// Bytes enqueued this slot, a(d(t)).
-  double arrivals = 0.0;
-  /// Relative priority (>= 0; only weighted policies look at it).
-  double weight = 1.0;
-  /// EWMA of bytes actually served per slot, maintained by the session
-  /// manager when ServingConfig::pf_ewma_window > 0. Negative means "no
-  /// history supplied": proportional-fair then weighs instantaneous demand
-  /// (the legacy behaviour, bit-for-bit).
-  double ewma_throughput = -1.0;
-
-  /// Most the session could drain this slot.
-  [[nodiscard]] double total() const noexcept { return backlog + arrivals; }
-};
-
 /// One slot's demand set as flat per-field spans (SoA), index-parallel.
 /// `ewma_throughput` may be EMPTY — "no history supplied for anyone", the
 /// common case — or full-length with -1 marking individual no-history
-/// entries (the adapter shape).
+/// entries.
 struct SchedulerInput {
   std::span<const double> backlog;
   std::span<const double> arrivals;
@@ -78,8 +56,8 @@ struct SchedulerInput {
 };
 
 /// Always-on dispatch accounting, kept as plain cumulative uint64s (one or
-/// two adds per allocate — slot granularity, free by the smoke budget). The
-/// session manager samples per-slot deltas into the telemetry registry.
+/// two adds per allocate, at slot granularity). The session manager samples
+/// per-slot deltas into the telemetry registry.
 struct SchedulerStats {
   /// Span-kernel allocate() invocations.
   std::uint64_t calls = 0;
@@ -102,12 +80,6 @@ class EdgeScheduler {
   virtual void allocate(double capacity, const SchedulerInput& demands,
                         std::vector<double>& shares) = 0;
 
-  /// Demand-struct adapter: unpacks into scratch SoA arrays and forwards to
-  /// the span kernel — same arithmetic, same results, a copy slower. Derived
-  /// classes re-expose it with `using EdgeScheduler::allocate`.
-  void allocate(double capacity, const std::vector<SchedulerDemand>& demands,
-                std::vector<double>& shares);
-
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Cumulative dispatch accounting since construction.
@@ -115,20 +87,12 @@ class EdgeScheduler {
 
  protected:
   SchedulerStats stats_;
-
- private:
-  // Adapter scratch, reused across calls.
-  std::vector<double> compat_backlog_;
-  std::vector<double> compat_arrivals_;
-  std::vector<double> compat_weight_;
-  std::vector<double> compat_ewma_;
 };
 
 /// capacity / N to every session regardless of demand; unused share wasted
 /// (TDMA-like). The seed's SharePolicy::kEqual.
 class EqualShareScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override { return "equal-share"; }
@@ -140,7 +104,6 @@ class EqualShareScheduler final : public EdgeScheduler {
 /// conserving: while any session's demand is unmet, no capacity is wasted.
 class WorkConservingScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override { return "work-conserving"; }
@@ -162,7 +125,6 @@ class WorkConservingScheduler final : public EdgeScheduler {
 /// lets a heavy backlog monopolize the link forever.
 class ProportionalFairScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {
@@ -188,7 +150,6 @@ class ProportionalFairScheduler final : public EdgeScheduler {
 /// degenerates to when all weights are equal.
 class WeightedPriorityScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {
@@ -218,7 +179,6 @@ class WeightedPriorityScheduler final : public EdgeScheduler {
 /// after every weighted demand is met).
 class DeficitRoundRobinScheduler final : public EdgeScheduler {
  public:
-  using EdgeScheduler::allocate;
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
   [[nodiscard]] std::string name() const override {

@@ -35,9 +35,9 @@
 // mirrored into dense struct-of-arrays vectors indexed by the active list —
 // decide is a flattened argmax over precomputed candidate rows, schedule
 // consumes the SoA spans directly (no demand-struct copy-in), drain walks
-// the same arrays. See session_store.hpp; bench_hot_path measures the
-// resulting ns/session·slot and its --smoke oracle asserts the layout is
-// behaviour-free.
+// the same arrays. See session_store.hpp; perf/ measures the resulting
+// ns/session·slot, and tests/reference_runtime_test.cpp asserts the layout
+// is behaviour-free against the view-based reference runtime.
 #pragma once
 
 #include <cstddef>
@@ -396,8 +396,7 @@ class SessionManager {
   // Flight recorder (default ON — resolve_flight_recorder falls back to the
   // process-global ring). record() is a relaxed fetch_add plus six plain
   // stores and fires only at lifecycle edges and slot-phase transitions,
-  // never per session·slot, so it lives inside the existing allocation
-  // probes and hot-path budget (bench_hot_path --slo measures the A/B).
+  // never per session·slot, so the allocation probes hold with it on.
   FlightRecorder* flight_ = nullptr;
   /// Whether the previous slot's schedule took the generic path — the
   /// fast->generic transition edge is a flight event.

@@ -35,8 +35,8 @@
 // Floating-point *sums* are deliberately not maintained incrementally: an
 // incrementally updated sum rounds differently from the canonical
 // left-to-right pass, and everything here must stay bit-for-bit against the
-// view-based oracle (asserted by bench_hot_path --smoke and the serving
-// determinism tests).
+// view-based reference runtime (asserted by reference_runtime_test and the
+// serving determinism tests).
 #pragma once
 
 #include <algorithm>

@@ -44,7 +44,6 @@ FlightRecorder& global_flight_recorder() {
 
 FlightRecorder* resolve_flight_recorder(
     const TelemetryConfig& config) noexcept {
-  if (config.flight_off) return nullptr;
   if (config.flight != nullptr) return config.flight;
   return &global_flight_recorder();
 }

@@ -10,9 +10,8 @@
 //   - the runtime records only at lifecycle edges (a session arriving,
 //     departing, spilling; a scheduler falling off its fast path; a
 //     snapshot firing), never per session·slot — a steady-state slot with
-//     no churn records nothing, so the counting-operator-new probes and the
-//     bench_hot_path 25% budget hold with the recorder on (measured: the
-//     recorder A/B entry in BENCH_hot_path.json).
+//     no churn records nothing, so the counting-operator-new probes hold
+//     with the recorder on.
 //
 // When something goes wrong the ring is the first minutes of the incident
 // tape: black_box_json() renders the held events plus a registry snapshot
@@ -158,14 +157,13 @@ class FlightRecorder {
 };
 
 /// The process-global recorder every runtime records into by default (see
-/// TelemetryConfig::flight / flight_off for per-run overrides). Constructed
-/// on first use with the default capacity; lives for the process.
+/// TelemetryConfig::flight for a per-run override). Constructed on first
+/// use with the default capacity; lives for the process.
 FlightRecorder& global_flight_recorder();
 
-/// Resolves a config's recorder wiring: nullptr when flight_off, the
-/// caller-supplied override when set, the process-global ring otherwise.
-/// Called once per runtime construction — the hot path keeps the resolved
-/// pointer.
+/// Resolves a config's recorder wiring: the caller-supplied override when
+/// set, the process-global ring otherwise. Called once per runtime
+/// construction — the hot path keeps the resolved pointer.
 FlightRecorder* resolve_flight_recorder(const TelemetryConfig& config) noexcept;
 
 /// Renders the recorder as a self-contained JSON black box: the held events

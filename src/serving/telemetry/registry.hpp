@@ -151,8 +151,8 @@ class TelemetryRegistry {
 /// How much the runtime records. Each tier includes the previous one.
 enum class TelemetryMode : std::uint8_t {
   /// Nothing: the instrumentation points reduce to predictable null checks
-  /// and a handful of plain uint64 adds per *slot* (never per session) —
-  /// free by the allocation probes and the bench_hot_path smoke budget.
+  /// and a handful of plain uint64 adds per *slot* (never per session), and
+  /// allocate nothing (the allocation probes run in this mode).
   kOff,
   /// Registry counters + histograms, flushed at slot boundaries and
   /// lifecycle edges.
@@ -176,14 +176,12 @@ struct TelemetryConfig {
   /// link id ("link<tid>/..." counters, Chrome tid <tid>); EdgeCluster
   /// assigns each link its index.
   std::uint32_t tid = 0;
-  /// Flight-recorder wiring — the one default-ON telemetry layer: null
+  /// Flight-recorder wiring — the one always-on telemetry layer: null
   /// means "record lifecycle events into the process-global ring" (see
   /// flight_recorder.hpp for why that is free enough). Point it at a
-  /// caller-owned recorder to isolate a run, or set flight_off to disable
-  /// recording entirely (the bench A/B's off arm). Resolved once at runtime
+  /// caller-owned recorder to isolate a run. Resolved once at runtime
   /// construction by resolve_flight_recorder().
   FlightRecorder* flight = nullptr;
-  bool flight_off = false;
 
   [[nodiscard]] bool counters_on() const noexcept {
     return mode >= TelemetryMode::kCounters && registry != nullptr;

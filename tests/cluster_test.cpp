@@ -236,12 +236,14 @@ TEST(EdgeClusterTest, BestFitPacksTightLinksAndAvoidsSpills) {
 TEST(EdgeClusterTest, ParallelDecideFanOutMatchesSerialBitForBit) {
   // Three links, so the executor's per-link tasks meet fewer (2), as many
   // (3) and more (4, 8) workers than there are tasks. Proportional-fair
-  // joins work-conserving as a second scheduler.
+  // joins work-conserving as a second scheduler, and deficit round-robin
+  // carries a rotation cursor across slots.
   const auto specs = churn_specs(12);
   const double capacity = 5.0 * shared_cache().workload(0).bytes(4);
 
   for (const SchedulerPolicy policy : {SchedulerPolicy::kWorkConserving,
-                                       SchedulerPolicy::kProportionalFair}) {
+                                       SchedulerPolicy::kProportionalFair,
+                                       SchedulerPolicy::kDeficitRoundRobin}) {
     auto run_with_threads = [&](std::size_t threads) {
       ClusterConfig config;
       config.serving = base_serving_config();

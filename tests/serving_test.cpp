@@ -25,9 +25,13 @@
 #include "serving/session_manager.hpp"
 #include "sim/replication.hpp"
 #include "support/decode_oracle.hpp"
+#include "support/reference_scheduler.hpp"
 
 namespace arvis {
 namespace {
+
+using arvis_test::allocate;
+using arvis_test::SchedulerDemand;
 
 const FrameStatsCache& shared_cache() {
   static const FrameStatsCache cache(*open_test_subject(71), 8, 8);
@@ -78,7 +82,7 @@ TEST(SchedulerTest, AllPoliciesConserveCapacity) {
       const std::size_t n = 1 + static_cast<std::size_t>(rng.below(12));
       const auto demands = random_demands(rng, n);
       const double capacity = rng.uniform(0.0, 20'000.0);
-      scheduler->allocate(capacity, demands, shares);
+      allocate(*scheduler, capacity, demands, shares);
       ASSERT_EQ(shares.size(), n) << scheduler->name();
       double total = 0.0;
       for (double s : shares) {
@@ -103,7 +107,7 @@ TEST(SchedulerTest, WorkConservingNeverWastesWhileBacklogged) {
     // Capacity strictly below total demand: some queue stays backlogged, so
     // a work-conserving allocation must hand out every byte.
     const double capacity = rng.uniform(0.0, 0.95) * total_demand;
-    scheduler.allocate(capacity, demands, shares);
+    allocate(scheduler, capacity, demands, shares);
     const double allocated = std::accumulate(shares.begin(), shares.end(), 0.0);
     EXPECT_NEAR(allocated, capacity, 1e-6 * std::max(capacity, 1.0));
     // And nobody is granted beyond their demand while others starve.
@@ -118,7 +122,7 @@ TEST(SchedulerTest, WorkConservingMeetsAllDemandsUnderLightLoad) {
   std::vector<double> shares;
   const std::vector<SchedulerDemand> demands{
       {100.0, 50.0, 1.0}, {0.0, 0.0, 1.0}, {10.0, 5.0, 1.0}};
-  scheduler.allocate(1'000.0, demands, shares);
+  allocate(scheduler, 1'000.0, demands, shares);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     EXPECT_GE(shares[i], demands[i].total());
   }
@@ -130,25 +134,25 @@ TEST(SchedulerTest, ProportionalFairSplitsByWeightedDemand) {
   ProportionalFairScheduler scheduler;
   std::vector<double> shares;
   // Overload with equal weights: pure proportional split by demand.
-  scheduler.allocate(200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // Weight doubles a session's pull.
-  scheduler.allocate(120.0, {{100.0, 0.0, 2.0}, {100.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 120.0, {{100.0, 0.0, 2.0}, {100.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 80.0, 1e-9);
   EXPECT_NEAR(shares[1], 40.0, 1e-9);
   // A capped heavy-weight session's surplus flows to the rest instead of
   // being wasted.
-  scheduler.allocate(200.0, {{100.0, 0.0, 4.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 4.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 100.0, 1e-9);
   // Light load: everyone gets exactly their demand, never more.
-  scheduler.allocate(1'000.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 1'000.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 300.0, 1e-9);
   // A weight-0 session draws no proportional offer but is not starved:
   // once only zero-weight demand remains, the surplus water-fills it.
-  scheduler.allocate(100.0, {{50.0, 0.0, 0.0}, {10.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{50.0, 0.0, 0.0}, {10.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 10.0, 1e-9);
 }
@@ -162,17 +166,17 @@ TEST(SchedulerTest, WeightedPriorityGroupsWeightsFromDifferentArithmetic) {
   const double w_sum = 0.1 + 0.2;
   const double w_lit = 0.3;
   ASSERT_NE(w_sum, w_lit);  // the premise: different arithmetic paths differ
-  scheduler.allocate(100.0, {{150.0, 0.0, w_sum}, {150.0, 0.0, w_lit}},
-                     shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, w_sum}, {150.0, 0.0, w_lit}},
+           shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Order-independent: the literal first gets the same split.
-  scheduler.allocate(100.0, {{150.0, 0.0, w_lit}, {150.0, 0.0, w_sum}},
-                     shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, w_lit}, {150.0, 0.0, w_sum}},
+           shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Humanly distinct weights still tier strictly.
-  scheduler.allocate(100.0, {{150.0, 0.0, 0.3}, {150.0, 0.0, 0.31}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 0.3}, {150.0, 0.0, 0.31}}, shares);
   EXPECT_NEAR(shares[0], 0.0, 1e-9);
   EXPECT_NEAR(shares[1], 100.0, 1e-9);
 }
@@ -181,15 +185,15 @@ TEST(SchedulerTest, WeightedPriorityServesTiersInOrder) {
   WeightedPriorityScheduler scheduler;
   std::vector<double> shares;
   // The weight-2 tier drains fully before the weight-1 tier sees a byte.
-  scheduler.allocate(200.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 150.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // Under overload the low tier starves entirely.
-  scheduler.allocate(100.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 0.0, 1e-9);
   // Equal weights degenerate to equal-split water-filling.
-  scheduler.allocate(100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
 }
@@ -200,20 +204,18 @@ TEST(SchedulerTest, ProportionalFairEwmaFavorsHistoricallyStarved) {
   // Equal weight, equal demand; session 0 has been drinking 1000 bytes/slot
   // while session 1 got nothing. True PF hands the starved session the lion's
   // share: pulls are 1/1001 vs 1/1.
-  scheduler.allocate(100.0,
-                     {{200.0, 0.0, 1.0, 1'000.0}, {200.0, 0.0, 1.0, 0.0}},
-                     shares);
+  allocate(scheduler, 100.0,
+           {{200.0, 0.0, 1.0, 1'000.0}, {200.0, 0.0, 1.0, 0.0}}, shares);
   EXPECT_LT(shares[0], 1.0);
   EXPECT_GT(shares[1], 99.0);
   EXPECT_NEAR(shares[0] + shares[1], 100.0, 1e-9);
   // Equal histories collapse to the legacy demand-proportional split.
-  scheduler.allocate(200.0,
-                     {{100.0, 0.0, 1.0, 500.0}, {300.0, 0.0, 1.0, 500.0}},
-                     shares);
+  allocate(scheduler, 200.0,
+           {{100.0, 0.0, 1.0, 500.0}, {300.0, 0.0, 1.0, 500.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // No history (< 0, the default) is the legacy behaviour bit for bit.
-  scheduler.allocate(200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 200.0, {{100.0, 0.0, 1.0}, {300.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
 }
@@ -222,24 +224,24 @@ TEST(SchedulerTest, DeficitRoundRobinIsWeightedMaxMin) {
   DeficitRoundRobinScheduler scheduler;
   std::vector<double> shares;
   // Equal weights under overload: equal split.
-  scheduler.allocate(100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{150.0, 0.0, 1.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   // 2:1 weights under overload: 2:1 split.
-  scheduler.allocate(90.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 90.0, {{150.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 60.0, 1e-9);
   EXPECT_NEAR(shares[1], 30.0, 1e-9);
   // Grants cap at demand; the surplus reaches the still-hungry session
   // (max-min, not strict priority).
-  scheduler.allocate(300.0, {{100.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 300.0, {{100.0, 0.0, 2.0}, {150.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 100.0, 1e-9);
   EXPECT_NEAR(shares[1], 150.0, 1e-9);
   // Zero-weight sessions are served from leftovers only.
-  scheduler.allocate(100.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 100.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[1], 50.0, 1e-9);
   EXPECT_NEAR(shares[0], 50.0, 1e-9);  // leftover 50 of the 80 wanted
   // Under overload nothing leaks to weight zero.
-  scheduler.allocate(40.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
+  allocate(scheduler, 40.0, {{80.0, 0.0, 0.0}, {50.0, 0.0, 1.0}}, shares);
   EXPECT_NEAR(shares[0], 0.0, 1e-9);
   EXPECT_NEAR(shares[1], 40.0, 1e-9);
 }
@@ -251,8 +253,8 @@ TEST(SchedulerTest, DeficitRoundRobinHandlesVanishinglySmallWeights) {
   // call used to take hours at weight 1e-12.
   DeficitRoundRobinScheduler scheduler;
   std::vector<double> shares;
-  scheduler.allocate(1'000.0, {{1'000.0, 0.0, 1e-12}, {10.0, 0.0, 1.0}},
-                     shares);
+  allocate(scheduler, 1'000.0, {{1'000.0, 0.0, 1e-12}, {10.0, 0.0, 1.0}},
+           shares);
   EXPECT_NEAR(shares[1], 10.0, 1e-9);
   EXPECT_NEAR(shares[0], 990.0, 1e-6);
 }
@@ -264,10 +266,10 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
   std::vector<double> shares;
   const std::vector<SchedulerDemand> demands{
       {5.0, 0.0, 1.0}, {100.0, 0.0, 1.0}, {100.0, 0.0, 1.0}};
-  scheduler.allocate(30.0, demands, shares);  // rotation starts at index 0
+  allocate(scheduler, 30.0, demands, shares);  // rotation starts at index 0
   const std::vector<double> first = shares;
-  scheduler.allocate(30.0, demands, shares);
-  scheduler.allocate(30.0, demands, shares);  // rotation starts at index 2
+  allocate(scheduler, 30.0, demands, shares);
+  allocate(scheduler, 30.0, demands, shares);  // rotation starts at index 2
   const std::vector<double> third = shares;
   // Session 0's tiny demand is always met; the big pair split the rest, and
   // the 5-byte residue lands on whichever of them the rotation favours.
@@ -280,182 +282,20 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
 }
 
 // ------------------------------------- scheduler fast-path equivalence ----
-// Reference implementations of the generic algorithms (as they stood before
-// the fused first rounds, the uniform-fleet shortcut and lazy DRR residue
-// landed). The production kernels' fast paths must reproduce them share for
-// share — exact doubles, not NEAR.
+// The production kernels' fast paths must reproduce the reference
+// algorithms (support/reference_scheduler.hpp) share for share — exact
+// doubles, not NEAR.
 
-namespace ref {
-
-double water_fill(double capacity, const std::vector<SchedulerDemand>& d,
-                  std::vector<std::size_t>& unsatisfied,
-                  std::vector<double>& shares) {
-  while (capacity > 0.0 && !unsatisfied.empty()) {
-    const double slice = capacity / static_cast<double>(unsatisfied.size());
-    std::size_t kept = 0;
-    double granted = 0.0;
-    for (std::size_t i : unsatisfied) {
-      const double want = d[i].total() - shares[i];
-      if (want <= slice) {
-        shares[i] += want;
-        granted += want;
-      } else {
-        shares[i] += slice;
-        granted += slice;
-        unsatisfied[kept++] = i;
-      }
-    }
-    capacity -= granted;
-    if (kept == unsatisfied.size()) break;
-    unsatisfied.resize(kept);
-  }
-  return std::max(capacity, 0.0);
-}
-
-void work_conserving(double capacity, const std::vector<SchedulerDemand>& d,
-                     std::vector<double>& shares) {
-  const std::size_t n = d.size();
-  shares.assign(n, 0.0);
-  if (n == 0) return;
-  std::vector<std::size_t> unsatisfied(n);
-  for (std::size_t i = 0; i < n; ++i) unsatisfied[i] = i;
-  const double leftover = water_fill(capacity, d, unsatisfied, shares);
-  if (leftover > 0.0) {
-    const double bonus = leftover / static_cast<double>(n);
-    for (double& s : shares) s += bonus;
-  }
-}
-
-void proportional_fair(double capacity, const std::vector<SchedulerDemand>& d,
-                       std::vector<double>& shares) {
-  const std::size_t n = d.size();
-  shares.assign(n, 0.0);
-  if (n == 0) return;
-  const auto pull = [&](std::size_t i) {
-    const double want = d[i].total() - shares[i];
-    const double history = d[i].ewma_throughput;
-    const double denom = history >= 0.0 ? 1.0 + history : 1.0;
-    return d[i].weight * want / denom;
-  };
-  std::vector<std::size_t> unsatisfied(n);
-  for (std::size_t i = 0; i < n; ++i) unsatisfied[i] = i;
-  while (capacity > 0.0 && !unsatisfied.empty()) {
-    double mass = 0.0;
-    for (std::size_t i : unsatisfied) mass += pull(i);
-    if (mass <= 0.0) {
-      water_fill(capacity, d, unsatisfied, shares);
-      break;
-    }
-    std::size_t kept = 0;
-    double granted = 0.0;
-    bool capped = false;
-    for (std::size_t i : unsatisfied) {
-      const double want = d[i].total() - shares[i];
-      const double offer = capacity * pull(i) / mass;
-      if (want <= offer) {
-        shares[i] += want;
-        granted += want;
-        capped = true;
-      } else {
-        shares[i] += offer;
-        granted += offer;
-        unsatisfied[kept++] = i;
-      }
-    }
-    capacity -= granted;
-    if (!capped) break;
-    unsatisfied.resize(kept);
-  }
-}
-
-void weighted_priority(double capacity, const std::vector<SchedulerDemand>& d,
-                       std::vector<double>& shares) {
-  const std::size_t n = d.size();
-  shares.assign(n, 0.0);
-  if (n == 0) return;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    if (d[a].weight != d[b].weight) return d[a].weight > d[b].weight;
-    return a < b;
-  });
-  const auto same_tier = [](double a, double b) {
-    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
-  };
-  std::size_t begin = 0;
-  while (begin < n && capacity > 0.0) {
-    std::size_t end = begin + 1;
-    while (end < n &&
-           same_tier(d[perm[end - 1]].weight, d[perm[end]].weight)) {
-      ++end;
-    }
-    std::vector<std::size_t> tier(perm.begin() + begin, perm.begin() + end);
-    capacity = water_fill(capacity, d, tier, shares);
-    begin = end;
-  }
-}
-
-void deficit_round_robin(double capacity,
-                         const std::vector<SchedulerDemand>& d,
-                         std::size_t cursor, std::vector<double>& shares) {
-  const std::size_t n = d.size();
-  shares.assign(n, 0.0);
-  if (n == 0) return;
-  const std::size_t start = cursor % n;
-  std::vector<std::size_t> ring;
-  double ring_weight = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t i = (start + j) % n;
-    if (d[i].weight > 0.0 && d[i].total() > 0.0) {
-      ring.push_back(i);
-      ring_weight += d[i].weight;
-    }
-  }
-  double remaining = capacity;
-  if (!ring.empty() && ring_weight > 0.0 && remaining > 0.0) {
-    std::vector<double> deficit(n, 0.0);
-    while (remaining > 0.0 && !ring.empty()) {
-      const double quantum = capacity / ring_weight;
-      std::size_t kept = 0;
-      double kept_weight = 0.0;
-      for (std::size_t idx = 0; idx < ring.size() && remaining > 0.0; ++idx) {
-        const std::size_t i = ring[idx];
-        deficit[i] += quantum * d[i].weight;
-        const double want = d[i].total() - shares[i];
-        const double grant = std::min({deficit[i], want, remaining});
-        shares[i] += grant;
-        deficit[i] -= grant;
-        remaining -= grant;
-        if (want - grant > 0.0) {
-          ring[kept++] = i;
-          kept_weight += d[i].weight;
-        }
-      }
-      ring.resize(kept);
-      ring_weight = kept_weight;
-    }
-  }
-  if (remaining > 0.0) {
-    std::vector<std::size_t> leftover;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (d[i].weight <= 0.0 && d[i].total() - shares[i] > 0.0) {
-        leftover.push_back(i);
-      }
-    }
-    if (!leftover.empty()) water_fill(remaining, d, leftover, shares);
-  }
-}
-
-}  // namespace ref
+namespace ref = arvis_test::ref;
 
 TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
   Rng rng(4242);
   WorkConservingScheduler wc;
   ProportionalFairScheduler pf;
   WeightedPriorityScheduler wp;
-  std::vector<double> shares, want, direct;
-  std::size_t drr_calls = 0;
+  std::vector<double> shares, want;
   DeficitRoundRobinScheduler drr;
+  arvis_test::ReferenceScheduler drr_ref(SchedulerPolicy::kDeficitRoundRobin);
 
   for (int iter = 0; iter < 300; ++iter) {
     const std::size_t n = rng.below(18);
@@ -488,34 +328,23 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
     const SchedulerInput input{backlog, arrivals, weight, ewma};
 
     ref::work_conserving(capacity, demands, want);
-    wc.allocate(capacity, demands, shares);  // adapter path
+    wc.allocate(capacity, input, shares);
     ASSERT_EQ(shares, want) << "wc iter " << iter;
-    wc.allocate(capacity, input, direct);
-    ASSERT_EQ(direct, want) << "wc direct iter " << iter;
 
     ref::proportional_fair(capacity, demands, want);
-    pf.allocate(capacity, demands, shares);
+    pf.allocate(capacity, input, shares);
     ASSERT_EQ(shares, want) << "pf iter " << iter;
-    pf.allocate(capacity, input, direct);
-    ASSERT_EQ(direct, want) << "pf direct iter " << iter;
 
     ref::weighted_priority(capacity, demands, want);
-    wp.allocate(capacity, demands, shares);
+    wp.allocate(capacity, input, shares);
     ASSERT_EQ(shares, want) << "wp iter " << iter;
-    wp.allocate(capacity, input, direct);
-    ASSERT_EQ(direct, want) << "wp direct iter " << iter;
 
-    // DRR is stateful (rotation cursor, lazy residue): drive one scheduler
-    // object across all iterations and mirror the cursor in the reference
-    // (the cursor only advances on non-empty demand sets).
-    ref::deficit_round_robin(capacity, demands, drr_calls, want);
-    if (n > 0) ++drr_calls;
-    drr.allocate(capacity, demands, shares);
+    // DRR is stateful (rotation cursor, lazy residue): drive one kernel and
+    // one reference across all iterations, each advancing its cursor on
+    // non-empty demand sets only.
+    drr_ref.allocate(capacity, demands, want);
+    drr.allocate(capacity, input, shares);
     ASSERT_EQ(shares, want) << "drr iter " << iter;
-    ref::deficit_round_robin(capacity, demands, drr_calls, want);
-    if (n > 0) ++drr_calls;
-    drr.allocate(capacity, input, direct);
-    ASSERT_EQ(direct, want) << "drr direct iter " << iter;
   }
 }
 
