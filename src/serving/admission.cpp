@@ -39,7 +39,6 @@ AdmissionDecision AdmissionController::try_admit(
   if (candidates.empty()) {
     throw std::invalid_argument("try_admit: empty candidate set");
   }
-  ++stats_.attempts;
   AdmissionDecision decision;
   decision.residual_capacity = residual_capacity();
 
@@ -50,7 +49,6 @@ AdmissionDecision AdmissionController::try_admit(
     // never consulted when disabled); admission imposes no depth cap.
     decision.max_sustainable_depth = d_max;
     decision.admitted = true;
-    ++stats_.accepted;
     return decision;
   }
   decision.cheapest_load = cheapest_depth_load(cache, candidates);
@@ -71,10 +69,8 @@ AdmissionDecision AdmissionController::try_admit(
     decision.admitted = decision.max_sustainable_depth >= d_min;
   }
   if (decision.admitted) {
-    ++stats_.accepted;
     reserved_ += decision.cheapest_load;
   } else {
-    ++stats_.rejected;
     log_info("admission: rejected session (cheapest load ",
              decision.cheapest_load, " B/slot vs residual ",
              decision.residual_capacity, " B/slot, depths ", d_min, "..",

@@ -24,7 +24,9 @@ struct AdmissionConfig {
   bool enabled = true;
 };
 
-/// Accept/reject bookkeeping, reported with the fleet metrics.
+/// One link's admission outcomes, reported with the fleet metrics
+/// (SessionManager::admission_stats sums them from its per-tier counts).
+/// attempts == accepted + rejected.
 struct AdmissionStats {
   std::size_t attempts = 0;
   std::size_t accepted = 0;
@@ -65,7 +67,6 @@ class AdmissionController {
   /// Returns a departing session's reserved load to the pool.
   void release(double cheapest_load) noexcept;
 
-  [[nodiscard]] const AdmissionStats& stats() const noexcept { return stats_; }
   /// Σ cheapest-depth loads of currently admitted sessions (bytes/slot).
   [[nodiscard]] double reserved_load() const noexcept { return reserved_; }
   /// Admissible bytes/slot still unreserved.
@@ -87,7 +88,6 @@ class AdmissionController {
   bool enabled_;
   double scale_ = 1.0;  // fault-plane capacity multiplier
   double reserved_ = 0.0;
-  AdmissionStats stats_;
 };
 
 }  // namespace arvis

@@ -266,9 +266,8 @@ void EdgeCluster::place_arrivals() {
   }
 }
 
-std::size_t EdgeCluster::mint_runtime_id(std::size_t entry_id) {
-  failover_owner_.push_back(entry_id);
-  return kFailoverIdBase + failover_owner_.size() - 1;
+std::size_t EdgeCluster::next_runtime_id() const noexcept {
+  return kFailoverIdBase + failover_owner_.size();
 }
 
 std::size_t EdgeCluster::owner_of(std::size_t runtime_id) const {
@@ -355,12 +354,13 @@ void EdgeCluster::place_displaced() {
       continue;
     }
     const std::size_t attempts = rank_links(e);
-    const std::size_t rid = mint_runtime_id(entry_id);
+    const std::size_t rid = next_runtime_id();
     bool replaced = false;
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
       const AdmissionDecision decision = links_[k]->try_place(e.spec, rid);
       if (decision.admitted) {
+        failover_owner_.push_back(entry_id);  // claims rid
         e.link = static_cast<int>(k);
         e.runtime_id = rid;
         ++e.failovers;
@@ -419,12 +419,13 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
     displace(e);
     return false;
   }
-  const std::size_t rid = mint_runtime_id(session_id);
+  const std::size_t rid = next_runtime_id();
   if (!links_[target_link]->place_migrated(carried, rid).admitted) {
     ++books_.migrations_aborted;
     displace(e);
     return false;
   }
+  failover_owner_.push_back(session_id);  // claims rid
   e.link = static_cast<int>(target_link);
   e.runtime_id = rid;
   ++e.migrations;

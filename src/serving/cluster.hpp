@@ -406,11 +406,14 @@ class EdgeCluster {
   /// departure, 2 = explicit call (the kMigration flight encoding).
   bool do_migrate(std::size_t session_id, std::size_t target_link,
                   unsigned reason);
-  /// Mints a fresh per-link session id for a failover segment and records
-  /// its owning entry. Re-placement cannot reuse the entry id: a session that
-  /// bounces back onto a link it streamed on earlier would collide with its
-  /// own retired id in that link's books.
-  std::size_t mint_runtime_id(std::size_t entry_id);
+  /// The per-link session id the next failover or migration segment gets;
+  /// pushing the owning entry onto failover_owner_ once a link admits the
+  /// segment claims it. Re-placement cannot reuse the entry id: a session
+  /// that bounces back onto a link it streamed on earlier would collide with
+  /// its own retired id in that link's books. A refused segment claims
+  /// nothing, so admitted segments carry consecutive ids in admission order
+  /// (the order the handover drain breaks backlog ties by).
+  [[nodiscard]] std::size_t next_runtime_id() const noexcept;
   [[nodiscard]] std::size_t owner_of(std::size_t runtime_id) const;
 
   ClusterConfig config_;
@@ -439,7 +442,8 @@ class EdgeCluster {
   std::vector<double> caps_scratch_;     // effective per-link capacity this slot
   std::vector<std::size_t> displaced_;   // entry ids awaiting re-placement
   std::vector<EvictedSession> evict_scratch_;
-  // Failover runtime ids are kFailoverIdBase + index into this owner map.
+  // Failover runtime ids are kFailoverIdBase + index into this owner map,
+  // one entry per admitted failover or migration segment.
   std::vector<std::size_t> failover_owner_;
   bool collect_retry_ = false;
   std::vector<RetrySeed> retry_feed_;

@@ -49,9 +49,6 @@ struct FleetMetrics {
   /// Most sessions simultaneously active in any slot.
   std::size_t peak_concurrency = 0;
 
-  [[nodiscard]] double capacity_wasted() const noexcept {
-    return capacity_offered - capacity_used;
-  }
   /// Fraction of offered capacity used, in [0, 1]; 0 when nothing offered.
   [[nodiscard]] double utilization() const noexcept {
     return capacity_offered > 0.0 ? capacity_used / capacity_offered : 0.0;

@@ -62,8 +62,6 @@ void EqualShareScheduler::allocate(double capacity,
                                    const SchedulerInput& demands,
                                    std::vector<double>& shares) {
   const std::size_t n = demands.size();
-  ++stats_.calls;
-  ++stats_.fast_path;  // closed form — there is no generic fallback
   shares.assign(n, n == 0 ? 0.0 : capacity / static_cast<double>(n));
 }
 
@@ -71,49 +69,8 @@ void WorkConservingScheduler::allocate(double capacity,
                                        const SchedulerInput& demands,
                                        std::vector<double>& shares) {
   const std::size_t n = demands.size();
-  ++stats_.calls;
-  if (n == 0) {
-    ++stats_.fast_path;  // trivially nothing to do — still classified
-    shares.clear();
-    return;
-  }
-  // Fused first round: in the common regime (capacity covers every demand —
-  // steady state under admission control) the generic path's first
-  // water-fill round caps everyone and the loop ends, so detect that in one
-  // read-only pass and write want+bonus directly — no zero-fill, no index
-  // list, no compaction. Arithmetic is operation-for-operation the generic
-  // round's (want accumulates left to right, 0.0 + want == want,
-  // want + bonus unchanged), so shares are bit-identical (tested).
-  if (capacity > 0.0) {
-    const double slice = capacity / static_cast<double>(n);
-    double granted = 0.0;
-    bool all_capped = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double want = demands.total(i);
-      if (want <= slice) {
-        granted += want;
-      } else {
-        all_capped = false;
-        break;
-      }
-    }
-    if (all_capped) {
-      ++stats_.fast_path;
-      shares.resize(n);
-      const double leftover = std::max(capacity - granted, 0.0);
-      if (leftover > 0.0) {
-        const double bonus = leftover / static_cast<double>(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          shares[i] = demands.total(i) + bonus;
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) shares[i] = demands.total(i);
-      }
-      return;
-    }
-  }
-  ++stats_.generic;
   shares.assign(n, 0.0);
+  if (n == 0) return;
   fill_indices(scratch_, n);
   const double leftover = water_fill(capacity, demands, scratch_, shares);
   // All demands met with capacity to spare: hand the excess back out
@@ -130,12 +87,8 @@ void ProportionalFairScheduler::allocate(double capacity,
                                          const SchedulerInput& demands,
                                          std::vector<double>& shares) {
   const std::size_t n = demands.size();
-  ++stats_.calls;
   shares.assign(n, 0.0);
-  if (n == 0) {
-    ++stats_.fast_path;  // trivially nothing to do — still classified
-    return;
-  }
+  if (n == 0) return;
 
   // True PF when history is supplied: divide each session's pull by
   // (1 + EWMA served bytes/slot). The +1 byte floors the denominator so a
@@ -149,72 +102,16 @@ void ProportionalFairScheduler::allocate(double capacity,
     const double denom = history >= 0.0 ? 1.0 + history : 1.0;
     return demands.weight[i] * want / denom;
   };
-  // First-round pull with shares implicitly zero: total(i) - 0.0 == total(i)
-  // bitwise for the non-negative demands the runtime produces, so the fused
-  // round below reproduces the generic round exactly.
-  const auto pull0 = [&](std::size_t i) {
-    const double history = demands.ewma(i);
-    const double denom = history >= 0.0 ? 1.0 + history : 1.0;
-    return demands.weight[i] * demands.total(i) / denom;
-  };
 
   std::vector<std::size_t>& unsatisfied = scratch_;
-
-  // Fused first round over the implicit full index range: no zero-fill of
-  // `shares`, no index-list materialization. Every arithmetic step mirrors
-  // the generic loop's first iteration operation for operation (tested
-  // bit-for-bit against the reference algorithm).
-  double mass = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mass += pull0(i);
-  if (!(capacity > 0.0) || mass <= 0.0) {
-    ++stats_.generic;
-    shares.assign(n, 0.0);
-    if (capacity > 0.0) {
-      // Only zero-weight (or zero-demand) sessions exist: proportional
+  fill_indices(unsatisfied, n);
+  while (capacity > 0.0 && !unsatisfied.empty()) {
+    double mass = 0.0;
+    for (std::size_t i : unsatisfied) mass += pull(i);
+    if (mass <= 0.0) {
+      // Only zero-weight (or zero-demand) sessions remain: proportional
       // offers would starve them forever, so the surplus-redistribution
       // contract falls back to plain water-filling.
-      fill_indices(unsatisfied, n);
-      water_fill(capacity, demands, unsatisfied, shares);
-    }
-    return;
-  }
-  shares.resize(n);
-  unsatisfied.clear();
-  {
-    double granted = 0.0;
-    bool capped = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double want = demands.total(i);
-      const double offer = capacity * pull0(i) / mass;
-      if (want <= offer) {
-        shares[i] = want;
-        granted += want;
-        capped = true;
-      } else {
-        shares[i] = offer;
-        granted += offer;
-        unsatisfied.push_back(i);
-      }
-    }
-    capacity -= granted;
-    if (!capped) {
-      ++stats_.fast_path;  // the fused round settled the whole slot
-      return;              // everyone took exactly their proportional offer
-    }
-  }
-  if (unsatisfied.empty() || !(capacity > 0.0)) {
-    ++stats_.fast_path;  // fused round capped everyone / spent the link
-  } else {
-    ++stats_.generic;
-  }
-
-  // Remaining rounds: the generic iteration over the surviving set.
-  while (capacity > 0.0 && !unsatisfied.empty()) {
-    double round_mass = 0.0;
-    for (std::size_t i : unsatisfied) {
-      round_mass += pull(i);
-    }
-    if (round_mass <= 0.0) {
       water_fill(capacity, demands, unsatisfied, shares);
       break;
     }
@@ -223,7 +120,7 @@ void ProportionalFairScheduler::allocate(double capacity,
     bool capped = false;
     for (std::size_t i : unsatisfied) {
       const double want = demands.total(i) - shares[i];
-      const double offer = capacity * pull(i) / round_mass;
+      const double offer = capacity * pull(i) / mass;
       if (want <= offer) {
         shares[i] += want;
         granted += want;
@@ -268,36 +165,9 @@ void WeightedPriorityScheduler::allocate(double capacity,
                                          const SchedulerInput& demands,
                                          std::vector<double>& shares) {
   const std::size_t n = demands.size();
-  ++stats_.calls;
   shares.assign(n, 0.0);
-  if (n == 0) {
-    ++stats_.fast_path;  // trivially nothing to do — still classified
-    return;
-  }
-
-  // Uniform fleet (detected in one compare pass): the sort would be the
-  // identity permutation and the tier split one maximal run, so the whole
-  // policy degenerates to a single water-fill over everyone — bit-identical,
-  // no sort, no permutation.
-  bool uniform = true;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (demands.weight[i] != demands.weight[0]) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    ++stats_.fast_path;
-    if (capacity > 0.0) {
-      fill_indices(tier_, n);
-      water_fill(capacity, demands, tier_, shares);
-    }
-    return;
-  }
-
-  ++stats_.generic;
+  if (n == 0) return;
   sort_tiers(demands);
-
   for (const auto& [begin, end] : tier_bounds_) {
     if (!(capacity > 0.0)) break;
     tier_.assign(perm_.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -310,8 +180,6 @@ void DeficitRoundRobinScheduler::allocate(double capacity,
                                           const SchedulerInput& demands,
                                           std::vector<double>& shares) {
   const std::size_t n = demands.size();
-  ++stats_.calls;
-  ++stats_.generic;  // DRR always runs its ring rounds — no fused shortcut
   shares.assign(n, 0.0);
   if (n == 0) return;
   // Rotation order for this slot; the cursor advances once per allocation so

@@ -14,22 +14,18 @@
 // session store's SoA mirrors) so the schedule phase walks contiguous
 // memory with no per-session struct copy-in.
 //
-// Fast paths skip work only where that perturbs no bit: the multi-round
-// policies run a fused first round over the implicit full index range (no
-// index-list materialization, no zero-fill pass) that reproduces the
-// generic round's arithmetic operation for operation; weighted-priority
-// skips tier-finding for a uniform fleet; DRR initializes deficit residue
-// for ring members only. Incrementally-maintained floating point *sums* are
-// deliberately absent: they round differently from the canonical
-// left-to-right pass, and every fast path here must be (and is, tested)
-// bit-identical to the reference algorithm.
+// Each policy runs one algorithm every slot, and the kernels must match
+// the same algorithms written over demand structs
+// (tests/support/reference_scheduler.hpp) share for share. DRR zeroes
+// deficit residue for ring members only, the only entries it reads.
+// Incrementally-maintained floating point *sums* are deliberately absent:
+// they round differently from the canonical left-to-right pass.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace arvis {
@@ -55,18 +51,6 @@ struct SchedulerInput {
   }
 };
 
-/// Always-on dispatch accounting, kept as plain cumulative uint64s (one or
-/// two adds per allocate, at slot granularity). The session manager samples
-/// per-slot deltas into the telemetry registry.
-struct SchedulerStats {
-  /// Span-kernel allocate() invocations.
-  std::uint64_t calls = 0;
-  /// Slots served entirely by a fused or uniform fast path.
-  std::uint64_t fast_path = 0;
-  /// Slots that fell through to the generic multi-round algorithm.
-  std::uint64_t generic = 0;
-};
-
 /// Interface: divides one slot's link capacity among sessions.
 class EdgeScheduler {
  public:
@@ -79,14 +63,6 @@ class EdgeScheduler {
   /// valid for the duration of the call only.
   virtual void allocate(double capacity, const SchedulerInput& demands,
                         std::vector<double>& shares) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Cumulative dispatch accounting since construction.
-  [[nodiscard]] const SchedulerStats& stats() const noexcept { return stats_; }
-
- protected:
-  SchedulerStats stats_;
 };
 
 /// capacity / N to every session regardless of demand; unused share wasted
@@ -95,7 +71,6 @@ class EqualShareScheduler final : public EdgeScheduler {
  public:
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
-  [[nodiscard]] std::string name() const override { return "equal-share"; }
 };
 
 /// Equal split, but shares unused by under-demanding sessions are
@@ -106,7 +81,6 @@ class WorkConservingScheduler final : public EdgeScheduler {
  public:
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
-  [[nodiscard]] std::string name() const override { return "work-conserving"; }
 
  private:
   std::vector<std::size_t> scratch_;  // reused across slots: no per-slot allocs
@@ -127,9 +101,6 @@ class ProportionalFairScheduler final : public EdgeScheduler {
  public:
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
-  [[nodiscard]] std::string name() const override {
-    return "proportional-fair";
-  }
 
  private:
   std::vector<std::size_t> scratch_;  // reused across slots: no per-slot allocs
@@ -145,16 +116,10 @@ class ProportionalFairScheduler final : public EdgeScheduler {
 /// relative epsilon — never by exact `double ==`, so weights that should be
 /// equal but were produced by different arithmetic paths (0.1 + 0.2 vs 0.3)
 /// land in one tier instead of silently forming a phantom priority level.
-/// A uniform fleet (detected in one compare pass) skips tier-finding
-/// altogether — one water-fill over everyone, which is exactly what the sort
-/// degenerates to when all weights are equal.
 class WeightedPriorityScheduler final : public EdgeScheduler {
  public:
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
-  [[nodiscard]] std::string name() const override {
-    return "weighted-priority";
-  }
 
  private:
   void sort_tiers(const SchedulerInput& demands);
@@ -181,9 +146,6 @@ class DeficitRoundRobinScheduler final : public EdgeScheduler {
  public:
   void allocate(double capacity, const SchedulerInput& demands,
                 std::vector<double>& shares) override;
-  [[nodiscard]] std::string name() const override {
-    return "deficit-round-robin";
-  }
 
  private:
   std::size_t cursor_ = 0;

@@ -67,8 +67,6 @@ void SessionManager::register_telemetry() {
   c_adm_accept_ = &reg.counter(prefix + "admission_accepted");
   c_adm_reject_ = &reg.counter(prefix + "admission_rejected");
   c_closed_ = &reg.counter(prefix + "sessions_closed");
-  c_sched_fast_ = &reg.counter(prefix + "scheduler_fast_path");
-  c_sched_generic_ = &reg.counter(prefix + "scheduler_generic");
   h_active_ = &reg.histogram(prefix + "active_sessions");
   h_slot_used_ = &reg.histogram(prefix + "slot_used_bytes");
   h_lifetime_ = &reg.histogram(prefix + "session_lifetime_slots");
@@ -312,31 +310,13 @@ SessionManager::SlotReport SessionManager::finish_slot(double capacity_bytes) {
       used += store_.drain(i, shares_[i], alpha);
     }
   }
-  // Telemetry flush: a handful of counter bumps per *slot* boundary, never
-  // per session — the disabled path pays one branch and two uint64 loads
-  // here (the scheduler stats feed the flight recorder's fallback edge
-  // even with counters off).
-  const SchedulerStats& sched = scheduler_->stats();
-  const std::uint64_t generic_delta = sched.generic - sched_generic_seen_;
+  // Telemetry flush: a handful of instrument updates per *slot* boundary,
+  // never per session — the disabled path pays one branch here.
   if (c_slots_ != nullptr) {
     c_slots_->add(1);
     h_active_->record(static_cast<double>(n));
     h_slot_used_->record(used);
-    c_sched_fast_->add(sched.fast_path - sched_fast_seen_);
-    c_sched_generic_->add(generic_delta);
   }
-  sched_fast_seen_ = sched.fast_path;
-  sched_generic_seen_ = sched.generic;
-  // Flight event on the fast->generic schedule transition only (an edge,
-  // not a level): a run that settles into the generic path records once,
-  // not once per slot.
-  const bool generic_slot = generic_delta > 0;
-  if (flight_ != nullptr && generic_slot && !last_slot_generic_) {
-    flight_->record(FlightEventKind::kSchedFallback, slot_, tid_,
-                    static_cast<double>(sched.generic),
-                    static_cast<double>(n));
-  }
-  last_slot_generic_ = generic_slot;
   metrics_.record_slot(capacity_bytes, used, n);
   ++slot_;
   return SlotReport{capacity_bytes, used, n};
@@ -407,8 +387,14 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
   merge_slo_sample(observation.total, total);
 }
 
-const AdmissionStats& SessionManager::admission_stats() const noexcept {
-  return admission_.stats();
+AdmissionStats SessionManager::admission_stats() const noexcept {
+  AdmissionStats stats;
+  for (std::size_t t = 0; t < kSloTiers; ++t) {
+    stats.accepted += tier_accepted_[t];
+    stats.rejected += tier_rejected_[t];
+  }
+  stats.attempts = stats.accepted + stats.rejected;
+  return stats;
 }
 
 void SessionManager::skip_idle_slots(std::size_t slots) {

@@ -285,7 +285,10 @@ class SessionManager {
 
   /// Sessions currently streaming.
   [[nodiscard]] std::size_t active_count() const noexcept;
-  [[nodiscard]] const AdmissionStats& admission_stats() const noexcept;
+  /// The link's admission outcomes so far (placements and migration
+  /// injections; a spill counts on every link it tried), summed over the
+  /// QoS tiers.
+  [[nodiscard]] AdmissionStats admission_stats() const noexcept;
 
   /// Running slot aggregates, readable mid-run (the event-driven driver
   /// samples them for periodic metrics snapshots); finish() folds in the
@@ -384,26 +387,19 @@ class SessionManager {
   TelemetryCounter* c_adm_accept_ = nullptr;
   TelemetryCounter* c_adm_reject_ = nullptr;
   TelemetryCounter* c_closed_ = nullptr;
-  TelemetryCounter* c_sched_fast_ = nullptr;
-  TelemetryCounter* c_sched_generic_ = nullptr;
   TelemetryHistogram* h_active_ = nullptr;
   TelemetryHistogram* h_slot_used_ = nullptr;
   TelemetryHistogram* h_lifetime_ = nullptr;
-  // Last-flushed scheduler stats (registry counters get per-slot deltas).
-  std::uint64_t sched_fast_seen_ = 0;
-  std::uint64_t sched_generic_seen_ = 0;
 
   // Flight recorder (default ON — resolve_flight_recorder falls back to the
   // process-global ring). record() is a relaxed fetch_add plus six plain
-  // stores and fires only at lifecycle edges and slot-phase transitions,
+  // stores and fires only at lifecycle edges and brownout transitions,
   // never per session·slot, so the allocation probes hold with it on.
   FlightRecorder* flight_ = nullptr;
-  /// Whether the previous slot's schedule took the generic path — the
-  /// fast->generic transition edge is a flight event.
-  bool last_slot_generic_ = false;
 
-  // SLO accounting: cumulative per-tier admission outcomes (placements and
-  // migration injections) and the snapshot-time delay scratch
+  // Cumulative per-tier admission outcomes (placements and migration
+  // injections) — the link's one admission ledger, read by admission_stats()
+  // and the SLO sample — and the snapshot-time delay scratch
   // ([tier 0..2] + [all tiers]).
   std::uint64_t tier_accepted_[kSloTiers] = {};
   std::uint64_t tier_rejected_[kSloTiers] = {};

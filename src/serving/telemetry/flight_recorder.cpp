@@ -23,7 +23,6 @@ const char* to_string(FlightEventKind kind) noexcept {
     case FlightEventKind::kClose: return "close";
     case FlightEventKind::kPlacementSpill: return "placement_spill";
     case FlightEventKind::kPlacementReject: return "placement_reject";
-    case FlightEventKind::kSchedFallback: return "sched_fallback";
     case FlightEventKind::kSnapshot: return "snapshot";
     case FlightEventKind::kSloBreach: return "slo_breach";
     case FlightEventKind::kSloRecover: return "slo_recover";

@@ -1,17 +1,16 @@
 // FlightRecorder: the runtime's always-on black box.
 //
 // A fixed-capacity ring of recent structured lifecycle events — admissions,
-// rejects, closes, placement spills, scheduler fast-path fallbacks, snapshot
-// deltas, SLO transitions — recorded by the serving runtime in Release
-// builds by *default*. The cost contract that makes default-on viable:
+// rejects, closes, placement spills, faults and migrations, snapshot deltas,
+// SLO transitions — recorded by the serving runtime in Release builds by
+// *default*. The cost contract that makes default-on viable:
 //
 //   - record() is a relaxed atomic slot claim plus six plain stores into
 //     preallocated memory — no allocation, no locks, no clock reads;
 //   - the runtime records only at lifecycle edges (a session arriving,
-//     departing, spilling; a scheduler falling off its fast path; a
-//     snapshot firing), never per session·slot — a steady-state slot with
-//     no churn records nothing, so the counting-operator-new probes hold
-//     with the recorder on.
+//     departing, spilling; a link failing; a snapshot firing), never per
+//     session·slot — a steady-state slot with no churn records nothing, so
+//     the counting-operator-new probes hold with the recorder on.
 //
 // When something goes wrong the ring is the first minutes of the incident
 // tape: black_box_json() renders the held events plus a registry snapshot
@@ -50,9 +49,6 @@ enum class FlightEventKind : std::uint8_t {
   /// Every offered link refused the session. a = session id, b = links
   /// tried.
   kPlacementReject,
-  /// The scheduler left its fast path this slot after running fast the slot
-  /// before. a = generic invocations this slot, b = active count.
-  kSchedFallback,
   /// A periodic driver snapshot fired. a = active sessions,
   /// b = window utilization.
   kSnapshot,
@@ -82,8 +78,6 @@ enum class FlightEventKind : std::uint8_t {
   /// refuses more than 1024 links.
   kMigration,
 };
-
-inline constexpr std::size_t kFlightEventKindCount = 15;
 
 const char* to_string(FlightEventKind kind) noexcept;
 

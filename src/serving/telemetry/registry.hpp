@@ -115,9 +115,6 @@ class TelemetryRegistry {
   [[nodiscard]] std::size_t counter_count() const noexcept {
     return counters_.size();
   }
-  [[nodiscard]] std::size_t histogram_count() const noexcept {
-    return histograms_.size();
-  }
 
   /// Flat iteration in registration order, for export.
   template <typename Fn>  // Fn(const std::string&, const TelemetryCounter&)

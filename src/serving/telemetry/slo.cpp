@@ -67,8 +67,6 @@ void merge_slo_sample(SloTierSample& into,
 SloMonitor::SloMonitor(const SloConfig& config) : config_(config) {
   validate_slo(config_, "SloMonitor");
   states_.assign(config_.specs.size(), SloState::kOk);
-  last_fast_.assign(config_.specs.size(), Eval{});
-  last_slow_.assign(config_.specs.size(), Eval{});
 }
 
 namespace {
@@ -116,11 +114,13 @@ SloMonitor::Eval SloMonitor::evaluate(const SloSpec& spec,
   const SloObservation& base = n > window ? history_[n - 1 - window] : zero;
   if (spec.metric == SloMetric::kSpillRatio) {
     // Cluster-wide by construction: placement counters are not tiered.
+    // `placed` already counts every spilled session, so the arrivals placement
+    // decided are placed + rejects.
     const std::uint64_t placed = newest.placed - base.placed;
     const std::uint64_t spills = newest.spills - base.spills;
     const std::uint64_t rejects =
         newest.placement_rejects - base.placement_rejects;
-    const std::uint64_t attempts = placed + spills + rejects;
+    const std::uint64_t attempts = placed + rejects;
     if (attempts == 0) return {0.0, false};  // no placements: passing
     const double value =
         static_cast<double>(spills) / static_cast<double>(attempts);
@@ -153,8 +153,6 @@ std::vector<SloTransition> SloMonitor::observe(
     const SloSpec& spec = config_.specs[i];
     const Eval fast = evaluate(spec, config_.windows.fast);
     const Eval slow = evaluate(spec, config_.windows.slow);
-    last_fast_[i] = fast;
-    last_slow_[i] = slow;
     SloState next = SloState::kOk;
     if (fast.violated && slow.violated) {
       next = SloState::kBreach;
@@ -172,19 +170,6 @@ std::vector<SloTransition> SloMonitor::observe(
     states_[i] = next;
   }
   return out;
-}
-
-CsvTable SloMonitor::status_table() const {
-  CsvTable table(
-      {"spec", "metric", "tier", "threshold", "state", "fast", "slow"});
-  for (std::size_t i = 0; i < config_.specs.size(); ++i) {
-    const SloSpec& spec = config_.specs[i];
-    table.add_row({spec.name, to_string(spec.metric),
-                   static_cast<std::int64_t>(spec.tier), spec.threshold,
-                   to_string(states_[i]), last_fast_[i].value,
-                   last_slow_[i].value});
-  }
-  return table;
 }
 
 CsvTable slo_transitions_table(const std::vector<SloSpec>& specs,

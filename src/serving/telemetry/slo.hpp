@@ -48,9 +48,11 @@ enum class SloMetric : std::uint8_t {
   /// rejected / (accepted + rejected) over the window; violated when ABOVE
   /// the threshold (a ceiling).
   kRejectRatio,
-  /// spills / (placed + spills + placement rejects) over the window;
-  /// violated when ABOVE the threshold. Cluster-wide only (spill counters
-  /// are not tiered); a per-tier spec still reads the cluster totals.
+  /// spills / (placed + placement rejects) over the window — the share of
+  /// the arrivals placement decided that landed off their first-choice link
+  /// (`placed` counts spilled sessions too); violated when ABOVE the
+  /// threshold. Cluster-wide only (spill counters are not tiered); a
+  /// per-tier spec still reads the cluster totals.
   kSpillRatio,
   /// Worst p95 backlog-age proxy (slots of work queued at current service
   /// rate) over the window; violated when ABOVE the threshold.
@@ -130,7 +132,9 @@ struct SloObservation {
   std::size_t slot = 0;
   SloTierSample total;
   SloTierSample tier[kSloTiers];
-  /// Cluster placement outcomes, cumulative (all zero under a single link).
+  /// Cluster placement outcomes, cumulative. `placed` counts every admitted
+  /// arrival, spilled ones included; `spills` is the subset admitted off
+  /// its first-choice link.
   std::uint64_t placed = 0;
   std::uint64_t spills = 0;
   std::uint64_t placement_rejects = 0;
@@ -163,9 +167,6 @@ class SloMonitor {
   std::vector<SloTransition> observe(const SloObservation& observation);
 
   [[nodiscard]] const SloConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t spec_count() const noexcept {
-    return config_.specs.size();
-  }
   [[nodiscard]] SloState state(std::size_t spec) const noexcept {
     return states_[spec];
   }
@@ -180,10 +181,6 @@ class SloMonitor {
   }
   /// Total transitions INTO kBlip so far.
   [[nodiscard]] std::uint64_t blip_count() const noexcept { return blips_; }
-
-  /// (spec, metric, tier, threshold, state, fast, slow) rows — the current
-  /// standing of every objective.
-  [[nodiscard]] CsvTable status_table() const;
 
  private:
   /// Evaluates `spec` over the last `window` snapshots; returns the value
@@ -200,8 +197,6 @@ class SloMonitor {
   /// W+1 samples to difference cumulative counters.
   std::deque<SloObservation> history_;
   std::vector<SloState> states_;
-  std::vector<Eval> last_fast_;  ///< latest per-spec evals, for status_table
-  std::vector<Eval> last_slow_;
   std::vector<SloTransition> transitions_;
   std::uint64_t breaches_ = 0;
   std::uint64_t blips_ = 0;

@@ -2,8 +2,10 @@
 // the golden digests of the single-link runtime it replaced, placement
 // policies must differ where they should (least-loaded rescues skewed bursts
 // round-robin strands; best-fit packs tight links first), running the links
-// as parallel tasks must be bit-identical to serial, and the steady-state
-// slot loop must be allocation-free (counting global operator new probe).
+// as parallel tasks must be bit-identical to serial, the placement and
+// failover books must add up (spill ratio, failover ids, admission counts),
+// and the steady-state slot loop must be allocation-free (counting global
+// operator new probe).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +27,9 @@
 #include "serving/admission.hpp"
 #include "serving/cluster.hpp"
 #include "serving/session_manager.hpp"
+#include "serving/telemetry/flight_recorder.hpp"
 #include "serving/telemetry/registry.hpp"
+#include "serving/telemetry/slo.hpp"
 #include "support/alloc_probe.hpp"
 #include "support/decode_oracle.hpp"
 #include "support/run_digest.hpp"
@@ -640,6 +644,168 @@ TEST(EdgeClusterTest, SloQualityFloorIsEachActiveSessionsLastServedQuality) {
           << "tier " << t;
     }
   }
+}
+
+// ---------------------------------------- placement and failover books ----
+
+TEST(EdgeClusterTest, SloSpillRatioIsOneWhenEveryAdmittedArrivalSpills) {
+  // Least-loaded ranks the empty link 0 first for every arrival, but link 0
+  // has no room for any session, so each arrival spills to link 1, which has
+  // room for all six. `placed` counts the spilled sessions too, so the spill
+  // ratio is spills / (placed + rejects) = 6 / 6.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kLeastLoaded;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> caps{0.5 * load, 6.5 * load};
+  EdgeCluster cluster(config, caps);
+  for (std::size_t i = 0; i < 6; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.arrival_slot = i;
+    cluster.submit(spec);
+  }
+  for (std::size_t t = 0; t < 8; ++t) cluster.step(caps);
+
+  SloObservation observation;
+  cluster.accumulate_slo(observation);
+  EXPECT_EQ(observation.placed, 6U);
+  EXPECT_EQ(observation.spills, 6U);
+  EXPECT_EQ(observation.placement_rejects, 0U);
+
+  SloConfig slo;
+  slo.specs = {{"spill", SloMetric::kSpillRatio, 0.75, -1}};
+  slo.windows = {1, 1};
+  SloMonitor monitor(slo);
+  const std::vector<SloTransition> t = monitor.observe(observation);
+  ASSERT_EQ(t.size(), 1U);
+  EXPECT_EQ(t[0].to, SloState::kBreach);
+  EXPECT_EQ(t[0].fast_value, 1.0);
+}
+
+TEST(EdgeClusterTest, FailoverIdsStayConsecutiveAcrossRefusals) {
+  // Two round-robin links with room for three sessions each; sessions 0-3
+  // arrive at slot 0 (0 and 2 on link 0, 1 and 3 on link 1). Link 0 goes
+  // down at slot 5: session 0 re-places on link 1 and session 2, finding it
+  // full, is evicted. Link 0 comes back at slot 10 with its admission budget
+  // scaled to 0, so migrating session 1 there aborts and session 1
+  // re-places on link 1 at once; with the budget restored, session 3
+  // migrates to link 0 at slot 15. Each admitted segment takes the next
+  // failover id; the refused re-placement and the aborted migration take
+  // none.
+  FlightRecorder recorder;
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.serving.telemetry.flight = &recorder;
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double capacity = 3.5 * cheapest_load(config.serving.candidates);
+  const std::vector<double> caps(2, capacity);
+  EdgeCluster cluster(config, caps);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    cluster.submit(spec);
+  }
+  for (std::size_t t = 0; t < 20; ++t) {
+    if (t == 5) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkDown, 0}));
+    }
+    if (t == 10) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkUp, 0}));
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kCapacityScale, 0, 0.0}));
+      EXPECT_FALSE(cluster.migrate_session(1, 0));
+    }
+    if (t == 15) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kCapacityScale, 0, 1.0}));
+      EXPECT_TRUE(cluster.migrate_session(3, 0));
+    }
+    cluster.step(caps);
+  }
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  ASSERT_EQ(m.failover_displaced, 3U);  // sessions 0 and 2, aborted 1
+  ASSERT_EQ(m.failover_replaced, 2U);   // sessions 0 and 1
+  ASSERT_EQ(m.fault_evicted, 1U);       // session 2: the refused re-placement
+  ASSERT_EQ(m.migrations_aborted, 1U);
+  ASSERT_EQ(m.migrations_completed, 1U);
+  EXPECT_EQ(result.sessions[0].link, 1);
+  EXPECT_EQ(result.sessions[1].link, 1);
+  EXPECT_EQ(result.sessions[2].link, 0);
+  EXPECT_EQ(result.sessions[3].link, 0);
+
+  // Admitted failover and migration segments, as offsets from the first
+  // failover id (2^32), in admission order.
+  constexpr std::uint64_t kBase = std::uint64_t{1} << 32;
+  std::vector<std::uint64_t> failover_admits;
+  ASSERT_EQ(recorder.dropped(), 0U);
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    const FlightEvent& e = recorder.at(i);
+    const auto id = static_cast<std::uint64_t>(e.a);
+    if (e.kind == FlightEventKind::kAdmit && id >= kBase) {
+      failover_admits.push_back(id - kBase);
+    }
+  }
+  EXPECT_EQ(failover_admits, (std::vector<std::uint64_t>{0, 1, 2}));
+}
+
+TEST(EdgeClusterTest, AdmissionStatsSumEachLinksTierCounts) {
+  // Round-robin over link 0 (room for one session) and link 1 (room for
+  // four). Six sessions arrive at slot 0: session 0 lands on link 0, 1 and 3
+  // on link 1, 2 and 4 spill from link 0 to link 1, and both links refuse 5.
+  // Session 0 departs at slot 5, and session 1 migrates onto the freed
+  // link 0 at slot 8, a second admission in its tier.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> caps{1.5 * load, 4.5 * load};
+  EdgeCluster cluster(config, caps);
+  const std::uint8_t qos[] = {0, 2, 1, 1, 0, 2};
+  for (std::size_t i = 0; i < std::size(qos); ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.qos = qos[i];
+    if (i == 0) spec.departure_slot = 5;
+    cluster.submit(spec);
+  }
+  for (std::size_t t = 0; t < 12; ++t) {
+    if (t == 8) {
+      ASSERT_TRUE(cluster.migrate_session(1, 0));
+    }
+    cluster.step(caps);
+  }
+  SloObservation observation;
+  cluster.accumulate_slo(observation);
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  EXPECT_EQ(m.spills, 2U);
+  EXPECT_EQ(m.placement_rejects, 1U);
+  EXPECT_EQ(m.migrations_completed, 1U);
+
+  // Link 0 admitted 0 and the migrated 1 and refused 2, 4 and 5; link 1
+  // admitted 1, 2, 3 and 4 and refused 5.
+  ASSERT_EQ(m.per_link_admission.size(), 2U);
+  const std::size_t want_accepted[] = {2, 4};
+  const std::size_t want_rejected[] = {3, 1};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const AdmissionStats& a = m.per_link_admission[k];
+    EXPECT_EQ(a.accepted, want_accepted[k]) << "link " << k;
+    EXPECT_EQ(a.rejected, want_rejected[k]) << "link " << k;
+    EXPECT_EQ(a.attempts, a.accepted + a.rejected) << "link " << k;
+  }
+  // The same ten outcomes by tier: best-effort admitted 0 and 4 (refused on
+  // link 0 first); standard admitted 2 (refused on link 0 first) and 3;
+  // premium admitted 1 twice, and both links refused 5.
+  const std::uint64_t tier_accepted[] = {2, 2, 2};
+  const std::uint64_t tier_rejected[] = {1, 1, 2};
+  for (std::size_t t = 0; t < kSloTiers; ++t) {
+    EXPECT_EQ(observation.tier[t].accepted, tier_accepted[t]) << "tier " << t;
+    EXPECT_EQ(observation.tier[t].rejected, tier_rejected[t]) << "tier " << t;
+  }
+  const AdmissionStats& a0 = m.per_link_admission[0];
+  const AdmissionStats& a1 = m.per_link_admission[1];
+  EXPECT_EQ(observation.total.accepted, a0.accepted + a1.accepted);
+  EXPECT_EQ(observation.total.rejected, a0.rejected + a1.rejected);
 }
 
 // ------------------------------------------------- allocation freedom ----

@@ -231,12 +231,14 @@ TEST(SloMonitorTest, SpillRatioReadsClusterPlacementCounters) {
   config.windows = {1, 1};
   SloMonitor monitor(config);
 
+  // The runtime's convention: `placed` counts every admitted arrival, so 6
+  // first-choice plus 3 spilled sessions read placed = 9.
   SloObservation obs;
   obs.slot = 10;
-  obs.placed = 6;
+  obs.placed = 9;
   obs.spills = 3;
   obs.placement_rejects = 1;
-  auto t = monitor.observe(obs);  // 3 / 10 over the window
+  auto t = monitor.observe(obs);  // 3 / (9 + 1) over the window
   ASSERT_EQ(t.size(), 1U);
   EXPECT_EQ(t[0].to, SloState::kBreach);
   EXPECT_NEAR(t[0].fast_value, 0.3, 1e-12);
@@ -398,7 +400,7 @@ TEST(BlackBoxDeathTest, DcheckFailureLeavesAParseableDump) {
         arming.recorder = &recorder;
         arming.signal_handlers = false;
         arm_black_box(arming);
-        recorder.record(FlightEventKind::kSchedFallback, 99, 1, 2.0, 3.0);
+        recorder.record(FlightEventKind::kBrownoutEnter, 99, 1, 2.0, 3.0);
         ARVIS_DCHECK_MSG(false, "observability death test");
       },
       "observability death test");
@@ -406,7 +408,7 @@ TEST(BlackBoxDeathTest, DcheckFailureLeavesAParseableDump) {
   const std::string dump = read_file(path);
   ASSERT_FALSE(dump.empty()) << "no black box at " << path;
   EXPECT_TRUE(balanced_json(dump));
-  EXPECT_NE(dump.find("\"kind\":\"sched_fallback\""), std::string::npos);
+  EXPECT_NE(dump.find("\"kind\":\"brownout_enter\""), std::string::npos);
   EXPECT_NE(dump.find("\"slot\":99"), std::string::npos);
   std::remove(path.c_str());
 }

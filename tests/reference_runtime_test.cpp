@@ -31,8 +31,8 @@ TEST(ReferenceRuntimeTest, DeficitRoundRobinDense) {
 }
 
 // Each session's link share is over twice its deepest frame, so every demand
-// is met in work-conserving's fused first round and the surplus goes out
-// equally, a path the loaded regimes never take.
+// is met in work-conserving's first water-fill round and the surplus goes
+// out equally, a path the loaded regimes never take.
 TEST(ReferenceRuntimeTest, WorkConservingUnderloaded) {
   EXPECT_TRUE(oracle_matches(SchedulerPolicy::kWorkConserving, 0.0, 8, 200,
                              /*churn=*/false, /*headroom=*/200.0));

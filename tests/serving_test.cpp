@@ -83,13 +83,13 @@ TEST(SchedulerTest, AllPoliciesConserveCapacity) {
       const auto demands = random_demands(rng, n);
       const double capacity = rng.uniform(0.0, 20'000.0);
       allocate(*scheduler, capacity, demands, shares);
-      ASSERT_EQ(shares.size(), n) << scheduler->name();
+      ASSERT_EQ(shares.size(), n) << to_string(policy);
       double total = 0.0;
       for (double s : shares) {
-        EXPECT_GE(s, 0.0) << scheduler->name();
+        EXPECT_GE(s, 0.0) << to_string(policy);
         total += s;
       }
-      EXPECT_LE(total, capacity * (1.0 + 1e-9) + 1e-9) << scheduler->name();
+      EXPECT_LE(total, capacity * (1.0 + 1e-9) + 1e-9) << to_string(policy);
     }
   }
 }
@@ -281,14 +281,14 @@ TEST(SchedulerTest, DeficitRoundRobinRotatesTheResidue) {
   EXPECT_NEAR(third[2], 15.0, 1e-9);
 }
 
-// ------------------------------------- scheduler fast-path equivalence ----
-// The production kernels' fast paths must reproduce the reference
-// algorithms (support/reference_scheduler.hpp) share for share — exact
-// doubles, not NEAR.
+// ----------------------------------------- scheduler kernel equivalence ----
+// The production kernels must reproduce the reference algorithms
+// (support/reference_scheduler.hpp) share for share — exact doubles, not
+// NEAR.
 
 namespace ref = arvis_test::ref;
 
-TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
+TEST(SchedulerTest, KernelsMatchReferenceBitForBit) {
   Rng rng(4242);
   WorkConservingScheduler wc;
   ProportionalFairScheduler pf;
@@ -300,8 +300,8 @@ TEST(SchedulerTest, FastPathsMatchReferenceBitForBit) {
   for (int iter = 0; iter < 300; ++iter) {
     const std::size_t n = rng.below(18);
     std::vector<SchedulerDemand> demands = random_demands(rng, n);
-    // Exercise every regime the fast paths special-case: uniform weights,
-    // PF history, zero-demand and zero-weight stragglers, dry capacity.
+    // Mix in the corner regimes: uniform weights (one priority tier), PF
+    // history, zero-demand and zero-weight stragglers, dry capacity.
     const bool uniform = rng.bernoulli(0.4);
     for (SchedulerDemand& d : demands) {
       if (uniform) d.weight = 1.5;
@@ -371,10 +371,7 @@ TEST(AdmissionTest, AcceptRejectBoundary) {
   const auto third = admission.try_admit(shared_cache(), candidates);
   EXPECT_FALSE(third.admitted);
   EXPECT_EQ(third.max_sustainable_depth, 2);
-
-  EXPECT_EQ(admission.stats().attempts, 3U);
-  EXPECT_EQ(admission.stats().accepted, 2U);
-  EXPECT_EQ(admission.stats().rejected, 1U);
+  // The refusal reserved nothing: only the two admitted loads are held.
   EXPECT_NEAR(admission.reserved_load(), 2.0 * load, 1e-9);
 
   // A departure frees the slot.
@@ -389,7 +386,8 @@ TEST(AdmissionTest, DisabledAdmitsEverything) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(admission.try_admit(shared_cache(), {3, 4, 5}).admitted);
   }
-  EXPECT_EQ(admission.stats().rejected, 0U);
+  // Forced admits skip the load scan: nothing is reserved.
+  EXPECT_EQ(admission.reserved_load(), 0.0);
 }
 
 TEST(AdmissionTest, Validation) {

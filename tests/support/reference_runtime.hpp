@@ -2,12 +2,12 @@
 // pre-SoA runtime computed it — one object per session, per-slot non-owning
 // views over the frame cache (ByteWorkloadView / LogPointQualityView), the
 // virtual-dispatch LyapunovDepthController, a per-session DiscreteQueue, and
-// one demand struct per session, the link shared out by the policy's generic
-// algorithm (support/reference_scheduler.hpp) where the runtime runs the
-// policy's kernel, fast paths included, over its SoA spans in place.
+// one demand struct per session, the link shared out by the policy's
+// reference algorithm (support/reference_scheduler.hpp) where the runtime
+// runs the policy's kernel over its SoA spans in place.
 //
 // The runtime's flattened decide kernel, SoA layout, span plumbing and
-// scheduler fast paths change cost, never behaviour. Each check below runs
+// scheduler kernels change cost, never behaviour. Each check below runs
 // the runtime, replays the same sessions through this path, and succeeds
 // only when every record matches bit for bit; a failure names the first
 // session and slot that differ.

@@ -1,12 +1,12 @@
 // Reference scheduling for tests: the demand-struct shape of one slot's
-// scheduler input, and the generic algorithm of every policy written over it.
+// scheduler input, and the algorithm of every policy written over it.
 //
 // The runtime hands each policy per-field spans over its SoA mirrors; tests
 // write one SchedulerDemand per session instead. allocate() unpacks such a
 // set into SchedulerInput spans and runs a policy's kernel, so its shares are
-// the kernel's, bit for bit. The `ref` algorithms are the policies as they
-// stood before the kernels' fast paths (the fused first rounds, the
-// uniform-fleet shortcut, lazy DRR residue) landed; the kernels must
+// the kernel's, bit for bit. The `ref` algorithms are each policy's one
+// algorithm written over demand structs, with DRR zeroing its whole deficit
+// vector where the kernel zeroes ring members only; the kernels must
 // reproduce them share for share, exact doubles.
 #pragma once
 
@@ -220,7 +220,7 @@ inline void deficit_round_robin(double capacity,
 
 }  // namespace ref
 
-/// One scheduler of `policy` run through its generic reference algorithm,
+/// One scheduler of `policy` run through its reference algorithm,
 /// slot after slot. DRR's rotation cursor advances once per non-empty slot,
 /// as the kernel's does.
 class ReferenceScheduler {
