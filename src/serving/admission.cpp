@@ -21,53 +21,44 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
   }
 }
 
+std::pair<int, int> AdmissionController::candidate_range(
+    const FrameStatsCache& cache, const std::vector<int>& candidates) {
+  const auto [lo, hi] =
+      std::minmax_element(candidates.begin(), candidates.end());
+  if (candidates.empty() || *lo < 1 || *hi > cache.octree_depth()) {
+    throw std::invalid_argument(
+        "AdmissionController: candidates empty or outside the cache depths");
+  }
+  return {*lo, *hi};
+}
+
 double AdmissionController::cheapest_depth_load(
     const FrameStatsCache& cache, const std::vector<int>& candidates) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("cheapest_depth_load: empty candidate set");
-  }
-  const int d_min = *std::min_element(candidates.begin(), candidates.end());
-  double sum = 0.0;
-  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
-    sum += cache.workload(t).bytes(d_min);
-  }
-  return sum / static_cast<double>(cache.frame_count());
+  const auto d_min =
+      static_cast<std::size_t>(candidate_range(cache, candidates).first);
+  return cache.mean_bytes_at_depth()[d_min];
 }
 
 AdmissionDecision AdmissionController::try_admit(
     const FrameStatsCache& cache, const std::vector<int>& candidates) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("try_admit: empty candidate set");
-  }
+  const auto [d_min, d_max] = candidate_range(cache, candidates);
   AdmissionDecision decision;
   decision.residual_capacity = residual_capacity();
-
-  const int d_min = *std::min_element(candidates.begin(), candidates.end());
-  const int d_max = *std::max_element(candidates.begin(), candidates.end());
   if (!enabled_) {
-    // Forced admit: skip the per-frame load scans entirely (reserved_ is
-    // never consulted when disabled); admission imposes no depth cap.
+    // Forced admit: reserved_ is never consulted when disabled, so nothing
+    // is reserved; admission imposes no depth cap.
     decision.max_sustainable_depth = d_max;
     decision.admitted = true;
     return decision;
   }
-  decision.cheapest_load = cheapest_depth_load(cache, candidates);
-  {
-    // Mean per-depth byte curve over the candidate range, fed to the
-    // stability-region test: the session is admissible iff even its
-    // cheapest candidate depth is sustainable on what the link has left.
-    std::vector<double> mean_bytes(static_cast<std::size_t>(d_max) + 1, 0.0);
-    for (std::size_t t = 0; t < cache.frame_count(); ++t) {
-      const FrameWorkload& frame = cache.workload(t);
-      for (int d = d_min; d <= d_max; ++d) {
-        mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
-      }
-    }
-    for (double& b : mean_bytes) b /= static_cast<double>(cache.frame_count());
-    decision.max_sustainable_depth = max_sustainable_depth(
-        mean_bytes, decision.residual_capacity, d_min, d_max);
-    decision.admitted = decision.max_sustainable_depth >= d_min;
-  }
+  // The stability-region test on the mean per-depth byte curve: the session
+  // is admissible iff even its cheapest candidate depth is sustainable on
+  // what the link has left.
+  const std::vector<double>& mean_bytes = cache.mean_bytes_at_depth();
+  decision.cheapest_load = mean_bytes[static_cast<std::size_t>(d_min)];
+  decision.max_sustainable_depth = max_sustainable_depth(
+      mean_bytes, decision.residual_capacity, d_min, d_max);
+  decision.admitted = decision.max_sustainable_depth >= d_min;
   if (decision.admitted) {
     reserved_ += decision.cheapest_load;
   } else {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sim/frame_stats_cache.hpp"
@@ -54,13 +55,24 @@ class AdmissionController {
   /// outside (0, 1], or (when enabled) a non-positive capacity.
   AdmissionController(const AdmissionConfig& config, double mean_capacity_bytes);
 
+  /// [d_min, d_max] of `candidates`. Throws std::invalid_argument on an
+  /// empty set or a candidate outside [1, cache.octree_depth()], the depths
+  /// the cache's load curve covers (every serving path applies this rule).
+  static std::pair<int, int> candidate_range(
+      const FrameStatsCache& cache, const std::vector<int>& candidates);
+
   /// Mean bytes/slot of `cache`'s frames encoded at the cheapest candidate
   /// depth — the least load the session can impose while streaming at all.
+  /// One read of the cache's mean_bytes_at_depth() curve; throws as
+  /// candidate_range() does.
   [[nodiscard]] static double cheapest_depth_load(
       const FrameStatsCache& cache, const std::vector<int>& candidates);
 
-  /// Decides on one arriving session; on accept, reserves its cheapest-depth
-  /// load until release().
+  /// Decides on one session (an arrival, a failover re-placement or a
+  /// migration); on accept, reserves its cheapest-depth load until release().
+  /// Tests the cache's mean_bytes_at_depth() curve over the candidate range
+  /// against the residual capacity: O(candidates), no heap allocation.
+  /// Throws as candidate_range() does, enabled or not.
   AdmissionDecision try_admit(const FrameStatsCache& cache,
                               const std::vector<int>& candidates);
 

@@ -215,9 +215,8 @@ void EdgeCluster::place_arrivals() {
     e.arrival_actual = slot_;
     const std::size_t attempts = rank_links(e);
     int best_depth = std::numeric_limits<int>::min();
-    // Each attempt re-runs the link's admission scan (O(cached frames));
-    // placement happens once per session lifetime, never in the slot loop,
-    // so clarity wins over caching the load curve across attempts here.
+    // Each attempt is one O(candidates) admission test on the cache's load
+    // curve; failover re-placement and handover run the same test per slot.
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
       const AdmissionDecision decision = links_[k]->try_place(e.spec, e.id);
@@ -524,7 +523,13 @@ void EdgeCluster::evaluate_handover() {
 
   // Drain links in handover: worst-served sessions (largest backlog, ties
   // by runtime id so store compaction order cannot leak into the drain
-  // order) migrate first, paced by max_migrations_per_slot.
+  // order) migrate first, paced by max_migrations_per_slot. The order is
+  // total, so sorting the next pace's worth whenever the walk (which skips
+  // over-budget sessions) runs out visits the prefix a full sort would.
+  const auto drain_order = [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  };
+  const std::size_t pace = hp.max_migrations_per_slot;
   for (std::size_t k = 0; k < n; ++k) {
     if (handover_active_[k] == 0) continue;
     SessionManager& src = *links_[k];
@@ -537,16 +542,16 @@ void EdgeCluster::evaluate_handover() {
     for (std::size_t i = 0; i < active; ++i) {
       migrate_scratch_.emplace_back(backlogs[i], src.active_session_id(i));
     }
-    std::sort(migrate_scratch_.begin(), migrate_scratch_.end(),
-              [](const std::pair<double, std::size_t>& a,
-                 const std::pair<double, std::size_t>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    const auto end = migrate_scratch_.end();
+    auto sorted = migrate_scratch_.begin();
     std::size_t attempts = 0;
-    for (const auto& [backlog, rid] : migrate_scratch_) {
-      if (attempts >= hp.max_migrations_per_slot) break;
-      Entry& e = *entries_[owner_of(rid)];
+    for (auto it = sorted; it != end && attempts < pace; ++it) {
+      if (it == sorted) {
+        sorted += static_cast<std::ptrdiff_t>(
+            std::min(pace, static_cast<std::size_t>(end - it)));
+        std::partial_sort(it, sorted, end, drain_order);
+      }
+      Entry& e = *entries_[owner_of(it->second)];
       if (!within_budget(e)) continue;
       ++attempts;  // aborts count against the pace: no same-slot retry storm
       do_migrate(e.id, static_cast<std::size_t>(target), 0);
@@ -590,16 +595,10 @@ void EdgeCluster::evaluate_handover() {
   if (donor < 0 || donor_load <= mean_reserved) return;
   SessionManager& src = *links_[static_cast<std::size_t>(donor)];
   const std::span<const double> backlogs = src.active_backlogs();
-  std::size_t worst = src.active_count();
-  double worst_backlog = -1.0;
-  for (std::size_t i = 0; i < src.active_count(); ++i) {
-    if (backlogs[i] > worst_backlog) {
-      worst_backlog = backlogs[i];
-      worst = i;
-    }
-  }
-  if (worst == src.active_count()) return;
-  Entry& e = *entries_[owner_of(src.active_session_id(worst))];
+  const auto worst = std::max_element(backlogs.begin(), backlogs.end());
+  if (worst == backlogs.end()) return;
+  Entry& e = *entries_[owner_of(src.active_session_id(
+      static_cast<std::size_t>(worst - backlogs.begin())))];
   if (within_budget(e)) do_migrate(e.id, static_cast<std::size_t>(freed), 1);
 }
 

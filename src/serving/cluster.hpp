@@ -287,6 +287,9 @@ class EdgeCluster {
   [[nodiscard]] const ServerMetrics& metrics() const noexcept {
     return metrics_;
   }
+  /// Sessions placed on a link at arrival so far, spills included; failover
+  /// re-placements and migrations move a placed session, not a new one.
+  [[nodiscard]] std::size_t placed() const noexcept { return placed_; }
   /// Sessions refused by every link they were offered to so far.
   [[nodiscard]] std::size_t placement_rejects() const noexcept {
     return placement_rejects_;

@@ -108,13 +108,11 @@ bool ClusterBackend::apply(FaultKind kind, std::size_t link, double scale,
 void ClusterBackend::sample(MetricsSnapshot& out,
                             std::vector<double>& per_link_used) const {
   out.active_sessions = cluster_->active_count();
-  std::size_t accepted = 0;
   per_link_used.resize(cluster_->link_count());
   for (std::size_t k = 0; k < cluster_->link_count(); ++k) {
-    accepted += cluster_->link(k).admission_stats().accepted;
     per_link_used[k] = cluster_->link(k).metrics().capacity_used_total();
   }
-  out.admitted_total = accepted;
+  out.admitted_total = cluster_->placed();
   out.rejected_total = cluster_->placement_rejects();
   out.capacity_offered_total = cluster_->metrics().capacity_offered_total();
   out.capacity_used_total = cluster_->metrics().capacity_used_total();

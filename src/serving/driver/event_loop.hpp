@@ -122,7 +122,7 @@ struct MetricsSnapshot {
   /// Slots completed when the sample was taken.
   std::size_t slot = 0;
   std::size_t active_sessions = 0;
-  /// Sessions accepted by admission so far (cluster: placed on any link).
+  /// Sessions placed on a link at arrival so far (EdgeCluster::placed()).
   std::size_t admitted_total = 0;
   /// Sessions refused outright so far (cluster: refused by every link
   /// offered, i.e. placement rejects — per-link spill refusals that were

@@ -185,22 +185,21 @@ void DeficitRoundRobinScheduler::allocate(double capacity,
   // Rotation order for this slot; the cursor advances once per allocation so
   // the position served first (which matters when capacity runs dry
   // mid-round) rotates across the fleet.
-  const std::size_t start = cursor_ % n;
+  std::size_t pos = cursor_ % n;
   ++cursor_;
 
   ring_.clear();
-  // Deficit residue is initialized lazily for ring members only (while the
-  // build loop already touches them): sessions outside the ring are never
-  // read, so the old fleet-wide zero-fill was pure O(n) waste.
+  // Deficit residue is zeroed for ring members only, as the build loop
+  // visits them: sessions outside the ring are never read.
   deficit_.resize(n);
   double ring_weight = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t i = (start + j) % n;
-    if (demands.weight[i] > 0.0 && demands.total(i) > 0.0) {
-      ring_.push_back(i);
-      ring_weight += demands.weight[i];
-      deficit_[i] = 0.0;
+    if (demands.weight[pos] > 0.0 && demands.total(pos) > 0.0) {
+      ring_.push_back(pos);
+      ring_weight += demands.weight[pos];
+      deficit_[pos] = 0.0;
     }
+    if (++pos == n) pos = 0;  // wrap: no division per session
   }
 
   double remaining = capacity;

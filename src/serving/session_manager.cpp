@@ -79,12 +79,7 @@ void SessionManager::validate_spec(const SessionSpec& spec) const {
   if (spec.cache == nullptr) {
     throw std::invalid_argument("SessionManager: null cache");
   }
-  for (int d : config_.candidates) {
-    if (d < 1 || d > spec.cache->octree_depth()) {
-      throw std::invalid_argument(
-          "SessionManager: candidate outside cache range");
-    }
-  }
+  AdmissionController::candidate_range(*spec.cache, config_.candidates);
   if (spec.departure_slot <= spec.arrival_slot) {
     throw std::invalid_argument(
         "SessionManager: departure must be after arrival");

@@ -23,13 +23,17 @@ FrameStatsCache::FrameStatsCache(const FrameSource& source, int octree_depth,
     workloads_.push_back(compute_frame_workload(tree));
   }
 
-  mean_points_.assign(static_cast<std::size_t>(octree_depth) + 1, 0.0);
+  const std::size_t depths = static_cast<std::size_t>(octree_depth) + 1;
+  mean_points_.assign(depths, 0.0);
+  mean_bytes_.assign(depths, 0.0);
   for (const FrameWorkload& w : workloads_) {
-    for (std::size_t d = 0; d < mean_points_.size(); ++d) {
+    for (std::size_t d = 0; d < depths; ++d) {
       mean_points_[d] += w.points(static_cast<int>(d));
+      mean_bytes_[d] += w.bytes(static_cast<int>(d));
     }
   }
   for (double& v : mean_points_) v /= static_cast<double>(workloads_.size());
+  for (double& v : mean_bytes_) v /= static_cast<double>(workloads_.size());
 }
 
 }  // namespace arvis

@@ -1,5 +1,6 @@
 // Caches per-frame octree statistics (workload + quality tables) so the
-// simulator's hot loop never rebuilds octrees. Building the full-resolution
+// simulator's hot loop never rebuilds octrees, and the per-depth mean curves
+// so admission never rescans the frames. Building the full-resolution
 // octree of a ~1e6-point frame costs tens of milliseconds; the controller
 // decision costs nanoseconds — the cache keeps the two separated so
 // comparative runs (proposed vs baselines) see identical inputs.
@@ -13,7 +14,8 @@
 
 namespace arvis {
 
-/// Precomputes and caches FrameWorkload for every frame of a source.
+/// Precomputes and caches FrameWorkload for every frame of a source, and
+/// the two per-depth mean curves over them, once, at construction.
 class FrameStatsCache {
  public:
   /// Computes tables for all frames up to `frame_limit` (or the source's
@@ -39,10 +41,20 @@ class FrameStatsCache {
     return mean_points_;
   }
 
+  /// Mean occupancy bytes-at-depth across all cached frames: the load curve
+  /// admission tests a session against (AdmissionController). Index = depth,
+  /// 0..octree_depth(). Summed frame by frame in cache order, then divided by
+  /// frame_count(), as mean_points_at_depth() is.
+  [[nodiscard]] const std::vector<double>& mean_bytes_at_depth()
+      const noexcept {
+    return mean_bytes_;
+  }
+
  private:
   int octree_depth_;
   std::vector<FrameWorkload> workloads_;
   std::vector<double> mean_points_;
+  std::vector<double> mean_bytes_;
 };
 
 }  // namespace arvis

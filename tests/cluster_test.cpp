@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
@@ -859,6 +860,36 @@ TEST(AllocationProbeTest, ClusterSteadyStateStepIsAllocationFree) {
       << "steady-state cluster loop performed " << (after - before)
       << " heap allocations over 60 slots";
   static_cast<void>(cluster.finish());
+}
+
+TEST(AllocationProbeTest, AdmissionTestAllocatesNothing) {
+  // Room for one session's cheapest-depth load: the first test admits, the
+  // second rejects. Neither touches the heap (a reject logs at info, which
+  // would format a message, so the level is pinned to warn).
+  const std::vector<int> candidates{3, 4, 5, 6};
+  const double load = cheapest_load(candidates);
+  AdmissionConfig config;
+  config.utilization_target = 1.0;
+  AdmissionController admission(config, 1.5 * load);
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const AdmissionDecision admit =
+      admission.try_admit(shared_cache(), candidates);
+  const std::size_t admit_allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  before = g_allocations.load(std::memory_order_relaxed);
+  const AdmissionDecision reject =
+      admission.try_admit(shared_cache(), candidates);
+  const std::size_t reject_allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  set_log_level(level);
+
+  EXPECT_TRUE(admit.admitted);
+  EXPECT_FALSE(reject.admitted);
+  EXPECT_EQ(admit_allocations, 0U);
+  EXPECT_EQ(reject_allocations, 0U);
 }
 
 TEST(AllocationProbeTest, RecordArenaAllocatesOnlyWholeBlocks) {

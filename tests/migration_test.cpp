@@ -9,7 +9,10 @@
 // policy-idle bit-identity (an enabled-but-quiet policy changes nothing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -538,6 +541,132 @@ TEST(HandoverPolicyTest, QuietPolicyIsBitIdenticalToDisabled) {
               off.report.snapshots[i].capacity_used_total)
         << i;
   }
+}
+
+TEST(HandoverPolicyTest, DrainSkipsOverBudgetHeadAndBreaksBacklogTiesById) {
+  // Round-robin over two links: sessions 0-5 arrive at slot 0 (0, 2 and 4 on
+  // link 0) and 6-9 at slot 7 (6 and 8 on link 0). Link 1 gets no capacity
+  // in slots 3-5; at slot 6 sessions 1 and 3 migrate onto link 0 with the
+  // backlogs that built up, which spends their one-migration budget. Link 0
+  // degrades at slot 8 and sheds two sessions a slot, in drain order:
+  // backlog descending, then runtime id. The two spent migrants (runtime ids
+  // 2^32 and 2^32 + 1, equal backlogs) head the order every slot and are
+  // skipped. Sessions 6 and 8 tie on their first-slot burst and go at
+  // slot 8. Deficit round-robin's rotating start leaves session 2's backlog
+  // a rounding step above the equal backlogs of 0 and 4, so 2 and 0 go at
+  // slot 9 — in neither id nor store order — and 4 at slot 10.
+  FlightRecorder recorder({1024});
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.serving.policy = SchedulerPolicy::kDeficitRoundRobin;
+  config.serving.telemetry.flight = &recorder;
+  config.placement = PlacementPolicy::kRoundRobin;
+  config.handover.enabled = true;
+  config.handover.max_migrations_per_slot = 2;
+  config.handover.session_budget = 1;
+  config.handover.window_slots = 1'000'000;
+  const double load = cheapest_load(config.serving.candidates);
+  EdgeCluster cluster(config, {16.0 * load, 16.0 * load});
+  for (std::size_t i = 0; i < 10; ++i) {
+    cluster.submit(session_spec(i < 6 ? 0 : 7, 100));
+  }
+
+  constexpr std::size_t kSlots = 16;
+  std::vector<std::vector<std::size_t>> migrated(kSlots);
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    std::vector<double> caps(2, 100.0 * load);
+    if (t >= 3 && t < 6) caps[1] = 0.0;
+    if (t == 6) {
+      ASSERT_TRUE(cluster.migrate_session(1, 0));
+      ASSERT_TRUE(cluster.migrate_session(3, 0));
+    }
+    if (t == 8) {
+      ASSERT_TRUE(cluster.apply_fault(degrade(0, 0.2, 3.0, t)));
+      // The order's shape: the migrants tie at the head, 6 and 8 tie
+      // next, then 2 alone above the tied 0 and 4.
+      const std::span<const double> live = cluster.link(0).active_backlogs();
+      std::vector<double> b(live.begin(), live.end());
+      std::sort(b.begin(), b.end(), std::greater<>());
+      ASSERT_EQ(b.size(), 7U);
+      EXPECT_EQ(b[0], b[1]);
+      EXPECT_GT(b[1], b[2]);
+      EXPECT_EQ(b[2], b[3]);
+      EXPECT_GT(b[3], b[4]);
+      EXPECT_GT(b[4], b[5]);
+      EXPECT_EQ(b[5], b[6]);
+    }
+    const std::size_t seen = recorder.size();
+    cluster.step(caps);
+    for (std::size_t i = seen; i < recorder.size(); ++i) {
+      const FlightEvent& e = recorder.at(i);
+      // b = reason 0 (handover) · 2^20 + from link 0 · 2^10 + to link 1.
+      if (e.kind == FlightEventKind::kMigration && e.b == 1.0) {
+        migrated[t].push_back(static_cast<std::size_t>(e.a));
+      }
+    }
+  }
+  ASSERT_EQ(recorder.dropped(), 0U);
+  // Session ids; none of these had moved before, so each is also the
+  // runtime id the drain order ranked it by.
+  std::vector<std::vector<std::size_t>> expected(kSlots);
+  expected[8] = {6, 8};
+  expected[9] = {2, 0};
+  expected[10] = {4};
+  EXPECT_EQ(migrated, expected);
+
+  const ClusterResult result = cluster.finish();
+  EXPECT_EQ(result.metrics.migrations_completed, 7U);
+  EXPECT_EQ(result.metrics.migrations_aborted, 0U);
+  EXPECT_EQ(result.sessions[1].link, 0);
+  EXPECT_EQ(result.sessions[3].link, 0);
+}
+
+TEST(HandoverPolicyTest, SnapshotAdmittedCountsSessionsNotSegments) {
+  // Two least-loaded links with room for four sessions each, twelve
+  // arrivals, an outage of link 1 (failover re-placements onto link 0) and
+  // a degradation of link 0 (handover migrations onto link 1). A
+  // re-placement or a migration admits a new segment on a link, not a new
+  // session: every snapshot's admitted_total is the number of sessions
+  // admitted at their arrival before the snapshot's slot.
+  ClusterConfig config;
+  config.serving = base_serving();
+  config.placement = PlacementPolicy::kLeastLoaded;
+  config.handover.enabled = true;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> means{4.0 * load, 4.0 * load};
+  EdgeCluster cluster(config, means);
+  ConstantChannel a(means[0]), b(means[1]);
+  ClusterBackend backend(cluster, {&a, &b});
+  DriverConfig driver;
+  driver.snapshot_period = 5;
+  EventLoop loop(driver, backend);
+  std::vector<std::size_t> arrival(12);
+  for (std::size_t i = 0; i < arrival.size(); ++i) {
+    arrival[i] = 2 * i;
+    loop.schedule_arrival(arrival[i],
+                          session_spec(arrival[i], arrival[i] + 60));
+  }
+  loop.schedule_fault_plan(FaultPlan{{{10, FaultKind::kLinkDown, 1},
+                                      {20, FaultKind::kLinkUp, 1},
+                                      degrade(0, 0.5, 3.0, 30),
+                                      degrade(0, 1.0, 0.0, 50)}});
+  const DriverReport report = loop.run();
+  const ClusterResult result = cluster.finish();
+  const ClusterMetrics& m = result.metrics;
+  ASSERT_GT(m.failover_replaced, 0U);
+  ASSERT_GT(m.migrations_completed, 0U);
+  ASSERT_GT(m.placement_rejects, 0U);
+
+  ASSERT_FALSE(report.snapshots.empty());
+  for (const MetricsSnapshot& snapshot : report.snapshots) {
+    std::size_t admitted = 0;
+    for (std::size_t i = 0; i < arrival.size(); ++i) {
+      admitted += arrival[i] < snapshot.slot &&
+                  result.sessions[report.arrival_ids[i]].session.admitted;
+    }
+    EXPECT_EQ(snapshot.admitted_total, admitted) << "slot " << snapshot.slot;
+  }
+  EXPECT_EQ(report.snapshots.back().admitted_total, m.fleet.sessions_admitted);
 }
 
 // ------------------------------------- churn x flapping degradation ----

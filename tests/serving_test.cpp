@@ -17,6 +17,7 @@
 #include "datasets/catalog.hpp"
 #include "net/channel.hpp"
 #include "net/streaming.hpp"
+#include "queueing/stability.hpp"
 #include "serving/admission.hpp"
 #include "serving/cluster.hpp"
 #include "serving/executor.hpp"
@@ -388,6 +389,121 @@ TEST(AdmissionTest, DisabledAdmitsEverything) {
   }
   // Forced admits skip the load scan: nothing is reserved.
   EXPECT_EQ(admission.reserved_load(), 0.0);
+}
+
+// The per-attempt frame scans admission ran before FrameStatsCache
+// precomputed its load curve, written out as the reference: the mean
+// per-depth byte curve over [d_min, d_max], and the cheapest-depth load.
+std::vector<double> frame_scan_curve(const FrameStatsCache& cache, int d_min,
+                                     int d_max) {
+  std::vector<double> mean_bytes(static_cast<std::size_t>(d_max) + 1, 0.0);
+  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
+    const FrameWorkload& frame = cache.workload(t);
+    for (int d = d_min; d <= d_max; ++d) {
+      mean_bytes[static_cast<std::size_t>(d)] += frame.bytes(d);
+    }
+  }
+  for (double& b : mean_bytes) b /= static_cast<double>(cache.frame_count());
+  return mean_bytes;
+}
+
+double frame_scan_cheapest(const FrameStatsCache& cache, int d_min) {
+  double sum = 0.0;
+  for (std::size_t t = 0; t < cache.frame_count(); ++t) {
+    sum += cache.workload(t).bytes(d_min);
+  }
+  return sum / static_cast<double>(cache.frame_count());
+}
+
+TEST(AdmissionTest, LoadCurveMatchesTheFrameScanBitForBit) {
+  // Two caches (8 and 5 frames) and contiguous, non-contiguous and
+  // full-depth candidate sets: the precomputed curve, cheapest_depth_load
+  // and try_admit's decision all equal the frame scans exactly.
+  const FrameStatsCache five(*open_test_subject(17), 8, 5);
+  const std::vector<std::vector<int>> sets{
+      {3, 4, 5, 6}, {2, 5, 7}, {1, 2, 3, 4, 5, 6, 7, 8}};
+  for (const FrameStatsCache* cache : {&shared_cache(), &five}) {
+    const std::vector<double>& curve = cache->mean_bytes_at_depth();
+    ASSERT_EQ(curve.size(), 9U);
+    for (const std::vector<int>& candidates : sets) {
+      SCOPED_TRACE(::testing::PrintToString(candidates));
+      const int d_min = candidates.front();
+      const int d_max = candidates.back();
+      const std::vector<double> ref = frame_scan_curve(*cache, d_min, d_max);
+      const double lo = ref[static_cast<std::size_t>(d_min)];
+      const double hi = ref[static_cast<std::size_t>(d_max)];
+      for (int d = d_min; d <= d_max; ++d) {
+        EXPECT_EQ(curve[static_cast<std::size_t>(d)],
+                  ref[static_cast<std::size_t>(d)])
+            << "depth " << d;
+      }
+      const double cheapest = frame_scan_cheapest(*cache, d_min);
+      EXPECT_EQ(AdmissionController::cheapest_depth_load(*cache, candidates),
+                cheapest);
+      // Residuals below, between and above the curve's points: the decision
+      // is the reference stability test on the reference curve.
+      for (const double residual :
+           {0.5 * lo, lo, 0.5 * (lo + hi), hi, 2.0 * hi}) {
+        AdmissionConfig config;
+        config.utilization_target = 1.0;
+        AdmissionController admission(config, residual);
+        const AdmissionDecision decision =
+            admission.try_admit(*cache, candidates);
+        const int want = max_sustainable_depth(ref, residual, d_min, d_max);
+        EXPECT_EQ(decision.residual_capacity, residual);
+        EXPECT_EQ(decision.max_sustainable_depth, want) << residual;
+        EXPECT_EQ(decision.admitted, want >= d_min) << residual;
+        EXPECT_EQ(decision.cheapest_load, cheapest);
+        EXPECT_EQ(admission.reserved_load(), want >= d_min ? cheapest : 0.0);
+      }
+    }
+  }
+}
+
+TEST(AdmissionTest, DecisionFlipsOneUlpBelowEachDepthsMean) {
+  // A residual equal to depth d's mean load sustains d; one ulp less
+  // sustains only d - 1, and at the cheapest depth that is a reject.
+  const std::vector<int> candidates{3, 4, 5, 6};
+  const std::vector<double>& curve = shared_cache().mean_bytes_at_depth();
+  for (const int d : candidates) {
+    const double mean = curve[static_cast<std::size_t>(d)];
+    ASSERT_LT(curve[static_cast<std::size_t>(d) - 1], mean) << d;
+    AdmissionConfig config;
+    config.utilization_target = 1.0;
+    AdmissionController at(config, mean);
+    const AdmissionDecision fits = at.try_admit(shared_cache(), candidates);
+    EXPECT_TRUE(fits.admitted) << d;
+    EXPECT_EQ(fits.max_sustainable_depth, d);
+    AdmissionController below(config, std::nextafter(mean, 0.0));
+    const AdmissionDecision short_by_ulp =
+        below.try_admit(shared_cache(), candidates);
+    EXPECT_EQ(short_by_ulp.max_sustainable_depth, d - 1);
+    EXPECT_EQ(short_by_ulp.admitted, d > candidates.front()) << d;
+  }
+}
+
+TEST(AdmissionTest, CandidatesOutsideTheCacheDepthsThrow) {
+  // The curve covers depths 0..octree_depth(); admission takes
+  // [1, octree_depth()], SessionManager::validate_spec's rule, enabled or
+  // not, and a refused call reserves nothing.
+  ASSERT_EQ(shared_cache().octree_depth(), 8);
+  AdmissionConfig disabled;
+  disabled.enabled = false;
+  for (const std::vector<int>& bad : std::vector<std::vector<int>>{
+           {0, 3, 4}, {3, 4, 9}, {-1}, {42}}) {
+    EXPECT_THROW(static_cast<void>(
+                     AdmissionController::cheapest_depth_load(shared_cache(),
+                                                              bad)),
+                 std::invalid_argument);
+    AdmissionController enabled(AdmissionConfig{}, 1e9);
+    EXPECT_THROW(enabled.try_admit(shared_cache(), bad),
+                 std::invalid_argument);
+    EXPECT_EQ(enabled.reserved_load(), 0.0);
+    AdmissionController forced(disabled, 1.0);
+    EXPECT_THROW(forced.try_admit(shared_cache(), bad), std::invalid_argument);
+  }
+  AdmissionController edges(AdmissionConfig{}, 1e9);
+  EXPECT_TRUE(edges.try_admit(shared_cache(), {1, 8}).admitted);
 }
 
 TEST(AdmissionTest, Validation) {
