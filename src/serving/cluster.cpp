@@ -43,6 +43,10 @@ struct EdgeCluster::Entry {
   /// session may bounce back onto a link where its old id is already
   /// retired).
   std::size_t runtime_id;
+  /// Slab position of the current segment on `link`, as the link handed it
+  /// back on admission: what the link releases when a re-placement
+  /// supersedes the segment.
+  std::uint32_t segment = 0;
   /// Times the session was re-placed after a link outage.
   std::uint32_t failovers = 0;
   /// Times the session completed a live migration between links.
@@ -219,14 +223,17 @@ void EdgeCluster::place_arrivals() {
     // curve; failover re-placement and handover run the same test per slot.
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, e.id);
+      const SessionManager::Placement decision =
+          links_[k]->try_place(e.spec, e.id);
       best_depth = std::max(best_depth, decision.max_sustainable_depth);
       if (decision.admitted) {
         e.admitted = true;
         e.link = static_cast<int>(k);
+        e.segment = decision.segment;
         e.spilled = a > 0;
         e.max_sustainable_depth = decision.max_sustainable_depth;
         ++placed_;
+        ++tier_placed_[e.spec.qos];
         if (e.spilled) ++spills_;
         if (c_placed_ != nullptr) {
           c_placed_->add(1);
@@ -245,6 +252,7 @@ void EdgeCluster::place_arrivals() {
       e.max_sustainable_depth =
           attempts > 0 ? best_depth : 0;
       ++placement_rejects_;
+      ++tier_refused_[e.spec.qos];
       if (c_rejects_ != nullptr) c_rejects_->add(1);
       if (flight_ != nullptr) {
         flight_->record(FlightEventKind::kPlacementReject, slot_, kClusterTid,
@@ -357,10 +365,15 @@ void EdgeCluster::place_displaced() {
     bool replaced = false;
     for (std::size_t a = 0; a < attempts; ++a) {
       const std::size_t k = rank_[a];
-      const AdmissionDecision decision = links_[k]->try_place(e.spec, rid);
+      const SessionManager::Placement decision =
+          links_[k]->try_place(e.spec, rid);
       if (decision.admitted) {
         failover_owner_.push_back(entry_id);  // claims rid
+        // The segment the outage (or an aborted migration) ended is
+        // superseded now; one that no link re-places stays as the last.
+        links_[static_cast<std::size_t>(e.link)]->release_segment(e.segment);
         e.link = static_cast<int>(k);
+        e.segment = decision.segment;
         e.runtime_id = rid;
         ++e.failovers;
         ++books_.failover_replaced;
@@ -419,13 +432,17 @@ bool EdgeCluster::do_migrate(std::size_t session_id, std::size_t target_link,
     return false;
   }
   const std::size_t rid = next_runtime_id();
-  if (!links_[target_link]->place_migrated(carried, rid).admitted) {
+  const SessionManager::Placement placed =
+      links_[target_link]->place_migrated(carried, rid);
+  if (!placed.admitted) {
     ++books_.migrations_aborted;
     displace(e);
     return false;
   }
   failover_owner_.push_back(session_id);  // claims rid
+  links_[from]->release_segment(e.segment);
   e.link = static_cast<int>(target_link);
+  e.segment = placed.segment;
   e.runtime_id = rid;
   ++e.migrations;
   ++e.migrations_in_window;
@@ -606,6 +623,14 @@ void EdgeCluster::accumulate_slo(SloObservation& observation) {
   observation.placed += placed_;
   observation.spills += spills_;
   observation.placement_rejects += placement_rejects_;
+  // The accept and reject ratios count arrivals: a spill is one accepted
+  // session, and re-placements and migrations admit no new one.
+  for (std::size_t t = 0; t < kSloTiers; ++t) {
+    observation.tier[t].accepted += tier_placed_[t];
+    observation.tier[t].rejected += tier_refused_[t];
+    observation.total.accepted += tier_placed_[t];
+    observation.total.rejected += tier_refused_[t];
+  }
   for (auto& link : links_) link->accumulate_slo(observation);
 }
 
@@ -761,13 +786,13 @@ ClusterResult EdgeCluster::finish() {
 
   // Every link walks its segments in placement order and fills the outcome
   // of each current one — the segment whose runtime id is its entry's —
-  // straight into the result, summarized once. A failed-over or migrated
-  // session left retired segments on earlier links under older runtime ids;
-  // those are skipped, so per_link[k] covers the sessions that ended on
-  // link k. A session's current segment lives on exactly one link, so each
-  // link's finish writes outcomes no other link touches (and only reads the
-  // entries and the failover owners): the links finish as one executor task
-  // each, like their slots.
+  // straight into the result, summarized once. The links released every
+  // segment a failover or migration superseded when it happened, so each
+  // link holds only the segments its sessions ended on, and per_link[k]
+  // covers the sessions that ended on link k. A session's current segment
+  // lives on exactly one link, so each link's finish writes outcomes no
+  // other link touches (and only reads the entries and the failover
+  // owners): the links finish as one executor task each, like their slots.
   ClusterResult result;
   result.sessions.resize(entries_.size());
   executor_.parallel_for(links_.size(), [&](std::size_t k) {

@@ -349,9 +349,9 @@ class EdgeCluster {
   void take_retry_feed(std::vector<RetrySeed>& out);
 
   /// Folds the cluster's SLO sample into `observation`: every link's
-  /// per-tier counters and gauges (worst-link view — see
-  /// SessionManager::accumulate_slo) plus the cumulative placement
-  /// outcomes. Snapshot cadence only.
+  /// per-tier gauges (worst-link view — see SessionManager::accumulate_slo),
+  /// the cumulative placement outcomes, and per tier the arrivals placed
+  /// (accepted) and refused (rejected). Snapshot cadence only.
   void accumulate_slo(SloObservation& observation);
 
   /// Cross-checks every link's session store against its cold slab
@@ -435,6 +435,9 @@ class EdgeCluster {
   std::size_t placed_ = 0;
   std::size_t spills_ = 0;
   std::size_t placement_rejects_ = 0;
+  // The same arrivals by QoS tier: the SLO accept and reject counters.
+  std::uint64_t tier_placed_[kSloTiers] = {};
+  std::uint64_t tier_refused_[kSloTiers] = {};
   // Scratch reused across slots.
   std::vector<std::size_t> rank_;
   std::vector<SessionManager::SlotReport> reports_;  // per link, this slot

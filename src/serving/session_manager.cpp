@@ -114,18 +114,20 @@ void SessionManager::retire(ServingSession& s) {
   }
 }
 
-AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
-                                            std::size_t session_id) {
+SessionManager::Placement SessionManager::try_place(const SessionSpec& spec,
+                                                    std::size_t session_id) {
   if (finished_) {
     throw std::logic_error("SessionManager::try_place: already finished");
   }
   validate_spec(spec);
-  const AdmissionDecision decision =
+  Placement decision;
+  static_cast<AdmissionDecision&>(decision) =
       admission_.try_admit(*spec.cache, config_.candidates);
   if (c_adm_accept_ != nullptr) {
     (decision.admitted ? c_adm_accept_ : c_adm_reject_)->add(1);
   }
-  ++(decision.admitted ? tier_accepted_ : tier_rejected_)[spec.qos];
+  ++admission_stats_.attempts;
+  ++(decision.admitted ? admission_stats_.accepted : admission_stats_.rejected);
   if (!decision.admitted) {
     if (flight_ != nullptr) {
       flight_->record(FlightEventKind::kReject, slot_, tid_,
@@ -140,12 +142,20 @@ AdmissionDecision SessionManager::try_place(const SessionSpec& spec,
   s.arrival_actual = slot_;
   s.phase = SessionPhase::kActive;
   store_.activate(s, slot_);
+  decision.segment = store_.newest();
   if (flight_ != nullptr) {
     flight_->record(FlightEventKind::kAdmit, slot_, tid_,
                     static_cast<double>(s.id),
                     static_cast<double>(store_.active_count()));
   }
   return decision;
+}
+
+void SessionManager::release_segment(std::uint32_t segment) {
+  if (finished_) {
+    throw std::logic_error("SessionManager::release_segment: already finished");
+  }
+  store_.release(segment);
 }
 
 bool SessionManager::request_close(std::size_t session_id) {
@@ -245,19 +255,17 @@ bool SessionManager::extract_session(std::size_t session_id,
   }
   if (index == n) return false;
   out.hot = store_.hot_state(index);
-  store_.retire_active(
-      [&](const ServingSession& s) { return s.id == session_id; },
-      [&](ServingSession& s) {
-        out.id = s.id;
-        out.spec = s.spec;  // live spec: reflects any external close
-        retire(s);
-      });
+  store_.retire_at(index, [&](ServingSession& s) {
+    out.id = s.id;
+    out.spec = s.spec;  // live spec: reflects any external close
+    retire(s);
+  });
   return true;
 }
 
-AdmissionDecision SessionManager::place_migrated(
+SessionManager::Placement SessionManager::place_migrated(
     const MigratedSession& migrated, std::size_t session_id) {
-  const AdmissionDecision decision = try_place(migrated.spec, session_id);
+  const Placement decision = try_place(migrated.spec, session_id);
   // try_place activated the session at the back of the active list with a
   // fresh stream; resume the carried one instead.
   if (decision.admitted) store_.inject_hot_state(migrated.hot);
@@ -322,17 +330,12 @@ std::size_t SessionManager::active_count() const noexcept {
 }
 
 void SessionManager::accumulate_slo(SloObservation& observation) {
-  // Cumulative admission outcomes, per tier (validate_spec guarantees
-  // spec.qos < kSloTiers).
+  // Gauges over the active set (validate_spec guarantees spec.qos <
+  // kSloTiers). The backlog-age proxy divides each session's queue by its
+  // fair share of the mean link rate: backlog · active / mean_capacity —
+  // slots of queued work, the paper's stability quantity rephrased as a
+  // latency.
   SloTierSample local[kSloTiers];
-  for (std::size_t t = 0; t < kSloTiers; ++t) {
-    local[t].accepted = tier_accepted_[t];
-    local[t].rejected = tier_rejected_[t];
-  }
-  // Gauges over the active set. The backlog-age proxy divides each
-  // session's queue by its fair share of the mean link rate: backlog ·
-  // active / mean_capacity — slots of queued work, the paper's stability
-  // quantity rephrased as a latency.
   const std::size_t n = store_.active_count();
   const std::span<const double> backlogs = store_.backlogs();
   for (auto& scratch : slo_scratch_) scratch.clear();
@@ -382,16 +385,6 @@ void SessionManager::accumulate_slo(SloObservation& observation) {
   merge_slo_sample(observation.total, total);
 }
 
-AdmissionStats SessionManager::admission_stats() const noexcept {
-  AdmissionStats stats;
-  for (std::size_t t = 0; t < kSloTiers; ++t) {
-    stats.accepted += tier_accepted_[t];
-    stats.rejected += tier_rejected_[t];
-  }
-  stats.attempts = stats.accepted + stats.rejected;
-  return stats;
-}
-
 void SessionManager::skip_idle_slots(std::size_t slots) {
   if (finished_) {
     throw std::logic_error("SessionManager::skip_idle_slots: already finished");
@@ -403,20 +396,20 @@ void SessionManager::skip_idle_slots(std::size_t slots) {
   slot_ += slots;
 }
 
-void SessionManager::fill_outcomes(std::span<SessionOutcome* const> outcomes) {
+void SessionManager::fill_outcomes(std::span<const std::uint32_t> order,
+                                   std::span<SessionOutcome* const> outcomes) {
   std::vector<SessionTrace::SummaryJob> jobs;
-  for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
-    const SessionTrace& trace = store_.session(pos).trace;
-    if (outcomes[pos] == nullptr || trace.empty()) continue;
-    jobs.push_back({&trace, static_cast<std::uint32_t>(pos),
-                    &outcomes[pos]->summary});
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const SessionTrace& trace = store_.session(order[i]).trace;
+    if (outcomes[i] == nullptr || trace.empty()) continue;
+    jobs.push_back({&trace, order[i], &outcomes[i]->summary});
   }
-  SessionTrace::summarize_in_arena_order(store_.arena(), outcomes.size(),
-                                         jobs);
-  for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
-    if (outcomes[pos] == nullptr) continue;
-    ServingSession& s = store_.session(pos);
-    SessionOutcome& out = *outcomes[pos];
+  SessionTrace::summarize_in_arena_order(store_.arena(),
+                                         store_.session_count(), jobs);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (outcomes[i] == nullptr) continue;
+    ServingSession& s = store_.session(order[i]);
+    SessionOutcome& out = *outcomes[i];
     out.id = s.id;
     // Every session on a link was placed on it: arrived and admitted.
     out.admitted = true;

@@ -194,13 +194,27 @@ class SessionManager {
   /// so EdgeCluster runs the links' calls concurrently.
   SlotReport finish_slot(double capacity_bytes);
 
+  /// try_place()'s and place_migrated()'s result: the admission decision
+  /// and, on accept, the new segment's slab position on this link, which
+  /// release_segment() takes.
+  struct Placement : AdmissionDecision {
+    std::uint32_t segment = 0;
+  };
+
   /// The placement hook (EdgeCluster): runs this link's admission on `spec`
   /// right now. On accept the session is created *active at the current
   /// slot* under the caller-assigned `session_id`. On reject nothing is
   /// recorded beyond admission stats — the caller may spill the session to
   /// another link. Validates with validate_spec(). Call between
   /// begin_slot() and finish_slot().
-  AdmissionDecision try_place(const SessionSpec& spec, std::size_t session_id);
+  Placement try_place(const SessionSpec& spec, std::size_t session_id);
+
+  /// Drops the closed segment at slab position `segment` (a Placement's),
+  /// which the caller superseded by re-placing its session: its record
+  /// chunks and slab position go back to the store's free lists
+  /// (SessionStore::release), and finish() never sees it. A segment a
+  /// session ends on (departure, close, eviction) must not be released.
+  void release_segment(std::uint32_t segment);
 
   /// The link's admission state (reserved load / residual capacity), for
   /// external placement policies.
@@ -244,11 +258,11 @@ class SessionManager {
   };
 
   /// Live-migration extraction: captures active session `session_id`'s live
-  /// spec and hot state into `out`, then retires it from this link exactly
-  /// like an eviction (admission reservation released, lifetime recorded,
-  /// kClose flight event). Returns false when the id is not active here —
-  /// closed sessions cannot migrate. A handover edge, never
-  /// steady-state work.
+  /// spec and hot state into `out`, then retires the index the id scan
+  /// found exactly like an eviction (admission reservation released,
+  /// lifetime recorded, kClose flight event). Returns false when the id is
+  /// not active here — closed sessions cannot migrate. A handover edge,
+  /// never steady-state work.
   bool extract_session(std::size_t session_id, MigratedSession& out);
 
   /// Live-migration injection: the same admission gate as try_place, but on
@@ -257,8 +271,8 @@ class SessionManager {
   /// sequence continues bit for bit when source and target links are
   /// equivalent. The candidate ceiling is *this* link's brownout state, not
   /// the source's. Call between begin_slot() and finish_slot().
-  AdmissionDecision place_migrated(const MigratedSession& migrated,
-                                   std::size_t session_id);
+  Placement place_migrated(const MigratedSession& migrated,
+                           std::size_t session_id);
 
   /// Active session i's runtime id — the handover candidate scan, paired
   /// with the index-parallel active_backlogs() span.
@@ -286,9 +300,10 @@ class SessionManager {
   /// Sessions currently streaming.
   [[nodiscard]] std::size_t active_count() const noexcept;
   /// The link's admission outcomes so far (placements and migration
-  /// injections; a spill counts on every link it tried), summed over the
-  /// QoS tiers.
-  [[nodiscard]] AdmissionStats admission_stats() const noexcept;
+  /// injections; a spill counts on every link it tried).
+  [[nodiscard]] AdmissionStats admission_stats() const noexcept {
+    return admission_stats_;
+  }
 
   /// Running slot aggregates, readable mid-run (the event-driven driver
   /// samples them for periodic metrics snapshots); finish() folds in the
@@ -297,20 +312,23 @@ class SessionManager {
     return metrics_;
   }
 
-  /// Folds this link's SLO sample into `observation`: per-tier cumulative
-  /// admission counters, active counts, the link-exact p95 of the
-  /// backlog-age proxy (backlog · active / mean link capacity — slots of
-  /// queued work at a fair share), and the delivered-quality floor over
-  /// active sessions. Additive (merge_slo_sample semantics), so a cluster
+  /// Folds this link's SLO gauges into `observation`: per-tier active
+  /// counts, the link-exact p95 of the backlog-age proxy (backlog · active /
+  /// mean link capacity — slots of queued work at a fair share), and the
+  /// delivered-quality floor over active sessions. The accepted and
+  /// rejected counters are the cluster's, which counts sessions, not
+  /// admission tests. Additive (merge_slo_sample semantics), so a cluster
   /// calls it once per link and gets the worst-link gauge view. Snapshot
   /// cadence only — O(active log active), never part of the slot loop.
   void accumulate_slo(SloObservation& observation);
 
   /// Cross-checks the session store's SoA mirrors against the cold slab
-  /// (SessionStore::validate). O(active + slab), callable mid-run between
-  /// phases — tests and the bench oracles call it at checkpoints; it is
-  /// never part of the slot loop.
+  /// (SessionStore::validate). O(active + slab + chunks), callable mid-run
+  /// between phases — tests and the bench oracles call it at checkpoints;
+  /// it is never part of the slot loop.
   [[nodiscard]] Status validate_store() const { return store_.validate(); }
+  /// The link's session store, read-only (tests read its footprint).
+  [[nodiscard]] const SessionStore& store() const noexcept { return store_; }
 
   /// Fast-forwards the slot clock `slots` slots across an idle stretch: no
   /// sessions are active, so the skipped slots would only have drawn and
@@ -321,16 +339,18 @@ class SessionManager {
   void skip_idle_slots(std::size_t slots);
 
   /// Closes every still-active session at the current slot, then asks
-  /// `outcome_for(id)` for each of the link's segments (one per placement),
-  /// in placement order, which SessionOutcome the segment fills, or null for
-  /// a segment the caller's books superseded (a failover or migration
-  /// re-placed its session). The selected non-empty segments are summarized
-  /// together in one read of the link's chunk arena, in the order drain
-  /// wrote the chunks (SessionTrace::summarize_in_arena_order, bit-identical
-  /// to each record's summarize_partial); a superseded segment's chunks are
-  /// skipped by their tag. Then each selected outcome is filled, folded
-  /// into metrics() and given its record, in placement order. The manager
-  /// is spent afterwards (the phase calls throw).
+  /// `outcome_for(id)` for each segment the link still holds, in placement
+  /// order, which SessionOutcome the segment fills, or null for a segment
+  /// the caller's books superseded. The link holds one segment per session
+  /// that ended on it (departure, close, eviction, or still active), since
+  /// the caller releases each segment it supersedes (release_segment), so
+  /// normally every answer is non-null. The selected non-empty segments are
+  /// summarized together in one read of the link's chunk arena
+  /// (SessionTrace::summarize_in_arena_order, bit-identical to each record's
+  /// summarize_partial). Then each selected outcome is filled, folded into
+  /// metrics() and given its record, in placement order, however the slab
+  /// reused positions. The manager is spent afterwards (the phase calls
+  /// throw).
   template <class OutcomeFor>
   void finish(OutcomeFor outcome_for) {
     if (finished_) {
@@ -344,11 +364,12 @@ class SessionManager {
                            s.departure_actual = slot_;
                            admission_.release(s.cheapest_load);
                          });
-    std::vector<SessionOutcome*> outcomes(store_.session_count());
-    for (std::size_t pos = 0; pos < outcomes.size(); ++pos) {
-      outcomes[pos] = outcome_for(store_.session(pos).id);
+    const std::vector<std::uint32_t> order = store_.placement_order();
+    std::vector<SessionOutcome*> outcomes(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      outcomes[i] = outcome_for(store_.session(order[i]).id);
     }
-    fill_outcomes(outcomes);
+    fill_outcomes(order, outcomes);
   }
 
  private:
@@ -357,10 +378,11 @@ class SessionManager {
   /// counter and lifetime histogram, and the kClose flight event. The one
   /// close path of departures, evictions and migration extractions.
   void retire(ServingSession& s);
-  /// finish()'s fill: summarizes the segment at each slab position with a
-  /// non-null `outcomes` entry into it, then fills each, folds it into
-  /// metrics_ and moves its record in, in placement order.
-  void fill_outcomes(std::span<SessionOutcome* const> outcomes);
+  /// finish()'s fill: summarizes the segment at each slab position
+  /// `order[i]` whose `outcomes[i]` is non-null into it, then fills each,
+  /// folds it into metrics_ and moves its record in, in that order.
+  void fill_outcomes(std::span<const std::uint32_t> order,
+                     std::span<SessionOutcome* const> outcomes);
   void register_telemetry();
 
   ServingConfig config_;
@@ -397,12 +419,10 @@ class SessionManager {
   // never per session·slot, so the allocation probes hold with it on.
   FlightRecorder* flight_ = nullptr;
 
-  // Cumulative per-tier admission outcomes (placements and migration
-  // injections) — the link's one admission ledger, read by admission_stats()
-  // and the SLO sample — and the snapshot-time delay scratch
+  // The link's one admission ledger (placements and migration
+  // injections), and the SLO sample's snapshot-time delay scratch
   // ([tier 0..2] + [all tiers]).
-  std::uint64_t tier_accepted_[kSloTiers] = {};
-  std::uint64_t tier_rejected_[kSloTiers] = {};
+  AdmissionStats admission_stats_;
   std::vector<double> slo_scratch_[kSloTiers + 1];
 
   // Brownout degradation state. The limit scratch is preallocated at

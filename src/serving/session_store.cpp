@@ -29,13 +29,52 @@ SessionStore::SessionStore(std::vector<int> candidates, double v)
 }
 
 ServingSession& SessionStore::create(std::size_t id, const SessionSpec& spec) {
-  if (slab_.size() == kSegmentTagLimit) {
-    throw std::length_error(
-        "SessionStore: more than 2^24 segments on one link (record chunks tag "
-        "their segment in three bytes)");
+  if (!free_slots_.empty()) {
+    newest_ = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[newest_] = ServingSession(id, spec);
+  } else {
+    if (slab_.size() == kSegmentTagLimit) {
+      throw std::length_error(
+          "SessionStore: more than 2^24 segments on one link (record chunks "
+          "tag their segment in three bytes)");
+    }
+    newest_ = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back(id, spec);
   }
-  slab_.emplace_back(id, spec);
-  return slab_.back();
+  ServingSession& s = slab_[newest_];
+  s.placement = placements_++;
+  return s;
+}
+
+std::vector<std::uint32_t> SessionStore::placement_order() const {
+  // Placement numbers are distinct and below placements_: put each record's
+  // position at its number, then drop the numbers of released segments.
+  constexpr std::uint32_t kReleased = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> order(placements_, kReleased);
+  for (std::uint32_t pos = 0; pos < slab_.size(); ++pos) {
+    const ServingSession& s = slab_[pos];
+    if (s.phase != SessionPhase::kReleased) order[s.placement] = pos;
+  }
+  std::erase(order, kReleased);
+  return order;
+}
+
+void SessionStore::release(std::uint32_t pos) {
+  ARVIS_DCHECK_LT(pos, slab_.size());
+  ServingSession& s = slab_[pos];
+  ARVIS_DCHECK_MSG(s.phase == SessionPhase::kClosed,
+                   "released a segment that is not closed");
+  const SessionTrace& trace = s.trace;
+  // The chain's chunks: its head, and one more each time drain filled one
+  // (at chain positions 13, 26, ...), the last one possibly still empty.
+  const std::size_t chunks =
+      (trace.first() + trace.size()) / kStepsPerChunk + 1;
+  // The store's arena owns the chain; the record only reads it.
+  arena_->release(const_cast<StepChunk*>(trace.head()), chunks);
+  s.trace = SessionTrace{};
+  s.phase = SessionPhase::kReleased;
+  free_slots_.push_back(pos);
 }
 
 const std::shared_ptr<const FlatDecideTable>& SessionStore::intern(
@@ -56,15 +95,20 @@ void SessionStore::activate(ServingSession& s, std::size_t slot) {
     ARVIS_DCHECK_MSG(a != &s, "session activated twice");
   }
 #endif
-  ARVIS_DCHECK_MSG(&s == &slab_.back(), "activate: not the newest record");
+  ARVIS_DCHECK_MSG(&s == &slab_[newest_], "activate: not the newest record");
   const std::shared_ptr<const FlatDecideTable>& table = intern(*s.spec.cache);
   // Heads start at a rotating index, so sessions activated together fill
   // their chunks on different slots: a fleet streaming in lockstep takes a
   // thirteenth of its next chunks each slot, not all of them every 13th.
+  // The rotation restarts each slot, so a lone activation wastes no entries
+  // of its head chunk.
+  if (slot != rotation_slot_) {
+    rotation_slot_ = slot;
+    next_first_ = 0;
+  }
   const std::size_t first = next_first_;
   next_first_ = first + 1 == kStepsPerChunk ? 0 : first + 1;
-  StepChunk* head =
-      arena_->alloc(static_cast<std::uint32_t>(slab_.size() - 1));
+  StepChunk* head = arena_->alloc(newest_);
   s.trace.start(table, arena_, head, first, slot);
   active_.push_back(&s);
   backlog_.push_back(0.0);  // sessions start with an empty queue
@@ -100,6 +144,34 @@ void SessionStore::set_tier_limits(std::span<const std::uint32_t> limits) {
   for (std::size_t i = 0; i < active_.size(); ++i) {
     limit_[i] = tier_limit_[qos_[i]];
   }
+}
+
+void SessionStore::compact_retired() {
+  const std::size_t n = active_.size();
+  const auto compact = [&](auto& mirror) {
+    auto out = mirror.begin() + static_cast<std::ptrdiff_t>(retiring_.front());
+    for (std::size_t r = 0; r < retiring_.size(); ++r) {
+      const std::size_t from = retiring_[r] + 1;
+      const std::size_t to = r + 1 < retiring_.size() ? retiring_[r + 1] : n;
+      out = std::copy(mirror.begin() + static_cast<std::ptrdiff_t>(from),
+                      mirror.begin() + static_cast<std::ptrdiff_t>(to), out);
+    }
+  };
+  compact(active_);
+  compact(backlog_);
+  compact(weight_);
+  compact(ewma_);
+  compact(table_);
+  compact(frames_);
+  compact(row_off_);
+  compact(departure_);
+  compact(qos_);
+  compact(limit_);
+  compact(chunk_);
+  compact(pos_);
+  compact(choice_);
+  resize_active(n - retiring_.size());
+  ++generation_;
 }
 
 void SessionStore::resize_active(std::size_t n) {
@@ -216,15 +288,50 @@ Status SessionStore::validate() const {
       return fail(i, "write chunk is not on the record's chain");
     }
   }
-  // finish() attributes each chunk to its record by the tag alone.
+  // finish() attributes each chunk to its record by the tag alone, and
+  // must never meet a free chunk on a record's chain.
+  std::vector<const StepChunk*> free_chunks;
+  for (const StepChunk* head : arena_->free_chains()) {
+    for (const StepChunk* c = head; c != nullptr; c = c->next) {
+      free_chunks.push_back(c);
+    }
+  }
+  std::sort(free_chunks.begin(), free_chunks.end());
+  if (std::adjacent_find(free_chunks.begin(), free_chunks.end()) !=
+      free_chunks.end()) {
+    return Status::FailedPrecondition(
+        "SessionStore::validate: a chunk is on the free list twice");
+  }
+  if (free_chunks.size() != arena_->free_chunks()) {
+    return Status::FailedPrecondition(
+        "SessionStore::validate: free chunk count diverged from the free list");
+  }
+  std::vector<bool> free_slot(slab_.size(), false);
+  for (const std::uint32_t pos : free_slots_) {
+    if (pos >= slab_.size() || free_slot[pos]) {
+      return Status::FailedPrecondition(
+          "SessionStore::validate: free slot " + std::to_string(pos) +
+          " out of range or listed twice");
+    }
+    free_slot[pos] = true;
+  }
   for (std::size_t pos = 0; pos < slab_.size(); ++pos) {
     const ServingSession& s = slab_[pos];
-    if (s.phase != SessionPhase::kActive) continue;
+    const auto fail_at = [pos](const std::string& what) {
+      return Status::FailedPrecondition("SessionStore::validate: slab position " +
+                                        std::to_string(pos) + ": " + what);
+    };
+    if (free_slot[pos] != (s.phase == SessionPhase::kReleased)) {
+      return fail_at(free_slot[pos] ? "free slot holds a record"
+                                    : "released record not on the free list");
+    }
+    if (free_slot[pos] || s.trace.head() == nullptr) continue;
     for (const StepChunk* c = s.trace.head(); c != nullptr; c = c->next) {
       if (c->tag() != pos) {
-        return Status::FailedPrecondition(
-            "SessionStore::validate: slab position " + std::to_string(pos) +
-            ": record chunk tagged " + std::to_string(c->tag()));
+        return fail_at("record chunk tagged " + std::to_string(c->tag()));
+      }
+      if (std::binary_search(free_chunks.begin(), free_chunks.end(), c)) {
+        return fail_at("record chunk is free");
       }
     }
   }

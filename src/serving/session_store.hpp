@@ -32,6 +32,14 @@
 // line it just wrote), so finish() can summarize the link's records in one
 // read of the arena.
 //
+// A store keeps only the segments that may still matter: when the cluster
+// re-places a session (failover or migration), the link the session left
+// releases the superseded segment (release()). Its chunks return to the
+// arena's free list and its slab position to the store's slot free list,
+// which create() takes from before it appends. So slab positions, and the
+// tags that name them, are reused; a record's placement number keeps the
+// order in which the link placed its segments (placement_order()).
+//
 // Floating-point *sums* are deliberately not maintained incrementally: an
 // incrementally updated sum rounds differently from the canonical
 // left-to-right pass, and everything here must stay bit-for-bit against the
@@ -62,12 +70,6 @@ namespace arvis {
 inline constexpr std::size_t kNeverDeparts =
     std::numeric_limits<std::size_t>::max();
 
-/// Poison bit pattern written into freed SoA backlog/weight slots when the
-/// check layer is on: a quiet NaN with a recognizable payload, so a stale
-/// index that survives the bounds DCHECK still trips the poison DCHECK
-/// instead of silently reading a retired session's data.
-inline constexpr std::uint64_t kPoisonedSlotBits = 0x7FF8DEADBEEFDEADULL;
-
 /// QoS tiers the store tracks candidate ceilings for. Sized above kSloTiers
 /// so this layer stays independent of the telemetry headers; the manager
 /// validates spec.qos < kSloTiers long before activation.
@@ -89,7 +91,9 @@ struct SessionSpec {
   std::uint8_t qos = 1;
 };
 
-enum class SessionPhase : std::uint8_t { kPending, kActive, kClosed };
+/// kReleased marks a free slab position: a superseded segment the store
+/// released, whose record is gone.
+enum class SessionPhase : std::uint8_t { kPending, kActive, kClosed, kReleased };
 
 /// The hot SoA state carried across a live migration: backlog, served-bytes
 /// EWMA, and the frame-row cursor. Extracted from the source link's store
@@ -124,6 +128,9 @@ struct ServingSession {
   /// counts from here.
   std::size_t arrival_actual = 0;
   std::size_t departure_actual = 0;
+  /// The store's placement number: its create() count when this segment
+  /// was created.
+  std::size_t placement = 0;
 };
 
 /// The arena + hot-mirror container. The SessionManager owns one and drives
@@ -140,19 +147,41 @@ class SessionStore {
 
   // --- slab ---------------------------------------------------------------
 
-  /// Appends a cold record (stable reference; insertion order preserved).
-  /// Ids need not be ordered (cluster placement can create them out of
-  /// submission order) but must be unique within one store. Its slab
-  /// position is the tag its record's chunks carry, so a store takes at
-  /// most kSegmentTagLimit records: throws std::length_error past that.
+  /// A cold record at a free slab position if there is one, else appended
+  /// (stable reference either way). Ids need not be ordered (cluster
+  /// placement can create them out of submission order) but must be unique
+  /// among the store's records. Its slab position is the tag its record's
+  /// chunks carry, so a store holds at most kSegmentTagLimit records: throws
+  /// std::length_error past that.
   ServingSession& create(std::size_t id, const SessionSpec& spec);
+  /// The slab position of the record create() returned last.
+  [[nodiscard]] std::uint32_t newest() const noexcept { return newest_; }
+  /// Slab positions, free ones included.
   [[nodiscard]] std::size_t session_count() const noexcept {
     return slab_.size();
   }
-  /// Insertion-order access (the finish() walk).
+  /// Free slab positions (released segments create() has not reused).
+  [[nodiscard]] std::size_t free_slots() const noexcept {
+    return free_slots_.size();
+  }
+  /// The record at slab position `pos`, which must not be free.
   [[nodiscard]] ServingSession& session(std::size_t pos) noexcept {
+    ARVIS_DCHECK_LT(pos, slab_.size());
+    ARVIS_DCHECK_MSG(slab_[pos].phase != SessionPhase::kReleased,
+                     "reading a released slab record");
     return slab_[pos];
   }
+  [[nodiscard]] const ServingSession& session(std::size_t pos) const noexcept {
+    return const_cast<SessionStore*>(this)->session(pos);
+  }
+  /// The slab positions that hold a record, in the order create() made
+  /// them (the finish() walk).
+  [[nodiscard]] std::vector<std::uint32_t> placement_order() const;
+  /// Releases the closed segment at slab position `pos`, which a re-placement
+  /// superseded: its record chunks go back to the arena's free list and its
+  /// position to the slot free list. Touches no chunk (the check layer
+  /// poisons them), and allocates only when a free list grows.
+  void release(std::uint32_t pos);
   /// The link's record chunks, every record's under its slab position.
   [[nodiscard]] const StepArena& arena() const noexcept { return *arena_; }
 
@@ -161,31 +190,22 @@ class SessionStore {
   /// Marks `s`, the record create() returned last, active at `slot` and
   /// mirrors its hot fields into the SoA arrays (interning its cache's
   /// FlatDecideTable on first sight), and starts its trace on that table at
-  /// `slot` in a fresh arena chunk tagged with its slab position.
+  /// `slot` in an arena chunk tagged with its slab position. The first
+  /// activation of a slot starts at index 0 of its head chunk; each further
+  /// one in the same slot starts one index later (wrapping at 13).
   void activate(ServingSession& s, std::size_t slot);
 
-  /// Compacts the active list, retiring every session `should_close`
-  /// selects (sealing its trace, then invoking `on_close(session)`) while
-  /// keeping all SoA mirrors index-parallel. Preserves relative order of
-  /// survivors.
+  /// Retires every active session `should_close` selects: seals each trace
+  /// and invokes `on_close(session)` in index order, then compacts the
+  /// active list and every SoA mirror, one block copy per run of survivors,
+  /// keeping their relative order.
   template <class ShouldClose, class OnClose>
   void retire_active(ShouldClose should_close, OnClose on_close) {
-    const std::size_t n = active_.size();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ServingSession& s = *active_[i];
-      if (should_close(s)) {
-        s.trace.commit(pos_[i]);
-        on_close(s);
-        continue;
-      }
-      compact_to(kept, i);
-      ++kept;
+    retiring_.clear();
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (should_close(*active_[i])) retiring_.push_back(i);
     }
-    if (kept != n) {
-      resize_active(kept);
-      ++generation_;
-    }
+    retire_marked(on_close);
   }
 
   /// The per-slot departure sweep: retires every session whose departure
@@ -195,21 +215,19 @@ class SessionStore {
   /// slab at all.
   template <class OnClose>
   void retire_departed(std::size_t slot, OnClose on_close) {
-    const std::size_t n = active_.size();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (departure_[i] <= slot) {
-        active_[i]->trace.commit(pos_[i]);
-        on_close(*active_[i]);
-        continue;
-      }
-      compact_to(kept, i);
-      ++kept;
+    retiring_.clear();
+    for (std::size_t i = 0; i < departure_.size(); ++i) {
+      if (departure_[i] <= slot) retiring_.push_back(i);
     }
-    if (kept != n) {
-      resize_active(kept);
-      ++generation_;
-    }
+    retire_marked(on_close);
+  }
+
+  /// Retires active session i alone (the retire_active contract).
+  template <class OnClose>
+  void retire_at(std::size_t i, OnClose on_close) {
+    ARVIS_DCHECK_LT(i, active_.size());
+    retiring_.assign(1, i);
+    retire_marked(on_close);
   }
 
   /// Moves active session i's departure to `slot`, in its spec and in the
@@ -326,10 +344,12 @@ class SessionStore {
   /// tables: index-parallel lengths, weight/departure bit-equality with the
   /// spec, table pointers/frame counts matching the table interned for the
   /// session's cache (the first one, so a duplicate intern fails), row
-  /// cursors aligned and in range, no poisoned or duplicated slots, and
-  /// every chunk on a live record's chain tagged with its slab position.
-  /// O(active + slab) — called from tests and the bench oracles, never from
-  /// the slot loop (hot-path invariants are the DCHECKs above).
+  /// cursors aligned and in range, no poisoned or duplicated slots, every
+  /// chunk on a record's chain tagged with its slab position, every free
+  /// slot released and listed once, and no free-list chunk on a record's
+  /// chain. O(active + slab + chunks) — called from tests and the bench
+  /// oracles, never from the slot loop (hot-path invariants are the DCHECKs
+  /// above).
   [[nodiscard]] Status validate() const;
 
   // --- brownout quality ceilings -------------------------------------------
@@ -411,25 +431,22 @@ class SessionStore {
   }
 
  private:
-  /// Moves every SoA mirror of index `from` to index `to` (compaction). The
-  /// decide choice moves too: last_quality reads it between slots.
-  void compact_to(std::size_t to, std::size_t from) noexcept {
-    if (to == from) return;
-    active_[to] = active_[from];
-    backlog_[to] = backlog_[from];
-    weight_[to] = weight_[from];
-    ewma_[to] = ewma_[from];
-    table_[to] = table_[from];
-    frames_[to] = frames_[from];
-    row_off_[to] = row_off_[from];
-    departure_[to] = departure_[from];
-    qos_[to] = qos_[from];
-    limit_[to] = limit_[from];
-    chunk_[to] = chunk_[from];
-    pos_[to] = pos_[from];
-    choice_[to] = choice_[from];
+  /// Seals and closes the sessions at the indices in retiring_ (ascending),
+  /// then compacts the survivors over them.
+  template <class OnClose>
+  void retire_marked(OnClose on_close) {
+    if (retiring_.empty()) return;
+    for (const std::size_t i : retiring_) {
+      active_[i]->trace.commit(pos_[i]);
+      on_close(*active_[i]);
+    }
+    compact_retired();
   }
-
+  /// Moves each run of survivors between the indices in retiring_ down
+  /// over them, one block copy per run in every SoA mirror (the decide
+  /// choice too: last_quality reads it between slots), then shrinks the
+  /// active list and bumps the generation.
+  void compact_retired();
   void resize_active(std::size_t n);
   /// The (possibly newly) interned table for `cache`.
   const std::shared_ptr<const FlatDecideTable>& intern(
@@ -442,8 +459,12 @@ class SessionStore {
   /// degradation policy is idle). Fixed size; never reallocates.
   std::vector<std::uint32_t> tier_limit_;
 
-  std::deque<ServingSession> slab_;        // insertion order, stable refs
+  std::deque<ServingSession> slab_;        // stable refs
+  std::vector<std::uint32_t> free_slots_;  // released positions, LIFO
+  std::uint32_t newest_ = 0;               // position create() returned last
+  std::size_t placements_ = 0;             // create() calls so far
   std::vector<ServingSession*> active_;    // admission order
+  std::vector<std::size_t> retiring_;      // scratch: indices retiring now
 
   // Hot SoA mirrors, index-parallel with active_.
   std::vector<double> backlog_;
@@ -466,7 +487,8 @@ class SessionStore {
   // This link's record chunks. Shared with every trace started in it, so
   // finished outcomes stay decodable after the store.
   std::shared_ptr<StepArena> arena_;
-  std::size_t next_first_ = 0;  // head-chunk index of the next activation
+  std::size_t next_first_ = 0;     // head-chunk index of the next activation
+  std::size_t rotation_slot_ = 0;  // the slot next_first_ rotates within
 
   // Interned flattened tables, keyed by cache identity (few distinct caches
   // per run; linear scan at activation only). Shared with every trace

@@ -1,7 +1,9 @@
 #include "serving/session_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <type_traits>
@@ -80,6 +82,28 @@ void StepArena::grow() {
   used_ = 0;
 }
 
+void StepArena::release(StepChunk* head, std::size_t chunks) {
+  ARVIS_DCHECK(head != nullptr);
+#if ARVIS_DCHECK_IS_ON
+  std::size_t walked = 0;
+  for (StepChunk* c = head; c != nullptr; c = c->next, ++walked) {
+    std::fill(std::begin(c->service), std::end(c->service),
+              std::bit_cast<double>(kPoisonedSlotBits));
+  }
+  ARVIS_DCHECK_EQ(walked, chunks);
+#endif
+  free_.push_back(head);
+  free_chunks_ += chunks;
+}
+
+std::size_t StepArena::bumped() const noexcept {
+  std::size_t chunks = 0;
+  for (const Block* b = block_.get(); b != nullptr; b = b->prev.get()) {
+    chunks += b == block_.get() ? used_ : kChunksPerBlock;
+  }
+  return chunks;
+}
+
 std::vector<std::span<const StepChunk>> StepArena::blocks() const {
   std::vector<std::span<const StepChunk>> out;
   for (const Block* b = block_.get(); b != nullptr; b = b->prev.get()) {
@@ -142,6 +166,7 @@ struct ArenaDecode {
   // What every step reads first, so it shares cache lines with the sums.
   const double* row;  // frame row of the next step
   double backlog;     // Q at the next step
+  const StepChunk* expect;  // the chunk holding the next step (null at end)
   const double* rows_begin;
   const double* rows_end;
   const int* candidates;
@@ -159,6 +184,8 @@ struct ArenaDecode {
   void step(const StepChunk& chunk, std::size_t k) noexcept {
     const std::size_t c = chunk.choice[k];
     const double service = chunk.service[k];
+    ARVIS_DCHECK_MSG(std::bit_cast<std::uint64_t>(service) != kPoisonedSlotBits,
+                     "summarizing a released record chunk");
     const double arrivals = row[width + c];
     const double next = lindley_next(backlog, service, arrivals);
     sums.add(row[c], backlog, candidates[c], arrivals, service, next);
@@ -185,6 +212,30 @@ struct TailChunk {
 };
 static_assert(sizeof(TailChunk) == 16);
 
+/// Decodes `chunk`, record `id`'s expected chunk, into its state `d`: the
+/// record's steps in it run from its next one to its end, and those in its
+/// stability tail also go on the worklist.
+void decode_chunk(ArenaDecode& d, std::uint32_t id, const StepChunk& chunk,
+                  std::vector<TailChunk>& worklist) {
+  // The chunk holds chain positions [base, base + 13).
+  const std::size_t base = d.pos - d.pos % kStepsPerChunk;
+  const std::size_t k0 = d.pos - base;
+  const std::size_t k1 = std::min(kStepsPerChunk, d.end - base);
+  const std::size_t kt = std::clamp(d.tail, base + k0, base + k1) - base;
+  for (std::size_t k = k0; k < kt; ++k) d.step(chunk, k);
+  if (kt < k1) {
+    if (base + kt == d.tail) {
+      d.tail_row = d.row;
+      d.tail_backlog = d.backlog;
+    }
+    for (std::size_t k = kt; k < k1; ++k) d.step(chunk, k);
+    worklist.push_back(TailChunk{&chunk, id, static_cast<std::uint8_t>(kt),
+                                 static_cast<std::uint8_t>(k1)});
+  }
+  d.pos = base + k1;
+  d.expect = d.pos == d.end ? nullptr : chunk.next;
+}
+
 }  // namespace
 
 void SessionTrace::summarize_in_arena_order(const StepArena& arena,
@@ -210,7 +261,7 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
     }
     const double* rows = table.data();
     states.push_back(ArenaDecode{
-        rows + r.row0_, r.backlog0_, rows,
+        rows + r.row0_, r.backlog0_, r.head_, rows,
         rows + table.frames() * table.stride(), table.candidates().data(),
         table.candidates().size(), r.first_, end, tail, sums, nullptr, 0.0,
         job.out});
@@ -226,8 +277,10 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
     }
   };
 
-  // Pass 1: every chunk in bump order; a record's chunks come in chain
-  // order because each was allocated when the one before it filled.
+  // Pass 1: every chunk in bump order. A record none of whose chunks was
+  // recycled meets them in chain order, because each was bumped when the
+  // one before it filled; a recycled chunk may come before its chain
+  // predecessor, or be a free chunk under a stale tag, and is skipped.
   std::vector<TailChunk> worklist;
   worklist.reserve(tail_chunks);
   for (const std::span<const StepChunk> block : arena.blocks()) {
@@ -239,29 +292,20 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
       const StepChunk& chunk = block[j];
       ARVIS_DCHECK_LT(chunk.tag(), tags);
       const std::uint32_t id = index[chunk.tag()];
-      if (id == kNoJob) continue;  // superseded, empty or not asked for
-      ArenaDecode& d = states[id];
-      // The chunk holds chain positions [base, base + 13); the record's
-      // steps in it run from its next one to its end.
-      const std::size_t base = d.pos - d.pos % kStepsPerChunk;
-      const std::size_t k0 = d.pos - base;
-      const std::size_t k1 = std::min(kStepsPerChunk, d.end - base);
-      const std::size_t kt = std::clamp(d.tail, base + k0, base + k1) - base;
-      for (std::size_t k = k0; k < kt; ++k) d.step(chunk, k);
-      if (kt < k1) {
-        if (base + kt == d.tail) {
-          d.tail_row = d.row;
-          d.tail_backlog = d.backlog;
-        }
-        for (std::size_t k = kt; k < k1; ++k) d.step(chunk, k);
-        worklist.push_back(TailChunk{&chunk, id, static_cast<std::uint8_t>(kt),
-                                     static_cast<std::uint8_t>(k1)});
-      }
-      d.pos = base + k1;
+      if (id == kNoJob) continue;  // free, empty or not asked for
+      if (states[id].expect != &chunk) continue;  // free or out of order
+      decode_chunk(states[id], id, chunk, worklist);
     }
   }
+  // The records whose chains left bump order finish along their chains.
+  for (std::uint32_t id = 0; id < states.size(); ++id) {
+    ArenaDecode& d = states[id];
+    while (d.pos != d.end) decode_chunk(d, id, *d.expect, worklist);
+  }
 
-  // Pass 2: the tail steps again, now that each tail's mean is known.
+  // Pass 2: the tail steps again, now that each tail's mean is known. A
+  // record's worklist entries are in chain order: pass 1 decodes its chunks
+  // in chain order, and the completion appends the rest after them.
   for (std::size_t j = 0; j < worklist.size(); ++j) {
     if (j + kAhead < worklist.size()) {
       prefetch(&states[worklist[j + kAhead].state], sizeof(ArenaDecode));
@@ -271,10 +315,7 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
     ArenaDecode& d = states[w.state];
     for (std::size_t k = w.k0; k < w.k1; ++k) d.replay(*w.chunk, k);
   }
-  for (const ArenaDecode& d : states) {
-    ARVIS_DCHECK_EQ(d.pos, d.end);
-    *d.out = d.sums.summary();
-  }
+  for (const ArenaDecode& d : states) *d.out = d.sums.summary();
 }
 
 }  // namespace arvis

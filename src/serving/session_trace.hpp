@@ -15,16 +15,24 @@
 //
 // Drain writes into StepChunks: 128 bytes holding 13 consecutive
 // session·slots of one segment (9.85 B each) and a link to the segment's
-// next chunk. Each link's store owns one StepArena that hands chunks out in
-// bump order from 1 MiB blocks, so a slot's writes land on a few dozen pages
-// per link instead of one page per session, and a segment holds only the
-// chunks it filled plus the one it is writing: nothing is reserved ahead.
-// A segment's first step lands at a rotating index of its head chunk, so a
-// fleet that streams in lockstep crosses chunk boundaries a few sessions at
-// a time rather than all at once every 13th slot. The store keeps the chunk
-// being written and the chain position in hot mirrors; a record learns its
-// size only when its segment retires (commit), so a live session's trace
-// reads empty.
+// next chunk. Each link's store owns one StepArena that hands chunks out
+// from 1 MiB blocks, so a slot's writes land on a few dozen pages per link
+// instead of one page per session, and a segment holds only the chunks it
+// filled plus the one it is writing: nothing is reserved ahead. A segment's
+// first step lands at a rotating index of its head chunk, restarted at 0
+// each slot, so a fleet that streams in lockstep crosses chunk boundaries a
+// few sessions at a time rather than all at once every 13th slot. The store
+// keeps the chunk being written and the chain position in hot mirrors; a
+// record learns its size only when its segment retires (commit), so a live
+// session's trace reads empty.
+//
+// The arena is not append-only. When the cluster re-places a session (a
+// failover or a completed migration), the superseded segment's chain goes
+// back to its arena (StepArena::release), and alloc() hands those chunks
+// out again before it bumps. So the arena holds the chunks of each
+// session's final segment, of the live ones and of its free list; a
+// record's chunks no longer lie in bump order once any of them was
+// recycled.
 //
 // Every chunk carries a 24-bit tag, the slab position of the segment whose
 // steps it holds, in the padding before `next`. So the run's end can read a
@@ -33,13 +41,18 @@
 // (StepArena::blocks) and sends each chunk's steps to its record's
 // SummaryAccumulator by tag, instead of following each record's chain,
 // whose consecutive chunks lie as far apart as the sessions streaming
-// beside it (about 128 KiB on a link of 1000 sessions).
+// beside it (about 128 KiB on a link of 1000 sessions). A free chunk still
+// carries the tag of the segment it last held, and slab positions are
+// reused too, so the walk decodes a chunk only when it is its record's
+// expected next one, and then follows the chain of every record it left
+// incomplete.
 //
 // A record holds its FlatDecideTable and its StepArena, so session outcomes
 // stay decodable after the runtime that produced them is gone.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -129,15 +142,23 @@ struct StepChunk {
 };
 static_assert(sizeof(StepChunk) == 128);
 
-/// One link's append-only chunk arena. Chunks come out in bump order from
-/// blocks of kChunksPerBlock; a block never moves and leaves only with the
-/// arena, so every record written into it stays readable while any outcome
-/// holds the arena. A destroyed arena's blocks go to a process-wide free
-/// list, which the next arena takes blocks from before it asks the heap: a
-/// process that runs one serving run after another then writes its records
-/// into pages it has already touched. Without it, the heap may hand a freed
-/// arena back to the kernel (glibc trims the top of the heap), and the next
-/// run's drain faults every page in again.
+/// Poison written over what the check layer retires (freed SoA slots in
+/// SessionStore, the steps of released record chunks): a quiet NaN with a
+/// recognizable payload, so a stale index or a stale record that survives
+/// the bounds checks still trips a DCHECK instead of silently reading
+/// another session's data.
+inline constexpr std::uint64_t kPoisonedSlotBits = 0x7FF8DEADBEEFDEADULL;
+
+/// One link's chunk arena. Chunks come from a free list of released chains
+/// first, and otherwise in bump order from blocks of kChunksPerBlock; a
+/// block never moves and leaves only with the arena, so every record
+/// written into it stays readable while any outcome holds the arena. A
+/// destroyed arena's blocks go to a process-wide free list, which the next
+/// arena takes blocks from before it asks the heap: a process that runs one
+/// serving run after another then writes its records into pages it has
+/// already touched. Without it, the heap may hand a freed arena back to the
+/// kernel (glibc trims the top of the heap), and the next run's drain
+/// faults every page in again.
 class StepArena {
  public:
   static constexpr std::size_t kChunksPerBlock = 8192;  // 1 MiB of chunks
@@ -148,24 +169,57 @@ class StepArena {
   /// Moves the arena's blocks to the free list.
   ~StepArena();
 
-  /// A fresh chunk tagged `tag` (< kSegmentTagLimit) with a null `next`. At
-  /// most one heap allocation (a new block, when the free list is empty)
-  /// per kChunksPerBlock calls, none otherwise.
+  /// A chunk tagged `tag` (< kSegmentTagLimit) with a null `next`: the
+  /// next chunk of the most recently released chain when there is one,
+  /// else a fresh one in bump order. At most one heap allocation (a new
+  /// block, when the process-wide free list is empty) per kChunksPerBlock
+  /// bumps, none otherwise.
   [[nodiscard]] StepChunk* alloc(std::uint32_t tag) {
-    if (used_ == kChunksPerBlock) grow();
-    StepChunk* chunk = &block_->chunks[used_++];
+    StepChunk* chunk;
+    if (!free_.empty()) {
+      chunk = free_.back();
+      if (chunk->next != nullptr) {
+        free_.back() = chunk->next;
+      } else {
+        free_.pop_back();
+      }
+      --free_chunks_;
+      ++recycled_;
+    } else {
+      if (used_ == kChunksPerBlock) grow();
+      chunk = &block_->chunks[used_++];
+    }
     chunk->set_tag(tag);
     chunk->next = nullptr;
     return chunk;
   }
 
-  /// Every chunk alloc() handed out, in the order it handed them out: one
-  /// span per block, oldest block first. Each chunk was allocated (so it
-  /// carries a tag), free-list blocks included, because the arena leaves a
-  /// block behind only once it is full.
-  [[nodiscard]] std::vector<std::span<const StepChunk>> blocks() const;
+  /// Returns the chain at `head` (linked through `next`, null-terminated,
+  /// `chunks` long) to the free list; alloc() hands its chunks out again.
+  /// Touches no chunk unless the check layer is on, which poisons every
+  /// step so a decoder that reaches one trips a DCHECK.
+  void release(StepChunk* head, std::size_t chunks);
 
-  /// Frees every block on the free list and returns how many it freed.
+  /// Every chunk alloc() bumped, in the order it bumped them: one span per
+  /// block, oldest block first, free-list chunks included. Each carries a
+  /// tag (a block is left behind only once it is full), but a free chunk's
+  /// is the tag of the segment that last held it.
+  [[nodiscard]] std::vector<std::span<const StepChunk>> blocks() const;
+  /// Chunks alloc() has bumped (the sum of blocks()' sizes).
+  [[nodiscard]] std::size_t bumped() const noexcept;
+  /// Chunks on the free list.
+  [[nodiscard]] std::size_t free_chunks() const noexcept {
+    return free_chunks_;
+  }
+  /// Chunks alloc() took from the free list so far.
+  [[nodiscard]] std::size_t recycled() const noexcept { return recycled_; }
+  /// The heads of the free list's chains (validation walks them).
+  [[nodiscard]] std::span<StepChunk* const> free_chains() const noexcept {
+    return free_;
+  }
+
+  /// Frees every block on the process-wide free list and returns how many
+  /// it freed.
   static std::size_t release_free_blocks();
 
  private:
@@ -180,6 +234,12 @@ class StepArena {
   static FreeList free_list_;
   std::unique_ptr<Block> block_;  // the block alloc() bumps through
   std::size_t used_ = kChunksPerBlock;  // chunks taken from block_
+  // Released chains, most recent last; alloc() takes the last one's head.
+  // A release touches none of its chunks: the one alloc() takes is about
+  // to be written anyway.
+  std::vector<StepChunk*> free_;
+  std::size_t free_chunks_ = 0;
+  std::size_t recycled_ = 0;
 };
 
 /// A session's per-slot record over one active segment (an admission, or a
@@ -205,7 +265,7 @@ class SessionTrace {
       record.t = t_;
       record.depth = candidates_[c];
       record.arrivals = row_[width_ + c];
-      record.service = chunk_->service[k_];
+      record.service = service();
       record.backlog_begin = backlog_;
       record.backlog_end =
           lindley_next(backlog_, record.service, record.arrivals);
@@ -213,7 +273,7 @@ class SessionTrace {
       return record;
     }
     Iterator& operator++() noexcept {
-      backlog_ = lindley_next(backlog_, chunk_->service[k_],
+      backlog_ = lindley_next(backlog_, service(),
                               row_[width_ + chunk_->choice[k_]]);
       if (++k_ == kStepsPerChunk) {
         chunk_ = chunk_->next;
@@ -236,6 +296,16 @@ class SessionTrace {
 
    private:
     friend class SessionTrace;
+
+    /// The current step's share. A released chunk's steps are poisoned
+    /// while the check layer is on, so a record that outlived its segment's
+    /// release dies here instead of decoding another segment's steps.
+    double service() const noexcept {
+      ARVIS_DCHECK_MSG(std::bit_cast<std::uint64_t>(chunk_->service[k_]) !=
+                           kPoisonedSlotBits,
+                       "decoding a released record chunk");
+      return chunk_->service[k_];
+    }
 
     const StepChunk* chunk_ = nullptr;
     std::size_t k_ = 0;     // step index within chunk_
@@ -309,13 +379,16 @@ class SessionTrace {
   };
   /// Writes every job's summarize_partial() into its `out`, bit for bit, in
   /// one read of `arena` (every job's records live there, under tags below
-  /// `tags`) in the order alloc() handed its chunks out, instead of one
-  /// chain walk per record: a record's consecutive chunks lie as far apart
-  /// as the sessions that streamed beside it, while the arena reads
-  /// sequentially. Pass 1 visits every chunk, skips those whose tag has no
-  /// job, and feeds each step to its record's SummaryAccumulator; a chunk
-  /// holding stability-tail steps goes on a worklist (16 B each), and pass
-  /// 2 replays only those steps, from the row and backlog each record had
+  /// `tags`) in the order alloc() bumped its chunks, instead of one chain
+  /// walk per record: a record's consecutive chunks lie as far apart as the
+  /// sessions that streamed beside it, while the arena reads sequentially.
+  /// Pass 1 visits every chunk and decodes it only when it is its record's
+  /// expected next chunk (it skips a free chunk, and a chunk that comes
+  /// before its chain predecessor in bump order), feeding each
+  /// step to the record's SummaryAccumulator; then each record the pass
+  /// left incomplete is finished along its chain. A chunk holding
+  /// stability-tail steps goes on a worklist (16 B each), and pass 2
+  /// replays only those steps, from the row and backlog each record had
   /// where its tail starts. Transient memory: a decode state per job, a
   /// 4-byte index per tag and the worklist.
   static void summarize_in_arena_order(const StepArena& arena,

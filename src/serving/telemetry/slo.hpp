@@ -115,8 +115,8 @@ const char* to_string(SloState state) noexcept;
 /// One tier's sample inside an observation. Counters are cumulative since
 /// run start (the monitor differences them); gauges are instantaneous.
 struct SloTierSample {
-  std::uint64_t accepted = 0;   ///< cumulative admissions
-  std::uint64_t rejected = 0;   ///< cumulative admission rejects
+  std::uint64_t accepted = 0;   ///< cumulative arrivals placed on a link
+  std::uint64_t rejected = 0;   ///< cumulative arrivals every link refused
   std::size_t active = 0;       ///< sessions active right now
   /// p95 over active sessions of backlog/service-rate (slots); the cluster
   /// reports the worst link's value.

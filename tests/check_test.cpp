@@ -140,6 +140,38 @@ TEST(CheckDeathTest, RetiredSlotIsPoisonedNotReadable) {
   EXPECT_DEATH(store.drain(1, 0.0, 0.0), "ARVIS_DCHECK failed");
 }
 
+TEST(CheckDeathTest, ReleasedSegmentIsPoisonedNotReadable) {
+  SessionStore store = make_store();
+  activate_one(store, 0);
+  activate_one(store, 1);
+  for (std::size_t t = 0; t < 20; ++t) {
+    store.decide_all();
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      store.drain(i, 300.0, 0.0);
+    }
+  }
+  store.retire_active(
+      [](const ServingSession& s) { return s.id == 0; },
+      [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
+  // A copy of the sealed record outlives the segment's release.
+  const SessionTrace stale = store.session(0).trace;
+  ASSERT_EQ(stale.size(), 20U);
+  store.release(0);
+  EXPECT_DEATH((void)store.session(0), "reading a released slab record");
+  // A new segment takes the released slab position and the chain's head
+  // chunk; the stale record still leads into the chunks.
+  activate_one(store, 2);
+  ASSERT_EQ(store.newest(), 0U);
+  const auto decode = [&stale] {
+    double sum = 0.0;
+    for (const StepRecord& r : stale.steps()) sum += r.service;
+    return sum;
+  };
+  EXPECT_DEATH((void)decode(), "decoding a released record chunk");
+  EXPECT_DEATH((void)stale.summarize_partial(),
+               "decoding a released record chunk");
+}
+
 #endif  // ARVIS_DCHECK_IS_ON
 
 }  // namespace

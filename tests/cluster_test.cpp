@@ -16,7 +16,10 @@
 #include <limits>
 #include <new>
 #include <stdexcept>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -416,7 +419,91 @@ struct FinishCoverage {
   std::size_t chunk_edge_records = 0;  // ends within a step of a chunk end
   std::size_t alive_at_finish = 0;
   std::size_t most_link_chunks = 0;    // current segments' chunks, one link
+  std::size_t recycled_chunks = 0;     // taken from a link's free list
+  std::size_t out_of_bump_order = 0;   // records whose chain leaves bump order
+  std::size_t reused_slots = 0;        // records placed before a lower slot's
+  std::size_t migrated_then_evicted = 0;
+  std::size_t migrated_back = 0;       // migrated onto a link it streamed on
 };
+
+/// Counts, before finish(), what the links' stores hold that the arena walk
+/// must get right: recycled chunks, records whose chunks do not ascend in
+/// bump order, and slab positions reused out of placement order.
+void count_store_coverage(const EdgeCluster& cluster,
+                          FinishCoverage& coverage) {
+  for (std::size_t k = 0; k < cluster.link_count(); ++k) {
+    const SessionStore& store = cluster.link(k).store();
+    ASSERT_TRUE(store.validate().ok()) << store.validate().to_string();
+    coverage.recycled_chunks += store.arena().recycled();
+    std::unordered_map<const StepChunk*, std::size_t> bump_index;
+    for (const std::span<const StepChunk> block : store.arena().blocks()) {
+      for (const StepChunk& chunk : block) {
+        bump_index.emplace(&chunk, bump_index.size());
+      }
+    }
+    const std::vector<std::uint32_t> order = store.placement_order();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i > 0 && order[i] < order[i - 1]) ++coverage.reused_slots;
+      const ServingSession& s = store.session(order[i]);
+      std::size_t last = 0;
+      for (const StepChunk* c = s.trace.head(); c != nullptr; c = c->next) {
+        const std::size_t at = bump_index.at(c);
+        if (c != s.trace.head() && at < last) {
+          ++coverage.out_of_bump_order;
+          break;
+        }
+        last = at;
+      }
+    }
+  }
+}
+
+/// Replays the flight ring of a finished run: the links each session was
+/// admitted on, in order, and each link's admissions in placement order as
+/// (session, index into that session's links). Arrivals admit under their
+/// session id; every admitted failover or migration segment takes the next
+/// failover id, and the cluster records a kFailover or kMigration event
+/// naming its session right after the link's kAdmit.
+struct PlacementLog {
+  std::vector<std::vector<std::size_t>> session_links;
+  /// Per session: the links it migrated onto that it had streamed on before.
+  std::vector<std::size_t> migrated_back;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> link_admits;
+};
+
+PlacementLog replay_placements(const FlightRecorder& recorder,
+                               std::size_t sessions, std::size_t links) {
+  constexpr std::uint64_t kFailoverBase = std::uint64_t{1} << 32;
+  PlacementLog log;
+  log.session_links.resize(sessions);
+  log.migrated_back.resize(sessions);
+  log.link_admits.resize(links);
+  std::size_t pending_link = links;  // a failover id's link, until named
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    const FlightEvent& e = recorder.at(i);
+    const auto a = static_cast<std::uint64_t>(e.a);
+    if (e.kind == FlightEventKind::kAdmit) {
+      if (a < kFailoverBase) {
+        log.link_admits[e.tid].emplace_back(a, log.session_links[a].size());
+        log.session_links[a].push_back(e.tid);
+      } else {
+        pending_link = e.tid;
+      }
+    } else if (e.kind == FlightEventKind::kFailover ||
+               e.kind == FlightEventKind::kMigration) {
+      EXPECT_LT(pending_link, links);
+      std::vector<std::size_t>& path = log.session_links[a];
+      if (e.kind == FlightEventKind::kMigration &&
+          std::find(path.begin(), path.end(), pending_link) != path.end()) {
+        ++log.migrated_back[a];
+      }
+      log.link_admits[pending_link].emplace_back(a, path.size());
+      path.push_back(pending_link);
+      pending_link = links;
+    }
+  }
+  return log;
+}
 
 /// One seeded run of `links` links: random arrivals and lifetimes (some
 /// shorter than 8 slots, some streaming until finish), link outages,
@@ -424,7 +511,9 @@ struct FinishCoverage {
 /// `admit_all` turns admission and outages off, so every session streams
 /// until it departs or is closed. finish() summarizes each link's records
 /// in arena order; every summary must equal the record's own chain-walking
-/// summarize_partial() and the decoded Trace's, bit for bit.
+/// summarize_partial() and the decoded Trace's, bit for bit, and each
+/// link's session aggregates must be the fold of the sessions that ended on
+/// it in the order it placed them.
 void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
                                  std::size_t sessions, std::size_t slots,
                                  bool admit_all, FinishCoverage& coverage) {
@@ -434,10 +523,12 @@ void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
   const auto below = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.next_u64() % n);
   };
+  FlightRecorder recorder(FlightRecorderConfig{std::size_t{1} << 15});
   ClusterConfig config;
   config.serving = base_serving_config();
   config.serving.admission.enabled = !admit_all;
   config.serving.threads = seed % 2 == 0 ? links : 1;
+  config.serving.telemetry.flight = &recorder;
   config.placement = static_cast<PlacementPolicy>(seed % 3);
   config.handover.enabled = links > 1 && seed % 2 == 0;
   config.handover.max_migrations_per_slot = 2;
@@ -487,6 +578,7 @@ void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
     }
     cluster.step(caps);
   }
+  count_store_coverage(cluster, coverage);
   const ClusterResult result = cluster.finish();
 
   std::vector<std::size_t> link_chunks(links, 0);
@@ -494,6 +586,9 @@ void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
     coverage.failovers += s.failovers;
     coverage.migrations += s.migrations;
     const SessionOutcome& o = s.session;
+    // A session a link admitted keeps the segment it ended on, whatever
+    // ended it.
+    EXPECT_EQ(o.admitted, s.link >= 0) << "session " << o.id;
     if (!o.has_summary) {
       EXPECT_TRUE(o.trace.empty()) << "session " << o.id;
       continue;
@@ -509,10 +604,39 @@ void check_random_cluster_finish(std::uint64_t seed, std::size_t links,
     const std::size_t edge = end % kStepsPerChunk;
     if (edge <= 1 || edge == kStepsPerChunk - 1) ++coverage.chunk_edge_records;
     if (o.departure_slot == slots) ++coverage.alive_at_finish;
+    if (s.migrations > 0 && s.fault_evicted) ++coverage.migrated_then_evicted;
     link_chunks[static_cast<std::size_t>(s.link)] += end / kStepsPerChunk + 1;
   }
   for (const std::size_t chunks : link_chunks) {
     coverage.most_link_chunks = std::max(coverage.most_link_chunks, chunks);
+  }
+
+  ASSERT_EQ(recorder.dropped(), 0U);
+  const PlacementLog log = replay_placements(recorder, sessions, links);
+  for (const std::size_t back : log.migrated_back) {
+    coverage.migrated_back += back;
+  }
+  for (std::size_t k = 0; k < links; ++k) {
+    SCOPED_TRACE("link " + std::to_string(k));
+    ServerMetrics folded;
+    for (const auto& [id, segment] : log.link_admits[k]) {
+      if (segment + 1 != log.session_links[id].size()) continue;  // superseded
+      const SessionOutcome& o = result.sessions[id].session;
+      folded.record_session(true, true, o.has_summary ? &o.summary : nullptr);
+    }
+    const FleetMetrics want = folded.fleet();
+    const FleetMetrics& got = result.metrics.per_link[k];
+    EXPECT_EQ(got.sessions_admitted, want.sessions_admitted);
+    EXPECT_EQ(got.divergent_sessions, want.divergent_sessions);
+    EXPECT_EQ(got.partial_summary_sessions, want.partial_summary_sessions);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_quality),
+              std::bit_cast<std::uint64_t>(want.mean_quality));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.quality_fairness),
+              std::bit_cast<std::uint64_t>(want.quality_fairness));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_time_average_backlog),
+              std::bit_cast<std::uint64_t>(want.total_time_average_backlog));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.peak_backlog),
+              std::bit_cast<std::uint64_t>(want.peak_backlog));
   }
 }
 
@@ -532,6 +656,90 @@ TEST(ClusterFinishTest, ArenaOrderSummariesMatchEachRecordBitForBit) {
   EXPECT_GT(coverage.chunk_edge_records, 0U);
   EXPECT_GT(coverage.alive_at_finish, 0U);
   EXPECT_GT(coverage.most_link_chunks, StepArena::kChunksPerBlock);
+  EXPECT_GT(coverage.recycled_chunks, 0U);
+  EXPECT_GT(coverage.out_of_bump_order, 0U);
+  EXPECT_GT(coverage.reused_slots, 0U);
+  EXPECT_GT(coverage.migrated_then_evicted, 0U);
+  EXPECT_GT(coverage.migrated_back, 0U);
+}
+
+TEST(ClusterFinishTest, LinksHoldOnlyTheSegmentsSessionsEndedOn) {
+  // Three links, every slot a migration to a random link, degrades that
+  // drive handover, and outages that fail sessions over. Each superseded
+  // segment goes back to its link's free lists at once, so at the end every
+  // chunk a link's arena ever bumped is on the chain of a segment a session
+  // ended on there or on the free list, and its slab holds records only for
+  // those segments.
+  Rng rng(2024);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  constexpr std::size_t kLinks = 3;
+  constexpr std::size_t kSessions = 90;
+  constexpr std::size_t kSlots = 400;
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kLeastLoaded;
+  config.handover.enabled = true;
+  const std::vector<double> means(
+      kLinks, 40.0 * cheapest_load(config.serving.candidates));
+  EdgeCluster cluster(config, means);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.arrival_slot = below(kSlots / 2);
+    if (i % 3 == 0) spec.departure_slot = spec.arrival_slot + 20 + below(200);
+    cluster.submit(spec);
+  }
+  std::vector<std::size_t> up_at(kLinks, kNeverDeparts);
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    for (std::size_t k = 0; k < kLinks; ++k) {
+      if (up_at[k] != t) continue;
+      const auto link = static_cast<std::uint32_t>(k);
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkUp, link}));
+      up_at[k] = kNeverDeparts;
+    }
+    const auto link = static_cast<std::uint32_t>(below(kLinks));
+    if (below(50) == 0 && up_at[link] == kNeverDeparts) {
+      ASSERT_TRUE(cluster.apply_fault({t, FaultKind::kLinkDown, link}));
+      up_at[link] = t + 2 + below(6);
+    }
+    if (below(10) == 0) {
+      cluster.apply_fault({t, FaultKind::kLinkDegrade, link,
+                           0.2 + 0.8 * rng.next_double(), 0.0});
+    }
+    cluster.migrate_session(below(kSessions), below(kLinks));
+    cluster.step(means);
+  }
+  std::vector<std::size_t> active(kLinks);
+  for (std::size_t k = 0; k < kLinks; ++k) {
+    active[k] = cluster.link(k).active_count();
+  }
+  const ClusterResult result = cluster.finish();
+  ASSERT_GT(result.metrics.migrations_completed, 200U);
+  ASSERT_GT(result.metrics.failover_replaced, 10U);
+
+  std::vector<std::size_t> final_segments(kLinks, 0);
+  std::vector<std::size_t> final_chunks(kLinks, 0);
+  for (const ClusterSessionOutcome& s : result.sessions) {
+    if (s.link < 0) continue;
+    const auto k = static_cast<std::size_t>(s.link);
+    ++final_segments[k];
+    const SessionTrace& trace = s.session.trace;
+    final_chunks[k] += (trace.first() + trace.size()) / kStepsPerChunk + 1;
+  }
+  for (std::size_t k = 0; k < kLinks; ++k) {
+    SCOPED_TRACE("link " + std::to_string(k));
+    const SessionStore& store = cluster.link(k).store();
+    EXPECT_TRUE(store.validate().ok()) << store.validate().to_string();
+    const StepArena& arena = store.arena();
+    EXPECT_GT(arena.recycled(), 0U);
+    EXPECT_EQ(arena.bumped(), final_chunks[k] + arena.free_chunks());
+    // finish() closed the sessions active at the end: they are among the
+    // final segments.
+    EXPECT_LE(active[k], final_segments[k]);
+    EXPECT_EQ(store.session_count() - store.free_slots(), final_segments[k]);
+  }
 }
 
 // --------------------------------------------------------- validation ----
@@ -794,19 +1002,64 @@ TEST(EdgeClusterTest, AdmissionStatsSumEachLinksTierCounts) {
     EXPECT_EQ(a.rejected, want_rejected[k]) << "link " << k;
     EXPECT_EQ(a.attempts, a.accepted + a.rejected) << "link " << k;
   }
-  // The same ten outcomes by tier: best-effort admitted 0 and 4 (refused on
-  // link 0 first); standard admitted 2 (refused on link 0 first) and 3;
-  // premium admitted 1 twice, and both links refused 5.
-  const std::uint64_t tier_accepted[] = {2, 2, 2};
-  const std::uint64_t tier_rejected[] = {1, 1, 2};
+  // The SLO counters count sessions, not those ten admission tests: placed
+  // are best-effort 0 and 4, standard 2 and 3 (spilled or not) and premium
+  // 1 (its migration admits no new session); refused is premium 5.
+  const std::uint64_t tier_accepted[] = {2, 2, 1};
+  const std::uint64_t tier_rejected[] = {0, 0, 1};
   for (std::size_t t = 0; t < kSloTiers; ++t) {
     EXPECT_EQ(observation.tier[t].accepted, tier_accepted[t]) << "tier " << t;
     EXPECT_EQ(observation.tier[t].rejected, tier_rejected[t]) << "tier " << t;
   }
-  const AdmissionStats& a0 = m.per_link_admission[0];
-  const AdmissionStats& a1 = m.per_link_admission[1];
-  EXPECT_EQ(observation.total.accepted, a0.accepted + a1.accepted);
-  EXPECT_EQ(observation.total.rejected, a0.rejected + a1.rejected);
+  EXPECT_EQ(observation.total.accepted, observation.placed);
+  EXPECT_EQ(observation.total.rejected, observation.placement_rejects);
+  EXPECT_EQ(observation.total.accepted, 5U);
+  EXPECT_EQ(observation.total.rejected, 1U);
+}
+
+TEST(EdgeClusterTest, SloAcceptRatioCountsSessionsNotAdmissionTests) {
+  // Round-robin over link 0 (room for one session) and link 1 (room for
+  // four). Sessions 0-2 arrive at slot 0: 0 lands on link 0, 1 on link 1,
+  // and 2 is refused by the full link 0 and spills to link 1. Every arrival
+  // was placed, so the accept ratio is 3 / 3, though the links ran four
+  // admission tests and refused one (3 / 4), and the spilled tier reads
+  // 1 / 1 where its tests read 1 / 2.
+  ClusterConfig config;
+  config.serving = base_serving_config();
+  config.placement = PlacementPolicy::kRoundRobin;
+  const double load = cheapest_load(config.serving.candidates);
+  const std::vector<double> caps{1.5 * load, 4.5 * load};
+  EdgeCluster cluster(config, caps);
+  for (std::uint8_t qos = 0; qos < 3; ++qos) {
+    SessionSpec spec;
+    spec.cache = &shared_cache();
+    spec.qos = qos;
+    cluster.submit(spec);
+  }
+  cluster.step(caps);
+  ASSERT_EQ(cluster.placed(), 3U);
+
+  SloObservation observation;
+  cluster.accumulate_slo(observation);
+  EXPECT_EQ(observation.spills, 1U);
+  SloConfig slo;
+  slo.specs = {{"accept", SloMetric::kAcceptRatio, 0.9, -1},
+               {"accept-spilled-tier", SloMetric::kAcceptRatio, 0.9, 2},
+               {"reject", SloMetric::kRejectRatio, 0.1, -1}};
+  slo.windows = {1, 1};
+  SloMonitor monitor(slo);
+  EXPECT_TRUE(monitor.observe(observation).empty());
+  for (std::size_t spec = 0; spec < slo.specs.size(); ++spec) {
+    EXPECT_EQ(monitor.state(spec), SloState::kOk) << slo.specs[spec].name;
+  }
+  EXPECT_EQ(observation.total.accepted, 3U);
+  EXPECT_EQ(observation.total.rejected, 0U);
+  EXPECT_EQ(observation.tier[2].accepted, 1U);
+  EXPECT_EQ(observation.tier[2].rejected, 0U);
+  // The per-link ledger still counts every admission test.
+  const AdmissionStats l0 = cluster.link(0).admission_stats();
+  EXPECT_EQ(l0.accepted, 1U);
+  EXPECT_EQ(l0.rejected, 1U);
 }
 
 // ------------------------------------------------- allocation freedom ----

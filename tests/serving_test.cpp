@@ -1103,6 +1103,190 @@ TEST(SessionStoreTest, ValidateDetectsAChunkTaggedForAnotherRecord) {
   EXPECT_TRUE(store.validate().ok());
 }
 
+TEST(SessionStoreTest, RetiresFirstLastAdjacentAndScatteredIndices) {
+  // Twelve sessions with distinct backlogs. One retirement takes the first,
+  // two adjacent, a scattered and the last index: the store closes them in
+  // index order and the survivors keep their order and their hot state.
+  // Then retire_at takes one from the middle and the departure sweep the
+  // new first and last.
+  const ServingConfig config = small_config();
+  SessionStore store(config.candidates, config.v);
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  constexpr std::size_t kSessions = 12;
+  for (std::size_t id = 0; id < kSessions; ++id) {
+    ServingSession& s = store.create(id, spec);
+    s.phase = SessionPhase::kActive;
+    store.activate(s, 0);
+  }
+  for (std::size_t t = 0; t < 3; ++t) {
+    store.decide_all();
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      store.drain(i, 100.0 * static_cast<double>(i), 0.5);
+    }
+  }
+  std::vector<double> backlog_of(kSessions);
+  std::vector<double> ewma_of(kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    backlog_of[i] = store.backlogs()[i];
+    ewma_of[i] = store.ewma_throughput()[i];
+  }
+  const auto ids = [&store] {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      out.push_back(store.active_session(i).id);
+    }
+    return out;
+  };
+  const auto expect_hot_state_followed = [&] {
+    for (std::size_t i = 0; i < store.active_count(); ++i) {
+      const std::size_t id = store.active_session(i).id;
+      EXPECT_EQ(store.backlogs()[i], backlog_of[id]) << "session " << id;
+      EXPECT_EQ(store.ewma_throughput()[i], ewma_of[id]) << "session " << id;
+      EXPECT_EQ(store.weights()[i], 1.0) << "session " << id;
+    }
+    const Status ok = store.validate();
+    EXPECT_TRUE(ok.ok()) << ok.to_string();
+  };
+
+  std::vector<std::size_t> closed;
+  const auto close = [&closed](ServingSession& s) {
+    s.phase = SessionPhase::kClosed;
+    closed.push_back(s.id);
+  };
+  store.retire_active(
+      [](const ServingSession& s) {
+        return s.id == 0 || s.id == 3 || s.id == 4 || s.id == 8 ||
+               s.id == 11;
+      },
+      close);
+  EXPECT_EQ(closed, (std::vector<std::size_t>{0, 3, 4, 8, 11}));
+  EXPECT_EQ(ids(), (std::vector<std::size_t>{1, 2, 5, 6, 7, 9, 10}));
+  expect_hot_state_followed();
+
+  store.retire_at(3, close);  // session 6
+  EXPECT_EQ(closed.back(), 6U);
+  EXPECT_EQ(ids(), (std::vector<std::size_t>{1, 2, 5, 7, 9, 10}));
+  expect_hot_state_followed();
+
+  store.set_departure(0, 3);  // session 1
+  store.set_departure(5, 3);  // session 10
+  closed.clear();
+  store.retire_departed(3, close);
+  EXPECT_EQ(closed, (std::vector<std::size_t>{1, 10}));
+  EXPECT_EQ(ids(), (std::vector<std::size_t>{2, 5, 7, 9}));
+  expect_hot_state_followed();
+
+  // Every retired record is sealed at its three steps.
+  for (std::size_t pos = 0; pos < kSessions; ++pos) {
+    const ServingSession& s = store.session(pos);
+    EXPECT_EQ(s.trace.size(), s.phase == SessionPhase::kClosed ? 3U : 0U)
+        << "session " << pos;
+  }
+}
+
+TEST(SessionStoreTest, HeadRotationRestartsEachSlot) {
+  // Activations in one slot start their records at consecutive indices of
+  // their head chunks; the first activation of a later slot starts at 0.
+  const ServingConfig config = small_config();
+  SessionStore store(config.candidates, config.v);
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  std::size_t id = 0;
+  const auto first_index_at = [&](std::size_t slot) {
+    ServingSession& s = store.create(id++, spec);
+    s.phase = SessionPhase::kActive;
+    store.activate(s, slot);
+    return s.trace.first();
+  };
+  EXPECT_EQ(first_index_at(0), 0U);
+  EXPECT_EQ(first_index_at(0), 1U);
+  EXPECT_EQ(first_index_at(0), 2U);
+  EXPECT_EQ(first_index_at(5), 0U);
+  EXPECT_EQ(first_index_at(9), 0U);
+  EXPECT_EQ(first_index_at(9), 1U);
+  for (std::size_t k = 2; k < kStepsPerChunk; ++k) first_index_at(9);
+  EXPECT_EQ(first_index_at(9), 0U);  // the rotation wraps within a slot
+  EXPECT_TRUE(store.validate().ok()) << store.validate().to_string();
+}
+
+TEST(SessionStoreTest, ReleasedSegmentsRecycleChunksAndSlots) {
+  // A released segment's chunks and slab position are the next ones the
+  // store hands out; validate() catches a free chunk on a record's chain
+  // and a released record that is not on the slot free list.
+  const ServingConfig config = small_config();
+  SessionStore store(config.candidates, config.v);
+  SessionSpec spec;
+  spec.cache = &shared_cache();
+  for (std::size_t id = 0; id < 3; ++id) {
+    ServingSession& s = store.create(id, spec);
+    s.phase = SessionPhase::kActive;
+    store.activate(s, 0);
+  }
+  const auto stream = [&store](std::size_t slots) {
+    for (std::size_t t = 0; t < slots; ++t) {
+      store.decide_all();
+      for (std::size_t i = 0; i < store.active_count(); ++i) {
+        store.drain(i, 400.0, 0.0);
+      }
+    }
+  };
+  stream(2 * kStepsPerChunk);
+  store.retire_active([](const ServingSession& s) { return s.id == 1; },
+                      [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
+  // Session 1 started at index 1 of its head and recorded 26 steps: three
+  // chunks, the last one filled up to index 0.
+  const std::size_t bumped = store.arena().bumped();
+  ASSERT_EQ(bumped, 9U);
+  std::vector<const StepChunk*> released;
+  for (const StepChunk* c = store.session(1).trace.head(); c != nullptr;
+       c = c->next) {
+    released.push_back(c);
+  }
+  ASSERT_EQ(released.size(), 3U);
+  store.release(1);
+  EXPECT_EQ(store.free_slots(), 1U);
+  EXPECT_EQ(store.arena().free_chunks(), 3U);
+  EXPECT_TRUE(store.validate().ok()) << store.validate().to_string();
+
+  ServingSession& fresh = store.create(7, spec);
+  EXPECT_EQ(store.newest(), 1U);
+  EXPECT_EQ(&fresh, &store.session(1));
+  EXPECT_EQ(store.free_slots(), 0U);
+  fresh.phase = SessionPhase::kActive;
+  store.activate(fresh, 30);
+  EXPECT_EQ(fresh.trace.head(), released.front());
+  EXPECT_EQ(fresh.trace.head()->tag(), 1U);
+  stream(2 * kStepsPerChunk);
+  // The fresh head and six more chunks (two per record): the first three
+  // came off the free list, the other four from the arena's bump.
+  EXPECT_EQ(store.arena().recycled(), 3U);
+  EXPECT_EQ(store.arena().free_chunks(), 0U);
+  EXPECT_EQ(store.arena().bumped(), bumped + 4);
+  std::vector<const StepChunk*> live;
+  for (std::size_t pos = 0; pos < 3; ++pos) {
+    for (const StepChunk* c = store.session(pos).trace.head(); c != nullptr;
+         c = c->next) {
+      EXPECT_EQ(c->tag(), pos);
+      live.push_back(c);
+    }
+  }
+  for (const StepChunk* c : released) {
+    EXPECT_NE(std::find(live.begin(), live.end(), c), live.end());
+  }
+  EXPECT_TRUE(store.validate().ok()) << store.validate().to_string();
+  EXPECT_EQ(store.placement_order(), (std::vector<std::uint32_t>{0, 2, 1}));
+
+  // A chunk on the free list that a live record still links is caught.
+  store.retire_active([](const ServingSession& s) { return s.id == 2; },
+                      [](ServingSession& s) { s.phase = SessionPhase::kClosed; });
+  const StepChunk* last = store.session(2).trace.head();
+  while (last->next != nullptr) last = last->next;
+  auto& arena = const_cast<StepArena&>(store.arena());
+  arena.release(const_cast<StepChunk*>(last), 1);
+  EXPECT_EQ(store.validate().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(StepArenaTest, BlocksReturnEveryChunkInAllocationOrderWithItsTag) {
   // Three blocks come from a destroyed arena's free list (newest first)
   // and a fourth from the heap, so the chunks' addresses do not ascend in
