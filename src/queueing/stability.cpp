@@ -30,9 +30,8 @@ StabilityReport analyze_stability(const std::vector<double>& backlog,
       static_cast<double>(backlog.size());
   const std::size_t tail_len =
       stability_tail_length(backlog.size(), tail_fraction);
-  const std::size_t start = backlog.size() - tail_len;
-  return classify_stability(std::span<const double>(backlog).subspan(start),
-                            start, peak, time_average, divergence_slope,
+  return classify_stability(std::span<const double>(backlog).last(tail_len),
+                            peak, time_average, divergence_slope,
                             zero_threshold);
 }
 
@@ -42,14 +41,12 @@ std::size_t stability_tail_length(std::size_t n,
       4, static_cast<std::size_t>(static_cast<double>(n) * tail_fraction));
 }
 
-StabilityReport classify_stability(std::span<const double> tail,
-                                   std::size_t start, double peak,
+StabilityReport classify_stability(std::span<const double> tail, double peak,
                                    double time_average,
                                    double divergence_slope,
                                    double zero_threshold) {
-  TailFit fit(start, tail.size());
-  for (const double q : tail) fit.add_first(q);
-  for (const double q : tail) fit.add_second(q);
+  TailFit fit(tail.size());
+  for (const double q : tail) fit.add(q);
   return fit.report(peak, time_average, divergence_slope, zero_threshold);
 }
 
@@ -60,9 +57,8 @@ StabilityReport TailFit::report(double peak, double time_average,
   report.peak = peak;
   report.time_average = time_average;
 
-  // Least-squares slope of the tail against t: fit_linear's sums, in its
-  // order, without materializing the (t, q) vectors. The tail sum is
-  // fit_linear's y sum, so the tail mean is its y mean.
+  // Least-squares slope of the tail against t, from the centred sums. The
+  // tail sum is fit_linear's y sum, so the tail mean is its y mean.
   const auto n = static_cast<double>(length_);
   report.tail_mean = sy_ / n;
   report.tail_slope = sxx_ <= 0.0 ? 0.0 : sxy_ / sxx_;

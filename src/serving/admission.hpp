@@ -26,8 +26,8 @@ struct AdmissionConfig {
 };
 
 /// One link's admission outcomes, reported with the fleet metrics
-/// (SessionManager::admission_stats sums them from its per-tier counts).
-/// attempts == accepted + rejected.
+/// (SessionManager::admission_stats returns its one ledger, counted in
+/// try_place). attempts == accepted + rejected.
 struct AdmissionStats {
   std::size_t attempts = 0;
   std::size_t accepted = 0;

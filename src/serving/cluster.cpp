@@ -469,27 +469,12 @@ bool EdgeCluster::migrate_session(std::size_t session_id,
 void EdgeCluster::evaluate_handover() {
   const HandoverPolicy& hp = config_.handover;
   const std::size_t n = links_.size();
-  const auto utilization = [&](std::size_t k) {
-    const double admissible = links_[k]->admission().scaled_admissible();
-    return admissible > 0.0
-               ? links_[k]->admission().reserved_load() / admissible
-               : 0.0;
-  };
 
-  // Score each link: capacity lost to degradation, the reported per-slot
-  // delay, and (optionally) utilization in excess of the fleet mean — so a
-  // healthy-but-overloaded link can also shed under imbalance_weight > 0.
-  double mean_util = 0.0;
-  if (hp.imbalance_weight > 0.0) {
-    for (std::size_t k = 0; k < n; ++k) mean_util += utilization(k);
-    mean_util /= static_cast<double>(n);
-  }
+  // Score each link: capacity lost to degradation plus the reported
+  // per-slot delay.
   for (std::size_t k = 0; k < n; ++k) {
     const LinkState& state = link_state_[k];
     double score = (1.0 - state.degrade) + hp.delay_weight * state.delay;
-    if (hp.imbalance_weight > 0.0) {
-      score += hp.imbalance_weight * std::max(0.0, utilization(k) - mean_util);
-    }
     // A downed link already drained through the failover path; handover has
     // nothing left to move off it.
     if (state.down) score = 0.0;

@@ -67,27 +67,23 @@ const char* to_string(PlacementPolicy policy) noexcept;
 
 /// Live-migration handover control. When enabled, the cluster scores every
 /// link's degradation each slot — the graded kLinkDegrade fault signal
-/// (lost capacity fraction + reported per-slot delay) plus utilization
-/// imbalance — and moves sessions off links whose score crosses
-/// `enter_score` onto the healthiest link, mid-stream, carrying their hot
-/// state (EdgeCluster::migrate_session). Enter/exit hysteresis plus a
-/// per-session migration budget keep a flapping radio from ping-ponging
-/// sessions. Free when disabled: one branch per slot.
+/// (lost capacity fraction + reported per-slot delay) — and moves sessions
+/// off links whose score crosses `enter_score` onto the healthiest link,
+/// mid-stream, carrying their hot state (EdgeCluster::migrate_session).
+/// Enter/exit hysteresis plus a per-session migration budget keep a
+/// flapping radio from ping-ponging sessions. Free when disabled: one branch
+/// per slot.
 struct HandoverPolicy {
   bool enabled = false;
   /// A link whose degradation score reaches this enters handover: its
   /// sessions start migrating off. Score = (1 - degrade scale)
-  /// + delay_weight * reported delay + imbalance_weight * max(0,
-  /// utilization - fleet mean utilization).
+  /// + delay_weight * reported delay.
   double enter_score = 0.5;
   /// A link in handover whose score falls to or below this exits (the
   /// hysteresis band; must be < enter_score, validated).
   double exit_score = 0.2;
   /// Score contribution per slot of reported kLinkDegrade delay.
   double delay_weight = 0.1;
-  /// Score contribution per unit of utilization excess over the fleet mean
-  /// (0 = pure fault-signal scoring).
-  double imbalance_weight = 0.0;
   /// Sessions migrated off a degraded link per slot (paces the drain so a
   /// handover is a stream, not a stampede).
   std::size_t max_migrations_per_slot = 4;

@@ -171,13 +171,9 @@ struct ArenaDecode {
   const double* rows_end;
   const int* candidates;
   std::size_t width;
-  std::size_t pos;   // chain position of the next step
-  std::size_t end;   // chain position one past the last step
-  std::size_t tail;  // chain position of the first stability-tail step
+  std::size_t pos;  // chain position of the next step
+  std::size_t end;  // chain position one past the last step
   SummaryAccumulator sums;
-  // Where pass 2 resumes: the frame row and Q at the next tail step.
-  const double* tail_row;
-  double tail_backlog;
   TraceSummary* out;
 
   /// Decodes step k of `chunk` (the record's next step) into the sums.
@@ -193,48 +189,18 @@ struct ArenaDecode {
     row += 2 * width;
     if (row == rows_end) row = rows_begin;  // the frame cycle wraps
   }
-  /// Replays tail step k of `chunk` into the fit's second pass.
-  void replay(const StepChunk& chunk, std::size_t k) noexcept {
-    sums.add_tail(tail_backlog);
-    tail_backlog = lindley_next(tail_backlog, chunk.service[k],
-                                tail_row[width + chunk.choice[k]]);
-    tail_row += 2 * width;
-    if (tail_row == rows_end) tail_row = rows_begin;
+
+  /// Decodes `chunk`, the record's expected chunk: its steps run from the
+  /// record's next one to its end.
+  void decode(const StepChunk& chunk) noexcept {
+    // The chunk holds chain positions [base, base + 13).
+    const std::size_t base = pos - pos % kStepsPerChunk;
+    const std::size_t k1 = std::min(kStepsPerChunk, end - base);
+    for (std::size_t k = pos - base; k < k1; ++k) step(chunk, k);
+    pos = base + k1;
+    expect = pos == end ? nullptr : chunk.next;
   }
 };
-
-/// A chunk holding stability-tail steps [k0, k1) of decode state `state`.
-struct TailChunk {
-  const StepChunk* chunk;
-  std::uint32_t state;
-  std::uint8_t k0;
-  std::uint8_t k1;
-};
-static_assert(sizeof(TailChunk) == 16);
-
-/// Decodes `chunk`, record `id`'s expected chunk, into its state `d`: the
-/// record's steps in it run from its next one to its end, and those in its
-/// stability tail also go on the worklist.
-void decode_chunk(ArenaDecode& d, std::uint32_t id, const StepChunk& chunk,
-                  std::vector<TailChunk>& worklist) {
-  // The chunk holds chain positions [base, base + 13).
-  const std::size_t base = d.pos - d.pos % kStepsPerChunk;
-  const std::size_t k0 = d.pos - base;
-  const std::size_t k1 = std::min(kStepsPerChunk, d.end - base);
-  const std::size_t kt = std::clamp(d.tail, base + k0, base + k1) - base;
-  for (std::size_t k = k0; k < kt; ++k) d.step(chunk, k);
-  if (kt < k1) {
-    if (base + kt == d.tail) {
-      d.tail_row = d.row;
-      d.tail_backlog = d.backlog;
-    }
-    for (std::size_t k = kt; k < k1; ++k) d.step(chunk, k);
-    worklist.push_back(TailChunk{&chunk, id, static_cast<std::uint8_t>(kt),
-                                 static_cast<std::uint8_t>(k1)});
-  }
-  d.pos = base + k1;
-  d.expect = d.pos == d.end ? nullptr : chunk.next;
-}
 
 }  // namespace
 
@@ -245,7 +211,6 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
   std::vector<std::uint32_t> index(tags, kNoJob);
   std::vector<ArenaDecode> states;
   states.reserve(jobs.size());
-  std::size_t tail_chunks = 0;
   for (const SummaryJob& job : jobs) {
     const SessionTrace& r = *job.trace;
     ARVIS_DCHECK(r.arena_.get() == &arena);
@@ -253,23 +218,18 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
     ARVIS_DCHECK_EQ(r.head_->tag(), job.tag);
     index[job.tag] = static_cast<std::uint32_t>(states.size());
     const FlatDecideTable& table = *r.table_;
-    SummaryAccumulator sums(r.size_);  // throws on an empty record
-    const std::size_t end = r.first_ + r.size_;
-    const std::size_t tail = r.first_ + sums.tail_start();
-    if (tail < end) {
-      tail_chunks += (end - 1) / kStepsPerChunk - tail / kStepsPerChunk + 1;
-    }
     const double* rows = table.data();
     states.push_back(ArenaDecode{
         rows + r.row0_, r.backlog0_, r.head_, rows,
         rows + table.frames() * table.stride(), table.candidates().data(),
-        table.candidates().size(), r.first_, end, tail, sums, nullptr, 0.0,
+        table.candidates().size(), r.first_, r.first_ + r.size_,
+        SummaryAccumulator(r.size_),  // throws on an empty record
         job.out});
   }
 
   // The chunks stream in order, but their records' states do not: with
-  // thousands of records on a link they spill out of L2, so each pass
-  // fetches the state (and, in pass 2, the chunk) a few visits ahead.
+  // thousands of records on a link they spill out of L2, so the walk
+  // fetches the state a few visits ahead.
   constexpr std::size_t kAhead = 4;
   const auto prefetch = [](const void* p, std::size_t bytes) {
     for (std::size_t off = 0; off < bytes; off += 64) {
@@ -277,12 +237,10 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
     }
   };
 
-  // Pass 1: every chunk in bump order. A record none of whose chunks was
-  // recycled meets them in chain order, because each was bumped when the
-  // one before it filled; a recycled chunk may come before its chain
-  // predecessor, or be a free chunk under a stale tag, and is skipped.
-  std::vector<TailChunk> worklist;
-  worklist.reserve(tail_chunks);
+  // Every chunk in bump order. A record none of whose chunks was recycled
+  // meets them in chain order, because each was bumped when the one before
+  // it filled; a recycled chunk may come before its chain predecessor, or
+  // be a free chunk under a stale tag, and is skipped.
   for (const std::span<const StepChunk> block : arena.blocks()) {
     for (std::size_t j = 0; j < block.size(); ++j) {
       if (j + kAhead < block.size()) {
@@ -294,26 +252,12 @@ void SessionTrace::summarize_in_arena_order(const StepArena& arena,
       const std::uint32_t id = index[chunk.tag()];
       if (id == kNoJob) continue;  // free, empty or not asked for
       if (states[id].expect != &chunk) continue;  // free or out of order
-      decode_chunk(states[id], id, chunk, worklist);
+      states[id].decode(chunk);
     }
   }
   // The records whose chains left bump order finish along their chains.
-  for (std::uint32_t id = 0; id < states.size(); ++id) {
-    ArenaDecode& d = states[id];
-    while (d.pos != d.end) decode_chunk(d, id, *d.expect, worklist);
-  }
-
-  // Pass 2: the tail steps again, now that each tail's mean is known. A
-  // record's worklist entries are in chain order: pass 1 decodes its chunks
-  // in chain order, and the completion appends the rest after them.
-  for (std::size_t j = 0; j < worklist.size(); ++j) {
-    if (j + kAhead < worklist.size()) {
-      prefetch(&states[worklist[j + kAhead].state], sizeof(ArenaDecode));
-      prefetch(worklist[j + kAhead].chunk, sizeof(StepChunk));
-    }
-    const TailChunk& w = worklist[j];
-    ArenaDecode& d = states[w.state];
-    for (std::size_t k = w.k0; k < w.k1; ++k) d.replay(*w.chunk, k);
+  for (ArenaDecode& d : states) {
+    while (d.pos != d.end) d.decode(*d.expect);
   }
   for (const ArenaDecode& d : states) *d.out = d.sums.summary();
 }

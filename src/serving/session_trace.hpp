@@ -382,15 +382,13 @@ class SessionTrace {
   /// `tags`) in the order alloc() bumped its chunks, instead of one chain
   /// walk per record: a record's consecutive chunks lie as far apart as the
   /// sessions that streamed beside it, while the arena reads sequentially.
-  /// Pass 1 visits every chunk and decodes it only when it is its record's
-  /// expected next chunk (it skips a free chunk, and a chunk that comes
-  /// before its chain predecessor in bump order), feeding each
-  /// step to the record's SummaryAccumulator; then each record the pass
-  /// left incomplete is finished along its chain. A chunk holding
-  /// stability-tail steps goes on a worklist (16 B each), and pass 2
-  /// replays only those steps, from the row and backlog each record had
-  /// where its tail starts. Transient memory: a decode state per job, a
-  /// 4-byte index per tag and the worklist.
+  /// The walk visits every chunk and decodes it only when it is its
+  /// record's expected next chunk (it skips a free chunk, and a chunk that
+  /// comes before its chain predecessor in bump order), feeding each step
+  /// to the record's SummaryAccumulator once; then each record the walk
+  /// left incomplete is finished along its chain. The accumulator fits the
+  /// stability tail as the steps go by, so no step is read twice.
+  /// Transient memory: a decode state per job and a 4-byte index per tag.
   static void summarize_in_arena_order(const StepArena& arena,
                                        std::size_t tags,
                                        std::span<const SummaryJob> jobs);

@@ -20,13 +20,9 @@ const char* to_string(Phase phase) noexcept {
 }
 
 PhaseTracer::PhaseTracer(const TracerConfig& config)
-    : period_(config.sample_period),
-      epoch_(std::chrono::steady_clock::now()) {
+    : epoch_(std::chrono::steady_clock::now()) {
   if (config.capacity == 0) {
     throw std::invalid_argument("PhaseTracer: capacity must be > 0");
-  }
-  if (config.sample_period == 0) {
-    throw std::invalid_argument("PhaseTracer: sample_period must be > 0");
   }
   ring_.resize(config.capacity);
 }

@@ -68,23 +68,14 @@ struct TracerConfig {
   /// Ring capacity in spans; once full, the oldest spans are overwritten
   /// (dropped() reports how many). Preallocated at construction.
   std::size_t capacity = 1 << 16;
-  /// Record only slots where slot % sample_period == 0 (1 = every slot).
-  /// Driver event batches are always recorded (they are rare).
-  std::size_t sample_period = 1;
 };
 
 class PhaseTracer {
  public:
-  /// Throws std::invalid_argument on zero capacity or period.
+  /// Throws std::invalid_argument on zero capacity.
   explicit PhaseTracer(const TracerConfig& config = {});
 
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t sample_period() const noexcept { return period_; }
-
-  /// Whether spans for `slot` should be recorded this run.
-  [[nodiscard]] bool should_sample(std::size_t slot) const noexcept {
-    return period_ == 1 || slot % period_ == 0;
-  }
 
   /// Nanoseconds since the tracer's epoch (steady clock).
   [[nodiscard]] std::uint64_t now_ns() const noexcept {
@@ -145,19 +136,17 @@ class PhaseTracer {
  private:
   std::vector<SpanRecord> ring_;
   std::atomic<std::uint64_t> total_{0};
-  std::size_t period_ = 1;
   std::chrono::steady_clock::time_point epoch_;
 };
 
 /// RAII span: measures from construction to destruction and records into the
-/// tracer. A null tracer (or a sampled-out slot) reduces the whole object to
-/// one branch — no clock reads.
+/// tracer. A null tracer reduces the whole object to one branch — no clock
+/// reads.
 class PhaseSpan {
  public:
   PhaseSpan(PhaseTracer* tracer, Phase phase, std::size_t slot,
             std::uint32_t tid) noexcept
-      : tracer_(tracer != nullptr && tracer->should_sample(slot) ? tracer
-                                                                 : nullptr) {
+      : tracer_(tracer) {
     if (tracer_ != nullptr) {
       phase_ = phase;
       slot_ = slot;

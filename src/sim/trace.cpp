@@ -12,11 +12,11 @@ SummaryAccumulator::SummaryAccumulator(std::size_t count)
     : count_(count),
       tail_start_(count >= 8 ? count - stability_tail_length(count,
                                                              kTailFraction)
-                             : count) {
+                             : count),
+      fit_(count - tail_start_) {
   if (count == 0) {
     throw std::logic_error("summarize_partial: empty trace");
   }
-  fit_ = TailFit(tail_start_, count - tail_start_);
 }
 
 TraceSummary SummaryAccumulator::summary() const noexcept {

@@ -41,26 +41,23 @@ struct TraceSummary {
 
 /// The one summary definition, as an accumulator over one record of `count`
 /// steps: the summation order and the stability thresholds behind
-/// Trace::summarize_partial. Pass 1 feeds every step in slot order (add);
-/// pass 2 feeds Q(t) of the stability tail's steps again, in order
-/// (add_tail), once pass 1 is done. summarize_steps runs it over a range;
-/// the serving runtime's finish() feeds many records' steps interleaved, in
-/// the order their chunks lie in memory. Either way each record's sums are
-/// added in the same order, so the summaries are bit-identical. The
-/// stability report reuses pass 1's backlog peak and time average and fits
-/// only the Q(t) tail, so it equals analyze_stability over the whole series
-/// for the non-negative backlogs a queue produces.
+/// Trace::summarize_partial. Feed every step once, in slot order (add);
+/// the steps of the record's stability tail also feed its TailFit, so the
+/// summary needs no second look at any step. summarize_steps runs it over a
+/// range; the serving runtime's finish() feeds many records' steps
+/// interleaved, in the order their chunks lie in memory. Either way each
+/// record's sums are added in the same order, so the summaries are
+/// bit-identical. The stability report reuses the backlog peak and time
+/// average summed here and fits only the Q(t) tail, so it equals
+/// analyze_stability over the whole series for the non-negative backlogs a
+/// queue produces.
 class SummaryAccumulator {
  public:
   /// Throws std::logic_error on an empty record.
   explicit SummaryAccumulator(std::size_t count);
 
-  /// Index of the first step of the stability tail (`count` when the record
-  /// is too short to analyze).
-  [[nodiscard]] std::size_t tail_start() const noexcept { return tail_start_; }
-
-  /// Pass 1: the next step. True when it lies in the stability tail.
-  bool add(double quality, double backlog_begin, int depth, double arrivals,
+  /// The next step.
+  void add(double quality, double backlog_begin, int depth, double arrivals,
            double service, double backlog_end) noexcept {
     q_sum_ += quality;
     b_sum_ += backlog_begin;
@@ -69,25 +66,19 @@ class SummaryAccumulator {
     s_sum_ += service;
     peak_ = std::max(peak_, backlog_begin);
     final_ = backlog_end;
-    if (seen_++ < tail_start_) return false;
-    fit_.add_first(backlog_begin);
-    return true;
+    if (seen_++ >= tail_start_) fit_.add(backlog_begin);
   }
-  bool add(const StepRecord& s) noexcept {
-    return add(s.quality, s.backlog_begin, s.depth, s.arrivals, s.service,
-               s.backlog_end);
-  }
-  /// Pass 2: Q(t) of the next tail step.
-  void add_tail(double backlog_begin) noexcept {
-    fit_.add_second(backlog_begin);
+  void add(const StepRecord& s) noexcept {
+    add(s.quality, s.backlog_begin, s.depth, s.arrivals, s.service,
+        s.backlog_end);
   }
 
-  /// The summary, once both passes are done.
+  /// The summary, once every step was added.
   [[nodiscard]] TraceSummary summary() const noexcept;
 
  private:
   std::size_t count_;
-  std::size_t tail_start_;
+  std::size_t tail_start_;  // `count` when too short to analyze
   std::size_t seen_ = 0;
   double q_sum_ = 0.0, b_sum_ = 0.0, d_sum_ = 0.0, a_sum_ = 0.0, s_sum_ = 0.0;
   double peak_ = 0.0;
@@ -96,19 +87,13 @@ class SummaryAccumulator {
 };
 
 /// SummaryAccumulator over any sized forward range of StepRecord values, in
-/// one pass that keeps the tail's Q(t) for the second: the summary of
-/// Trace::summarize_partial and of every record type that decodes into
-/// StepRecords (the serving runtime's SessionTrace). Throws
-/// std::logic_error on an empty range.
+/// one pass: the summary of Trace::summarize_partial and of every record
+/// type that decodes into StepRecords (the serving runtime's SessionTrace).
+/// Throws std::logic_error on an empty range.
 template <class Steps>
 TraceSummary summarize_steps(const Steps& steps) {
   SummaryAccumulator sums(steps.size());
-  std::vector<double> tail;  // Q(t) over the stability fit's tail
-  tail.reserve(steps.size() - sums.tail_start());
-  for (const StepRecord& s : steps) {
-    if (sums.add(s)) tail.push_back(s.backlog_begin);
-  }
-  for (const double q : tail) sums.add_tail(q);
+  for (const StepRecord& s : steps) sums.add(s);
   return sums.summary();
 }
 

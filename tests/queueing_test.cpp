@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -245,13 +247,37 @@ TEST(StabilityTest, ValidatesInput) {
   EXPECT_THROW(analyze_stability(series, 1.5), std::invalid_argument);
 }
 
+/// A tail's least-squares slope against the materialized (t, q) vectors.
+using SlopeOf = double (*)(const std::vector<double>& t,
+                           const std::vector<double>& q);
+
+/// fit_linear's two-pass slope: centre t and Q on their means, then fit.
+double fit_linear_slope(const std::vector<double>& t,
+                        const std::vector<double>& q) {
+  return fit_linear(t, q).slope;
+}
+
+/// TailFit's one-pass definition, materialized: dx = i - (L - 1) / 2 held
+/// exactly, and Σdx·(q - q₀) / Σdx², summed in sample order.
+double one_pass_slope(const std::vector<double>& /*t*/,
+                      const std::vector<double>& q) {
+  const double mid = (static_cast<double>(q.size()) - 1.0) * 0.5;
+  double sxx = 0.0, sxy = 0.0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double dx = static_cast<double>(i) - mid;
+    sxx += dx * dx;
+    sxy += dx * (q[i] - q.front());
+  }
+  return sxx <= 0.0 ? 0.0 : sxy / sxx;
+}
+
 /// The stability definition the in-place paths must reproduce: peak and
 /// time average rescanned over the whole series, the tail copied into (t, q)
-/// vectors and fitted with fit_linear.
+/// vectors and fitted by `slope_of`.
 StabilityReport reference_stability(const std::vector<double>& backlog,
                                     double tail_fraction,
                                     double divergence_slope,
-                                    double zero_threshold) {
+                                    double zero_threshold, SlopeOf slope_of) {
   StabilityReport report;
   report.peak = *std::max_element(backlog.begin(), backlog.end());
   report.time_average =
@@ -270,7 +296,7 @@ StabilityReport reference_stability(const std::vector<double>& backlog,
     tail_sum += q[i];
   }
   report.tail_mean = tail_sum / static_cast<double>(tail_len);
-  report.tail_slope = fit_linear(t, q).slope;
+  report.tail_slope = slope_of(t, q);
   const std::size_t half = tail_len / 2;
   const double first_half =
       std::accumulate(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(half),
@@ -293,7 +319,8 @@ StabilityReport reference_stability(const std::vector<double>& backlog,
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   if (bits(got.tail_slope) != bits(want.tail_slope)) {
     return ::testing::AssertionFailure()
-           << "tail_slope " << got.tail_slope << " vs " << want.tail_slope;
+           << std::setprecision(17) << "tail_slope " << got.tail_slope
+           << " vs " << want.tail_slope;
   }
   if (bits(got.tail_mean) != bits(want.tail_mean)) {
     return ::testing::AssertionFailure()
@@ -315,12 +342,30 @@ StabilityReport reference_stability(const std::vector<double>& backlog,
   return ::testing::AssertionSuccess();
 }
 
+/// Against fit_linear's report: every field but the slope bit for bit, and
+/// the slope within 1e-12 of fit_linear's, relative above 1. The one-pass
+/// sums round differently, so the last bits of the slope may differ.
+::testing::AssertionResult reports_match_fit_linear(
+    const StabilityReport& got, const StabilityReport& fit_linear_report) {
+  const double bound =
+      1e-12 * std::max(1.0, std::abs(fit_linear_report.tail_slope));
+  if (!(std::abs(got.tail_slope - fit_linear_report.tail_slope) <= bound)) {
+    return ::testing::AssertionFailure()
+           << std::setprecision(17) << "tail_slope " << got.tail_slope
+           << " vs fit_linear's " << fit_linear_report.tail_slope;
+  }
+  StabilityReport want = fit_linear_report;
+  want.tail_slope = got.tail_slope;
+  return reports_bit_equal(got, want);
+}
+
 TEST(StabilityTest, InPlaceTailFitMatchesMaterializedFitBitForBit) {
-  // analyze_stability and the trace summary read the tail in place, and the
-  // summary hands over the peak and time average of its own pass; every
-  // field must equal the materialized definition's bit for bit. Random
-  // series of 8-200 samples in four shapes: noise, constants (zero
-  // included), noise with an all-zero tail, and noisy ramps.
+  // analyze_stability and the trace summary read the tail in place, in one
+  // pass, and the summary hands over the peak and time average of its own
+  // pass; every field must equal the materialized one-pass definition's bit
+  // for bit, and fit_linear's up to the slope's last bits. Random series of
+  // 8-200 samples in four shapes: noise, constants (zero included), noise
+  // with an all-zero tail, and noisy ramps.
   Rng rng(2026);
   for (int trial = 0; trial < 400; ++trial) {
     const std::size_t n = 8 + static_cast<std::size_t>(rng.next_u64() % 193);
@@ -340,24 +385,27 @@ TEST(StabilityTest, InPlaceTailFitMatchesMaterializedFitBitForBit) {
                  std::to_string(n));
     const double divergence_slope = 0.5 + 10.0 * rng.next_double();
     const double zero_threshold = level * rng.next_double();
-    const StabilityReport want = reference_stability(
+    const StabilityReport want =
+        reference_stability(series, 1.0 / 3.0, divergence_slope,
+                            zero_threshold, one_pass_slope);
+    const StabilityReport got = analyze_stability(
         series, 1.0 / 3.0, divergence_slope, zero_threshold);
-    EXPECT_TRUE(reports_bit_equal(
-        analyze_stability(series, 1.0 / 3.0, divergence_slope,
-                          zero_threshold),
-        want));
+    EXPECT_TRUE(reports_bit_equal(got, want));
+    EXPECT_TRUE(reports_match_fit_linear(
+        got, reference_stability(series, 1.0 / 3.0, divergence_slope,
+                                 zero_threshold, fit_linear_slope)));
 
     // The summary's one pass: a running max from zero, a left-to-right sum,
-    // and only the tail kept.
+    // and the tail read in place.
     double peak = 0.0, sum = 0.0;
     for (const double q : series) {
       peak = std::max(peak, q);
       sum += q;
     }
-    const std::size_t start = n - stability_tail_length(n, 1.0 / 3.0);
     EXPECT_TRUE(reports_bit_equal(
-        classify_stability(std::span<const double>(series).subspan(start),
-                           start, peak, sum / static_cast<double>(n),
+        classify_stability(std::span<const double>(series).last(
+                               stability_tail_length(n, 1.0 / 3.0)),
+                           peak, sum / static_cast<double>(n),
                            divergence_slope, zero_threshold),
         want));
 
@@ -372,12 +420,77 @@ TEST(StabilityTest, InPlaceTailFitMatchesMaterializedFitBitForBit) {
       trace.add(r);
     }
     const TraceSummary summary = trace.summarize_partial();
+    const double summary_divergence =
+        std::max(1.0, 0.02 * summary.mean_arrivals);
+    const double summary_zero = std::max(1.0, 2.0 * summary.mean_arrivals);
     EXPECT_TRUE(reports_bit_equal(
         summary.stability,
-        reference_stability(series, 1.0 / 3.0,
-                            std::max(1.0, 0.02 * summary.mean_arrivals),
-                            std::max(1.0, 2.0 * summary.mean_arrivals))));
+        reference_stability(series, 1.0 / 3.0, summary_divergence,
+                            summary_zero, one_pass_slope)));
+    EXPECT_TRUE(reports_match_fit_linear(
+        summary.stability,
+        reference_stability(series, 1.0 / 3.0, summary_divergence,
+                            summary_zero, fit_linear_slope)));
   }
+}
+
+TEST(StabilityTest, FlatTailReadsSlopeExactlyZero) {
+  // Every Σdx·(q - q₀) term is an exact zero on a flat tail, whatever the
+  // level and whatever came before the tail.
+  for (const double level : {0.0, 0.1, 1.0 / 3.0, 4'675.3, 1e9 + 0.7}) {
+    SCOPED_TRACE(level);
+    std::vector<double> series(301, level);
+    for (std::size_t i = 0; i < 100; ++i) {
+      series[i] = 3.0 * level + static_cast<double>(i);
+    }
+    const StabilityReport report = analyze_stability(series);
+    EXPECT_EQ(report.tail_slope, 0.0);
+    // The mean is a rounded sum over the tail: it may miss the level in its
+    // last bits.
+    EXPECT_NEAR(report.tail_mean, level, 1e-12 * std::max(1.0, level));
+    EXPECT_EQ(report.verdict, level < 1.0
+                                  ? StabilityVerdict::kConvergentToZero
+                                  : StabilityVerdict::kBoundedPositive);
+
+    Trace trace;
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      StepRecord r;
+      r.t = i;
+      r.backlog_begin = series[i];
+      trace.add(r);
+    }
+    EXPECT_EQ(trace.summarize_partial().stability.tail_slope, 0.0);
+  }
+}
+
+TEST(StabilityTest, LongRampFitsItsSlope) {
+  // 20,000 samples: a tail of 6,666, so the index offsets reach ±3,332.5
+  // and Σdx² about 2.5e10. A clean ramp of 7.25 per slot reads 7.25
+  // exactly: every dx·(q - q₀) is exact, and Σdx·(q - q₀) = 7.25·Σdx².
+  std::vector<double> series(20'000);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    series[i] = 3'000.0 + 7.25 * static_cast<double>(i);
+  }
+  const StabilityReport clean = analyze_stability(series);
+  EXPECT_EQ(clean.tail_slope, 7.25);
+  EXPECT_EQ(clean.verdict, StabilityVerdict::kDivergent);
+  EXPECT_TRUE(reports_match_fit_linear(
+      clean, reference_stability(series, 1.0 / 3.0, 1.0, 1.0,
+                                 fit_linear_slope)));
+
+  // With noise the slope is no longer exact, and the one-pass sums must
+  // still equal their materialized definition bit for bit.
+  Rng rng(33);
+  for (double& q : series) q += 500.0 * rng.next_double();
+  const StabilityReport noisy = analyze_stability(series);
+  EXPECT_TRUE(reports_bit_equal(
+      noisy,
+      reference_stability(series, 1.0 / 3.0, 1.0, 1.0, one_pass_slope)));
+  EXPECT_TRUE(reports_match_fit_linear(
+      noisy, reference_stability(series, 1.0 / 3.0, 1.0, 1.0,
+                                 fit_linear_slope)));
+  EXPECT_NEAR(noisy.tail_slope, 7.25, 0.05);
+  EXPECT_EQ(noisy.verdict, StabilityVerdict::kDivergent);
 }
 
 TEST(StabilityTest, VerdictToString) {

@@ -154,29 +154,25 @@ TEST(PhaseTracerTest, RingOverwritesOldestAndCountsDrops) {
   }
 }
 
-TEST(PhaseTracerTest, SamplingPeriodGatesSpans) {
-  TracerConfig config;
-  config.sample_period = 4;
-  PhaseTracer tracer(config);
+TEST(PhaseTracerTest, SpanRecordsEverySlotAndNullTracerNothing) {
+  PhaseTracer tracer;
   for (std::size_t slot = 0; slot < 16; ++slot) {
     const PhaseSpan span(&tracer, Phase::kDrain, slot, 0);
   }
-  EXPECT_EQ(tracer.size(), 4U);  // slots 0, 4, 8, 12
+  ASSERT_EQ(tracer.size(), 16U);
   for (std::size_t i = 0; i < tracer.size(); ++i) {
-    EXPECT_EQ(tracer.at(i).slot % 4, 0U);
+    EXPECT_EQ(tracer.at(i).slot, i);
+    EXPECT_EQ(tracer.at(i).phase, Phase::kDrain);
   }
 
   // A null tracer records nothing and must be safe.
   { const PhaseSpan span(nullptr, Phase::kDrain, 3, 0); }
-  EXPECT_EQ(tracer.recorded_total(), 4U);
+  EXPECT_EQ(tracer.recorded_total(), 16U);
 }
 
-TEST(PhaseTracerTest, RejectsZeroCapacityOrPeriod) {
+TEST(PhaseTracerTest, RejectsZeroCapacity) {
   TracerConfig config;
   config.capacity = 0;
-  EXPECT_THROW(PhaseTracer{config}, std::invalid_argument);
-  config.capacity = 8;
-  config.sample_period = 0;
   EXPECT_THROW(PhaseTracer{config}, std::invalid_argument);
 }
 
